@@ -16,7 +16,7 @@ EXTRA = {
 if __name__ == "__main__":
     status = 0
     for name in EXPERIMENTS:
-        args = ["run", name, "--reproducible", "--seed", "0",
+        args = ["run", name, "--seed", "0",
                 "--out", f"results/all/{name}"] + EXTRA.get(name, [])
         print("$ halfext", " ".join(args))
         rc = main(args)

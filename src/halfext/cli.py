@@ -62,8 +62,6 @@ class ExperimentConfig:
     quad_order: int = 64
     trials: int = 4
     seed: int = 0
-    threads: int = 0              # 0: leave the BLAS pool alone
-    reproducible: bool = False
     out: str = "results"
     init: str = "gaussian"
     max_iters: int = 300
@@ -126,6 +124,14 @@ def _boundary_grid(cfg: ExperimentConfig):
 
 def _halfspace(cfg: ExperimentConfig):
     return build_halfspace_grid(cfg.n, cfg.grid_n, cfg.height_n)
+
+
+def _closed_form_family(n: int, p: float):
+    """The extremal family whose critical exponent is p, or None."""
+    if n < 3:
+        return None
+    return next((kind for kind in ("conformal", "dual")
+                 if abs(ExtremalSpec(n, kind).critical_p - p) < 1e-12), None)
 
 
 # ----------------------------------------------------------------- experiments
@@ -196,7 +202,7 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
             checks.add(f"slab_mass[{name},a={a}]", slab_mass(f, a),
                        a * mass, 1e-6)
     # duality pairing <Tu, f> = <u, Pf>
-    hs = default_halfspace_grid(g)
+    hs = default_halfspace_grid(g, cfg.height_n)
     f = sample_radial(g, lambda r: (0.5 + r ** 2) ** -1.2,
                       tail_exponent=2.4, nonnegative=True)
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
@@ -236,15 +242,12 @@ def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
 def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g)
+    hs = default_halfspace_grid(g, cfg.height_n)
     est = ascent_estimate_constant(n, p, cfg.trials, cfg.solver(), g, hs)
     summary_extra = {"c_estimate": est}
-    closed = None
-    if n >= 3 and abs(p - 2 * (n - 1) / (n - 2)) < 1e-12:
-        closed = sharp_constant(n, "conformal")
-    elif n >= 3 and abs(p - 2 * (n - 1) / n) < 1e-12:
-        closed = sharp_constant(n, "dual")
-    if closed is not None:
+    family = _closed_form_family(n, p)
+    if family is not None:
+        closed = sharp_constant(n, family)
         checks.add("c_estimate_vs_closed_form", est, closed, 0.005 * closed)
         summary_extra["closed_form"] = closed
         summary_extra["rel_err"] = abs(est - closed) / closed
@@ -258,8 +261,9 @@ def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
 def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g)
+    hs = default_halfspace_grid(g, cfg.height_n)
     rng = np.random.default_rng(cfg.seed)
+    family = _closed_form_family(n, p)
     r = g.nodes
     if cfg.init == "gaussian":
         init = RadialFn(g, np.exp(-r ** 2), value_at_zero=1.0,
@@ -269,7 +273,10 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
                         value_at_zero=1.0, tail_exponent=np.inf,
                         nonnegative=True)
     elif cfg.init == "extremal":
-        kind = "dual" if abs(p - 2 * (n - 1) / (n - 2)) < 1e-12 else "conformal"
+        if n < 3:
+            raise HalfextError("extremal starts need n >= 3")
+        # start from the other family's extremal
+        kind = "dual" if family == "conformal" else "conformal"
         init = extremal_profile(ExtremalSpec(n, kind), g)
     else:
         raise HalfextError(f"unknown init {cfg.init!r}")
@@ -279,23 +286,18 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     checks.bound("converged", 0.0 if trace.converged else 1.0, 0.5)
     checks.bound("final_residual", trace.residuals[-1], cfg.tol_residual)
     extra = {"iterations": len(trace), "rayleigh": trace.rayleighs[-1]}
-    kind = None
-    if n >= 3 and abs(p - 2 * (n - 1) / (n - 2)) < 1e-12:
-        kind = "conformal"
-    elif n >= 3 and abs(p - 2 * (n - 1) / n) < 1e-12:
-        kind = "dual"
-    if kind is not None:
-        lam, amp, err = match_extremal_family(sol, n, kind, 10.0)
+    if family is not None:
+        lam, amp, err = match_extremal_family(sol, n, family, 10.0)
         checks.bound("family_match_error", err, 1e-3)
         # the lambda-free constant of the solved family: calibrating the
         # solution to the unit-coefficient system scales its amplitude
         from .extremals import normalize_el
         family_c = normalize_el(sol, n, p) * amp
-        extra.update({"family": kind, "lambda": lam, "amplitude": amp,
+        extra.update({"family": family, "lambda": lam, "amplitude": amp,
                       "family_constant": family_c,
                       "family_match_error": err})
-    if cfg.write_fixtures and kind is not None:
-        _write_fixture(f"el_family_constant[{kind},n={n}]", family_c, cfg)
+    if cfg.write_fixtures and family is not None:
+        _write_fixture(f"el_family_constant[{family},n={n}]", family_c, cfg)
     return extra
 
 
@@ -370,7 +372,7 @@ def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
     if cfg.n != 3:
         raise HalfextError("inversion checks are scripted for n=3")
     g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g)
+    hs = default_halfspace_grid(g, cfg.height_n)
     p_crit = 4.0
     f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
@@ -469,8 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quad-order", dest="quad_order", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--threads", type=int)
-    run.add_argument("--reproducible", action="store_true", default=None)
     run.add_argument("--out")
     run.add_argument("--init", choices=("gaussian", "bump", "extremal"))
     run.add_argument("--max-iters", dest="max_iters", type=int)
@@ -503,13 +503,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     cfg.validate()
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
-    limiter = None
-    if cfg.threads and cfg.threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            limiter = threadpool_limits(limits=cfg.threads)
-        except ImportError:
-            limiter = None
     checks = Checks()
     extra = None
     status = 0
@@ -519,9 +512,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         checks.rows.append({"name": "numerical_failure", "value": str(exc),
                             "target": None, "tol": None, "pass": False})
         status = 1
-    finally:
-        if limiter is not None:
-            limiter.unrestrict()
     summary = {
         "experiment": cfg.experiment,
         "config": asdict(cfg),
@@ -534,7 +524,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "halfext_version": __version__,
         "numpy_version": np.__version__,
-        "threads": cfg.threads,
     }
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

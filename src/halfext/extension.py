@@ -24,6 +24,12 @@ As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows of the
 discretized operator whose height cannot be resolved by the radial mesh are
 rebuilt with geometrically refined panels around the diagonal, composed with
 a local cubic interpolation stencil, so the operator stays a plain matrix.
+
+Every per-point panel quadrature here (refined rows, pointwise extension,
+kernel mass, the angular integrals) builds the rules of all its points in
+one ``composite_rules`` call and evaluates the integrand once over them.
+Operators are cached by mesh content: meshes built separately but equal
+share one operator.
 """
 
 from __future__ import annotations
@@ -37,12 +43,13 @@ from scipy.special import ellipe
 from .errors import DivergenceError, DomainError
 from .grids import AxisymFn, HalfspaceGrid, RadialFn, RadialGrid
 from .kernel import kernel_constant, sphere_area
-from .quadrature import composite_rule, gauss_legendre, peak_breaks
+from .quadrature import composite_rules, gauss_legendre, peak_breaks
 
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
 _PANEL_ORDER = 16
 _RING_ORDER = 64
+_RING_BLOCK = 512      # entries per angular batch: bounds the nodes held
 
 
 def _ring_closed(n: int, r, s, t):
@@ -61,23 +68,32 @@ def _ring_closed(n: int, r, s, t):
     raise DomainError(f"no closed ring kernel for n={n}")
 
 
-def _ring_gl_scalar(n: int, r: float, s: float, t: float, order: int) -> float:
-    """Generic angular quadrature for n >= 3 (peak-refined near theta = 0)."""
-    amm = (r - s) ** 2 + t * t
-    b = 2.0 * r * s
-    if b > 0.0:
-        theta_w = math.sqrt(amm / (r * s))
-        if theta_w < np.pi / 2.0:
-            breaks = peak_breaks(0.0, theta_w, 0.0, np.pi)
-        else:
-            breaks = np.array([0.0, np.pi])
-    else:
-        breaks = np.array([0.0, np.pi])
-    th, w = composite_rule(breaks, order)
-    # a - b cos(theta) = amm + b (1 - cos(theta)), free of cancellation
-    core = (amm + 2.0 * b * np.sin(0.5 * th) ** 2) ** (-0.5 * n)
-    integral = float(np.dot(w, core * np.sin(th) ** (n - 3)))
-    return kernel_constant(n) * t * sphere_area(n - 2) * integral
+def _angular_integral(n: int, r, s, t, order: int, core) -> np.ndarray:
+    """Per entry, integral of core(theta, r, s, t) sin(theta)^(n-3) on (0, pi).
+
+    Panels are refined geometrically toward theta = 0, where the integrand
+    peaks with width sqrt(((r-s)^2 + t^2) / (r s)) as t -> 0.
+    """
+    r, s, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float),
+                                  np.asarray(t, float))
+    shape = r.shape
+    rr, ss, tt = r.ravel(), s.ravel(), t.ravel()
+    out = np.empty(rr.size)
+    for lo in range(0, rr.size, _RING_BLOCK):
+        r, s, t = (x[lo:lo + _RING_BLOCK] for x in (rr, ss, tt))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            width = np.sqrt(((r - s) ** 2 + t * t) / (r * s))
+        width = np.where((r * s > 0.0) & (width < np.pi / 2.0), width, np.pi)
+        # the breaks of peak_breaks(0, width, 0, pi), padded with pi
+        levels = int(np.ceil(np.log(np.pi / width.min()) / np.log(4.0))) + 1
+        breaks = np.minimum(width[:, None] * 4.0 ** np.arange(levels), np.pi)
+        breaks = np.column_stack([np.zeros(r.size), breaks,
+                                  np.full(r.size, np.pi)])
+        th, w, offsets = composite_rules(breaks, order)
+        k = np.repeat(np.arange(r.size), np.diff(offsets))
+        vals = w * core(th, r[k], s[k], t[k]) * np.sin(th) ** (n - 3)
+        out[lo:lo + r.size] = np.add.reduceat(vals, offsets[:-1])
+    return out.reshape(shape)
 
 
 def ring_kernel(n: int, r, s, t, quad_order: int = _RING_ORDER,
@@ -100,41 +116,31 @@ def ring_kernel(n: int, r, s, t, quad_order: int = _RING_ORDER,
         raise DomainError(f"unknown ring kernel method {method!r}")
     if n == 2:
         return ring_kernel(n, r, s, t, method="closed")
-    rr, ss, tt = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float),
-                                     np.asarray(t, float))
-    out = np.empty(rr.shape, dtype=float)
-    for idx in np.ndindex(rr.shape):
-        out[idx] = _ring_gl_scalar(n, rr[idx], ss[idx], tt[idx], quad_order)
+
+    def core(th, r, s, t):
+        # a - b cos(theta) = amm + b (1 - cos(theta)), free of cancellation
+        return ((r - s) ** 2 + t * t
+                + 4.0 * r * s * np.sin(0.5 * th) ** 2) ** (-0.5 * n)
+
+    out = (kernel_constant(n) * np.asarray(t, float) * sphere_area(n - 2)
+           * _angular_integral(n, r, s, t, quad_order, core))
     return float(out) if out.ndim == 0 else out
 
 
-def _qt_ring_scalar(n: int, r: float, s: float, t: float, order: int) -> float:
+def qt_ring(n: int, r, s, t, quad_order: int = _RING_ORDER):
     """Ring reduction of Q_t (used by the commutator bound)."""
     if n == 2:
-        c = kernel_constant(2)
-        return c * (abs(r - s) / ((r - s) ** 2 + t * t)
-                    + (r + s) / ((r + s) ** 2 + t * t))
-    amm = (r - s) ** 2 + t * t
-    b = 2.0 * r * s
-    if b > 0.0:
-        theta_w = math.sqrt(amm / (r * s))
-        breaks = (peak_breaks(0.0, theta_w, 0.0, np.pi)
-                  if theta_w < np.pi / 2.0 else np.array([0.0, np.pi]))
-    else:
-        breaks = np.array([0.0, np.pi])
-    th, w = composite_rule(breaks, order)
-    R2 = (r - s) ** 2 + 2.0 * b * np.sin(0.5 * th) ** 2
-    core = np.sqrt(R2) * (R2 + t * t) ** (-0.5 * n)
-    integral = float(np.dot(w, core * np.sin(th) ** (n - 3)))
-    return kernel_constant(n) * sphere_area(n - 2) * integral
+        r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
+        out = kernel_constant(2) * (np.abs(r - s) / ((r - s) ** 2 + t * t)
+                                    + (r + s) / ((r + s) ** 2 + t * t))
+        return float(out) if out.ndim == 0 else out
 
+    def core(th, r, s, t):
+        R2 = (r - s) ** 2 + 4.0 * r * s * np.sin(0.5 * th) ** 2
+        return np.sqrt(R2) * (R2 + t * t) ** (-0.5 * n)
 
-def qt_ring(n: int, r, s, t, quad_order: int = _RING_ORDER):
-    rr, ss, tt = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float),
-                                     np.asarray(t, float))
-    out = np.empty(rr.shape, dtype=float)
-    for idx in np.ndindex(rr.shape):
-        out[idx] = _qt_ring_scalar(n, rr[idx], ss[idx], tt[idx], quad_order)
+    out = (kernel_constant(n) * sphere_area(n - 2)
+           * _angular_integral(n, r, s, t, quad_order, core))
     return float(out) if out.ndim == 0 else out
 
 
@@ -173,50 +179,29 @@ def _data_ladder(in_grid: RadialGrid) -> np.ndarray:
     return np.asarray(sorted(pts))
 
 
-def _diagonal_breaks(r_out: float, t: float, in_grid: RadialGrid) -> np.ndarray:
-    """Panels resolving both the kernel diagonal at (r_out, t) and the data."""
-    return np.union1d(peak_breaks(r_out, max(t, 1e-9), 0.0, in_grid.r_max),
-                      _data_ladder(in_grid))
+def _diagonal_rules(r_out, t, in_grid: RadialGrid):
+    """Rules resolving the kernel diagonal at each (r_out, t) and the data."""
+    ladder = _data_ladder(in_grid)
+    breaks = [np.union1d(peak_breaks(float(r), max(float(h), 1e-9), 0.0,
+                                     in_grid.r_max), ladder)
+              for r, h in zip(*np.broadcast_arrays(r_out, t))]
+    return composite_rules(breaks, _PANEL_ORDER)
 
 
-def _refined_row(n: int, r_out: float, t: float, in_grid: RadialGrid,
-                 order: int = _PANEL_ORDER) -> np.ndarray:
-    """Matrix row for one (r_out, t) with diagonal-peak panel quadrature."""
-    d = in_grid.d
-    s, w = composite_rule(_diagonal_breaks(r_out, t, in_grid), order)
-    keep = s > 0.0
-    s, w = s[keep], w[keep]
-    kern = ring_kernel(n, r_out, s, t)
-    coeff = w * kern * s ** (d - 1)
-    cols, lw = _lagrange_stencils(in_grid, s)
-    row = np.zeros(in_grid.size)
-    np.add.at(row, cols.ravel(), (coeff[:, None] * lw).ravel())
-    return row
+def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
+                   t: float) -> np.ndarray:
+    """Matrix taking in-grid samples to kernel integrals at out_nodes (one t).
 
-
-def _kernel_matrix(n: int, out_nodes: np.ndarray, in_grid: RadialGrid,
-                   t: float, peak_factor: float = PEAK_FACTOR) -> np.ndarray:
-    """Matrix taking in-grid samples to extension values at out_nodes (one t)."""
-    M = ring_kernel(n, out_nodes[:, None], in_grid.nodes[None, :], t)
+    ``kernel(r, s, t)`` is a ring kernel (of P_t or Q_t), broadcasting.
+    """
+    M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t)
     M = M * in_grid.weights[None, :]
-    flagged = np.nonzero(t < peak_factor * in_grid.local_spacing(out_nodes))[0]
+    flagged = np.nonzero(t < PEAK_FACTOR * in_grid.local_spacing(out_nodes))[0]
     if flagged.size == 0:
         return M
-    # batch the refined rows: one kernel evaluation over all panel nodes
-    d = in_grid.d
-    all_s, all_w, row_of = [], [], []
-    for j in flagged:
-        breaks = _diagonal_breaks(float(out_nodes[j]), t, in_grid)
-        s, w = composite_rule(breaks, _PANEL_ORDER)
-        keep = s > 0.0
-        all_s.append(s[keep])
-        all_w.append(w[keep])
-        row_of.append(np.full(keep.sum(), j))
-    s = np.concatenate(all_s)
-    w = np.concatenate(all_w)
-    rows = np.concatenate(row_of)
-    kern = ring_kernel(n, out_nodes[rows], s, t)
-    coeff = w * kern * s ** (d - 1)
+    s, w, offsets = _diagonal_rules(out_nodes[flagged], t, in_grid)
+    rows = np.repeat(flagged, np.diff(offsets))
+    coeff = w * kernel(out_nodes[rows], s, t) * s ** (in_grid.d - 1)
     cols, lw = _lagrange_stencils(in_grid, s)
     M[flagged, :] = 0.0
     np.add.at(M, (np.repeat(rows, 4), cols.ravel()),
@@ -228,7 +213,8 @@ def _kernel_matrix(n: int, out_nodes: np.ndarray, in_grid: RadialGrid,
 class PoissonOperator:
     """Discretized extension/dual pair on a fixed boundary x half-space mesh.
 
-    Built once per (grids, n) and cached; both directions reduce to per-height
+    Built once per n and mesh content by ``get_operator`` (equal meshes built
+    separately share one operator); both directions reduce to per-height
     matrix products, so solver iterations are cheap.
     """
 
@@ -249,41 +235,45 @@ class PoissonOperator:
 
 
 _OPERATOR_CACHE: dict = {}
-_CACHE_LIMIT = 12      # matrices are ~N_t * N^2 doubles; cap the cache
+_CACHE_LIMIT = 12      # operators hold ~2 N_t N^2 doubles; cap the cache
 
 
-def _cache_put(cache: dict, key, value) -> None:
-    if len(cache) >= _CACHE_LIMIT:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
+def _mesh_key(grid: RadialGrid) -> tuple:
+    """Everything the operator build reads from a mesh, compared by value."""
+    return (grid.d, grid.mapping, grid.scale, grid.r_max,
+            grid.nodes.tobytes(), grid.weights.tobytes())
+
+
+def _matrix_stack(n: int, out_grid: RadialGrid, in_grid: RadialGrid,
+                  heights: RadialGrid) -> np.ndarray:
+    def kernel(r, s, t):
+        return ring_kernel(n, r, s, t)
+    return np.stack([_kernel_matrix(kernel, out_grid.nodes, in_grid, float(t))
+                     for t in heights.nodes])
 
 
 def get_operator(n: int, boundary: RadialGrid,
                  halfspace: HalfspaceGrid) -> PoissonOperator:
+    """The operator for (n, boundary mesh, half-space mesh), built on a miss.
+
+    Keyed by mesh content, so it is shared by meshes built separately but
+    equal; the cache keeps the last ``_CACHE_LIMIT`` operators.
+    """
     if boundary.d != n - 1 or halfspace.n != n:
         raise DomainError("grid dimensions are inconsistent with n")
-    key = (n, id(boundary), id(halfspace.radial), id(halfspace.heights))
-    hit = _OPERATOR_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    heights = halfspace.heights.nodes
-    out_nodes = halfspace.radial.nodes
-    mats = np.stack([_kernel_matrix(n, out_nodes, boundary, float(t))
-                     for t in heights])
-    if halfspace.radial is boundary:
-        dual_mats = mats
-    else:
-        dual_mats = np.stack([
-            _kernel_matrix(n, boundary.nodes, halfspace.radial, float(t))
-            for t in heights])
+    radial, heights = halfspace.radial, halfspace.heights
+    key = (n, _mesh_key(boundary), _mesh_key(radial), _mesh_key(heights))
+    op = _OPERATOR_CACHE.get(key)
+    if op is not None:
+        return op
+    mats = _matrix_stack(n, radial, boundary, heights)
+    dual_mats = (mats if key[1] == key[2]
+                 else _matrix_stack(n, boundary, radial, heights))
     op = PoissonOperator(n, boundary, halfspace, mats, dual_mats)
-    _cache_put(_OPERATOR_CACHE, key, ((boundary, halfspace), op))
+    if len(_OPERATOR_CACHE) >= _CACHE_LIMIT:
+        _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
+    _OPERATOR_CACHE[key] = op
     return op
-
-
-def clear_operator_cache() -> None:
-    _OPERATOR_CACHE.clear()
-    _DUAL_CACHE.clear()
 
 
 def _check_integrable(f: RadialFn) -> None:
@@ -307,32 +297,15 @@ def poisson_extend(f: RadialFn, grid: HalfspaceGrid) -> AxisymFn:
 
 
 def dual_extend(u: AxisymFn, out_grid: RadialGrid) -> RadialFn:
-    """(Tu)(s) = integral of P(x, s) u(x) dx sampled on a boundary mesh."""
+    """(Tu)(s) = integral of P(x, s) u(x) dx sampled on a boundary mesh.
+
+    The output mesh may differ from the half-space's radial mesh; the dual
+    matrices then come from the operator of that mesh pair.
+    """
     n = u.grid.n
     if out_grid.d != n - 1:
         raise DomainError("output grid dimension does not match the mesh")
-    if out_grid is u.grid.radial:
-        op = get_operator(n, out_grid, u.grid)
-        vals = op.dual(u.values)
-    else:
-        wt = u.grid.heights.weights
-        mats = _dual_matrices(n, out_grid, u.grid)
-        vals = np.einsum("kij,jk,k->i", mats, u.values, wt)
-    return RadialFn(out_grid, vals)
-
-
-_DUAL_CACHE: dict = {}
-
-
-def _dual_matrices(n: int, out_grid: RadialGrid, hs: HalfspaceGrid) -> np.ndarray:
-    key = (n, id(out_grid), id(hs.radial), id(hs.heights))
-    hit = _DUAL_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    mats = np.stack([_kernel_matrix(n, out_grid.nodes, hs.radial, float(t))
-                     for t in hs.heights.nodes])
-    _cache_put(_DUAL_CACHE, key, ((out_grid, hs), mats))
-    return mats
+    return RadialFn(out_grid, get_operator(n, out_grid, u.grid).dual(u.values))
 
 
 def extend_at(f: RadialFn, r, t) -> np.ndarray:
@@ -355,35 +328,27 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
         K = ring_kernel(n, r[plain][:, None], f.grid.nodes[None, :],
                         t[plain][:, None])
         out[plain] = (K * f.grid.weights[None, :]) @ f.values
-    for idx in np.nonzero(~plain)[0]:
-        d = f.grid.d
-        breaks = _diagonal_breaks(float(r[idx]), float(t[idx]), f.grid)
-        s, w = composite_rule(breaks, _PANEL_ORDER)
-        keep = s > 0.0
-        s, w = s[keep], w[keep]
-        kern = ring_kernel(n, float(r[idx]), s, float(t[idx]))
-        out[idx] = float(np.dot(w * kern * s ** (d - 1), f.eval(s)))
+    if not np.all(plain):
+        s, w, offsets = _diagonal_rules(r[~plain], t[~plain], f.grid)
+        counts = np.diff(offsets)
+        kern = ring_kernel(n, np.repeat(r[~plain], counts), s,
+                           np.repeat(t[~plain], counts))
+        out[~plain] = np.add.reduceat(
+            w * kern * s ** (f.grid.d - 1) * f.eval(s), offsets[:-1])
     return out
 
 
 def _kernel_mass_many(n: int, s_arr: np.ndarray, t: float) -> np.ndarray:
     """Quadrature of K(., s, t) r^(d-1) dr over (0, inf) for many s at once."""
     d = n - 1
-    all_r, all_w, seg = [], [], [0]
-    for s in s_arr:
-        breaks = peak_breaks(float(s), max(t, 1e-6), 0.0,
-                             max(8.0 * s, 64.0 * t, 16.0))
-        r, w = composite_rule(breaks, 24, tail_scale=max(float(s), t, 1.0))
-        keep = r > 0.0
-        all_r.append(r[keep])
-        all_w.append(w[keep])
-        seg.append(seg[-1] + int(keep.sum()))
-    r = np.concatenate(all_r)
-    w = np.concatenate(all_w)
-    s_rep = np.repeat(np.asarray(s_arr, dtype=float),
-                      np.diff(np.asarray(seg)))
+    s_arr = np.asarray(s_arr, dtype=float)
+    breaks = [peak_breaks(float(s), max(t, 1e-6), 0.0,
+                          max(8.0 * s, 64.0 * t, 16.0)) for s in s_arr]
+    r, w, offsets = composite_rules(breaks, 24,
+                                    np.maximum(s_arr, max(t, 1.0)))
+    s_rep = np.repeat(s_arr, np.diff(offsets))
     contrib = w * ring_kernel(n, r, s_rep, t) * r ** (d - 1)
-    return np.add.reduceat(contrib, np.asarray(seg[:-1]))
+    return np.add.reduceat(contrib, offsets[:-1])
 
 
 def kernel_mass(n: int, s: float, t: float) -> float:
@@ -423,26 +388,15 @@ def boundary_convolution(f: RadialFn, t: float, kernel: str = "P",
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
     n = f.grid.d + 1
-    nodes = f.grid.nodes
     if kernel == "P":
-        M = _kernel_matrix(n, nodes, f.grid, t)
-        return M @ f.values
-    if kernel != "Q":
+        def ring(r, s, t):
+            return ring_kernel(n, r, s, t)
+    elif kernel == "Q":
+        def ring(r, s, t):
+            return qt_ring(n, r, s, t, quad_order)
+    else:
         raise DomainError(f"unknown kernel {kernel!r}")
-    K = qt_ring(n, nodes[:, None], nodes[None, :], t, quad_order)
-    M = K * f.grid.weights[None, :]
-    spacing = f.grid.local_spacing(nodes)
-    for j in np.nonzero(t < PEAK_FACTOR * spacing)[0]:
-        r_out = float(nodes[j])
-        breaks = _diagonal_breaks(r_out, t, f.grid)
-        s, w = composite_rule(breaks, _PANEL_ORDER)
-        keep = s > 0.0
-        s, w = s[keep], w[keep]
-        coeff = w * qt_ring(n, r_out, s, t, quad_order) * s ** (f.grid.d - 1)
-        cols, lw = _lagrange_stencils(f.grid, s)
-        M[j, :] = 0.0
-        np.add.at(M[j], cols.ravel(), (coeff[:, None] * lw).ravel())
-    return M @ f.values
+    return _kernel_matrix(ring, f.grid.nodes, f.grid, t) @ f.values
 
 
 def commutator_gap(f: RadialFn, phi_lip: float, phi: RadialFn,

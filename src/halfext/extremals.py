@@ -35,7 +35,8 @@ from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     RadialGrid, default_halfspace_grid, lp_norm_boundary,
                     lp_norm_halfspace)
 from .kernel import unit_ball_volume
-from .quadrature import composite_rule, peak_breaks, zero_refined_breaks
+from .quadrature import (composite_rule, composite_rules, peak_breaks,
+                         zero_refined_breaks)
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,18 @@ def rayleigh_quotient(f: RadialFn, n: int, p: float,
     return lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
 
 
+def _el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
+    """Pf and both Euler-Lagrange sides, (f^(p-1), T((Pf)^(q-1)))."""
+    q = n * p / (n - 1)
+    u = poisson_extend(f, hs_grid)
+    power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
+    rhs = dual_extend(power, f.grid).values
+    lhs = f.values ** (p - 1.0)
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise DivergenceError("Euler-Lagrange sides are not finite")
+    return u, lhs, rhs
+
+
 def el_sides(f: RadialFn, n: int, p: float,
              hs_grid: HalfspaceGrid | None = None):
     """Both sides of the Euler-Lagrange system on f's mesh: (f^(p-1), T((Pf)^(q-1)))."""
@@ -128,13 +141,7 @@ def el_sides(f: RadialFn, n: int, p: float,
         raise DomainError("f must not be identically zero")
     if hs_grid is None:
         hs_grid = default_halfspace_grid(f.grid)
-    q = n * p / (n - 1)
-    u = poisson_extend(f, hs_grid)
-    power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
-    rhs = dual_extend(power, f.grid).values
-    lhs = f.values ** (p - 1.0)
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
-        raise DivergenceError("Euler-Lagrange sides are not finite")
+    _, lhs, rhs = _el_sides(f, n, p, hs_grid)
     return lhs, rhs
 
 
@@ -155,11 +162,8 @@ def normalize_el(f: RadialFn, n: int, p: float,
     not constant (f does not have the right shape); the returned amplitude is
     then best-effort.
     """
-    q = n * p / (n - 1)
     lhs, rhs = el_sides(f, n, p, hs_grid)
-    log_ratio, _ = _calibration_log_ratio(f, lhs, rhs)
-    a = math.exp(log_ratio / (p - q))
-    spread = _calibration_log_ratio(f, lhs, rhs)[1]
+    a, _, spread = _calibrate(n, p, lhs, rhs)
     if spread > shape_tol:
         warnings.warn(
             f"Euler-Lagrange ratio varies by {spread:.2e} across the mesh; "
@@ -168,7 +172,7 @@ def normalize_el(f: RadialFn, n: int, p: float,
     return a
 
 
-def _calibration_log_ratio(f: RadialFn, lhs: np.ndarray, rhs: np.ndarray):
+def _calibration_log_ratio(lhs: np.ndarray, rhs: np.ndarray):
     """Defect-weighted mean of log(rhs/lhs) over the region carrying mass.
 
     Weighting by lhs^2 concentrates the calibration where the normalized
@@ -188,50 +192,50 @@ def _calibration_log_ratio(f: RadialFn, lhs: np.ndarray, rhs: np.ndarray):
     return mean, spread
 
 
-def calibrated_residual(f: RadialFn, n: int, p: float,
-                        hs_grid: HalfspaceGrid | None = None) -> float:
-    """Euler-Lagrange residual after optimal amplitude calibration."""
+def _calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
+    """Calibration amplitude a, residual of a*f, and the log-ratio spread."""
     q = n * p / (n - 1)
-    lhs, rhs = el_sides(f, n, p, hs_grid)
-    try:
-        log_ratio, _ = _calibration_log_ratio(f, lhs, rhs)
-    except DomainError:
-        return math.inf
+    log_ratio, spread = _calibration_log_ratio(lhs, rhs)
     a = math.exp(log_ratio / (p - q))
     lhs2 = a ** (p - 1.0) * lhs
     rhs2 = a ** (q - 1.0) * rhs
-    return float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2))
+    return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2)), spread
+
+
+def calibrated_residual(f: RadialFn, n: int, p: float,
+                        hs_grid: HalfspaceGrid | None = None) -> float:
+    """Euler-Lagrange residual after optimal amplitude calibration."""
+    lhs, rhs = el_sides(f, n, p, hs_grid)
+    try:
+        return _calibrate(n, p, lhs, rhs)[1]
+    except DomainError:
+        return math.inf
 
 
 def _power_law_extension(n: int, beta: float, r_pts, t_pts,
                          order: int = 16) -> np.ndarray:
     """(P s^-beta)(r, t) at points, panels refined at the diagonal and s = 0.
 
-    Panel geometry is built per point, but the kernel is evaluated in one
-    batched call over the concatenated nodes.
+    Panel geometry is built per point, but the rules come from one
+    ``composite_rules`` call and the kernel is evaluated once over them.
     """
     d = n - 1
     r_pts = np.atleast_1d(np.asarray(r_pts, dtype=float))
     t_pts = np.atleast_1d(np.asarray(t_pts, dtype=float))
     r_pts, t_pts = np.broadcast_arrays(r_pts, t_pts)
-    all_s, all_w, seg = [], [], [0]
+    breaks = []
     for r, t in zip(r_pts, t_pts):
         lo_feature = min(max(t, 1e-8), max(r, t)) / 8.0
         hi = max(8.0 * r, 64.0 * t, 16.0)
-        breaks = np.union1d(peak_breaks(float(r), max(t, 1e-8), 0.0, hi),
-                            zero_refined_breaks(lo_feature, hi))
-        s, w = composite_rule(breaks, order, tail_scale=max(float(r), t, 1.0))
-        keep = s > 0.0
-        all_s.append(s[keep])
-        all_w.append(w[keep])
-        seg.append(seg[-1] + int(keep.sum()))
-    s = np.concatenate(all_s)
-    w = np.concatenate(all_w)
-    counts = np.diff(np.asarray(seg))
+        breaks.append(np.union1d(peak_breaks(float(r), max(t, 1e-8), 0.0, hi),
+                                 zero_refined_breaks(lo_feature, hi)))
+    s, w, offsets = composite_rules(
+        breaks, order, tail_scales=np.maximum(np.maximum(r_pts, t_pts), 1.0))
+    counts = np.diff(offsets)
     r_rep = np.repeat(r_pts, counts)
     t_rep = np.repeat(t_pts, counts)
     contrib = w * ring_kernel(n, r_rep, s, t_rep) * s ** (d - 1 - beta)
-    return np.add.reduceat(contrib, np.asarray(seg[:-1]))
+    return np.add.reduceat(contrib, offsets[:-1])
 
 
 def _power_extension_angular_profile(n: int, beta: float, order: int,
@@ -276,21 +280,14 @@ def singular_constant(n: int, p: float, r0: float = 1.0,
     keep = (th > 0.0) & (th < 0.5 * np.pi)
     th, wth = th[keep], wth[keep]
     phi_pow = np.exp(log_phi(th)) ** (q - 1.0)
-    I = 0.0
-    all_rho, all_w, seg = [], [], [0]
+    hi = max(8.0 * r0, 16.0)
+    breaks = []
     for theta in th:
         width = max(r0 * math.sin(theta), 1e-8 * r0)
-        hi = max(8.0 * r0, 16.0)
-        breaks = np.union1d(peak_breaks(r0, width, 0.0, hi),
-                            zero_refined_breaks(r0 / 256.0, hi))
-        rho, w = composite_rule(breaks, order, tail_scale=max(r0, 1.0))
-        keep = rho > 0.0
-        all_rho.append(rho[keep])
-        all_w.append(w[keep])
-        seg.append(seg[-1] + int(keep.sum()))
-    rho = np.concatenate(all_rho)
-    w = np.concatenate(all_w)
-    counts = np.diff(np.asarray(seg))
+        breaks.append(np.union1d(peak_breaks(r0, width, 0.0, hi),
+                                 zero_refined_breaks(r0 / 256.0, hi)))
+    rho, w, offsets = composite_rules(breaks, order, tail_scales=max(r0, 1.0))
+    counts = np.diff(offsets)
     th_rep = np.repeat(th, counts)
     wth_rep = np.repeat(wth, counts)
     phi_rep = np.repeat(phi_pow, counts)

@@ -502,21 +502,16 @@ def dilate_boundary(f: RadialFn, lam: float, p: float) -> RadialFn:
                     tail_exponent=f.tail_exponent, nonnegative=f.nonnegative)
 
 
-_DEFAULT_HS: dict = {}
-
-
 def default_halfspace_grid(boundary: RadialGrid, N_t: int | None = None,
                            scale_t: float = 1.0) -> HalfspaceGrid:
-    """Half-space mesh reusing a boundary grid as its radial factor (cached)."""
+    """Half-space mesh reusing a boundary grid as its radial factor.
+
+    ``N_t`` defaults to max(48, 3N/5) heights.  Each call builds a new height
+    mesh; operators are cached by mesh content, so equal meshes share one.
+    """
     if N_t is None:
         N_t = max(48, (3 * boundary.size) // 5)
-    key = (id(boundary), N_t, scale_t)
-    hit = _DEFAULT_HS.get(key)
-    if hit is not None:
-        return hit[1]
-    hs = HalfspaceGrid(boundary, build_radial_grid(1, N_t, "tan", scale_t))
-    _DEFAULT_HS[key] = (boundary, hs)
-    return hs
+    return HalfspaceGrid(boundary, build_radial_grid(1, N_t, "tan", scale_t))
 
 
 def distribution_mass(u: AxisymFn, level: float) -> float:

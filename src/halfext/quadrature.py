@@ -1,6 +1,8 @@
 """Gauss-Legendre building blocks: panels, mapped half-line rules, peak refinement.
 
-Everything here returns plain ``(nodes, weights)`` pairs.  The half-line rules
+Everything here returns plain ``(nodes, weights)`` pairs; ``composite_rules``
+also returns where each list's rule starts, so callers build the rules of many
+points in one pass.  The half-line rules
 use the substitution r = scale * tan(theta) (or an exponential stretch), which
 turns algebraically decaying integrands into smooth functions on a finite
 interval, so a single global Gauss rule converges spectrally.
@@ -48,19 +50,42 @@ def composite_rule(breaks, order: int, tail_scale: float | None = None):
     ``breaks`` is an increasing sequence; if ``tail_scale`` is given, the rule
     is extended from the last breakpoint to infinity.
     """
-    breaks = np.asarray(breaks, dtype=float)
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= 0.0:
-            continue
-        xs, ws = panel_rule(a, b, order)
-        nodes.append(xs)
-        weights.append(ws)
-    if tail_scale is not None:
-        xs, ws = half_line_rule(float(breaks[-1]), tail_scale, 2 * order)
-        nodes.append(xs)
-        weights.append(ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights, _ = composite_rules([breaks], order, tail_scale)
+    return nodes, weights
+
+
+def composite_rules(breaks_list, order: int, tail_scales=None):
+    """``composite_rule`` for many breakpoint lists at once, concatenated.
+
+    Returns ``(nodes, weights, offsets)``: the rule of list ``k`` is
+    ``nodes[offsets[k]:offsets[k + 1]]``, node for node.  Zero-width panels
+    are skipped, so lists may be padded by repeating a breakpoint.
+    ``tail_scales`` (one per list, or one for all) attaches the mapped tail.
+    """
+    sizes = np.fromiter(map(len, breaks_list), dtype=np.intp)
+    flat = np.concatenate(breaks_list, dtype=float)
+    ends = np.cumsum(sizes)
+    use = np.diff(flat) > 0.0
+    use[ends[:-1] - 1] = False          # pairs straddling two lists
+    panels = np.nonzero(use)[0]
+    owner = np.searchsorted(ends, panels, side="right")
+    xs, ws = panel_rule(flat[panels, None], flat[panels + 1, None], order)
+    n_panels = np.bincount(owner, minlength=sizes.size)
+    tail = 0 if tail_scales is None else 2 * order
+    offsets = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(order * n_panels + tail, out=offsets[1:])
+    rank = np.arange(panels.size) - (np.cumsum(n_panels) - n_panels)[owner]
+    at = (offsets[owner] + order * rank)[:, None] + np.arange(order)
+    nodes = np.empty(offsets[-1])
+    weights = np.empty(offsets[-1])
+    nodes[at], weights[at] = xs, ws
+    if tail:
+        scales = np.broadcast_to(np.asarray(tail_scales, dtype=float),
+                                 sizes.shape)
+        xs, ws = half_line_rule(flat[ends - 1, None], scales[:, None], tail)
+        at = (offsets[1:] - tail)[:, None] + np.arange(tail)
+        nodes[at], weights[at] = xs, ws
+    return nodes, weights, offsets
 
 
 def peak_breaks(peak: float, width: float, lo: float, hi: float,

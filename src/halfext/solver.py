@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import DomainError, SolverDivergence
-from .extension import dual_extend, poisson_extend
-from .extremals import _calibration_log_ratio
-from .grids import (AxisymFn, HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
+from .errors import DivergenceError, DomainError, SolverDivergence
+# kept importable as halfext.solver.poisson_extend; the loop reaches it
+# through the Euler-Lagrange helpers of extremals
+from .extension import poisson_extend  # noqa: F401
+from .extremals import _calibrate, _el_sides
+from .grids import (HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
                     default_halfspace_grid, dilate_boundary, lp_norm_boundary,
                     lp_norm_halfspace)
 from .quadrature import panel_rule
@@ -142,7 +144,7 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     Returns (solution, trace).  The solution is gauge-normalized; its
     amplitude solves the unit-coefficient system only after calibration by
     normalize_el.  Raises SolverDivergence (trace attached) when the residual
-    grows tenfold over 50 iterations.
+    grows tenfold over 50 iterations or an iterate diverges.
     """
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise DomainError("initial guess must be nonnegative and nonzero")
@@ -151,21 +153,13 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     q = n * p / (n - 1)
     trace = IterationTrace()
     f, lam = _renormalize(init, p, cfg.normalization)
-    from .errors import DivergenceError
     for _ in range(cfg.max_iters):
-        u = poisson_extend(f, hs_grid)
-        power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
-        rhs = dual_extend(power, f.grid).values
-        lhs = f.values ** (p - 1.0)
-        log_ratio, _ = _calibration_log_ratio(f, lhs, rhs)
-        a = math.exp(log_ratio / (p - q))
-        residual = float(np.max(np.abs(a ** (p - 1.0) * lhs
-                                       - a ** (q - 1.0) * rhs))
-                         / np.max(a ** (p - 1.0) * lhs))
         try:
+            u, lhs, rhs = _el_sides(f, n, p, hs_grid)
+            _, residual, _ = _calibrate(n, p, lhs, rhs)
             rayleigh = lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
         except DivergenceError as exc:
-            trace.message = f"divergent iterate norm: {exc}"
+            trace.message = f"divergent iterate: {exc}"
             raise SolverDivergence(trace.message, trace=trace) from exc
         trace.append(residual, rayleigh, lam)
         if residual <= cfg.tol_residual:

@@ -46,6 +46,29 @@ def test_numerical_failure_exit_code(tmp_path):
     assert any(c["name"] == "numerical_failure" for c in summary["checks"])
 
 
+def test_solve_el_extremal_start_needs_closed_forms(tmp_path):
+    # n = 2 has no closed-form family: a numerical failure, not a crash
+    out = tmp_path / "n2"
+    assert run_cli(["run", "solve-el", "--n", "2", "--init", "extremal",
+                    "--grid-n", "32", "--height-n", "16",
+                    "--out", str(out)]) == 1
+    summary = load_summary(out)
+    values = {c["name"]: c["value"] for c in summary["checks"]}
+    assert "n >= 3" in values["numerical_failure"]
+
+
+@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
+def test_height_n_flag_sets_the_height_mesh(tmp_path):
+    # three iterations: enough to tell the meshes apart, not to converge
+    rayleigh = []
+    for height_n in ("24", "40"):
+        out = tmp_path / height_n
+        run_cli(["run", "solve-el", "--grid-n", "48", "--height-n", height_n,
+                 "--max-iters", "3", "--out", str(out)])
+        rayleigh.append(load_summary(out)["results"]["rayleigh"])
+    assert rayleigh[0] != rayleigh[1]
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "seed": 5, "grid_n": 96}))
@@ -70,7 +93,7 @@ def test_idempotent_summary(tmp_path):
     outs = []
     for _ in range(2):
         assert run_cli(["run", "classify-radial", "--seed", "11",
-                        "--reproducible", "--out", str(out)]) == 0
+                        "--out", str(out)]) == 0
         s = load_summary(out)
         s.pop("meta")
         outs.append(json.dumps(s, sort_keys=True))

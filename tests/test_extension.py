@@ -6,10 +6,11 @@ from scipy.integrate import quad
 
 from halfext.errors import DivergenceError, DomainError
 from halfext.extension import (commutator_gap, dual_extend, extend_at,
-                               kernel_mass, poisson_extend, ring_kernel,
-                               slab_mass)
-from halfext.grids import (AxisymFn, RadialFn, build_radial_grid,
-                           lp_norm_boundary, lp_norm_halfspace, sample_radial)
+                               get_operator, kernel_mass, poisson_extend,
+                               ring_kernel, slab_mass)
+from halfext.grids import (AxisymFn, RadialFn, RadialGrid, build_radial_grid,
+                           default_halfspace_grid, lp_norm_boundary,
+                           lp_norm_halfspace, sample_radial)
 from halfext.kernel import kernel_constant, pt_lp_norm, sphere_area
 
 
@@ -129,6 +130,21 @@ def test_dual_cross_grid(boundary3, halfspace3):
     probe = np.array([0.3, 1.0, 3.0])
     # two independent meshes and an interpolated comparison: a few 1e-6
     assert np.allclose(g1.eval(probe), g2.eval(probe), rtol=1e-5)
+
+
+def test_operator_cache_keyed_by_mesh_content():
+    # equal meshes built separately share one operator, built once; a mesh
+    # with the same nodes and weights but another scale or mapping does not
+    g1 = build_radial_grid(2, 24, "tan", 1.0)
+    g2 = build_radial_grid(2, 24, "tan", 1.0)
+    op = get_operator(3, g1, default_halfspace_grid(g1, 16))
+    assert get_operator(3, g2, default_halfspace_grid(g2, 16)) is op
+    assert op.dual_matrices is op.matrices
+    for mapping, scale in (("tan", 2.0), ("exp", 1.0)):
+        other = RadialGrid(2, g1.nodes.copy(), g1.weights.copy(), g1.r_max,
+                           mapping=mapping, scale=scale)
+        assert get_operator(3, other, default_halfspace_grid(other, 16)) \
+            is not op
 
 
 def test_dual_monte_carlo_oracle(boundary3, halfspace3, rng):
