@@ -10,8 +10,9 @@ conformal-invariance.
 Each run writes ``summary.json`` (every check with value/target/tolerance,
 the fully resolved config, and a separate ``meta`` field holding timestamps
 and versions so the rest of the document is byte-stable) plus ``trace.csv``
-and ``profile.csv`` where the experiment produces them.  Exit codes: 0 all
-checks pass, 1 numerical failure, 2 usage error.
+and ``profile.csv`` where the experiment produces them; solve-el writes its
+``trace.csv`` when the iteration diverges too.  Exit codes: 0 all checks
+pass, 1 numerical failure, 2 usage error.
 
 A flat JSON config file can seed any flag; explicit command-line flags win.
 The environment variable HALFEXT_FIXTURES points to the directory holding
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .errors import HalfextError
+from .errors import HalfextError, SolverDivergence
 from .extension import dual_extend, extend_at, poisson_extend, slab_mass
 from .extremals import ExtremalSpec, extremal_profile, sharp_constant
 from .grids import (AxisymFn, PolarGrid, RadialFn, build_halfspace_grid,
@@ -280,7 +281,12 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         init = extremal_profile(ExtremalSpec(n, kind), g)
     else:
         raise HalfextError(f"unknown init {cfg.init!r}")
-    sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
+    try:
+        sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
+    except SolverDivergence as exc:
+        # the iterations up to the failure are the diagnostics; keep them
+        exc.trace.to_csv(os.path.join(outdir, "trace.csv"))
+        raise
     trace.to_csv(os.path.join(outdir, "trace.csv"))
     sol.to_csv(os.path.join(outdir, "profile.csv"))
     checks.bound("converged", 0.0 if trace.converged else 1.0, 0.5)

@@ -29,7 +29,11 @@ def gauss_legendre(order: int):
 
 
 def panel_rule(a: float, b: float, order: int):
-    """Gauss-Legendre rule on the finite panel [a, b]."""
+    """Gauss-Legendre rule on the finite panel [a, b].
+
+    ``a`` and ``b`` may be arrays of shape (..., 1): the rules of all those
+    panels then come back at once, one panel per row along the last axis.
+    """
     x, w = gauss_legendre(order)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w

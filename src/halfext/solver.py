@@ -80,38 +80,42 @@ class IterationTrace:
                 writer.writerow([i, f"{res!r}", f"{ray!r}", f"{lam!r}"])
 
 
+def _cell_masses(f: RadialFn, p: float, a, b, order: int) -> np.ndarray:
+    """Gauss-panel integrals of |f|^p r^(d-1) over [a, b], one per (a, b) pair."""
+    xs, ws = panel_rule(np.asarray(a)[..., None], np.asarray(b)[..., None],
+                        order)
+    vals = np.abs(f.eval(xs)) ** p * xs ** (f.grid.d - 1)
+    return (ws * vals).sum(axis=-1)
+
+
 def concentration_radius(f: RadialFn, p: float, fraction: float = 0.5,
                          order: int = 8) -> float:
-    """Radius R with mass(|f|^p within B_R) = fraction * total, by bisection.
+    """Radius R with mass(|f|^p within B_R) = fraction * total, 0 < fraction < 1.
 
     The mass profile is accumulated from per-cell Gauss panels of the sample
-    interpolant, making partial masses consistent with the total used here.
+    interpolant, all cells in one evaluation, making partial masses
+    consistent with the total used here.  R is then found by Brent's method
+    inside the one cell where the cumulative mass crosses the target.
     """
+    if not 0.0 < fraction < 1.0:
+        raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
     grid = f.grid
     edges = np.concatenate(([0.0], grid.nodes))
-    cell_mass = np.empty(grid.size)
-    for i in range(grid.size):
-        xs, ws = panel_rule(edges[i], edges[i + 1], order)
-        cell_mass[i] = np.dot(ws, np.abs(f.eval(xs)) ** p * xs ** (grid.d - 1))
-    cum = np.concatenate(([0.0], np.cumsum(cell_mass)))
+    cum = np.concatenate(([0.0], np.cumsum(
+        _cell_masses(f, p, edges[:-1], edges[1:], order))))
     total = cum[-1]
     if total <= 0.0 or not math.isfinite(total):
         raise DomainError("mass profile is degenerate; cannot fix the gauge")
     target = fraction * total
-    if cum[1] >= target:
+    # cum[i] < target <= cum[i + 1]: the crossing cell is [edges[i], edges[i+1]]
+    i = int(np.searchsorted(cum, target)) - 1
+    if i == 0:
         return float(grid.nodes[0] * (target / cum[1]) ** (1.0 / grid.d))
 
-    def mass_at(R: float) -> float:
-        i = int(np.searchsorted(edges, R, side="right")) - 1
-        i = min(max(i, 0), grid.size - 1)
-        xs, ws = panel_rule(edges[i], R, order)
-        part = float(np.dot(ws, np.abs(f.eval(xs)) ** p * xs ** (grid.d - 1)))
-        return cum[i] + part
+    def excess(R: float) -> float:
+        return cum[i] + float(_cell_masses(f, p, edges[i], R, order)) - target
 
-    lo, hi = float(edges[1]), float(grid.r_max)
-    if mass_at(hi) <= target:
-        raise DomainError("half the mass lies beyond the mesh; grid too small")
-    return float(brentq(lambda R: mass_at(R) - target, lo, hi, xtol=1e-12,
+    return float(brentq(excess, edges[i], edges[i + 1], xtol=1e-12,
                         rtol=1e-12))
 
 
@@ -144,7 +148,8 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     Returns (solution, trace).  The solution is gauge-normalized; its
     amplitude solves the unit-coefficient system only after calibration by
     normalize_el.  Raises SolverDivergence (trace attached) when the residual
-    grows tenfold over 50 iterations or an iterate diverges.
+    grows tenfold over 50 iterations or an iterate diverges; a divergent
+    iterate gets its own trace row, NaN for what it could not compute.
     """
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise DomainError("initial guess must be nonnegative and nonzero")
@@ -154,11 +159,14 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     trace = IterationTrace()
     f, lam = _renormalize(init, p, cfg.normalization)
     for _ in range(cfg.max_iters):
+        residual = rayleigh = math.nan
         try:
             u, lhs, rhs = _el_sides(f, n, p, hs_grid)
             _, residual, _ = _calibrate(n, p, lhs, rhs)
             rayleigh = lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
         except DivergenceError as exc:
+            # the failed iterate's row, NaN where it stopped short
+            trace.append(residual, rayleigh, lam)
             trace.message = f"divergent iterate: {exc}"
             raise SolverDivergence(trace.message, trace=trace) from exc
         trace.append(residual, rayleigh, lam)
@@ -219,8 +227,7 @@ def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
             _, trace = el_fixed_point(n, p, init, cfg, hs_grid)
         except SolverDivergence as exc:
             failures += 1
-            if exc.trace is not None and exc.trace.rayleighs:
-                best = max(best, max(exc.trace.rayleighs))
+            best = max([best, *filter(math.isfinite, exc.trace.rayleighs)])
             continue
         best = max(best, max(trace.rayleighs))
     if failures == trials and not math.isfinite(best):

@@ -117,6 +117,19 @@ def test_solve_el_artifacts(tmp_path):
     assert header == "r,value"
 
 
+def test_solve_el_divergence_keeps_trace(tmp_path):
+    # p = 1.1 outruns the 64-node mesh: the run fails, its trace survives
+    out = tmp_path / "div"
+    assert run_cli(["run", "solve-el", "--n", "3", "--p", "1.1",
+                    "--grid-n", "64", "--out", str(out)]) == 1
+    values = {c["name"]: c["value"] for c in load_summary(out)["checks"]}
+    assert values["numerical_failure"].startswith("divergent iterate")
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "residual", "rayleigh", "lambda"]
+    assert len(rows) >= 2
+
+
 def test_weak_type_sweep_artifacts(tmp_path):
     out = tmp_path / "wt"
     assert run_cli(["run", "weak-type-sweep", "--n", "3", "--grid-n", "96",

@@ -132,6 +132,30 @@ def test_dual_cross_grid(boundary3, halfspace3):
     assert np.allclose(g1.eval(probe), g2.eval(probe), rtol=1e-5)
 
 
+@pytest.mark.parametrize("cross", [False, True], ids=["same", "cross"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_contractions_match_per_height_loop(n, cross):
+    # the BLAS contractions against an explicit loop over the heights, on
+    # the square same-mesh stack and on the 96-vs-160-node cross-grid pair
+    radial = build_radial_grid(n - 1, 160, "tan", 1.0)
+    hs = default_halfspace_grid(radial)
+    boundary = build_radial_grid(n - 1, 96, "tan", 1.3) if cross else radial
+    op = get_operator(n, boundary, hs)
+    # C-contiguous stacks: the reshape in extend is a view, not a copy
+    assert op.matrices.flags.c_contiguous
+    assert op.dual_matrices.flags.c_contiguous
+    rng = np.random.default_rng(n)
+    f = rng.uniform(0.5, 1.5, boundary.size)
+    u = rng.uniform(0.5, 1.5, (radial.size, hs.heights.size))
+    wt = hs.heights.weights
+    ext = np.stack([M @ f for M in op.matrices], axis=1)
+    dual = sum(wt[k] * (D @ u[:, k]) for k, D in enumerate(op.dual_matrices))
+    got_ext, got_dual = op.extend(f), op.dual(u)
+    assert got_ext.shape == ext.shape and got_dual.shape == dual.shape
+    assert np.max(np.abs(got_ext - ext)) <= 1e-13 * np.max(np.abs(ext))
+    assert np.max(np.abs(got_dual - dual)) <= 1e-13 * np.max(np.abs(dual))
+
+
 def test_operator_cache_keyed_by_mesh_content():
     # equal meshes built separately share one operator, built once; a mesh
     # with the same nodes and weights but another scale or mapping does not

@@ -41,6 +41,35 @@ def test_mass_half_gauge(boundary3):
     assert lam3 == pytest.approx(0.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_half_mass_radius_of_extremals(n):
+    # at its critical p, |f|^p of either family is inversion-symmetric
+    # about r = lambda, so exactly half the mass lies in B_lambda
+    g = build_radial_grid(n - 1, 160, "tan", 1.0)
+    for family in ("conformal", "dual"):
+        for lam in (0.5, 1.0, 2.0):
+            spec = ExtremalSpec(n, family, lam=lam)
+            R = concentration_radius(extremal_profile(spec, g),
+                                     spec.critical_p)
+            assert R == pytest.approx(lam, rel=1e-6)
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.9])
+def test_concentration_radius_closed_form(boundary3, fraction):
+    # n=3 conformal, p=4: mass in B_R is R^2/(1+R^2) of the total
+    f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
+    want = math.sqrt(fraction / (1.0 - fraction))
+    assert concentration_radius(f, 4.0, fraction) == pytest.approx(want,
+                                                                   rel=1e-6)
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 0.0, 1.0])
+def test_concentration_radius_rejects_bad_fraction(boundary3, fraction):
+    f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
+    with pytest.raises(DomainError, match="fraction"):
+        concentration_radius(f, 4.0, fraction)
+
+
 def test_mass_half_rejects_zero(boundary3):
     from halfext.grids import RadialFn
     zero = RadialFn(boundary3, np.zeros(boundary3.size), value_at_zero=0.0)
