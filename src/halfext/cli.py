@@ -68,7 +68,6 @@ class ExperimentConfig:
     max_iters: int = 300
     tol_residual: float = 1e-4
     damping: float = 0.5
-    normalization: str = "mass_half"
     write_fixtures: bool = False
 
     def validate(self) -> None:
@@ -83,7 +82,6 @@ class ExperimentConfig:
         return SolverConfig(max_iters=self.max_iters,
                             tol_residual=self.tol_residual,
                             damping=self.damping,
-                            normalization=self.normalization,
                             seed=self.seed)
 
 
@@ -482,7 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-iters", dest="max_iters", type=int)
     run.add_argument("--tol-residual", dest="tol_residual", type=float)
     run.add_argument("--damping", type=float)
-    run.add_argument("--normalization", choices=("unit_lp", "mass_half"))
     run.add_argument("--write-fixtures", dest="write_fixtures",
                      action="store_true", default=None)
     return parser

@@ -26,8 +26,9 @@ rebuilt with geometrically refined panels around the diagonal, composed with
 a local cubic interpolation stencil, so the operator stays a plain matrix.
 
 Every per-point panel quadrature here (refined rows, pointwise extension,
-kernel mass, the angular integrals) builds the rules of all its points in
-one ``composite_rules`` call and evaluates the integrand once over them.
+kernel mass, the angular integrals) lays out the breakpoints of all its
+points in one array call, builds their rules in one ``composite_rules`` call
+and evaluates the integrand once over them.
 Operators are cached by mesh content: meshes built separately but equal
 share one operator.
 """
@@ -84,12 +85,8 @@ def _angular_integral(n: int, r, s, t, order: int, core) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             width = np.sqrt(((r - s) ** 2 + t * t) / (r * s))
         width = np.where((r * s > 0.0) & (width < np.pi / 2.0), width, np.pi)
-        # the breaks of peak_breaks(0, width, 0, pi), padded with pi
-        levels = int(np.ceil(np.log(np.pi / width.min()) / np.log(4.0))) + 1
-        breaks = np.minimum(width[:, None] * 4.0 ** np.arange(levels), np.pi)
-        breaks = np.column_stack([np.zeros(r.size), breaks,
-                                  np.full(r.size, np.pi)])
-        th, w, offsets = composite_rules(breaks, order)
+        th, w, offsets = composite_rules(
+            peak_breaks(0.0, width, 0.0, np.pi), order)
         k = np.repeat(np.arange(r.size), np.diff(offsets))
         vals = w * core(th, r[k], s[k], t[k]) * np.sin(th) ** (n - 3)
         out[lo:lo + r.size] = np.add.reduceat(vals, offsets[:-1])
@@ -148,18 +145,20 @@ def _lagrange_stencils(grid: RadialGrid, query: np.ndarray):
     """Local 4-point cubic Lagrange stencils in the grid's parameter coordinate.
 
     Returns (columns, weights), both shaped (len(query), 4); stencils clamp at
-    the mesh ends, so slightly-outside queries extrapolate politely.
+    the mesh ends, so slightly-outside queries extrapolate politely.  The
+    denominators prod_{b!=a}(x_a - x_b) belong to the mesh's N-3 windows and
+    are computed once per window, then looked up by each query's window.
     """
     xn = grid.parameter(grid.nodes)
     xq = grid.parameter(query)
     start = np.clip(np.searchsorted(xn, xq) - 2, 0, grid.size - 4)
-    cols = start[:, None] + np.arange(4)[None, :]
-    xs = xn[cols]                                   # (Q, 4)
-    diff = xq[:, None] - xs                         # (Q, 4)
-    pair = xs[:, :, None] - xs[:, None, :]
     four = np.arange(4)
+    windows = np.lib.stride_tricks.sliding_window_view(xn, 4)   # (N-3, 4)
+    pair = windows[:, :, None] - windows[:, None, :]
     pair[:, four, four] = 1.0
-    denom = np.prod(pair, axis=2)                   # prod_{b!=a}(x_a - x_b)
+    denom = np.prod(pair, axis=2)[start]            # (Q, 4)
+    cols = start[:, None] + four[None, :]
+    diff = xq[:, None] - xn[cols]                   # (Q, 4)
     full = np.prod(diff, axis=1)
     safe = np.where(diff == 0.0, 1.0, diff)
     weights = full[:, None] / (safe * denom)
@@ -169,23 +168,17 @@ def _lagrange_stencils(grid: RadialGrid, query: np.ndarray):
     return cols, weights
 
 
-def _data_ladder(in_grid: RadialGrid) -> np.ndarray:
-    """Geometric breakpoints resolving the decades of the mesh itself."""
-    pts = [0.0, in_grid.r_max]
-    w = in_grid.scale / 64.0
-    while w < in_grid.r_max:
-        pts.append(w)
-        w *= 4.0
-    return np.asarray(sorted(pts))
-
-
 def _diagonal_rules(r_out, t, in_grid: RadialGrid):
-    """Rules resolving the kernel diagonal at each (r_out, t) and the data."""
-    ladder = _data_ladder(in_grid)
-    breaks = [np.union1d(peak_breaks(float(r), max(float(h), 1e-9), 0.0,
-                                     in_grid.r_max), ladder)
-              for r, h in zip(*np.broadcast_arrays(r_out, t))]
-    return composite_rules(breaks, _PANEL_ORDER)
+    """Rules resolving the kernel diagonal at each (r_out, t) and the data.
+
+    Each point's breakpoints are its diagonal peak merged with a geometric
+    ladder resolving the decades of the mesh itself.
+    """
+    peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, in_grid.r_max)
+    ladder = peak_breaks(0.0, in_grid.scale / 64.0, 0.0, in_grid.r_max)
+    ladder = np.broadcast_to(ladder, (len(peaks), ladder.size))
+    return composite_rules(np.sort(np.hstack([peaks, ladder]), axis=1),
+                           _PANEL_ORDER)
 
 
 def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
@@ -355,8 +348,8 @@ def _kernel_mass_many(n: int, s_arr: np.ndarray, t: float) -> np.ndarray:
     """Quadrature of K(., s, t) r^(d-1) dr over (0, inf) for many s at once."""
     d = n - 1
     s_arr = np.asarray(s_arr, dtype=float)
-    breaks = [peak_breaks(float(s), max(t, 1e-6), 0.0,
-                          max(8.0 * s, 64.0 * t, 16.0)) for s in s_arr]
+    breaks = peak_breaks(s_arr, max(t, 1e-6), 0.0,
+                         np.maximum(np.maximum(8.0 * s_arr, 64.0 * t), 16.0))
     r, w, offsets = composite_rules(breaks, 24,
                                     np.maximum(s_arr, max(t, 1.0)))
     s_rep = np.repeat(s_arr, np.diff(offsets))

@@ -216,19 +216,18 @@ def _power_law_extension(n: int, beta: float, r_pts, t_pts,
                          order: int = 16) -> np.ndarray:
     """(P s^-beta)(r, t) at points, panels refined at the diagonal and s = 0.
 
-    Panel geometry is built per point, but the rules come from one
-    ``composite_rules`` call and the kernel is evaluated once over them.
+    The breakpoints of all points are built as arrays, the rules come from
+    one ``composite_rules`` call and the kernel is evaluated once over them.
     """
     d = n - 1
     r_pts = np.atleast_1d(np.asarray(r_pts, dtype=float))
     t_pts = np.atleast_1d(np.asarray(t_pts, dtype=float))
     r_pts, t_pts = np.broadcast_arrays(r_pts, t_pts)
-    breaks = []
-    for r, t in zip(r_pts, t_pts):
-        lo_feature = min(max(t, 1e-8), max(r, t)) / 8.0
-        hi = max(8.0 * r, 64.0 * t, 16.0)
-        breaks.append(np.union1d(peak_breaks(float(r), max(t, 1e-8), 0.0, hi),
-                                 zero_refined_breaks(lo_feature, hi)))
+    width = np.maximum(t_pts, 1e-8)
+    lo_feature = np.minimum(width, np.maximum(r_pts, t_pts)) / 8.0
+    hi = np.maximum(np.maximum(8.0 * r_pts, 64.0 * t_pts), 16.0)
+    breaks = np.sort(np.hstack([peak_breaks(r_pts, width, 0.0, hi),
+                                zero_refined_breaks(lo_feature, hi)]), axis=1)
     s, w, offsets = composite_rules(
         breaks, order, tail_scales=np.maximum(np.maximum(r_pts, t_pts), 1.0))
     counts = np.diff(offsets)
@@ -277,15 +276,11 @@ def singular_constant(n: int, p: float, r0: float = 1.0,
     #             (rho cos)^(d-1) rho drho dtheta
     theta_breaks = zero_refined_breaks(np.pi / 512.0, 0.5 * np.pi, levels=10)
     th, wth = composite_rule(theta_breaks, order)
-    keep = (th > 0.0) & (th < 0.5 * np.pi)
-    th, wth = th[keep], wth[keep]
     phi_pow = np.exp(log_phi(th)) ** (q - 1.0)
     hi = max(8.0 * r0, 16.0)
-    breaks = []
-    for theta in th:
-        width = max(r0 * math.sin(theta), 1e-8 * r0)
-        breaks.append(np.union1d(peak_breaks(r0, width, 0.0, hi),
-                                 zero_refined_breaks(r0 / 256.0, hi)))
+    peaks = peak_breaks(r0, np.maximum(r0 * np.sin(th), 1e-8 * r0), 0.0, hi)
+    zero = zero_refined_breaks(np.full(th.shape, r0 / 256.0), hi)
+    breaks = np.sort(np.hstack([peaks, zero]), axis=1)
     rho, w, offsets = composite_rules(breaks, order, tail_scales=max(r0, 1.0))
     counts = np.diff(offsets)
     th_rep = np.repeat(th, counts)

@@ -64,7 +64,7 @@ class RadialGrid:
 
     @property
     def sphere(self) -> float:
-        """Surface measure of S^(d-1), computed once per grid."""
+        """Surface measure of S^(d-1), recomputed from d on every access."""
         return sphere_area(self.d)
 
     def parameter(self, r):

@@ -9,7 +9,8 @@ interval, so a single global Gauss rule converges spectrally.
 
 The composite "peak" rule resolves Lorentzian-type features of prescribed
 width (the Poisson kernel develops an O(1/t) spike on the diagonal as the
-height t -> 0); panels grow geometrically away from the feature.
+height t -> 0); panels grow geometrically away from the feature.  The
+breakpoint builders take arrays: one call lays out the panels of every point.
 """
 
 from __future__ import annotations
@@ -92,39 +93,42 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     return nodes, weights, offsets
 
 
-def peak_breaks(peak: float, width: float, lo: float, hi: float,
-                grow: float = 4.0):
+def peak_breaks(peak, width, lo, hi, grow: float = 4.0):
     """Breakpoints resolving a feature of given width at ``peak`` in [lo, hi].
 
-    Panels have width ~``width`` at the feature and grow geometrically
-    until they cover the interval; ``hi`` may be ``inf`` (the caller then
-    attaches a mapped tail panel from the last break).
+    Panels have width ~``width`` at the feature and grow geometrically by
+    ``grow`` until they cover the interval; ``hi`` may be ``inf`` (capped at
+    max(4 |peak|, 16 width, 1); the caller then attaches a mapped tail panel
+    from the last break).  The arguments broadcast: the result holds one
+    sorted row of breakpoints per feature, all rows of one length, padded by
+    repeated breakpoints (zero-width panels, which ``composite_rules`` skips).
     """
-    if width <= 0.0:
+    peak, width, lo, hi = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (peak, width, lo, hi)))
+    if np.any(width <= 0.0):
         raise ValueError("peak width must be positive")
-    out = [peak - width, peak + width]
-    w = width
-    while peak - w > lo:
-        w *= grow
-        out.append(peak - w)
-    w = width
-    hi_cap = hi if np.isfinite(hi) else max(4.0 * abs(peak), 16.0 * width, 1.0)
-    while peak + w < hi_cap:
-        w *= grow
-        out.append(peak + w)
-    out = [min(max(b, lo), hi_cap) for b in out]
-    out.extend([lo, hi_cap])
-    breaks = np.unique(np.asarray(out, dtype=float))
-    return breaks[(breaks >= lo) & (breaks <= hi_cap)]
+    cap = np.maximum(np.maximum(4.0 * np.abs(peak), 16.0 * width), 1.0)
+    hi = np.where(np.isfinite(hi), hi, cap)
+    # one level count for every row; rows needing fewer clip the rest
+    reach = np.max(np.maximum(peak - lo, hi - peak) / width, initial=1.0)
+    levels = int(np.ceil(np.log(reach) / np.log(grow))) + 1
+    steps = width[..., None] * grow ** np.arange(levels)
+    lo, hi, peak = lo[..., None], hi[..., None], peak[..., None]
+    # peak -+ steps increase; clipping to [lo, hi] keeps that order
+    breaks = np.concatenate([lo, peak - steps[..., ::-1], peak + steps, hi],
+                            axis=-1)
+    return np.clip(breaks, lo, hi)
 
 
-def zero_refined_breaks(lo_feature: float, hi: float, levels: int = 10,
-                        ratio: float = 4.0):
-    """Breakpoints geometrically refined toward 0 (integrable endpoint)."""
-    pts = [hi]
-    w = min(lo_feature, hi)
-    for _ in range(levels):
-        pts.append(w)
-        w /= ratio
-    pts.append(0.0)
-    return np.unique(np.asarray(pts, dtype=float))
+def zero_refined_breaks(lo_feature, hi, levels: int = 10, ratio: float = 4.0):
+    """Breakpoints geometrically refined toward 0 (integrable endpoint).
+
+    Broadcasts like ``peak_breaks``: one sorted row of ``levels + 2``
+    breakpoints per (lo_feature, hi) pair.
+    """
+    lo_feature, hi = np.broadcast_arrays(np.asarray(lo_feature, dtype=float),
+                                         np.asarray(hi, dtype=float))
+    top = np.minimum(lo_feature, hi)[..., None]
+    return np.concatenate([np.zeros_like(top),
+                           top / ratio ** np.arange(levels - 1, -1, -1),
+                           hi[..., None]], axis=-1)

@@ -6,11 +6,10 @@ The damped iteration
 
 renormalized each step, drives f toward nonnegative critical points of the
 extension inequality.  Renormalization fixes the scale-and-dilation gauge:
-``unit_lp`` only rescales the amplitude (leaving a one-parameter dilation
-drift), ``mass_half`` additionally dilates so that exactly half of the L^p
-mass sits inside the unit ball -- the same gauge that restores compactness
-in the existence theory.  No convergence theorem backs the iteration;
-divergence is detected and reported with the trace.
+each iterate is scaled to unit L^p norm and dilated so that exactly half of
+its L^p mass sits inside the unit ball -- the same gauge that restores
+compactness in the existence theory.  No convergence theorem backs the
+iteration; divergence is detected and reported with the trace.
 
 The module also hosts the inversion-symmetry machinery: a scan for the
 center that makes a planar field radial, the least-squares classifier for
@@ -43,7 +42,6 @@ class SolverConfig:
     max_iters: int = 150
     tol_residual: float = 5e-4
     damping: float = 0.5
-    normalization: str = "mass_half"      # or "unit_lp"
     seed: int = 0
 
     def __post_init__(self):
@@ -51,8 +49,6 @@ class SolverConfig:
             raise DomainError("tol_residual must be positive")
         if not (0.0 < self.damping <= 1.0):
             raise DomainError("damping must lie in (0, 1]")
-        if self.normalization not in ("unit_lp", "mass_half"):
-            raise DomainError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass
@@ -133,14 +129,6 @@ def normalize_mass_half(f: RadialFn, p: float):
     return lam, dilate_boundary(fn, lam, p)
 
 
-def _renormalize(f: RadialFn, p: float, mode: str):
-    if mode == "unit_lp":
-        norm = lp_norm_boundary(f, p)
-        return f.scaled(1.0 / norm), 1.0
-    lam, fn = normalize_mass_half(f, p)
-    return fn, lam
-
-
 def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
                    hs_grid: HalfspaceGrid | None = None):
     """Damped fixed-point iteration for the Euler-Lagrange system.
@@ -157,7 +145,7 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
         hs_grid = default_halfspace_grid(init.grid)
     q = n * p / (n - 1)
     trace = IterationTrace()
-    f, lam = _renormalize(init, p, cfg.normalization)
+    lam, f = normalize_mass_half(init, p)
     for _ in range(cfg.max_iters):
         residual = rayleigh = math.nan
         try:
@@ -181,7 +169,7 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
         mixed = (1.0 - cfg.damping) * f.values + cfg.damping * update
         f = RadialFn(f.grid, mixed, tail_exponent=f.tail_exponent,
                      nonnegative=True)
-        f, lam = _renormalize(f, p, cfg.normalization)
+        lam, f = normalize_mass_half(f, p)
     trace.message = f"no convergence in {cfg.max_iters} iterations"
     return f, trace
 

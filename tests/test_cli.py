@@ -82,8 +82,10 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_m": 96}))
-    assert run_cli(["run", "verify-kernel", "--config", str(cfg)]) == 2
+    # a misspelt key, and the removed normalization option
+    for entry in ({"grid_m": 96}, {"normalization": "mass_half"}):
+        cfg.write_text(json.dumps(entry))
+        assert run_cli(["run", "verify-kernel", "--config", str(cfg)]) == 2
 
 
 def test_idempotent_summary(tmp_path):

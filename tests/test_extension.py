@@ -198,6 +198,19 @@ def test_kernel_mass_unity():
             assert kernel_mass(n, s, t) == pytest.approx(1.0, abs=2e-8)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_operator_rows_integrate_unit_mass(n):
+    # P1 = 1: every operator row integrates the unit-mass kernel, through the
+    # plain rows, the refined rows, their stencils and the data ladder
+    g = build_radial_grid(n - 1, 96)
+    hs = default_halfspace_grid(g)
+    u = get_operator(n, g, hs).extend(np.ones(g.size))
+    R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
+    err = np.abs(u - 1.0)[(R < 10.0) & (T < 10.0)]
+    assert np.max(err) <= 5e-3
+    assert np.median(err) <= 1e-12
+
+
 def test_slab_mass_identity(boundary3):
     f = sample_radial(boundary3,
                       lambda r: (1 + r ** 2) ** -1.5 / (2 * math.pi),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from halfext.quadrature import composite_rule, composite_rules
+from halfext.quadrature import (composite_rule, composite_rules, peak_breaks,
+                                zero_refined_breaks)
 
 
 def breakpoint_lists(rng):
@@ -37,3 +38,67 @@ def test_composite_rules_padded_rows_and_shared_tail():
         x, w = composite_rule(np.unique(row), 8, 1.5)
         assert np.array_equal(nodes[offsets[k]:offsets[k + 1]], x)
         assert np.array_equal(weights[offsets[k]:offsets[k + 1]], w)
+
+
+def peak_breaks_loop(peak, width, lo, hi, grow):
+    """The per-point loop the array peak_breaks replaced, as its reference."""
+    out = [peak - width, peak + width]
+    w = width
+    while peak - w > lo:
+        w *= grow
+        out.append(peak - w)
+    w = width
+    cap = hi if np.isfinite(hi) else max(4.0 * abs(peak), 16.0 * width, 1.0)
+    while peak + w < cap:
+        w *= grow
+        out.append(peak + w)
+    return np.unique(np.clip(out + [lo, cap], lo, cap))
+
+
+@pytest.mark.parametrize("scalar", [None, "peak", "width"])
+def test_peak_breaks_rows(scalar):
+    # own generator: draws from the session rng would shift later modules'
+    rng = np.random.default_rng(4)
+    K, lo, grow = 200, 0.0, 4.0
+    peak = rng.uniform(0.0, 10.0, K)
+    width = 10.0 ** rng.uniform(-9.0, 0.5, K)
+    hi = np.where(rng.random(K) < 0.5, np.inf, rng.uniform(10.0, 60.0, K))
+    if scalar == "peak":
+        peak = 2.5
+    elif scalar == "width":
+        width = 1e-3
+    rows = peak_breaks(peak, width, lo, hi, grow)
+    peak, width = np.broadcast_arrays(peak, width, hi)[:2]
+    cap = np.where(np.isfinite(hi), hi,
+                   np.maximum(np.maximum(4.0 * peak, 16.0 * width), 1.0))
+    assert rows.ndim == 2 and rows.shape[0] == K
+    assert np.all(np.diff(rows, axis=1) >= 0.0)
+    assert np.all(rows[:, 0] == lo) and np.array_equal(rows[:, -1], cap)
+    for row, x, w, h, top in zip(rows, peak, width, hi, cap):
+        b = np.unique(row)
+        assert np.array_equal(b, peak_breaks_loop(x, w, lo, h, grow))
+        eps = 8.0 * np.spacing(top)      # rounding of x +- w grow^k
+        i = np.searchsorted(b, x, side="right")   # b[i-1] <= x < b[i]
+        assert x - b[i - 1] <= w + eps and b[i] - x <= w + eps
+        # panel widths, walking away from the peak's panel on either side
+        widths = np.diff(b)
+        for side in (widths[i - 1:], widths[:i][::-1]):
+            assert np.all(side[1:] <= grow * side[:-1] + eps)
+
+
+def test_peak_breaks_rejects_nonpositive_width():
+    with pytest.raises(ValueError):
+        peak_breaks(1.0, 0.0, 0.0, 2.0)
+    with pytest.raises(ValueError):
+        peak_breaks(np.ones(3), np.array([0.1, -0.1, 0.1]), 0.0, np.inf)
+
+
+def test_zero_refined_breaks_rows():
+    rng = np.random.default_rng(5)
+    lo_feature = 10.0 ** rng.uniform(-3.0, 1.0, 50)
+    hi = rng.uniform(0.5, 20.0, 50)
+    rows = zero_refined_breaks(lo_feature, hi, levels=6, ratio=4.0)
+    assert rows.shape == (50, 8)
+    assert np.all(np.diff(rows, axis=1) >= 0.0)
+    assert np.all(rows[:, 0] == 0.0) and np.array_equal(rows[:, -1], hi)
+    assert np.array_equal(rows[:, 1], np.minimum(lo_feature, hi) / 4.0 ** 5)

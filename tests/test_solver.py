@@ -24,8 +24,6 @@ def test_solver_config_validation():
         SolverConfig(damping=1.5)
     with pytest.raises(DomainError):
         SolverConfig(tol_residual=0.0)
-    with pytest.raises(DomainError):
-        SolverConfig(normalization="other")
 
 
 def test_mass_half_gauge(boundary3):
