@@ -8,8 +8,8 @@ from .errors import DivergenceError, DomainError, HalfextError, SolverDivergence
 from .kernel import (kernel_constant, poisson_kernel, pt_lp_norm, pt_profile,
                      qt_profile, sphere_area, unit_ball_volume)
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
-                    RadialGrid, build_halfspace_grid, build_radial_grid,
-                    default_halfspace_grid, dilate_boundary, distribution_mass,
+                    RadialGrid, build_radial_grid, default_halfspace_grid,
+                    dilate_boundary, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, radial_fn_from_csv,
                     sample_radial, weak_lp_norm)
 from .extension import (boundary_convolution, commutator_gap, dual_extend,

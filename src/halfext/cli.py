@@ -36,10 +36,9 @@ from . import __version__
 from .errors import HalfextError, SolverDivergence
 from .extension import dual_extend, extend_at, poisson_extend, slab_mass
 from .extremals import ExtremalSpec, extremal_profile, sharp_constant
-from .grids import (AxisymFn, PolarGrid, RadialFn, build_halfspace_grid,
-                    build_radial_grid, default_halfspace_grid,
-                    distribution_mass, lp_norm_boundary, sample_radial,
-                    weak_lp_norm)
+from .grids import (AxisymFn, PolarGrid, RadialFn, build_radial_grid,
+                    default_halfspace_grid, distribution_mass,
+                    lp_norm_boundary, sample_radial, weak_lp_norm)
 from .kernel import pt_lp_norm, pt_profile, poisson_kernel
 from .moebius import InversionSpec, ball_map, boundary_inversion, \
     halfspace_inversion
@@ -91,20 +90,16 @@ class Checks:
     def __init__(self):
         self.rows = []
 
-    def add(self, name, value, target=None, tol=None, ok=None):
-        if ok is None:
-            ok = bool(abs(value - target) <= tol)
+    def add(self, name, value, target, tol):
         self.rows.append({"name": name, "value": _jsonable(value),
                           "target": _jsonable(target), "tol": tol,
-                          "pass": bool(ok)})
-        return ok
+                          "pass": bool(abs(value - target) <= tol)})
 
     def bound(self, name, value, bound, upper=True):
         ok = value <= bound if upper else value >= bound
         self.rows.append({"name": name, "value": _jsonable(value),
                           "target": ("<= " if upper else ">= ") + repr(bound),
                           "tol": None, "pass": bool(ok)})
-        return ok
 
     @property
     def all_pass(self) -> bool:
@@ -119,10 +114,6 @@ def _jsonable(x):
 
 def _boundary_grid(cfg: ExperimentConfig):
     return build_radial_grid(cfg.n - 1, cfg.grid_n, "tan", 1.0)
-
-
-def _halfspace(cfg: ExperimentConfig):
-    return build_halfspace_grid(cfg.n, cfg.grid_n, cfg.height_n)
 
 
 def _closed_form_family(n: int, p: float):
@@ -215,8 +206,8 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
 
 def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n = cfg.n
-    hs = _halfspace(cfg)
-    g = hs.radial
+    g = _boundary_grid(cfg)
+    hs = default_halfspace_grid(g, cfg.height_n)
     f = sample_radial(g, lambda r: (1 + r ** 2) ** (-0.5 * (n + 1)),
                       tail_exponent=float(n + 1), nonnegative=True)
     f = f.scaled(1.0 / lp_norm_boundary(f, 1.0))
@@ -235,7 +226,7 @@ def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
         writer.writerow(["level", "mass"])
         writer.writerows([[repr(float(a)), repr(float(b))]
                           for a, b in zip(levels, masses)])
-    checks.add("weak_norm_value", wn, wn, 1.0)  # recorded, not asserted
+    return {"weak_norm_value": wn}
 
 
 def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
@@ -296,7 +287,7 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         # the lambda-free constant of the solved family: calibrating the
         # solution to the unit-coefficient system scales its amplitude
         from .extremals import normalize_el
-        family_c = normalize_el(sol, n, p) * amp
+        family_c = normalize_el(sol, n, p, hs) * amp
         extra.update({"family": family, "lambda": lam, "amplitude": amp,
                       "family_constant": family_c,
                       "family_match_error": err})

@@ -24,11 +24,14 @@ As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows of the
 discretized operator whose height cannot be resolved by the radial mesh are
 rebuilt with geometrically refined panels around the diagonal, composed with
 a local cubic interpolation stencil, so the operator stays a plain matrix.
+One row rule, ``_kernel_matrix``, builds every such matrix: the operator's
+per-height stacks, ``boundary_convolution`` (P_t or Q_t at one height) and
+``extend_at`` (one height per point), so all three agree row for row.
 
-Every per-point panel quadrature here (refined rows, pointwise extension,
-kernel mass, the angular integrals) lays out the breakpoints of all its
-points in one array call, builds their rules in one ``composite_rules`` call
-and evaluates the integrand once over them.
+Every per-point panel quadrature here (refined rows, kernel mass, the
+angular integrals) lays out the breakpoints of all its points in one array
+call, builds their rules in one ``composite_rules`` call and evaluates the
+integrand once over them.
 Operators are cached by mesh content: meshes built separately but equal
 share one operator.
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ellipe
@@ -69,7 +73,7 @@ def _ring_closed(n: int, r, s, t):
     raise DomainError(f"no closed ring kernel for n={n}")
 
 
-def _angular_integral(n: int, r, s, t, order: int, core) -> np.ndarray:
+def _angular_integral(n: int, r, s, t, core) -> np.ndarray:
     """Per entry, integral of core(theta, r, s, t) sin(theta)^(n-3) on (0, pi).
 
     Panels are refined geometrically toward theta = 0, where the integrand
@@ -86,15 +90,14 @@ def _angular_integral(n: int, r, s, t, order: int, core) -> np.ndarray:
             width = np.sqrt(((r - s) ** 2 + t * t) / (r * s))
         width = np.where((r * s > 0.0) & (width < np.pi / 2.0), width, np.pi)
         th, w, offsets = composite_rules(
-            peak_breaks(0.0, width, 0.0, np.pi), order)
+            peak_breaks(0.0, width, 0.0, np.pi), _RING_ORDER)
         k = np.repeat(np.arange(r.size), np.diff(offsets))
         vals = w * core(th, r[k], s[k], t[k]) * np.sin(th) ** (n - 3)
         out[lo:lo + r.size] = np.add.reduceat(vals, offsets[:-1])
     return out.reshape(shape)
 
 
-def ring_kernel(n: int, r, s, t, quad_order: int = _RING_ORDER,
-                method: str = "auto"):
+def ring_kernel(n: int, r, s, t, method: str = "auto"):
     """Ring kernel K(r, s, t); symmetric in (r, s), broadcasts over arrays.
 
     ``method`` is "closed" (n in {2, 3, 4}), "gl" (angular Gauss panels,
@@ -120,11 +123,11 @@ def ring_kernel(n: int, r, s, t, quad_order: int = _RING_ORDER,
                 + 4.0 * r * s * np.sin(0.5 * th) ** 2) ** (-0.5 * n)
 
     out = (kernel_constant(n) * np.asarray(t, float) * sphere_area(n - 2)
-           * _angular_integral(n, r, s, t, quad_order, core))
+           * _angular_integral(n, r, s, t, core))
     return float(out) if out.ndim == 0 else out
 
 
-def qt_ring(n: int, r, s, t, quad_order: int = _RING_ORDER):
+def qt_ring(n: int, r, s, t):
     """Ring reduction of Q_t (used by the commutator bound)."""
     if n == 2:
         r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
@@ -137,7 +140,7 @@ def qt_ring(n: int, r, s, t, quad_order: int = _RING_ORDER):
         return np.sqrt(R2) * (R2 + t * t) ** (-0.5 * n)
 
     out = (kernel_constant(n) * sphere_area(n - 2)
-           * _angular_integral(n, r, s, t, quad_order, core))
+           * _angular_integral(n, r, s, t, core))
     return float(out) if out.ndim == 0 else out
 
 
@@ -182,19 +185,23 @@ def _diagonal_rules(r_out, t, in_grid: RadialGrid):
 
 
 def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
-                   t: float) -> np.ndarray:
-    """Matrix taking in-grid samples to kernel integrals at out_nodes (one t).
+                   t) -> np.ndarray:
+    """Matrix taking in-grid samples to kernel integrals at out_nodes.
 
     ``kernel(r, s, t)`` is a ring kernel (of P_t or Q_t), broadcasting.
+    ``t`` is one height per output node, or one height for all of them.
+    Rows the mesh resolves are the plain grid rule; the others are
+    diagonal-refined panels composed with the cubic stencils.
     """
-    M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t)
+    t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
+    M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t[:, None])
     M = M * in_grid.weights[None, :]
     flagged = np.nonzero(t < PEAK_FACTOR * in_grid.local_spacing(out_nodes))[0]
     if flagged.size == 0:
         return M
-    s, w, offsets = _diagonal_rules(out_nodes[flagged], t, in_grid)
+    s, w, offsets = _diagonal_rules(out_nodes[flagged], t[flagged], in_grid)
     rows = np.repeat(flagged, np.diff(offsets))
-    coeff = w * kernel(out_nodes[rows], s, t) * s ** (in_grid.d - 1)
+    coeff = w * kernel(out_nodes[rows], s, t[rows]) * s ** (in_grid.d - 1)
     cols, lw = _lagrange_stencils(in_grid, s)
     M[flagged, :] = 0.0
     np.add.at(M, (np.repeat(rows, 4), cols.ravel()),
@@ -252,10 +259,9 @@ def _mesh_key(grid: RadialGrid) -> tuple:
 
 def _matrix_stack(n: int, out_grid: RadialGrid, in_grid: RadialGrid,
                   heights: RadialGrid) -> np.ndarray:
-    def kernel(r, s, t):
-        return ring_kernel(n, r, s, t)
-    return np.stack([_kernel_matrix(kernel, out_grid.nodes, in_grid, float(t))
-                     for t in heights.nodes])
+    # one height per call: all heights at once would hold N_t N^2 temporaries
+    return np.stack([_kernel_matrix(partial(ring_kernel, n), out_grid.nodes,
+                                    in_grid, t) for t in heights.nodes])
 
 
 def get_operator(n: int, boundary: RadialGrid,
@@ -317,31 +323,17 @@ def dual_extend(u: AxisymFn, out_grid: RadialGrid) -> RadialFn:
 def extend_at(f: RadialFn, r, t) -> np.ndarray:
     """Pointwise (Pf)(r, t) at arbitrary heights t > 0 (no mesh in t).
 
-    Uses the plain grid rule when the mesh resolves the kernel at that height
-    and diagonal-refined panels otherwise.
+    Each point is one row of the operator's row rule at its own height, so
+    at the nodes of a half-space mesh this equals ``poisson_extend``.
     """
     _check_integrable(f)
-    n = f.grid.d + 1
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    r, t = np.broadcast_arrays(r, t)
+    r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
+                               np.atleast_1d(np.asarray(t, dtype=float)))
     if np.any(t <= 0.0):
         raise DomainError("heights must be positive")
-    out = np.empty(r.shape, dtype=float)
-    spacing = f.grid.local_spacing(r)
-    plain = t >= PEAK_FACTOR * spacing
-    if np.any(plain):
-        K = ring_kernel(n, r[plain][:, None], f.grid.nodes[None, :],
-                        t[plain][:, None])
-        out[plain] = (K * f.grid.weights[None, :]) @ f.values
-    if not np.all(plain):
-        s, w, offsets = _diagonal_rules(r[~plain], t[~plain], f.grid)
-        counts = np.diff(offsets)
-        kern = ring_kernel(n, np.repeat(r[~plain], counts), s,
-                           np.repeat(t[~plain], counts))
-        out[~plain] = np.add.reduceat(
-            w * kern * s ** (f.grid.d - 1) * f.eval(s), offsets[:-1])
-    return out
+    rows = _kernel_matrix(partial(ring_kernel, f.grid.d + 1), r.ravel(),
+                          f.grid, t.ravel())
+    return (rows @ f.values).reshape(r.shape)
 
 
 def _kernel_mass_many(n: int, s_arr: np.ndarray, t: float) -> np.ndarray:
@@ -388,20 +380,15 @@ def slab_mass(f: RadialFn, a: float, n_heights: int = 24) -> float:
     return total
 
 
-def boundary_convolution(f: RadialFn, t: float, kernel: str = "P",
-                         quad_order: int = _RING_ORDER) -> np.ndarray:
+def boundary_convolution(f: RadialFn, t: float,
+                         kernel: str = "P") -> np.ndarray:
     """(P_t * f) or (Q_t * f) sampled on f's own grid (radial data only)."""
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
-    n = f.grid.d + 1
-    if kernel == "P":
-        def ring(r, s, t):
-            return ring_kernel(n, r, s, t)
-    elif kernel == "Q":
-        def ring(r, s, t):
-            return qt_ring(n, r, s, t, quad_order)
-    else:
+    rings = {"P": ring_kernel, "Q": qt_ring}
+    if kernel not in rings:
         raise DomainError(f"unknown kernel {kernel!r}")
+    ring = partial(rings[kernel], f.grid.d + 1)
     return _kernel_matrix(ring, f.grid.nodes, f.grid, t) @ f.values
 
 

@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator, RectBivariateSpline
 
 from .errors import DivergenceError, DomainError
 from .kernel import sphere_area
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, half_line_rule
 
 _TAIL_FIT_MIN_POINTS = 6
 
@@ -44,7 +44,6 @@ class RadialGrid:
     r_max: float
     mapping: str = "tan"
     scale: float = 1.0
-    tail_exponent: float = math.nan   # default decay metadata for functions
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -92,8 +91,8 @@ class RadialGrid:
         return float(np.dot(self.weights, np.asarray(samples, dtype=float)))
 
 
-def build_radial_grid(d: int, N: int, mapping: str = "tan", scale: float = 1.0,
-                      tail_exponent: float = math.nan) -> RadialGrid:
+def build_radial_grid(d: int, N: int, mapping: str = "tan",
+                      scale: float = 1.0) -> RadialGrid:
     """Gauss-Legendre mesh on (0, inf) mapped onto a finite interval.
 
     tan: r = scale*tan(theta), theta in (0, pi/2); exp: r = -scale*log(1-u),
@@ -107,9 +106,7 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan", scale: float = 1.0,
         raise DomainError(f"scale must be positive, got {scale}")
     x, w = gauss_legendre(N)
     if mapping == "tan":
-        theta = (x + 1.0) * (np.pi / 4.0)
-        nodes = scale * np.tan(theta)
-        dr = scale * (np.pi / 4.0) * w / np.cos(theta) ** 2
+        nodes, dr = half_line_rule(0.0, scale, N)
     elif mapping == "exp":
         u = 0.5 * (x + 1.0)
         nodes = -scale * np.log1p(-u)
@@ -124,7 +121,7 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan", scale: float = 1.0,
             f"unknown mapping {mapping!r} (use 'tan', 'exp' or 'linear')")
     weights = dr * nodes ** (d - 1)
     return RadialGrid(d=d, nodes=nodes, weights=weights, r_max=float(nodes[-1]),
-                      mapping=mapping, scale=scale, tail_exponent=tail_exponent)
+                      mapping=mapping, scale=scale)
 
 
 def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
@@ -155,9 +152,9 @@ def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
 class RadialFn:
     """Samples of a radial function on a RadialGrid, with tail metadata.
 
-    ``tail_exponent`` is the assumed decay power (f ~ C r^-beta); it defaults
-    to the grid's own metadata and is cross-checked against an empirical fit
-    when norms are taken.
+    ``tail_exponent`` is the assumed decay power (f ~ C r^-beta), nan when
+    undeclared; it is cross-checked against an empirical fit when norms are
+    taken.
     """
 
     grid: RadialGrid
@@ -175,8 +172,6 @@ class RadialFn:
             raise DomainError("values must be finite")
         if self.nonnegative and np.any(self.values < 0.0):
             raise DomainError("function flagged nonnegative has negative samples")
-        if math.isnan(self.tail_exponent):
-            self.tail_exponent = self.grid.tail_exponent
         if math.isnan(self.value_at_zero):
             # even extension: quadratic in r^2 through the first two nodes
             r1, r2 = self.grid.nodes[:2]
@@ -291,14 +286,6 @@ class HalfspaceGrid:
         """Measure of each (r_j, t_k) cell, shape (N_r, N_t)."""
         return self.radial.sphere * np.outer(self.radial.weights,
                                              self.heights.weights)
-
-
-def build_halfspace_grid(n: int, N_r: int = 160, N_t: int = 96,
-                         scale_r: float = 1.0, scale_t: float = 1.0,
-                         mapping: str = "tan") -> HalfspaceGrid:
-    radial = build_radial_grid(n - 1, N_r, mapping, scale_r)
-    heights = build_radial_grid(1, N_t, "tan", scale_t)
-    return HalfspaceGrid(radial, heights)
 
 
 @dataclass(eq=False)
@@ -502,8 +489,8 @@ def dilate_boundary(f: RadialFn, lam: float, p: float) -> RadialFn:
                     tail_exponent=f.tail_exponent, nonnegative=f.nonnegative)
 
 
-def default_halfspace_grid(boundary: RadialGrid, N_t: int | None = None,
-                           scale_t: float = 1.0) -> HalfspaceGrid:
+def default_halfspace_grid(boundary: RadialGrid,
+                           N_t: int | None = None) -> HalfspaceGrid:
     """Half-space mesh reusing a boundary grid as its radial factor.
 
     ``N_t`` defaults to max(48, 3N/5) heights.  Each call builds a new height
@@ -511,7 +498,7 @@ def default_halfspace_grid(boundary: RadialGrid, N_t: int | None = None,
     """
     if N_t is None:
         N_t = max(48, (3 * boundary.size) // 5)
-    return HalfspaceGrid(boundary, build_radial_grid(1, N_t, "tan", scale_t))
+    return HalfspaceGrid(boundary, build_radial_grid(1, N_t))
 
 
 def distribution_mass(u: AxisymFn, level: float) -> float:

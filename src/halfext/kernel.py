@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError
-from .quadrature import gauss_legendre
+from .quadrature import half_line_rule
 
 
 def unit_ball_volume(n: int) -> float:
@@ -105,9 +105,6 @@ def pt_lp_norm(n: int, p: float, t: float, quad_order: int = 128) -> float:
     if math.isinf(p):
         return kernel_constant(n) / t ** (n - 1)
     d = n - 1
-    x, w = gauss_legendre(quad_order)
-    theta = (x + 1.0) * (np.pi / 4.0)
-    rho = t * np.tan(theta)
-    jac = t * (np.pi / 4.0) * w / np.cos(theta) ** 2
+    rho, jac = half_line_rule(0.0, t, quad_order)
     integrand = pt_profile(n, t, rho) ** p * rho ** (d - 1)
     return float((sphere_area(d) * np.dot(jac, integrand)) ** (1.0 / p))

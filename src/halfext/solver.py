@@ -253,13 +253,12 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
 
 
 def radial_about_point(v: PolarFn, tol: float, axis_range=(-2.0, 2.0),
-                       n_centers: int = 81, full_2d: bool = False):
+                       n_centers: int = 81):
     """Center a*e_1 minimizing the angular variation of v, or None.
 
     The center search runs along the symmetry axis (a planar reflection
-    argument pins the second coordinate to zero); ``full_2d`` enables a
-    2-D Nelder-Mead fallback.  Returns the center as a length-2 array when
-    the minimized relative angular deviation is <= tol.
+    argument pins the second coordinate to zero).  Returns the center as a
+    length-2 array when the minimized relative angular deviation is <= tol.
     """
     radial = v.grid.radial
     ring_mean = np.mean(np.abs(v.values), axis=1)
@@ -274,13 +273,10 @@ def radial_about_point(v: PolarFn, tol: float, axis_range=(-2.0, 2.0),
     probes = np.geomspace(r_lo, r_hi, 12)
     phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
-    def deviation(center) -> float:
-        cx, cy = center
+    def deviation(a: float) -> float:
         total = 0.0
         for rho in probes:
-            x = cx + rho * np.cos(phis)
-            y = cy + rho * np.sin(phis)
-            w = v.eval_xy(x, y)
+            w = v.eval_xy(a + rho * np.cos(phis), rho * np.sin(phis))
             mean = float(np.mean(np.abs(w)))
             if mean <= 0.0:
                 continue
@@ -288,21 +284,13 @@ def radial_about_point(v: PolarFn, tol: float, axis_range=(-2.0, 2.0),
         return total
 
     grid_a = np.linspace(axis_range[0], axis_range[1], n_centers)
-    devs = [deviation((a, 0.0)) for a in grid_a]
+    devs = [deviation(a) for a in grid_a]
     i = int(np.argmin(devs))
     lo = grid_a[max(i - 1, 0)]
     hi = grid_a[min(i + 1, n_centers - 1)]
-    res = minimize_scalar(lambda a: deviation((a, 0.0)), bounds=(lo, hi),
+    res = minimize_scalar(deviation, bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-10})
-    best = np.array([float(res.x), 0.0])
-    best_dev = float(res.fun)
-    if full_2d:
-        from scipy.optimize import minimize
-        r2 = minimize(deviation, best, method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-14})
-        if r2.fun < best_dev:
-            best, best_dev = np.asarray(r2.x), float(r2.fun)
-    return best if best_dev <= tol else None
+    return np.array([float(res.x), 0.0]) if res.fun <= tol else None
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,25 @@ def test_height_n_flag_sets_the_height_mesh(tmp_path):
     assert rayleigh[0] != rayleigh[1]
 
 
+@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
+def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
+    # --height-n 40 differs from the default max(48, 3N/5) heights: the
+    # family calibration must reuse the solve's mesh, not build a second one
+    from halfext import extension
+    monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
+    heights = []
+    build = extension._matrix_stack
+
+    def counted(n, out_grid, in_grid, hs_heights):
+        heights.append(hs_heights.size)
+        return build(n, out_grid, in_grid, hs_heights)
+
+    monkeypatch.setattr(extension, "_matrix_stack", counted)
+    run_cli(["run", "solve-el", "--grid-n", "64", "--height-n", "40",
+             "--max-iters", "3", "--out", str(tmp_path / "el")])
+    assert heights and set(heights) == {40}
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "seed": 5, "grid_n": 96}))

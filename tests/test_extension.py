@@ -211,6 +211,20 @@ def test_operator_rows_integrate_unit_mass(n):
     assert np.median(err) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_extend_at_matches_operator_rows(n):
+    # extend_at reads the operator's own rows: at the nodes of a half-space
+    # mesh it is poisson_extend, refined rows and their stencils included
+    g = build_radial_grid(n - 1, 96)
+    hs = default_halfspace_grid(g)
+    f = dual_data(g)
+    want = poisson_extend(f, hs).values
+    R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
+    got = extend_at(f, R, T)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_slab_mass_identity(boundary3):
     f = sample_radial(boundary3,
                       lambda r: (1 + r ** 2) ** -1.5 / (2 * math.pi),

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
-from halfext.grids import (AxisymFn, PolarGrid, RadialFn,
-                           build_halfspace_grid, build_radial_grid,
-                           dilate_boundary, distribution_mass,
-                           lp_norm_boundary, lp_norm_halfspace,
-                           radial_fn_from_csv, sample_radial, weak_lp_norm)
+from halfext.grids import (AxisymFn, PolarGrid, RadialFn, build_radial_grid,
+                           default_halfspace_grid, dilate_boundary,
+                           distribution_mass, lp_norm_boundary,
+                           lp_norm_halfspace, radial_fn_from_csv,
+                           sample_radial, weak_lp_norm)
 
 
 def test_tan_grid_gaussian():
@@ -119,7 +119,7 @@ def test_lp_norm_halfspace_monte_carlo_oracle(halfspace3, rng):
 
 
 def test_lp_norm_halfspace_constant_box():
-    hs = build_halfspace_grid(3, 96, 64)
+    hs = default_halfspace_grid(build_radial_grid(2, 96), 64)
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     c = 1.7
     inside = (R < 2.0) & (T < 1.5)
@@ -133,7 +133,7 @@ def test_lp_norm_halfspace_constant_box():
 
 
 def test_lp_norm_halfspace_divergence():
-    hs = build_halfspace_grid(3, 64, 48)
+    hs = default_halfspace_grid(build_radial_grid(2, 64), 48)
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     u = AxisymFn(hs, (1 + R ** 2 + T ** 2) ** -0.4)
     with pytest.raises(DivergenceError):
@@ -158,7 +158,7 @@ def test_weak_lp_norm_basics(halfspace3):
 def test_weak_lp_norm_two_resolutions():
     vals = []
     for N_r, N_t in ((96, 64), (192, 128)):
-        hs = build_halfspace_grid(3, N_r, N_t)
+        hs = default_halfspace_grid(build_radial_grid(2, N_r), N_t)
         R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
         from halfext.kernel import kernel_constant
         u = AxisymFn(hs, kernel_constant(3) * T / (R ** 2 + T ** 2) ** 1.5)
@@ -260,7 +260,7 @@ def test_csv_roundtrip(tmp_path, boundary3):
 
 
 def test_axisym_csv(tmp_path):
-    hs = build_halfspace_grid(3, 16, 16)
+    hs = default_halfspace_grid(build_radial_grid(2, 16), 16)
     u = AxisymFn(hs, np.ones((16, 16)))
     path = tmp_path / "u.csv"
     u.to_csv(path)
@@ -268,7 +268,7 @@ def test_axisym_csv(tmp_path):
 
 
 def test_axisym_eval_guard():
-    hs = build_halfspace_grid(3, 32, 32)
+    hs = default_halfspace_grid(build_radial_grid(2, 32), 32)
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     u = AxisymFn(hs, np.exp(-R - T))
     t_min = hs.heights.nodes[0]
