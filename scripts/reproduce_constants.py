@@ -25,8 +25,8 @@ RUNS = [
     ["run", "solve-el", "--n", "3", "--p", "4.0", "--init", "gaussian",
      "--write-fixtures", "--out", "results/constants/el-conformal"],
     ["run", "solve-el", "--n", "3", "--p", "1.3333333333333333",
-     "--init", "bump", "--damping", "0.85", "--tol-residual", "5e-5",
-     "--write-fixtures", "--out", "results/constants/el-dual"],
+     "--init", "bump", "--write-fixtures",
+     "--out", "results/constants/el-dual"],
 ]
 
 if __name__ == "__main__":

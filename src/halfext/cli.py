@@ -65,8 +65,7 @@ class ExperimentConfig:
     out: str = "results"
     init: str = "gaussian"
     max_iters: int = 300
-    tol_residual: float = 1e-4
-    damping: float = 0.5
+    tol_residual: float = 5e-5
     write_fixtures: bool = False
 
     def validate(self) -> None:
@@ -80,7 +79,6 @@ class ExperimentConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iters=self.max_iters,
                             tol_residual=self.tol_residual,
-                            damping=self.damping,
                             seed=self.seed)
 
 
@@ -470,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--init", choices=("gaussian", "bump", "extremal"))
     run.add_argument("--max-iters", dest="max_iters", type=int)
     run.add_argument("--tol-residual", dest="tol_residual", type=float)
-    run.add_argument("--damping", type=float)
     run.add_argument("--write-fixtures", dest="write_fixtures",
                      action="store_true", default=None)
     return parser

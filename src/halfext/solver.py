@@ -1,15 +1,15 @@
 """Fixed-point solution of the Euler-Lagrange system and symmetry classifiers.
 
-The damped iteration
-
-    f  <-  (1 - damping) * f + damping * [T((Pf)^(np/(n-1)-1))]^(1/(p-1)),
-
-renormalized each step, drives f toward nonnegative critical points of the
-extension inequality.  Renormalization fixes the scale-and-dilation gauge:
-each iterate is scaled to unit L^p norm and dilated so that exactly half of
-its L^p mass sits inside the unit ball -- the same gauge that restores
-compactness in the existence theory.  No convergence theorem backs the
-iteration; divergence is detected and reported with the trace.
+The iteration f <- [T((Pf)^(q-1))]^(1/(p-1)), q = np/(n-1), renormalized
+each step, is the nonlinear power method for the p -> q norm of P (Boyd,
+Linear Algebra Appl. 9, 1974; Higham, Numer. Math. 62, 1992).  For an exact
+adjoint pair Hoelder's inequality makes its Rayleigh quotient |Pf|_q / |f|_p
+nondecreasing; here that holds only up to quadrature, since T is the
+kernel-symmetric row rule rather than the transpose of the discrete P, and
+the gauge interpolates.  The gauge scales each iterate to unit L^p norm and
+dilates it so that half of its L^p mass sits inside the unit ball, as the
+existence theory does to restore compactness.  No convergence theorem backs
+the iteration; divergence is detected and reported with the trace.
 
 The module also hosts the inversion-symmetry machinery: a scan for the
 center that makes a planar field radial, the least-squares classifier for
@@ -41,14 +41,11 @@ from .quadrature import panel_rule
 class SolverConfig:
     max_iters: int = 150
     tol_residual: float = 5e-4
-    damping: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.tol_residual <= 0.0:
             raise DomainError("tol_residual must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise DomainError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -131,7 +128,7 @@ def normalize_mass_half(f: RadialFn, p: float):
 
 def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
                    hs_grid: HalfspaceGrid | None = None):
-    """Damped fixed-point iteration for the Euler-Lagrange system.
+    """Euler-Lagrange solve by the power method for the p -> q norm of P.
 
     Returns (solution, trace).  The solution is gauge-normalized; its
     amplitude solves the unit-coefficient system only after calibration by
@@ -166,8 +163,7 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
             trace.message = "residual grew 10x over 50 iterations"
             raise SolverDivergence(trace.message, trace=trace)
         update = np.maximum(rhs, 0.0) ** (1.0 / (p - 1.0))
-        mixed = (1.0 - cfg.damping) * f.values + cfg.damping * update
-        f = RadialFn(f.grid, mixed, tail_exponent=f.tail_exponent,
+        f = RadialFn(f.grid, update, tail_exponent=f.tail_exponent,
                      nonnegative=True)
         lam, f = normalize_mass_half(f, p)
     trace.message = f"no convergence in {cfg.max_iters} iterations"

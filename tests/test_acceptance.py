@@ -143,7 +143,7 @@ def test_criterion_07_el_convergence(boundary3, halfspace3, init_name):
     from halfext.grids import RadialFn
     init = RadialFn(boundary3, vals, value_at_zero=v0, tail_exponent=beta,
                     nonnegative=True)
-    cfg = SolverConfig(max_iters=400, tol_residual=1e-4, damping=0.5)
+    cfg = SolverConfig(max_iters=400, tol_residual=1e-4)
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
     lam, amp, err = match_extremal_family(sol, 3, "conformal", 10.0)
     elapsed = time.monotonic() - start

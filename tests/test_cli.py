@@ -101,8 +101,9 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
-    # a misspelt key, and the removed normalization option
-    for entry in ({"grid_m": 96}, {"normalization": "mass_half"}):
+    # a misspelt key, and the removed normalization and damping options
+    for entry in ({"grid_m": 96}, {"normalization": "mass_half"},
+                  {"damping": 0.5}):
         cfg.write_text(json.dumps(entry))
         assert run_cli(["run", "verify-kernel", "--config", str(cfg)]) == 2
 
@@ -136,6 +137,16 @@ def test_solve_el_artifacts(tmp_path):
     with open(out / "profile.csv") as fh:
         header = fh.readline().strip()
     assert header == "r,value"
+
+
+def test_solve_el_dual_exponent_converges(tmp_path):
+    # the dual exponent converges from the default start with default flags
+    out = tmp_path / "dual"
+    assert run_cli(["run", "solve-el", "--n", "3", "--p", "1.3333333333333333",
+                    "--out", str(out)]) == 0
+    results = load_summary(out)["results"]
+    assert results["family"] == "dual"
+    assert results["family_match_error"] <= 1e-3
 
 
 def test_solve_el_divergence_keeps_trace(tmp_path):

@@ -83,7 +83,7 @@ def test_strong_bound_at_stated_pairs(n, p, e_min, boundary4, boundary3):
     # ascent solver (a consistency statement, not a fixed constant)
     grid = boundary3 if n == 3 else boundary4
     hs = default_halfspace_grid(grid)
-    cfg = SolverConfig(max_iters=200, tol_residual=3e-4, damping=0.85, seed=2)
+    cfg = SolverConfig(max_iters=200, tol_residual=3e-4, seed=2)
     c = ascent_estimate_constant(n, p, 2, cfg, grid, hs)
     rng = np.random.default_rng(int(10 * p) + n)
     q = n * p / (n - 1)

@@ -19,10 +19,6 @@ from halfext.solver import (IterationTrace, SolverConfig,
 
 def test_solver_config_validation():
     with pytest.raises(DomainError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(DomainError):
-        SolverConfig(damping=1.5)
-    with pytest.raises(DomainError):
         SolverConfig(tol_residual=0.0)
 
 
@@ -87,12 +83,20 @@ def test_fixed_point_from_extremal(boundary3, halfspace3):
                   / np.maximum(fn.values, 1e-12)) < 1e-6
 
 
+def _assert_rayleighs_nondecreasing(trace):
+    # the iteration is the power method for the p -> q norm of P: up to
+    # quadrature, its Rayleigh quotient never falls
+    r = np.asarray(trace.rayleighs)
+    assert np.all(np.diff(r) >= -1e-10 * r[1:])
+
+
 def test_fixed_point_from_gaussian(boundary3, halfspace3):
     init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                          nonnegative=True)
     cfg = SolverConfig(max_iters=300, tol_residual=1e-4)
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
-    assert trace.converged
+    assert trace.converged and len(trace) <= 30
+    _assert_rayleighs_nondecreasing(trace)
     lam, amp, err = match_extremal_family(sol, 3, "conformal", 10.0)
     assert err <= 1e-3
     # converged profiles are strictly decreasing in the radial direction
@@ -107,10 +111,10 @@ def test_fixed_point_dual_family(boundary3, halfspace3):
     init = sample_radial(boundary3,
                          lambda r: np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
                          nonnegative=True)
-    # p = 4/3 contracts fastest near damping 1; 0.5 crawls
-    cfg = SolverConfig(max_iters=400, tol_residual=5e-5, damping=0.85)
+    cfg = SolverConfig(max_iters=400, tol_residual=5e-5)
     sol, trace = el_fixed_point(3, 4 / 3, init, cfg, halfspace3)
-    assert trace.converged
+    assert trace.converged and len(trace) <= 30
+    _assert_rayleighs_nondecreasing(trace)
     lam, amp, err = match_extremal_family(sol, 3, "dual", 10.0)
     assert err <= 1e-3
 
@@ -342,7 +346,7 @@ def test_divergence_reported_with_trace(boundary3, halfspace3):
     from halfext.errors import SolverDivergence
     init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                          nonnegative=True)
-    cfg = SolverConfig(max_iters=120, tol_residual=1e-6, damping=1.0)
+    cfg = SolverConfig(max_iters=120, tol_residual=1e-6)
     with pytest.raises(SolverDivergence) as exc:
         el_fixed_point(3, 1.05, init, cfg, halfspace3)
     assert exc.value.trace is not None
