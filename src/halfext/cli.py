@@ -59,7 +59,6 @@ class ExperimentConfig:
     p: float = 4.0
     grid_n: int = 160
     height_n: int = 96
-    quad_order: int = 64
     trials: int = 4
     seed: int = 0
     out: str = "results"
@@ -70,7 +69,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
-            raise SystemExit(2)
+            raise HalfextError(f"unknown experiment {self.experiment!r}")
         if self.n < 2 or self.grid_n < 16 or self.height_n < 16:
             raise HalfextError("invalid dimension or grid sizes")
         if not (1.0 < self.p):
@@ -127,17 +126,15 @@ def _closed_form_family(n: int, p: float):
 def run_verify_kernel(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n = cfg.n
     for t in (0.25, 1.0, 4.0):
-        checks.add(f"pt_l1_norm[t={t}]",
-                   pt_lp_norm(n, 1.0, t, quad_order=cfg.quad_order),
-                   1.0, 1e-8)
+        checks.add(f"pt_l1_norm[t={t}]", pt_lp_norm(n, 1.0, t), 1.0, 1e-8)
     t = 2.0
     checks.add("pt_sup_norm[t=2]", pt_lp_norm(n, np.inf, t),
                pt_profile(n, t, 0.0), 1e-14)
     # scaling law on a log-spaced height grid
     for p in (2.0, 1.5):
         ts = np.geomspace(0.1, 10.0, 7)
-        scaled = [pt_lp_norm(n, p, t, quad_order=cfg.quad_order)
-                  * t ** ((n - 1) * (p - 1) / p) for t in ts]
+        scaled = [pt_lp_norm(n, p, t) * t ** ((n - 1) * (p - 1) / p)
+                  for t in ts]
         checks.add(f"pt_lp_scaling[p={p}]",
                    float(np.max(scaled) - np.min(scaled)), 0.0,
                    1e-8 * scaled[0])
@@ -196,7 +193,7 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     u = AxisymFn(hs, (1 + R ** 2 + (T + 0.5) ** 2) ** -2.0)
     lhs = float(np.dot(g.sphere * g.weights,
-                       dual_extend(u, g).values * f.values))
+                       dual_extend(u).values * f.values))
     Pf = poisson_extend(f, hs)
     rhs = float(np.sum(hs.cell_measures() * u.values * Pf.values))
     checks.add("duality_pairing", lhs, rhs, 1e-6 * abs(rhs))
@@ -429,11 +426,11 @@ def _write_fixture(key: str, value: float, cfg: ExperimentConfig) -> None:
             for row in csv.DictReader(fh):
                 rows[row["key"]] = row
     rows[key] = {"key": key, "value": repr(float(value)),
-                 "grid_n": str(cfg.grid_n), "height_n": str(cfg.height_n),
-                 "quad_order": str(cfg.quad_order)}
+                 "grid_n": str(cfg.grid_n), "height_n": str(cfg.height_n)}
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, ["key", "value", "grid_n", "height_n",
-                                     "quad_order"])
+        # rows read from an older file may carry columns no longer written
+        writer = csv.DictWriter(fh, ["key", "value", "grid_n", "height_n"],
+                                extrasaction="ignore")
         writer.writeheader()
         for key in sorted(rows):
             writer.writerow(rows[key])
@@ -461,7 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--p", type=float)
     run.add_argument("--grid-n", dest="grid_n", type=int)
     run.add_argument("--height-n", dest="height_n", type=int)
-    run.add_argument("--quad-order", dest="quad_order", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
@@ -487,11 +483,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             base[f.name] = flag
-    return ExperimentConfig(**base)
+    cfg = ExperimentConfig(**base)
+    cfg.validate()
+    return cfg
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
     checks = Checks()

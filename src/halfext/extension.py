@@ -8,7 +8,10 @@ to a 1-D integral against the ring kernel
 
 so that (Pf)(r, t) = integral_0^inf K(r, s, t) f(s) s^(n-2) ds.  K is
 symmetric in (r, s), and the same kernel drives the dual operator
-(Tu)(s) = integral K(s, r, t) u(r, t) r^(n-2) dr dt.
+(Tu)(s) = integral K(s, r, t) u(r, t) r^(n-2) dr dt.  Boundary data lives on
+the half-space mesh's radial factor, so one square stack of per-height
+matrices M[k], cached by mesh content, discretizes both: Pf reads M[k] @ f,
+Tu reads M[k] @ u[:, k].
 
 The angular integral has closed forms in the dimensions used here:
 
@@ -32,8 +35,6 @@ Every per-point panel quadrature here (refined rows, kernel mass, the
 angular integrals) lays out the breakpoints of all its points in one array
 call, builds their rules in one ``composite_rules`` call and evaluates the
 integrand once over them.
-Operators are cached by mesh content: meshes built separately but equal
-share one operator.
 """
 
 from __future__ import annotations
@@ -211,44 +212,47 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
 
 @dataclass(eq=False)
 class PoissonOperator:
-    """Discretized extension/dual pair on a fixed boundary x half-space mesh.
+    """Discretized extension/dual pair: one square stack, read both ways.
 
-    Built once per n and mesh content by ``get_operator`` (equal meshes built
-    separately share one operator).  Both directions are BLAS products that
-    read the C-contiguous stacks in place: a stack holds 20 MB at N=160,
-    N_t=96, so neither direction may copy or transpose it.
+    ``extend`` (M[k] @ f) and ``dual`` (M[k] @ u[:, k]) are BLAS products
+    that read the C-contiguous stack in place: it holds 20 MB at N=160,
+    N_t=96, so neither direction may copy or transpose it.  Built once per
+    n and mesh content by ``get_operator``.
     """
 
     n: int
-    boundary: RadialGrid
     halfspace: HalfspaceGrid
-    matrices: np.ndarray          # (N_t, N_out, N_in), C-contiguous
-    dual_matrices: np.ndarray     # (N_t, N_bnd, N_rad); same array if grids match
+    matrices: np.ndarray          # (N_t, N, N), C-contiguous
+
+    @property
+    def dual_matrices(self) -> np.ndarray:
+        # the stack the dual reads, under the name the benchmark hooks use
+        return self.matrices
 
     def extend(self, f_values: np.ndarray) -> np.ndarray:
-        """(Pf)(r_j, t_k) for boundary samples f, shape (N_r, N_t).
+        """(Pf)(r_j, t_k) for boundary samples f, shape (N, N_t).
 
-        One GEMV: the stack seen as an (N_t N_out, N_in) matrix (a view, as
-        the stack is C-contiguous) times f; the result is returned as the
-        transposed view of its (N_t, N_out) reshape.
+        One GEMV: the stack seen as an (N_t N, N) matrix (a view, as the
+        stack is C-contiguous) times f; the result is returned as the
+        transposed view of its (N_t, N) reshape.
         """
         n_t, n_out, n_in = self.matrices.shape
         flat = self.matrices.reshape(n_t * n_out, n_in)
         return (flat @ f_values).reshape(n_t, n_out).T
 
     def dual(self, u_values: np.ndarray) -> np.ndarray:
-        """(Tu)(s_i) = sum_k wt_k (D[k] @ u[:, k]) for samples u(r_j, t_k).
+        """(Tu)(s_i) = sum_k wt_k (M[k] @ u[:, k]) for samples u(r_j, t_k).
 
-        One batched matmul over the heights, each D[k] read in place against
+        One batched matmul over the heights, each M[k] read in place against
         its weighted column of u, then a sum over k.
         """
         wt = self.halfspace.heights.weights
-        v = (u_values * wt).T[:, :, None]             # (N_t, N_rad, 1)
-        return np.matmul(self.dual_matrices, v).sum(axis=0)[:, 0]
+        v = (u_values * wt).T[:, :, None]             # (N_t, N, 1)
+        return np.matmul(self.matrices, v).sum(axis=0)[:, 0]
 
 
 _OPERATOR_CACHE: dict = {}
-_CACHE_LIMIT = 12      # operators hold ~2 N_t N^2 doubles; cap the cache
+_CACHE_LIMIT = 12      # operators hold N_t N^2 doubles; cap the cache
 
 
 def _mesh_key(grid: RadialGrid) -> tuple:
@@ -257,31 +261,31 @@ def _mesh_key(grid: RadialGrid) -> tuple:
             grid.nodes.tobytes(), grid.weights.tobytes())
 
 
-def _matrix_stack(n: int, out_grid: RadialGrid, in_grid: RadialGrid,
-                  heights: RadialGrid) -> np.ndarray:
+def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:
     # one height per call: all heights at once would hold N_t N^2 temporaries
-    return np.stack([_kernel_matrix(partial(ring_kernel, n), out_grid.nodes,
-                                    in_grid, t) for t in heights.nodes])
+    return np.stack([_kernel_matrix(partial(ring_kernel, n), grid.nodes,
+                                    grid, t) for t in heights.nodes])
 
 
 def get_operator(n: int, boundary: RadialGrid,
                  halfspace: HalfspaceGrid) -> PoissonOperator:
-    """The operator for (n, boundary mesh, half-space mesh), built on a miss.
+    """The operator for (n, half-space mesh), built on a miss.
 
-    Keyed by mesh content, so it is shared by meshes built separately but
-    equal; the cache keeps the last ``_CACHE_LIMIT`` operators.
+    ``boundary`` must equal the radial mesh in content (DomainError if not).
+    Keyed by mesh content, so meshes built separately but equal share one
+    operator; the cache keeps the last ``_CACHE_LIMIT`` operators.
     """
     if boundary.d != n - 1 or halfspace.n != n:
         raise DomainError("grid dimensions are inconsistent with n")
     radial, heights = halfspace.radial, halfspace.heights
-    key = (n, _mesh_key(boundary), _mesh_key(radial), _mesh_key(heights))
+    key = (n, _mesh_key(radial), _mesh_key(heights))
+    if _mesh_key(boundary) != key[1]:
+        raise DomainError(
+            "boundary data must live on the half-space's radial mesh")
     op = _OPERATOR_CACHE.get(key)
     if op is not None:
         return op
-    mats = _matrix_stack(n, radial, boundary, heights)
-    dual_mats = (mats if key[1] == key[2]
-                 else _matrix_stack(n, boundary, radial, heights))
-    op = PoissonOperator(n, boundary, halfspace, mats, dual_mats)
+    op = PoissonOperator(n, halfspace, _matrix_stack(n, radial, heights))
     if len(_OPERATOR_CACHE) >= _CACHE_LIMIT:
         _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
     _OPERATOR_CACHE[key] = op
@@ -300,24 +304,20 @@ def _check_integrable(f: RadialFn) -> None:
 
 def poisson_extend(f: RadialFn, grid: HalfspaceGrid) -> AxisymFn:
     """Harmonic extension of radial boundary data onto a half-space mesh."""
-    n = grid.n
-    if f.grid.d != n - 1:
-        raise DomainError("boundary data dimension does not match the mesh")
     _check_integrable(f)
-    op = get_operator(n, f.grid, grid)
+    op = get_operator(grid.n, f.grid, grid)
     return AxisymFn(grid, op.extend(f.values))
 
 
-def dual_extend(u: AxisymFn, out_grid: RadialGrid) -> RadialFn:
-    """(Tu)(s) = integral of P(x, s) u(x) dx sampled on a boundary mesh.
+def dual_extend(u: AxisymFn) -> RadialFn:
+    """(Tu)(s) = integral of P(x, s) u(x) dx on the half-space's radial mesh.
 
-    The output mesh may differ from the half-space's radial mesh; the dual
-    matrices then come from the operator of that mesh pair.
+    The dual reads the same square stack as the extension, so its output
+    lives on ``u.grid.radial``, the mesh boundary data is extended from.
     """
-    n = u.grid.n
-    if out_grid.d != n - 1:
-        raise DomainError("output grid dimension does not match the mesh")
-    return RadialFn(out_grid, get_operator(n, out_grid, u.grid).dual(u.values))
+    radial = u.grid.radial
+    op = get_operator(u.grid.n, radial, u.grid)
+    return RadialFn(radial, op.dual(u.values))
 
 
 def extend_at(f: RadialFn, r, t) -> np.ndarray:
@@ -408,10 +408,10 @@ def commutator_gap(f: RadialFn, phi_lip: float, phi: RadialFn,
         raise DomainError("the commutator bound is stated for f >= 0")
     if phi.grid is not f.grid:
         raise DomainError("phi must be sampled on the same grid as f")
-    phif = RadialFn(f.grid, phi.values * f.values,
-                    phi.value_at_zero * f.value_at_zero,
-                    tail_exponent=f.tail_exponent)
-    lhs = np.abs(boundary_convolution(phif, t)
-                 - phi.values * boundary_convolution(f, t))
-    rhs = phi_lip * t * boundary_convolution(f, t, kernel="Q")
+    n, g = f.grid.d + 1, f.grid
+    P_t = _kernel_matrix(partial(ring_kernel, n), g.nodes, g, t)
+    Q_t = _kernel_matrix(partial(qt_ring, n), g.nodes, g, t)
+    lhs = np.abs(P_t @ (phi.values * f.values)
+                 - phi.values * (P_t @ f.values))
+    rhs = phi_lip * t * (Q_t @ f.values)
     return float(np.max(lhs - rhs))

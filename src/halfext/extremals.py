@@ -125,7 +125,7 @@ def _el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
     q = n * p / (n - 1)
     u = poisson_extend(f, hs_grid)
     power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
-    rhs = dual_extend(power, f.grid).values
+    rhs = dual_extend(power).values
     lhs = f.values ** (p - 1.0)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise DivergenceError("Euler-Lagrange sides are not finite")

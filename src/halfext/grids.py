@@ -7,9 +7,9 @@ weights that already include the surface Jacobian r^(d-1), so that
 
 Two node mappings are supported: ``tan`` (r = scale*tan(theta); the workhorse
 here because power-law tails become smooth on the mapped interval and the
-scale-1 node set is exactly closed under r -> 1/r) and ``exp``
-(r = -scale*log(1-u); much smaller truncation radius, suitable for rapidly
-decaying integrands only).
+scale-1 node set is exactly closed under r -> 1/r) and ``linear`` (Gauss
+nodes on the bounded interval (0, scale), the planar mesh of the
+rearrangement code).
 
 Boundary functions of |xi| live in RadialFn, axisymmetric half-space
 functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, and non-radial
@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator, RectBivariateSpline
 
 from .errors import DivergenceError, DomainError
 from .kernel import sphere_area
-from .quadrature import gauss_legendre, half_line_rule
+from .quadrature import half_line_rule, panel_rule
 
 _TAIL_FIT_MIN_POINTS = 6
 
@@ -56,6 +56,8 @@ class RadialGrid:
             raise DomainError("nodes must be strictly increasing and positive")
         if np.any(self.weights < 0.0):
             raise DomainError("weights must be nonnegative")
+        if self.mapping not in ("tan", "linear"):
+            raise DomainError(f"unknown mapping {self.mapping!r}")
 
     @property
     def size(self) -> int:
@@ -71,9 +73,7 @@ class RadialGrid:
         r = np.asarray(r, dtype=float)
         if self.mapping == "tan":
             return np.arctan(r / self.scale)
-        if self.mapping == "linear":
-            return r / self.scale
-        return np.log1p(r / self.scale)
+        return r / self.scale
 
     def local_spacing(self, r):
         """Approximate node spacing of the mesh near radius r."""
@@ -81,10 +81,7 @@ class RadialGrid:
         if self.mapping == "tan":
             dtheta = (np.pi / 2.0) / self.size
             return self.scale * dtheta * (1.0 + (r / self.scale) ** 2)
-        if self.mapping == "linear":
-            return np.full_like(r, self.scale / self.size)
-        du = 1.0 / self.size
-        return self.scale * du * np.exp(r / self.scale)
+        return np.full_like(r, self.scale / self.size)
 
     def quad(self, samples) -> float:
         """Apply the grid rule: sum_i w_i * samples_i."""
@@ -93,10 +90,10 @@ class RadialGrid:
 
 def build_radial_grid(d: int, N: int, mapping: str = "tan",
                       scale: float = 1.0) -> RadialGrid:
-    """Gauss-Legendre mesh on (0, inf) mapped onto a finite interval.
+    """Gauss-Legendre mesh for radial integrals on R^d.
 
-    tan: r = scale*tan(theta), theta in (0, pi/2); exp: r = -scale*log(1-u),
-    u in (0, 1).  The weights include the r^(d-1) surface Jacobian.
+    tan: r = scale*tan(theta), theta in (0, pi/2); linear: r in (0, scale).
+    The weights include the r^(d-1) surface Jacobian.
     """
     if d < 1 or int(d) != d:
         raise DomainError(f"dimension d must be a positive integer, got {d}")
@@ -104,21 +101,13 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan",
         raise DomainError(f"need at least 16 nodes, got N={N}")
     if scale <= 0.0:
         raise DomainError(f"scale must be positive, got {scale}")
-    x, w = gauss_legendre(N)
     if mapping == "tan":
         nodes, dr = half_line_rule(0.0, scale, N)
-    elif mapping == "exp":
-        u = 0.5 * (x + 1.0)
-        nodes = -scale * np.log1p(-u)
-        dr = scale * (0.5 * w) / (1.0 - u)
-    elif mapping == "linear":
-        # bounded mesh on [0, scale] with near-uniform cells: for planar
-        # convolution work where every cell must resolve the kernel width
-        nodes = scale * 0.5 * (x + 1.0)
-        dr = scale * 0.5 * w
     else:
-        raise DomainError(
-            f"unknown mapping {mapping!r} (use 'tan', 'exp' or 'linear')")
+        # linear (RadialGrid rejects other names): bounded mesh on [0, scale]
+        # with near-uniform cells, for planar convolution work where every
+        # cell must resolve the kernel width
+        nodes, dr = panel_rule(0.0, scale, N)
     weights = dr * nodes ** (d - 1)
     return RadialGrid(d=d, nodes=nodes, weights=weights, r_max=float(nodes[-1]),
                       mapping=mapping, scale=scale)

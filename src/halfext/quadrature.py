@@ -2,10 +2,10 @@
 
 Everything here returns plain ``(nodes, weights)`` pairs; ``composite_rules``
 also returns where each list's rule starts, so callers build the rules of many
-points in one pass.  The half-line rules
-use the substitution r = scale * tan(theta) (or an exponential stretch), which
-turns algebraically decaying integrands into smooth functions on a finite
-interval, so a single global Gauss rule converges spectrally.
+points in one pass.  The half-line rules use the substitution
+r = scale * tan(theta), which turns algebraically decaying integrands into
+smooth functions on a finite interval, so a single global Gauss rule
+converges spectrally.
 
 The composite "peak" rule resolves Lorentzian-type features of prescribed
 width (the Poisson kernel develops an O(1/t) spike on the diagonal as the

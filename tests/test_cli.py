@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from halfext.cli import main, read_fixture
+from halfext.cli import ExperimentConfig, _write_fixture, main, read_fixture
 
 
 def run_cli(args):
@@ -34,6 +34,17 @@ def test_unknown_experiment_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "not-an-experiment"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--grid-n", "8"], ["--p", "0.5"],
+                                   ["--n", "1"]], ids=["grid-n", "p", "n"])
+def test_invalid_config_usage_error(tmp_path, capsys, flags):
+    # values the config rejects are usage errors: exit 2, a one-line
+    # message, and no summary written
+    out = tmp_path / "bad"
+    assert run_cli(["run", "verify-kernel", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "summary.json").exists()
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -78,9 +89,9 @@ def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
     heights = []
     build = extension._matrix_stack
 
-    def counted(n, out_grid, in_grid, hs_heights):
+    def counted(n, grid, hs_heights):
         heights.append(hs_heights.size)
-        return build(n, out_grid, in_grid, hs_heights)
+        return build(n, grid, hs_heights)
 
     monkeypatch.setattr(extension, "_matrix_stack", counted)
     run_cli(["run", "solve-el", "--grid-n", "64", "--height-n", "40",
@@ -101,9 +112,10 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
-    # a misspelt key, and the removed normalization and damping options
+    # a misspelt key, and the removed normalization, damping and
+    # quad_order options
     for entry in ({"grid_m": 96}, {"normalization": "mass_half"},
-                  {"damping": 0.5}):
+                  {"damping": 0.5}, {"quad_order": 64}):
         cfg.write_text(json.dumps(entry))
         assert run_cli(["run", "verify-kernel", "--config", str(cfg)]) == 2
 
@@ -184,6 +196,18 @@ def test_fixture_roundtrip(tmp_path, monkeypatch):
     val = read_fixture("c[n=3,p=4]")
     summary = load_summary(out)
     assert val == pytest.approx(summary["results"]["c_estimate"], rel=1e-15)
+    # a file written with the older quad_order column still merges: its
+    # rows keep their values and lose that column
+    path = tmp_path / "fx" / "derived_constants.csv"
+    path.write_text("key,value,grid_n,height_n,quad_order\n"
+                    '"c[n=3,p=2]",0.5346924788744238,160,96,64\n')
+    _write_fixture("c[n=3,p=4]", val, ExperimentConfig("estimate-constant"))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [list(row) for row in rows] == [["key", "value", "grid_n",
+                                            "height_n"]] * 2
+    assert read_fixture("c[n=3,p=2]") == 0.5346924788744238
+    assert read_fixture("c[n=3,p=4]") == val
 
 
 def test_shipped_fixtures_consistent():

@@ -108,7 +108,7 @@ def test_dual_bound_random_battery(boundary3, halfspace3, rng):
             e = rng.uniform(1.4, 2.2)
             u = AxisymFn(halfspace3,
                          (a + R ** 2 + (T + b) ** 2) ** -e)
-            g = dual_extend(u, boundary3)
+            g = dual_extend(u)
             ratios.append(lp_norm_boundary(g, target)
                           / lp_norm_halfspace(u, p))
         ratios = np.asarray(ratios)

@@ -103,7 +103,7 @@ def test_extension_divergence_guard(boundary3, halfspace3):
 def test_dual_zero(boundary3, halfspace3):
     shape = (halfspace3.radial.size, halfspace3.heights.size)
     zero = AxisymFn(halfspace3, np.zeros(shape))
-    assert not np.any(dual_extend(zero, boundary3).values)
+    assert not np.any(dual_extend(zero).values)
 
 
 def test_duality_pairing(boundary3, halfspace3):
@@ -113,43 +113,48 @@ def test_duality_pairing(boundary3, halfspace3):
                        indexing="ij")
     u = AxisymFn(halfspace3, (1 + R ** 2 + (T + 0.5) ** 2) ** -2.0)
     lhs = float(np.dot(boundary3.sphere * boundary3.weights,
-                       dual_extend(u, boundary3).values * f.values))
+                       dual_extend(u).values * f.values))
     rhs = float(np.sum(halfspace3.cell_measures() * u.values
                        * poisson_extend(f, halfspace3).values))
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
-def test_dual_cross_grid(boundary3, halfspace3):
-    # dual onto an independent output mesh stays consistent
-    out = build_radial_grid(2, 96, "tan", 1.3)
-    R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
-                       indexing="ij")
-    u = AxisymFn(halfspace3, (R ** 2 + (T + 1) ** 2) ** -2.0)
-    g1 = dual_extend(u, boundary3)
-    g2 = dual_extend(u, out)
-    probe = np.array([0.3, 1.0, 3.0])
-    # two independent meshes and an interpolated comparison: a few 1e-6
-    assert np.allclose(g1.eval(probe), g2.eval(probe), rtol=1e-5)
+def test_operator_rejects_foreign_boundary_mesh():
+    # boundary data lives on the half-space's radial mesh: a boundary mesh
+    # with other content has no operator, in either direction
+    g = build_radial_grid(2, 24, "tan", 1.0)
+    hs = default_halfspace_grid(g, 16)
+    for other in (build_radial_grid(2, 24, "tan", 1.3),
+                  build_radial_grid(2, 32, "tan", 1.0)):
+        with pytest.raises(DomainError, match="radial mesh"):
+            get_operator(3, other, hs)
+        with pytest.raises(DomainError, match="radial mesh"):
+            poisson_extend(dual_data(other), hs)
+    u = AxisymFn(hs, np.ones((g.size, hs.heights.size)))
+    assert dual_extend(u).grid is g
 
 
-@pytest.mark.parametrize("cross", [False, True], ids=["same", "cross"])
+@pytest.mark.parametrize("boundary", ["same", "equal"])
 @pytest.mark.parametrize("n", [3, 4])
-def test_contractions_match_per_height_loop(n, cross):
+def test_contractions_match_per_height_loop(n, boundary):
     # the BLAS contractions against an explicit loop over the heights, on
-    # the square same-mesh stack and on the 96-vs-160-node cross-grid pair
+    # the one square stack; boundary data on the radial mesh itself or on a
+    # separately built equal mesh reads the same operator
     radial = build_radial_grid(n - 1, 160, "tan", 1.0)
     hs = default_halfspace_grid(radial)
-    boundary = build_radial_grid(n - 1, 96, "tan", 1.3) if cross else radial
-    op = get_operator(n, boundary, hs)
-    # C-contiguous stacks: the reshape in extend is a view, not a copy
+    bnd = (radial if boundary == "same"
+           else build_radial_grid(n - 1, 160, "tan", 1.0))
+    op = get_operator(n, bnd, hs)
+    assert op is get_operator(n, radial, hs)
+    # a C-contiguous stack: the reshape in extend is a view, not a copy
     assert op.matrices.flags.c_contiguous
-    assert op.dual_matrices.flags.c_contiguous
+    assert op.dual_matrices is op.matrices
     rng = np.random.default_rng(n)
-    f = rng.uniform(0.5, 1.5, boundary.size)
+    f = rng.uniform(0.5, 1.5, radial.size)
     u = rng.uniform(0.5, 1.5, (radial.size, hs.heights.size))
     wt = hs.heights.weights
     ext = np.stack([M @ f for M in op.matrices], axis=1)
-    dual = sum(wt[k] * (D @ u[:, k]) for k, D in enumerate(op.dual_matrices))
+    dual = sum(wt[k] * (M @ u[:, k]) for k, M in enumerate(op.matrices))
     got_ext, got_dual = op.extend(f), op.dual(u)
     assert got_ext.shape == ext.shape and got_dual.shape == dual.shape
     assert np.max(np.abs(got_ext - ext)) <= 1e-13 * np.max(np.abs(ext))
@@ -164,7 +169,7 @@ def test_operator_cache_keyed_by_mesh_content():
     op = get_operator(3, g1, default_halfspace_grid(g1, 16))
     assert get_operator(3, g2, default_halfspace_grid(g2, 16)) is op
     assert op.dual_matrices is op.matrices
-    for mapping, scale in (("tan", 2.0), ("exp", 1.0)):
+    for mapping, scale in (("tan", 2.0), ("linear", 1.0)):
         other = RadialGrid(2, g1.nodes.copy(), g1.weights.copy(), g1.r_max,
                            mapping=mapping, scale=scale)
         assert get_operator(3, other, default_halfspace_grid(other, 16)) \
@@ -176,7 +181,7 @@ def test_dual_monte_carlo_oracle(boundary3, halfspace3, rng):
     R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
                        indexing="ij")
     u = AxisymFn(halfspace3, (R ** 2 + (T + 1) ** 2) ** -2.0)
-    got = dual_extend(u, boundary3)
+    got = dual_extend(u)
     m = 4_000_000
     us, vs = rng.random((2, m))
     t = vs / (1 - vs)
@@ -333,7 +338,7 @@ def test_dual_bound_scaling(boundary3, halfspace3, rng):
         vals = lam ** (-3 / p) * ((0.5 + (R / lam) ** 2
                                    + (T / lam + 0.7) ** 2) ** -1.6)
         u = AxisymFn(halfspace3, vals)
-        g = dual_extend(u, boundary3)
+        g = dual_extend(u)
         num = lp_norm_boundary(g, target)
         den = lp_norm_halfspace(u, p)
         ratios.append(num / den)

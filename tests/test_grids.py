@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
-from halfext.grids import (AxisymFn, PolarGrid, RadialFn, build_radial_grid,
-                           default_halfspace_grid, dilate_boundary,
-                           distribution_mass, lp_norm_boundary,
-                           lp_norm_halfspace, radial_fn_from_csv,
-                           sample_radial, weak_lp_norm)
+from halfext.grids import (AxisymFn, PolarGrid, RadialFn, RadialGrid,
+                           build_radial_grid, default_halfspace_grid,
+                           dilate_boundary, distribution_mass,
+                           lp_norm_boundary, lp_norm_halfspace,
+                           radial_fn_from_csv, sample_radial, weak_lp_norm)
 
 
 def test_tan_grid_gaussian():
@@ -30,11 +30,6 @@ def test_tan_grid_coarse():
     assert g.quad(np.exp(-g.nodes ** 2)) == pytest.approx(0.5, abs=1e-4)
 
 
-def test_exp_grid_gaussian():
-    g = build_radial_grid(2, 64, "exp", 1.0)
-    assert g.quad(np.exp(-g.nodes ** 2)) == pytest.approx(0.5, abs=1e-10)
-
-
 def test_linear_grid_bounded():
     g = build_radial_grid(2, 64, "linear", 3.0)
     assert g.r_max <= 3.0
@@ -48,6 +43,17 @@ def test_grid_validation():
         build_radial_grid(2, 8)
     with pytest.raises(DomainError):
         build_radial_grid(2, 64, "nope")
+
+
+def test_radial_grid_rejects_unknown_mapping():
+    # the mapping picks the stencil coordinate and the spacing estimate; a
+    # mesh whose mapping names neither of the two rules has neither
+    g = build_radial_grid(2, 24)
+    for mapping in ("tna", "exp"):
+        with pytest.raises(DomainError, match="unknown mapping"):
+            RadialGrid(2, g.nodes, g.weights, g.r_max, mapping=mapping)
+    for mapping in ("tan", "linear"):
+        RadialGrid(2, g.nodes, g.weights, g.r_max, mapping=mapping)
 
 
 def test_grid_refinement_invariant():
@@ -314,10 +320,11 @@ def test_weak_type_constant_sweep(boundary3, halfspace3):
     assert 0.0 < max(consts) < 10.0
 
 
-def test_exp_grid_truncation_guard():
-    # the exp mapping truncates near r ~ 9: slowly decaying data must be
-    # rejected rather than silently mis-integrated
-    g = build_radial_grid(2, 128, "exp", 1.0)
-    f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0, tail_exponent=2.0)
-    with pytest.raises((DomainError, DivergenceError)):
-        lp_norm_boundary(f, 1.5)
+def test_truncation_guard():
+    # p * beta = 2.1 barely exceeds d = 2: the tail beyond the last node
+    # carries more than 1% of the integral, so the norm must be rejected
+    # rather than silently mis-integrated
+    g = build_radial_grid(2, 128)
+    f = sample_radial(g, lambda r: (1 + r ** 2) ** -0.525, tail_exponent=1.05)
+    with pytest.raises(DomainError, match="truncation tail exceeds 1%"):
+        lp_norm_boundary(f, 2.0)

@@ -154,18 +154,18 @@ def test_scaling_covariance_of_iteration_map(boundary3, halfspace3):
                                               "tan", lam))
     assert np.allclose(g2.nodes, lam * boundary3.nodes, rtol=1e-14)
 
-    def update(fn, grid, hs):
+    def update(fn, hs):
         u = poisson_extend(fn, hs)
         rhs = dual_extend(
-            AxisymFn(hs, np.maximum(u.values, 0.0) ** (q - 1.0)), grid)
+            AxisymFn(hs, np.maximum(u.values, 0.0) ** (q - 1.0)))
         return rhs.values ** (1.0 / (p - 1.0))
 
     d = boundary3.d
     f_dil = RadialFn(g2, lam ** (-d / p) * f.values,
                      value_at_zero=lam ** (-d / p) * f.value_at_zero,
                      tail_exponent=f.tail_exponent, nonnegative=True)
-    lhs = update(f_dil, g2, hs2)                     # at nodes lam * r_j
-    base = update(f, boundary3, halfspace3)
+    lhs = update(f_dil, hs2)                         # at nodes lam * r_j
+    base = update(f, halfspace3)
     rhs = lam ** (-d / p) * base                     # (M f)^{lam,0}(lam r_j)
     core = boundary3.nodes <= 50.0
     rel = np.abs(lhs - rhs) / np.abs(rhs)
