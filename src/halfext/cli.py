@@ -1,11 +1,13 @@
 """Batch experiment driver with reproducible config and JSON/CSV output.
 
 Usage:
-    halfext run <experiment> [flags]
+    halfext run <experiment> [--config FILE] [flags]
 
 Experiments: verify-kernel, verify-identities, weak-type-sweep,
 estimate-constant, solve-el, rearrange-demo, classify-radial,
-conformal-invariance.
+conformal-invariance.  Every field of ExperimentConfig but the experiment is
+a flag of the same name with dashes (``grid_n`` is ``--grid-n``), and its
+default there is the only one.
 
 Each run writes ``summary.json`` (every check with value/target/tolerance,
 the fully resolved config, and a separate ``meta`` field holding timestamps
@@ -15,9 +17,9 @@ and ``profile.csv`` where the experiment produces them; solve-el writes its
 pass, 1 numerical failure, 2 usage error.
 
 A flat JSON config file can seed any flag; explicit command-line flags win.
-The environment variable HALFEXT_FIXTURES points to the directory holding
-the derived-constants fixture CSV (default ./fixtures); --write-fixtures
-regenerates the entries an experiment derives.
+Invalid values, from either source, are usage errors.  The derived-constants
+fixture is written by scripts/reproduce_constants.py from the summaries of
+its runs, not by the CLI.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .solver import (SolverConfig, ascent_estimate_constant,
 EXPERIMENTS = ("verify-kernel", "verify-identities", "weak-type-sweep",
                "estimate-constant", "solve-el", "rearrange-demo",
                "classify-radial", "conformal-invariance")
+INITS = ("gaussian", "bump", "extremal")     # solve-el starts
 
 
 @dataclass
@@ -65,15 +68,20 @@ class ExperimentConfig:
     init: str = "gaussian"
     max_iters: int = 300
     tol_residual: float = 5e-5
-    write_fixtures: bool = False
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise HalfextError(f"unknown experiment {self.experiment!r}")
+        if self.init not in INITS:
+            raise HalfextError(
+                f"unknown init {self.init!r}; use one of {INITS}")
         if self.n < 2 or self.grid_n < 16 or self.height_n < 16:
             raise HalfextError("invalid dimension or grid sizes")
         if not (1.0 < self.p):
             raise HalfextError(f"p must exceed 1, got {self.p}")
+        if self.trials < 1 or self.max_iters < 1 or not self.tol_residual > 0:
+            raise HalfextError("trials, max_iters and tol_residual must be "
+                               "positive")
 
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iters=self.max_iters,
@@ -228,7 +236,7 @@ def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g = _boundary_grid(cfg)
     hs = default_halfspace_grid(g, cfg.height_n)
-    est = ascent_estimate_constant(n, p, cfg.trials, cfg.solver(), g, hs)
+    est = ascent_estimate_constant(n, p, cfg.trials, cfg.solver(), hs)
     summary_extra = {"c_estimate": est}
     family = _closed_form_family(n, p)
     if family is not None:
@@ -238,8 +246,6 @@ def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
         summary_extra["rel_err"] = abs(est - closed) / closed
     else:
         checks.bound("c_estimate_positive", est, 0.0, upper=False)
-    if cfg.write_fixtures:
-        _write_fixture(f"c[n={n},p={p:.10g}]", est, cfg)
     return summary_extra
 
 
@@ -257,14 +263,12 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         init = RadialFn(g, np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
                         value_at_zero=1.0, tail_exponent=np.inf,
                         nonnegative=True)
-    elif cfg.init == "extremal":
+    else:   # "extremal", the only other choice validate() admits
         if n < 3:
             raise HalfextError("extremal starts need n >= 3")
         # start from the other family's extremal
         kind = "dual" if family == "conformal" else "conformal"
         init = extremal_profile(ExtremalSpec(n, kind), g)
-    else:
-        raise HalfextError(f"unknown init {cfg.init!r}")
     try:
         sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
     except SolverDivergence as exc:
@@ -286,8 +290,6 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         extra.update({"family": family, "lambda": lam, "amplitude": amp,
                       "family_constant": family_c,
                       "family_match_error": err})
-    if cfg.write_fixtures and family is not None:
-        _write_fixture(f"el_family_constant[{family},n={n}]", family_c, cfg)
     return extra
 
 
@@ -413,40 +415,6 @@ RUNNERS = {
 
 # ----------------------------------------------------------------- plumbing
 
-def fixtures_dir() -> str:
-    return os.environ.get("HALFEXT_FIXTURES", "fixtures")
-
-
-def _write_fixture(key: str, value: float, cfg: ExperimentConfig) -> None:
-    path = os.path.join(fixtures_dir(), "derived_constants.csv")
-    os.makedirs(fixtures_dir(), exist_ok=True)
-    rows = {}
-    if os.path.exists(path):
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows[row["key"]] = row
-    rows[key] = {"key": key, "value": repr(float(value)),
-                 "grid_n": str(cfg.grid_n), "height_n": str(cfg.height_n)}
-    with open(path, "w", newline="") as fh:
-        # rows read from an older file may carry columns no longer written
-        writer = csv.DictWriter(fh, ["key", "value", "grid_n", "height_n"],
-                                extrasaction="ignore")
-        writer.writeheader()
-        for key in sorted(rows):
-            writer.writerow(rows[key])
-
-
-def read_fixture(key: str):
-    path = os.path.join(fixtures_dir(), "derived_constants.csv")
-    if not os.path.exists(path):
-        return None
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["key"] == key:
-                return float(row["value"])
-    return None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfext", description="sharp Poisson-extension experiments")
@@ -454,18 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("experiment", choices=EXPERIMENTS)
     run.add_argument("--config", help="flat JSON config file")
-    run.add_argument("--n", type=int)
-    run.add_argument("--p", type=float)
-    run.add_argument("--grid-n", dest="grid_n", type=int)
-    run.add_argument("--height-n", dest="height_n", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out")
-    run.add_argument("--init", choices=("gaussian", "bump", "extremal"))
-    run.add_argument("--max-iters", dest="max_iters", type=int)
-    run.add_argument("--tol-residual", dest="tol_residual", type=float)
-    run.add_argument("--write-fixtures", dest="write_fixtures",
-                     action="store_true", default=None)
+    for f in fields(ExperimentConfig)[1:]:
+        # unset flags parse to None, so the config file or the default holds
+        run.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                         help=f"default {f.default!r}")
     return parser
 
 

@@ -28,7 +28,7 @@ discretized operator whose height cannot be resolved by the radial mesh are
 rebuilt with geometrically refined panels around the diagonal, composed with
 a local cubic interpolation stencil, so the operator stays a plain matrix.
 One row rule, ``_kernel_matrix``, builds every such matrix: the operator's
-per-height stacks, ``boundary_convolution`` (P_t or Q_t at one height) and
+per-height stacks, ``boundary_convolution`` (P_t at one height) and
 ``extend_at`` (one height per point), so all three agree row for row.
 
 Every per-point panel quadrature here (refined rows, kernel mass, the
@@ -354,13 +354,13 @@ def kernel_mass(n: int, s: float, t: float) -> float:
     return float(_kernel_mass_many(n, np.asarray([s]), t)[0])
 
 
-def slab_mass(f: RadialFn, a: float, n_heights: int = 24) -> float:
+def slab_mass(f: RadialFn, a: float) -> float:
     """Integral of Pf over the slab {0 < x_n < a}.
 
     Computed honestly: the spatial integral at each height uses diagonal-
     refined panels (independently of the Fubini identity it is meant to
-    check), then Gauss quadrature in the height.  For f >= 0 with unit mass
-    the result equals a.
+    check), then 24-point Gauss quadrature in the height.  For f >= 0 with
+    unit mass the result equals a.
     """
     if a <= 0.0:
         raise DomainError(f"slab height must be positive, got {a}")
@@ -368,7 +368,7 @@ def slab_mass(f: RadialFn, a: float, n_heights: int = 24) -> float:
         raise DomainError("slab mass is defined for nonnegative data")
     _check_integrable(f)
     n = f.grid.d + 1
-    x, w = gauss_legendre(n_heights)
+    x, w = gauss_legendre(24)
     t_nodes = 0.5 * a * (x + 1.0)
     t_weights = 0.5 * a * w
     sphere = f.grid.sphere
@@ -380,15 +380,11 @@ def slab_mass(f: RadialFn, a: float, n_heights: int = 24) -> float:
     return total
 
 
-def boundary_convolution(f: RadialFn, t: float,
-                         kernel: str = "P") -> np.ndarray:
-    """(P_t * f) or (Q_t * f) sampled on f's own grid (radial data only)."""
+def boundary_convolution(f: RadialFn, t: float) -> np.ndarray:
+    """(P_t * f) sampled on f's own grid (radial data only)."""
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
-    rings = {"P": ring_kernel, "Q": qt_ring}
-    if kernel not in rings:
-        raise DomainError(f"unknown kernel {kernel!r}")
-    ring = partial(rings[kernel], f.grid.d + 1)
+    ring = partial(ring_kernel, f.grid.d + 1)
     return _kernel_matrix(ring, f.grid.nodes, f.grid, t) @ f.values
 
 

@@ -38,6 +38,9 @@ from .kernel import unit_ball_volume
 from .quadrature import (composite_rule, composite_rules, peak_breaks,
                          zero_refined_breaks)
 
+# Gauss order of every panel in the singular-solution quadratures
+_ORDER = 16
+
 
 @dataclass(frozen=True)
 class ExtremalSpec:
@@ -153,18 +156,17 @@ def el_residual(f: RadialFn, n: int, p: float,
 
 
 def normalize_el(f: RadialFn, n: int, p: float,
-                 hs_grid: HalfspaceGrid | None = None,
-                 shape_tol: float = 0.05) -> float:
+                 hs_grid: HalfspaceGrid | None = None) -> float:
     """Amplitude a minimizing the Euler-Lagrange defect of a*f.
 
     The two sides scale as a^(p-1) and a^(np/(n-1)-1), so the optimum is the
-    geometric mean of (rhs/lhs)^(1/(p-q)).  Warns when the pointwise ratio is
-    not constant (f does not have the right shape); the returned amplitude is
-    then best-effort.
+    geometric mean of (rhs/lhs)^(1/(p-q)).  Warns when the pointwise log-ratio
+    varies by more than 0.05 (f does not have the right shape); the returned
+    amplitude is then best-effort.
     """
     lhs, rhs = el_sides(f, n, p, hs_grid)
     a, _, spread = _calibrate(n, p, lhs, rhs)
-    if spread > shape_tol:
+    if spread > 0.05:
         warnings.warn(
             f"Euler-Lagrange ratio varies by {spread:.2e} across the mesh; "
             "f is not a solution shape, amplitude is best-effort",
@@ -212,8 +214,7 @@ def calibrated_residual(f: RadialFn, n: int, p: float,
         return math.inf
 
 
-def _power_law_extension(n: int, beta: float, r_pts, t_pts,
-                         order: int = 16) -> np.ndarray:
+def _power_law_extension(n: int, beta: float, r_pts, t_pts) -> np.ndarray:
     """(P s^-beta)(r, t) at points, panels refined at the diagonal and s = 0.
 
     The breakpoints of all points are built as arrays, the rules come from
@@ -229,7 +230,7 @@ def _power_law_extension(n: int, beta: float, r_pts, t_pts,
     breaks = np.sort(np.hstack([peak_breaks(r_pts, width, 0.0, hi),
                                 zero_refined_breaks(lo_feature, hi)]), axis=1)
     s, w, offsets = composite_rules(
-        breaks, order, tail_scales=np.maximum(np.maximum(r_pts, t_pts), 1.0))
+        breaks, _ORDER, tail_scales=np.maximum(np.maximum(r_pts, t_pts), 1.0))
     counts = np.diff(offsets)
     r_rep = np.repeat(r_pts, counts)
     t_rep = np.repeat(t_pts, counts)
@@ -237,25 +238,24 @@ def _power_law_extension(n: int, beta: float, r_pts, t_pts,
     return np.add.reduceat(contrib, offsets[:-1])
 
 
-def _power_extension_angular_profile(n: int, beta: float, order: int,
-                                     n_theta: int = 192):
+def _power_extension_angular_profile(n: int, beta: float):
     """Angular factor phi with (P s^-beta)(x) = |x|^-beta * phi(theta).
 
     The extension of a pure power is exactly homogeneous, so one profile on
     the unit quarter-circle determines it everywhere; phi is smooth up to
-    the boundary angle (where it equals 1, the boundary trace).
+    the boundary angle (where it equals 1, the boundary trace), and a cubic
+    spline through 192 equispaced angles carries it.
     """
     from scipy.interpolate import CubicSpline
-    theta = np.linspace(0.0, 0.5 * np.pi, n_theta)
-    vals = np.empty(n_theta)
+    theta = np.linspace(0.0, 0.5 * np.pi, 192)
+    vals = np.empty(theta.size)
     vals[0] = 1.0
     vals[1:] = _power_law_extension(n, beta, np.cos(theta[1:]),
-                                    np.sin(theta[1:]), order)
+                                    np.sin(theta[1:]))
     return CubicSpline(theta, np.log(vals))
 
 
-def singular_constant(n: int, p: float, r0: float = 1.0,
-                      order: int = 16) -> float:
+def singular_constant(n: int, p: float, r0: float = 1.0) -> float:
     """Scalar c such that c*|xi|^(-(n-1)/p) formally solves the EL system.
 
     Both sides are homogeneous of the same degree, so matching them at the
@@ -270,18 +270,18 @@ def singular_constant(n: int, p: float, r0: float = 1.0,
     beta = (n - 1) / p
     q = n * p / (n - 1)
     d = n - 1
-    log_phi = _power_extension_angular_profile(n, beta, order)
+    log_phi = _power_extension_angular_profile(n, beta)
 
     # I(r0) = int K(r0, rho cos, rho sin) (rho^-beta phi)^(q-1)
     #             (rho cos)^(d-1) rho drho dtheta
     theta_breaks = zero_refined_breaks(np.pi / 512.0, 0.5 * np.pi, levels=10)
-    th, wth = composite_rule(theta_breaks, order)
+    th, wth = composite_rule(theta_breaks, _ORDER)
     phi_pow = np.exp(log_phi(th)) ** (q - 1.0)
     hi = max(8.0 * r0, 16.0)
     peaks = peak_breaks(r0, np.maximum(r0 * np.sin(th), 1e-8 * r0), 0.0, hi)
     zero = zero_refined_breaks(np.full(th.shape, r0 / 256.0), hi)
     breaks = np.sort(np.hstack([peaks, zero]), axis=1)
-    rho, w, offsets = composite_rules(breaks, order, tail_scales=max(r0, 1.0))
+    rho, w, offsets = composite_rules(breaks, _ORDER, tail_scales=max(r0, 1.0))
     counts = np.diff(offsets)
     th_rep = np.repeat(th, counts)
     wth_rep = np.repeat(wth, counts)

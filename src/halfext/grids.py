@@ -283,7 +283,6 @@ class AxisymFn:
 
     grid: HalfspaceGrid
     values: np.ndarray
-    _spline: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -293,21 +292,15 @@ class AxisymFn:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("values must be finite")
 
-    def _build_spline(self):
-        xs = self.grid.radial.parameter(self.grid.radial.nodes)
-        ys = self.grid.heights.parameter(self.grid.heights.nodes)
-        self._spline = RectBivariateSpline(xs, ys, self.values, kx=3, ky=3)
-
     def eval(self, r, t, clamp: bool = False):
         """Bicubic evaluation in mapped coordinates.
 
         Heights below the first mesh node are boundary-trace territory and are
         rejected unless ``clamp`` is set (then values are clamped to the first
         height row; callers that integrate over vanishing-measure regions use
-        this, see halfspace_inversion).
+        this, see halfspace_inversion).  The spline is built on each call:
+        callers evaluate once per function, every point in one call.
         """
-        if self._spline is None:
-            self._build_spline()
         r = np.atleast_1d(np.asarray(r, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         t_min = self.grid.heights.nodes[0]
@@ -320,9 +313,11 @@ class AxisymFn:
         t = np.maximum(t, t_min)
         r = np.minimum(r, self.grid.radial.r_max)
         t = np.minimum(t, self.grid.heights.r_max)
-        out = self._spline.ev(self.grid.radial.parameter(r),
-                              self.grid.heights.parameter(t))
-        return out
+        radial, heights = self.grid.radial, self.grid.heights
+        spline = RectBivariateSpline(radial.parameter(radial.nodes),
+                                     heights.parameter(heights.nodes),
+                                     self.values, kx=3, ky=3)
+        return spline.ev(radial.parameter(r), heights.parameter(t))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

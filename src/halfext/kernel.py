@@ -89,11 +89,11 @@ def poisson_kernel(n: int, x, xi) -> float:
     return float(pt_profile(n, xn, rho))
 
 
-def pt_lp_norm(n: int, p: float, t: float, quad_order: int = 128) -> float:
+def pt_lp_norm(n: int, p: float, t: float) -> float:
     """L^p(R^{n-1}) norm of P_t.
 
-    Finite p: radial quadrature under rho = t*tan(theta) (Gauss-Legendre of
-    the given order on the mapped interval).  p = inf: the closed-form peak
+    Finite p: radial quadrature under rho = t*tan(theta) (128-point
+    Gauss-Legendre on the mapped interval).  p = inf: the closed-form peak
     value 2/(n omega_n t^{n-1}).  Diverges for p <= (n-1)/n.
     """
     _check_dim(n)
@@ -105,6 +105,6 @@ def pt_lp_norm(n: int, p: float, t: float, quad_order: int = 128) -> float:
     if math.isinf(p):
         return kernel_constant(n) / t ** (n - 1)
     d = n - 1
-    rho, jac = half_line_rule(0.0, t, quad_order)
+    rho, jac = half_line_rule(0.0, t, 128)
     integrand = pt_profile(n, t, rho) ** p * rho ** (d - 1)
     return float((sphere_area(d) * np.dot(jac, integrand)) ** (1.0 / p))

@@ -70,13 +70,12 @@ def _reciprocal_grid(out_grid: RadialGrid, in_grid: RadialGrid) -> bool:
     return bool(np.all(np.abs(prod - 1.0) < 1e-9))
 
 
-def boundary_inversion(f: RadialFn, spec: InversionSpec,
-                       out_grid: RadialGrid, n_angles: int = 64):
+def boundary_inversion(f: RadialFn, spec: InversionSpec, out_grid: RadialGrid):
     """Samples of |xi|^alpha * f(xi/|xi|^2 - shift*e_1).
 
     Shift-free inversions of radial data return a RadialFn (exactly, by node
     reflection, when the meshes are reciprocal); shifted inversions return a
-    PolarFn on (out_grid x n_angles).
+    PolarFn on (out_grid x 64 angles).
     """
     a = spec.alpha
     if spec.shift == 0.0:
@@ -100,7 +99,7 @@ def boundary_inversion(f: RadialFn, spec: InversionSpec,
         else:
             v0 = math.nan
         return RadialFn(out_grid, vals, value_at_zero=v0, tail_exponent=tail)
-    pg = PolarGrid(out_grid, n_angles)
+    pg = PolarGrid(out_grid, 64)
     s = out_grid.nodes[:, None]
     phi = pg.angles[None, :]
     c = spec.shift

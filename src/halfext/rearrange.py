@@ -79,28 +79,24 @@ def superlevel_measure(values, measures, level: float) -> float:
     return float(np.sum(measures[values > level]))
 
 
-def planar_convolution(f: PolarFn, n: int, t: float,
-                       out_grid: PolarGrid | None = None) -> PolarFn:
-    """(P_t * f) on the plane by direct cell quadrature (n = 3 only)."""
+def planar_convolution(f: PolarFn, n: int, t: float) -> PolarFn:
+    """(P_t * f) at f's own cells by direct cell quadrature (n = 3 only)."""
     if n != 3:
         raise DomainError("planar convolutions are implemented for n = 3")
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
-    if out_grid is None:
-        out_grid = f.grid
-    xs, ys = f.grid.points()
-    xo, yo = out_grid.points()
+    x, y = f.grid.points()
     cells = f.grid.cell_measures()
     src = (f.values * cells).ravel()
-    xs = xs.ravel()
-    ys = ys.ravel()
-    out = np.empty(xo.shape)
+    xs = x.ravel()
+    ys = y.ravel()
+    out = np.empty(x.shape)
     # row-blocked to keep the distance matrix small
-    for j in range(xo.shape[0]):
-        dx = xo[j][:, None] - xs[None, :]
-        dy = yo[j][:, None] - ys[None, :]
+    for j in range(x.shape[0]):
+        dx = x[j][:, None] - xs[None, :]
+        dy = y[j][:, None] - ys[None, :]
         out[j] = pt_profile(3, t, np.sqrt(dx * dx + dy * dy)) @ src
-    return PolarFn(out_grid, out)
+    return PolarFn(f.grid, out)
 
 
 def radial_to_polar(f: RadialFn, pg: PolarGrid) -> PolarFn:

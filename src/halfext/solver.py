@@ -39,8 +39,8 @@ from .quadrature import panel_rule
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 150
-    tol_residual: float = 5e-4
+    max_iters: int
+    tol_residual: float
     seed: int = 0
 
     def __post_init__(self):
@@ -73,16 +73,15 @@ class IterationTrace:
                 writer.writerow([i, f"{res!r}", f"{ray!r}", f"{lam!r}"])
 
 
-def _cell_masses(f: RadialFn, p: float, a, b, order: int) -> np.ndarray:
-    """Gauss-panel integrals of |f|^p r^(d-1) over [a, b], one per (a, b) pair."""
-    xs, ws = panel_rule(np.asarray(a)[..., None], np.asarray(b)[..., None],
-                        order)
+def _cell_masses(f: RadialFn, p: float, a, b) -> np.ndarray:
+    """8-point Gauss integrals of |f|^p r^(d-1) over [a, b], one per pair."""
+    xs, ws = panel_rule(np.asarray(a)[..., None], np.asarray(b)[..., None], 8)
     vals = np.abs(f.eval(xs)) ** p * xs ** (f.grid.d - 1)
     return (ws * vals).sum(axis=-1)
 
 
-def concentration_radius(f: RadialFn, p: float, fraction: float = 0.5,
-                         order: int = 8) -> float:
+def concentration_radius(f: RadialFn, p: float,
+                         fraction: float = 0.5) -> float:
     """Radius R with mass(|f|^p within B_R) = fraction * total, 0 < fraction < 1.
 
     The mass profile is accumulated from per-cell Gauss panels of the sample
@@ -95,7 +94,7 @@ def concentration_radius(f: RadialFn, p: float, fraction: float = 0.5,
     grid = f.grid
     edges = np.concatenate(([0.0], grid.nodes))
     cum = np.concatenate(([0.0], np.cumsum(
-        _cell_masses(f, p, edges[:-1], edges[1:], order))))
+        _cell_masses(f, p, edges[:-1], edges[1:]))))
     total = cum[-1]
     if total <= 0.0 or not math.isfinite(total):
         raise DomainError("mass profile is degenerate; cannot fix the gauge")
@@ -106,7 +105,7 @@ def concentration_radius(f: RadialFn, p: float, fraction: float = 0.5,
         return float(grid.nodes[0] * (target / cum[1]) ** (1.0 / grid.d))
 
     def excess(R: float) -> float:
-        return cum[i] + float(_cell_masses(f, p, edges[i], R, order)) - target
+        return cum[i] + float(_cell_masses(f, p, edges[i], R)) - target
 
     return float(brentq(excess, edges[i], edges[i + 1], xtol=1e-12,
                         rtol=1e-12))
@@ -163,8 +162,9 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
             trace.message = "residual grew 10x over 50 iterations"
             raise SolverDivergence(trace.message, trace=trace)
         update = np.maximum(rhs, 0.0) ** (1.0 / (p - 1.0))
-        f = RadialFn(f.grid, update, tail_exponent=f.tail_exponent,
-                     nonnegative=True)
+        # no declared tail: the start's (a Gaussian's is inf) is not the
+        # iterate's, so the tail fit decides
+        f = RadialFn(f.grid, update, nonnegative=True)
         lam, f = normalize_mass_half(f, p)
     trace.message = f"no convergence in {cfg.max_iters} iterations"
     return f, trace
@@ -191,17 +191,13 @@ def initial_profiles(grid: RadialGrid, n: int, rng: np.random.Generator):
 
 
 def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
-                             grid: RadialGrid | None = None,
-                             hs_grid: HalfspaceGrid | None = None) -> float:
+                             hs_grid: HalfspaceGrid) -> float:
     """Lower-bound estimate of the sharp constant: max Rayleigh quotient
-    recorded along fixed-point trajectories from random initializations."""
+    recorded along fixed-point trajectories from random initializations on
+    the radial mesh of ``hs_grid``."""
     if trials < 1:
         raise DomainError("need at least one trial")
-    from .grids import build_radial_grid
-    if grid is None:
-        grid = build_radial_grid(n - 1, 160, "tan", 1.0)
-    if hs_grid is None:
-        hs_grid = default_halfspace_grid(grid)
+    grid = hs_grid.radial
     rng = np.random.default_rng(cfg.seed)
     best = -math.inf
     failures = 0
@@ -248,13 +244,13 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     return lam, amp, err
 
 
-def radial_about_point(v: PolarFn, tol: float, axis_range=(-2.0, 2.0),
-                       n_centers: int = 81):
+def radial_about_point(v: PolarFn, tol: float):
     """Center a*e_1 minimizing the angular variation of v, or None.
 
-    The center search runs along the symmetry axis (a planar reflection
-    argument pins the second coordinate to zero).  Returns the center as a
-    length-2 array when the minimized relative angular deviation is <= tol.
+    The center search scans 81 points of the symmetry axis, -2 <= a <= 2 (a
+    planar reflection argument pins the second coordinate to zero).  Returns
+    the center as a length-2 array when the minimized relative angular
+    deviation is <= tol.
     """
     radial = v.grid.radial
     ring_mean = np.mean(np.abs(v.values), axis=1)
@@ -262,8 +258,8 @@ def radial_about_point(v: PolarFn, tol: float, axis_range=(-2.0, 2.0),
     good = ring_mean >= 1e-5 * vmax
     r_lo = max(float(radial.nodes[good][0]) * 4.0, 1e-3)
     r_hi = float(radial.nodes[good][-1])
-    span = max(abs(axis_range[0]), abs(axis_range[1]))
-    r_hi = min(r_hi / 2.0, r_hi - 2.0 * span)
+    # probe circles about any center |a| <= 2 stay inside the mesh
+    r_hi = min(r_hi / 2.0, r_hi - 4.0)
     if r_hi <= r_lo:
         raise DomainError("polar mesh too small for a center scan")
     probes = np.geomspace(r_lo, r_hi, 12)
@@ -279,11 +275,11 @@ def radial_about_point(v: PolarFn, tol: float, axis_range=(-2.0, 2.0),
             total = max(total, float(np.std(w)) / mean)
         return total
 
-    grid_a = np.linspace(axis_range[0], axis_range[1], n_centers)
+    grid_a = np.linspace(-2.0, 2.0, 81)
     devs = [deviation(a) for a in grid_a]
     i = int(np.argmin(devs))
     lo = grid_a[max(i - 1, 0)]
-    hi = grid_a[min(i + 1, n_centers - 1)]
+    hi = grid_a[min(i + 1, grid_a.size - 1)]
     res = minimize_scalar(deviation, bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-10})
     return np.array([float(res.x), 0.0]) if res.fun <= tol else None

@@ -5,7 +5,15 @@ import os
 import numpy as np
 import pytest
 
-from halfext.cli import ExperimentConfig, _write_fixture, main, read_fixture
+from halfext.cli import main
+
+
+def read_fixture(key):
+    path = os.path.join(os.environ.get("HALFEXT_FIXTURES", "fixtures"),
+                        "derived_constants.csv")
+    with open(path, newline="") as fh:
+        return next((float(row["value"]) for row in csv.DictReader(fh)
+                     if row["key"] == key), None)
 
 
 def run_cli(args):
@@ -36,8 +44,10 @@ def test_unknown_experiment_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [["--grid-n", "8"], ["--p", "0.5"],
-                                   ["--n", "1"]], ids=["grid-n", "p", "n"])
+@pytest.mark.parametrize("flags", [
+    ["--grid-n", "8"], ["--p", "0.5"], ["--n", "1"], ["--trials", "0"],
+    ["--max-iters", "0"], ["--tol-residual", "0"]],
+    ids=["grid-n", "p", "n", "trials", "max-iters", "tol-residual"])
 def test_invalid_config_usage_error(tmp_path, capsys, flags):
     # values the config rejects are usage errors: exit 2, a one-line
     # message, and no summary written
@@ -110,14 +120,25 @@ def test_config_file_and_flag_override(tmp_path):
     assert summary["config"]["seed"] == 9        # flag wins
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # a misspelt key, and the removed normalization, damping and
-    # quad_order options
-    for entry in ({"grid_m": 96}, {"normalization": "mass_half"},
-                  {"damping": 0.5}, {"quad_order": 64}):
+    out = tmp_path / "bad"
+    # a misspelt key, the removed normalization, damping, quad_order and
+    # write_fixtures options, and a misspelt init, which every experiment
+    # rejects (not only solve-el, the one that reads it)
+    for experiment, entry in (
+            ("verify-kernel", {"grid_m": 96}),
+            ("verify-kernel", {"normalization": "mass_half"}),
+            ("verify-kernel", {"damping": 0.5}),
+            ("verify-kernel", {"quad_order": 64}),
+            ("verify-kernel", {"write_fixtures": True}),
+            ("verify-kernel", {"init": "gausian"}),
+            ("solve-el", {"init": "gausian"})):
         cfg.write_text(json.dumps(entry))
-        assert run_cli(["run", "verify-kernel", "--config", str(cfg)]) == 2
+        assert run_cli(["run", experiment, "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "summary.json").exists()
 
 
 def test_idempotent_summary(tmp_path):
@@ -185,39 +206,15 @@ def test_weak_type_sweep_artifacts(tmp_path):
     assert all(np.diff(masses) <= 1e-12)
 
 
-def test_fixture_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("HALFEXT_FIXTURES", str(tmp_path / "fx"))
-    out = tmp_path / "ec"
-    rc = run_cli(["run", "estimate-constant", "--n", "3", "--p", "4.0",
-                  "--trials", "1", "--grid-n", "96", "--height-n", "64",
-                  "--max-iters", "120", "--tol-residual", "5e-4",
-                  "--write-fixtures", "--out", str(out)])
-    assert rc == 0
-    val = read_fixture("c[n=3,p=4]")
-    summary = load_summary(out)
-    assert val == pytest.approx(summary["results"]["c_estimate"], rel=1e-15)
-    # a file written with the older quad_order column still merges: its
-    # rows keep their values and lose that column
-    path = tmp_path / "fx" / "derived_constants.csv"
-    path.write_text("key,value,grid_n,height_n,quad_order\n"
-                    '"c[n=3,p=2]",0.5346924788744238,160,96,64\n')
-    _write_fixture("c[n=3,p=4]", val, ExperimentConfig("estimate-constant"))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [list(row) for row in rows] == [["key", "value", "grid_n",
-                                            "height_n"]] * 2
-    assert read_fixture("c[n=3,p=2]") == 0.5346924788744238
-    assert read_fixture("c[n=3,p=4]") == val
-
-
 def test_shipped_fixtures_consistent():
     # the repo's derived-constants file agrees with the closed forms where
     # they exist and with the independent amplitude oracles
     import math
     from scipy.integrate import quad as _quad
     from halfext.extremals import sharp_constant
-    c4 = read_fixture("c[n=3,p=4]")
-    if c4 is None:
+    try:
+        c4 = read_fixture("c[n=3,p=4]")
+    except FileNotFoundError:
         pytest.skip("fixtures not generated")
     assert c4 == pytest.approx(sharp_constant(3, "conformal"), rel=5e-3)
     cd = read_fixture("c[n=3,p=1.333333333]")

@@ -173,8 +173,6 @@ def test_singular_constant_exact_oracle():
     # half-space pairing of P(., xi) against |x|^(-2) equals 1/|xi| (checked
     # independently with adaptive quadrature to 1e-13), so c(3, 2) = 1
     assert singular_constant(3, 2.0) == pytest.approx(1.0, abs=1e-6)
-    assert singular_constant(3, 2.0, order=20) == pytest.approx(1.0,
-                                                                abs=1e-8)
 
 
 def test_singular_constant_other_exponents():

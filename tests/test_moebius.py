@@ -98,8 +98,7 @@ def test_inversion_interpolated_grid(boundary3):
 def test_shifted_inversion_polar(boundary3):
     f = sample_radial(boundary3, lambda r: (0.5 * r ** 2 + 0.5) ** -0.5,
                       tail_exponent=1.0, nonnegative=True)
-    v = boundary_inversion(f, InversionSpec(alpha=-1.0, shift=1.0),
-                           boundary3, n_angles=32)
+    v = boundary_inversion(f, InversionSpec(alpha=-1.0, shift=1.0), boundary3)
     # closed form: v(x) = (|x - e_1/2|^2 + 1/4)^(-1/2)
     x, y = v.grid.points()
     want = ((x - 0.5) ** 2 + y ** 2 + 0.25) ** -0.5

@@ -19,7 +19,7 @@ from halfext.solver import (IterationTrace, SolverConfig,
 
 def test_solver_config_validation():
     with pytest.raises(DomainError):
-        SolverConfig(tol_residual=0.0)
+        SolverConfig(max_iters=1, tol_residual=0.0)
 
 
 def test_mass_half_gauge(boundary3):
@@ -107,6 +107,25 @@ def test_fixed_point_from_gaussian(boundary3, halfspace3):
     assert max(trace.rayleighs) <= sharp_constant(3, "conformal") * (1 + 1e-3)
 
 
+def test_solution_tail_is_fitted_not_inherited(boundary3, halfspace3):
+    # the Gaussian start declares a tail of inf; the conformal solution
+    # decays like r^-1, so it must declare none and let the fit decide
+    init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
+                         tail_exponent=math.inf, nonnegative=True)
+    cfg = SolverConfig(max_iters=300, tol_residual=5e-5)
+    sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
+    assert trace.converged and math.isnan(sol.tail_exponent)
+    assert sol.fitted_tail() == pytest.approx(1.0, abs=1e-3)
+    # beyond the mesh the profile continues as a power, not as zero
+    r_far = 2.0 * boundary3.r_max
+    assert sol.eval(r_far) == pytest.approx(
+        sol.values[-1] * 2.0 ** -sol.fitted_tail(), rel=1e-12)
+    # the gauge fixes lambda = 1, where the Kelvin inversion maps the
+    # conformal extremal to itself: its value at 0 is the solution's
+    inv = boundary_inversion(sol, InversionSpec(alpha=-1.0), boundary3)
+    assert inv.value_at_zero == pytest.approx(sol.value_at_zero, rel=1e-2)
+
+
 def test_fixed_point_dual_family(boundary3, halfspace3):
     init = sample_radial(boundary3,
                          lambda r: np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
@@ -172,29 +191,28 @@ def test_scaling_covariance_of_iteration_map(boundary3, halfspace3):
     assert np.max(rel[core]) < 1e-8
 
 
-def test_determinism(boundary3, halfspace3):
+def test_determinism(halfspace3):
     cfg = SolverConfig(max_iters=25, tol_residual=1e-9, seed=42)
     runs = []
     for _ in range(2):
-        est = ascent_estimate_constant(3, 4.0, 2, cfg, boundary3, halfspace3)
+        est = ascent_estimate_constant(3, 4.0, 2, cfg, halfspace3)
         runs.append(est)
     assert runs[0] == runs[1]
 
 
-def test_ascent_estimate(boundary3, halfspace3):
+def test_ascent_estimate(halfspace3):
     cfg = SolverConfig(max_iters=150, tol_residual=1e-4, seed=3)
-    est = ascent_estimate_constant(3, 4.0, 3, cfg, boundary3, halfspace3)
+    est = ascent_estimate_constant(3, 4.0, 3, cfg, halfspace3)
     c = sharp_constant(3, "conformal")
     assert abs(est - c) / c < 5e-3
 
 
-def test_ascent_cross_seed_stability(boundary3, halfspace3):
+def test_ascent_cross_seed_stability(halfspace3):
     # p = 2 has no closed form; the estimate must be seed-stable
     vals = []
     for seed in (1, 2):
         cfg = SolverConfig(max_iters=150, tol_residual=2e-4, seed=seed)
-        vals.append(ascent_estimate_constant(3, 2.0, 2, cfg, boundary3,
-                                             halfspace3))
+        vals.append(ascent_estimate_constant(3, 2.0, 2, cfg, halfspace3))
     assert abs(vals[0] - vals[1]) / vals[0] < 5e-3
 
 
@@ -224,7 +242,7 @@ def test_radial_about_point_shifted_center(boundary3):
     u = sample_radial(boundary3, lambda r: (0.5 * r ** 2 + 0.5) ** (alpha / 2),
                       nonnegative=True)
     v = boundary_inversion(u, InversionSpec(alpha=alpha, shift=1.0),
-                           boundary3, n_angles=64)
+                           boundary3)
     center = radial_about_point(v, 1e-3)
     assert center is not None
     assert center[0] == pytest.approx(0.5, abs=1e-4)
@@ -250,7 +268,7 @@ def test_radial_about_point_rejects_perturbed(boundary3):
         lambda r: (1 + r ** 2) ** (alpha / 2)
         * (1 + 0.1 * r / (1 + r)), nonnegative=True)
     v = boundary_inversion(u, InversionSpec(alpha=alpha, shift=1.0),
-                           boundary3, n_angles=64)
+                           boundary3)
     assert radial_about_point(v, 1e-3) is None
 
 
@@ -323,7 +341,7 @@ def test_converged_solution_inversion_symmetry(boundary3, halfspace3):
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
     assert trace.converged
     v = boundary_inversion(sol, InversionSpec(alpha=-1.0, shift=1.0),
-                           boundary3, n_angles=64)
+                           boundary3)
     center = radial_about_point(v, 1e-3)
     assert center is not None
 
