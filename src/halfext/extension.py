@@ -25,7 +25,7 @@ subdivision near theta = 0, where the integrand peaks as t -> 0).
 
 As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows of the
 discretized operator whose height cannot be resolved by the radial mesh are
-rebuilt with geometrically refined panels around the diagonal, composed with
+built with geometrically refined panels around the diagonal, composed with
 a local cubic interpolation stencil, so the operator stays a plain matrix.
 One row rule, ``_kernel_matrix``, builds every such matrix: the operator's
 per-height stacks, ``boundary_convolution`` (P_t at one height) and
@@ -74,11 +74,14 @@ def _ring_closed(n: int, r, s, t):
     raise DomainError(f"no closed ring kernel for n={n}")
 
 
-def _angular_integral(n: int, r, s, t, core) -> np.ndarray:
-    """Per entry, integral of core(theta, r, s, t) sin(theta)^(n-3) on (0, pi).
+def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
+    """Per entry, integral of core(h, *terms) sin(theta)^(n-3) on (0, pi).
 
-    Panels are refined geometrically toward theta = 0, where the integrand
-    peaks with width sqrt(((r-s)^2 + t^2) / (r s)) as t -> 0.
+    ``terms(r, s, t)`` gives the integrand's per-entry factors once per
+    entry; they are gathered at the entry's angular nodes and passed to
+    ``core`` with h = sin(theta/2)^2.  Panels are refined geometrically
+    toward theta = 0, where the integrand peaks with width
+    sqrt(((r-s)^2 + t^2) / (r s)) as t -> 0.
     """
     r, s, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float),
                                   np.asarray(t, float))
@@ -93,7 +96,10 @@ def _angular_integral(n: int, r, s, t, core) -> np.ndarray:
         th, w, offsets = composite_rules(
             peak_breaks(0.0, width, 0.0, np.pi), _RING_ORDER)
         k = np.repeat(np.arange(r.size), np.diff(offsets))
-        vals = w * core(th, r[k], s[k], t[k]) * np.sin(th) ** (n - 3)
+        vals = w * core(np.sin(0.5 * th) ** 2,
+                        *(x[k] for x in terms(r, s, t)))
+        if n != 3:
+            vals *= np.sin(th) ** (n - 3)
         out[lo:lo + r.size] = np.add.reduceat(vals, offsets[:-1])
     return out.reshape(shape)
 
@@ -118,13 +124,15 @@ def ring_kernel(n: int, r, s, t, method: str = "auto"):
     if n == 2:
         return ring_kernel(n, r, s, t, method="closed")
 
-    def core(th, r, s, t):
+    def terms(r, s, t):
+        return (r - s) ** 2 + t * t, 4.0 * r * s
+
+    def core(h, amm, b):
         # a - b cos(theta) = amm + b (1 - cos(theta)), free of cancellation
-        return ((r - s) ** 2 + t * t
-                + 4.0 * r * s * np.sin(0.5 * th) ** 2) ** (-0.5 * n)
+        return (amm + b * h) ** (-0.5 * n)
 
     out = (kernel_constant(n) * np.asarray(t, float) * sphere_area(n - 2)
-           * _angular_integral(n, r, s, t, core))
+           * _angular_integral(n, r, s, t, terms, core))
     return float(out) if out.ndim == 0 else out
 
 
@@ -136,12 +144,15 @@ def qt_ring(n: int, r, s, t):
                                     + (r + s) / ((r + s) ** 2 + t * t))
         return float(out) if out.ndim == 0 else out
 
-    def core(th, r, s, t):
-        R2 = (r - s) ** 2 + 4.0 * r * s * np.sin(0.5 * th) ** 2
-        return np.sqrt(R2) * (R2 + t * t) ** (-0.5 * n)
+    def terms(r, s, t):
+        return (r - s) ** 2, 4.0 * r * s, t * t
+
+    def core(h, d2, b, t2):
+        R2 = d2 + b * h
+        return np.sqrt(R2) * (R2 + t2) ** (-0.5 * n)
 
     out = (kernel_constant(n) * sphere_area(n - 2)
-           * _angular_integral(n, r, s, t, core))
+           * _angular_integral(n, r, s, t, terms, core))
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,7 +162,9 @@ def _lagrange_stencils(grid: RadialGrid, query: np.ndarray):
     Returns (columns, weights), both shaped (len(query), 4); stencils clamp at
     the mesh ends, so slightly-outside queries extrapolate politely.  The
     denominators prod_{b!=a}(x_a - x_b) belong to the mesh's N-3 windows and
-    are computed once per window, then looked up by each query's window.
+    are computed once per window.  The differences, their product and the
+    weights are then built one stencil column at a time, on arrays of one
+    value per query.  A query that hits a node exactly gets the unit row.
     """
     xn = grid.parameter(grid.nodes)
     xq = grid.parameter(query)
@@ -160,16 +173,15 @@ def _lagrange_stencils(grid: RadialGrid, query: np.ndarray):
     windows = np.lib.stride_tricks.sliding_window_view(xn, 4)   # (N-3, 4)
     pair = windows[:, :, None] - windows[:, None, :]
     pair[:, four, four] = 1.0
-    denom = np.prod(pair, axis=2)[start]            # (Q, 4)
-    cols = start[:, None] + four[None, :]
-    diff = xq[:, None] - xn[cols]                   # (Q, 4)
-    full = np.prod(diff, axis=1)
-    safe = np.where(diff == 0.0, 1.0, diff)
-    weights = full[:, None] / (safe * denom)
-    hits = diff == 0.0
-    rows_hit = hits.any(axis=1)
-    weights[rows_hit] = hits[rows_hit].astype(float)
-    return cols, weights
+    denom = np.prod(pair, axis=2).T                 # (4, N-3)
+    diff = [xq - xn[start + a] for a in four]
+    full = diff[0] * diff[1] * diff[2] * diff[3]
+    weights = np.empty((xq.size, 4))
+    for a, d in enumerate(diff):
+        weights[:, a] = full / (np.where(d == 0.0, 1.0, d) * denom[a][start])
+    for a, d in enumerate(diff):
+        weights[d == 0.0] = four == a
+    return start[:, None] + four, weights
 
 
 def _diagonal_rules(r_out, t, in_grid: RadialGrid):
@@ -191,22 +203,28 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
 
     ``kernel(r, s, t)`` is a ring kernel (of P_t or Q_t), broadcasting.
     ``t`` is one height per output node, or one height for all of them.
-    Rows the mesh resolves are the plain grid rule; the others are
-    diagonal-refined panels composed with the cubic stencils.
+    The kernel is evaluated on the plain grid rule only for the rows the
+    mesh resolves.  The other rows are diagonal-refined panels composed with
+    the cubic stencils, summed into the row by one ``np.bincount`` over flat
+    (row, column) indices, in quadrature-node order.
     """
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
-    M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t[:, None])
-    M = M * in_grid.weights[None, :]
-    flagged = np.nonzero(t < PEAK_FACTOR * in_grid.local_spacing(out_nodes))[0]
+    refine = t < PEAK_FACTOR * in_grid.local_spacing(out_nodes)
+    plain, flagged = np.nonzero(~refine)[0], np.nonzero(refine)[0]
+    M = np.empty((out_nodes.size, in_grid.size))
+    M[plain] = (kernel(out_nodes[plain, None], in_grid.nodes[None, :],
+                       t[plain, None]) * in_grid.weights[None, :])
     if flagged.size == 0:
         return M
-    s, w, offsets = _diagonal_rules(out_nodes[flagged], t[flagged], in_grid)
-    rows = np.repeat(flagged, np.diff(offsets))
-    coeff = w * kernel(out_nodes[rows], s, t[rows]) * s ** (in_grid.d - 1)
+    r, t = out_nodes[flagged], t[flagged]
+    s, w, offsets = _diagonal_rules(r, t, in_grid)
+    rows = np.repeat(np.arange(flagged.size), np.diff(offsets))
+    coeff = w * kernel(r[rows], s, t[rows]) * s ** (in_grid.d - 1)
     cols, lw = _lagrange_stencils(in_grid, s)
-    M[flagged, :] = 0.0
-    np.add.at(M, (np.repeat(rows, 4), cols.ravel()),
-              (coeff[:, None] * lw).ravel())
+    at = (rows * in_grid.size)[:, None] + cols
+    sums = np.bincount(at.ravel(), (coeff[:, None] * lw).ravel(),
+                       minlength=flagged.size * in_grid.size)
+    M[flagged] = sums.reshape(flagged.size, in_grid.size)
     return M
 
 

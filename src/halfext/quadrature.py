@@ -66,6 +66,8 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     ``nodes[offsets[k]:offsets[k + 1]]``, node for node.  Zero-width panels
     are skipped, so lists may be padded by repeating a breakpoint.
     ``tail_scales`` (one per list, or one for all) attaches the mapped tail.
+    The panel rules are built in breakpoint order, which is the output order
+    when there is no tail; a tail after each list's panels is scattered in.
     """
     sizes = np.fromiter(map(len, breaks_list), dtype=np.intp)
     flat = np.concatenate(breaks_list, dtype=float)
@@ -79,17 +81,17 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     tail = 0 if tail_scales is None else 2 * order
     offsets = np.zeros(sizes.size + 1, dtype=np.intp)
     np.cumsum(order * n_panels + tail, out=offsets[1:])
+    if not tail:
+        return xs.ravel(), ws.ravel(), offsets
     rank = np.arange(panels.size) - (np.cumsum(n_panels) - n_panels)[owner]
     at = (offsets[owner] + order * rank)[:, None] + np.arange(order)
     nodes = np.empty(offsets[-1])
     weights = np.empty(offsets[-1])
     nodes[at], weights[at] = xs, ws
-    if tail:
-        scales = np.broadcast_to(np.asarray(tail_scales, dtype=float),
-                                 sizes.shape)
-        xs, ws = half_line_rule(flat[ends - 1, None], scales[:, None], tail)
-        at = (offsets[1:] - tail)[:, None] + np.arange(tail)
-        nodes[at], weights[at] = xs, ws
+    scales = np.broadcast_to(np.asarray(tail_scales, dtype=float), sizes.shape)
+    xs, ws = half_line_rule(flat[ends - 1, None], scales[:, None], tail)
+    at = (offsets[1:] - tail)[:, None] + np.arange(tail)
+    nodes[at], weights[at] = xs, ws
     return nodes, weights, offsets
 
 

@@ -1,12 +1,15 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from halfext.errors import DivergenceError, DomainError
-from halfext.extension import (commutator_gap, dual_extend, extend_at,
-                               get_operator, kernel_mass, poisson_extend,
+from halfext.extension import (PEAK_FACTOR, _diagonal_rules, _kernel_matrix,
+                               _lagrange_stencils, commutator_gap,
+                               dual_extend, extend_at, get_operator,
+                               kernel_mass, poisson_extend, qt_ring,
                                ring_kernel, slab_mass)
 from halfext.grids import (AxisymFn, RadialFn, RadialGrid, build_radial_grid,
                            default_halfspace_grid, lp_norm_boundary,
@@ -41,6 +44,24 @@ def test_ring_kernel_adaptive_quadrature_oracle():
                   limit=200)
     want = val / (2 * math.pi)
     assert ring_kernel(3, 1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("r, s, t", [(1.0, 1.0005, 1e-3), (1.0, 1.0, 1e-3),
+                                     (0.3, 2.0, 0.5), (2.5, 1.2, 4.0)])
+def test_qt_ring_adaptive_quadrature_oracle(n, r, s, t):
+    # qt_ring integrates Q_t(z) = c_n |z| / (|z|^2 + t^2)^(n/2) over the
+    # ring |z'| = s; with w_1 = cos(theta), |z|^2 = (r-s)^2 + 4rs sin^2(theta/2)
+    # and the ring measure is 2 dtheta (n=3) or 2 pi sin(theta) dtheta (n=4)
+    def integrand(th):
+        R2 = (r - s) ** 2 + 4.0 * r * s * math.sin(0.5 * th) ** 2
+        return math.sqrt(R2) * (R2 + t * t) ** (-0.5 * n) * (
+            2.0 if n == 3 else 2.0 * math.pi * math.sin(th))
+    width = math.sqrt(((r - s) ** 2 + t * t) / (r * s))
+    val, _ = quad(integrand, 0.0, math.pi, points=[width, 10 * width],
+                  limit=400, epsabs=0.0, epsrel=1e-13)
+    assert qt_ring(n, r, s, t) == pytest.approx(kernel_constant(n) * val,
+                                                rel=1e-12)
 
 
 def test_ring_kernel_symmetric(rng):
@@ -228,6 +249,89 @@ def test_extend_at_matches_operator_rows(n):
     got = extend_at(f, R, T)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _reference_stencils(grid, query):
+    # the stencil rule as first written, on (len(query), 4) arrays
+    xn = grid.parameter(grid.nodes)
+    xq = grid.parameter(query)
+    start = np.clip(np.searchsorted(xn, xq) - 2, 0, grid.size - 4)
+    four = np.arange(4)
+    windows = np.lib.stride_tricks.sliding_window_view(xn, 4)
+    pair = windows[:, :, None] - windows[:, None, :]
+    pair[:, four, four] = 1.0
+    denom = np.prod(pair, axis=2)[start]
+    cols = start[:, None] + four[None, :]
+    diff = xq[:, None] - xn[cols]
+    full = np.prod(diff, axis=1)
+    safe = np.where(diff == 0.0, 1.0, diff)
+    weights = full[:, None] / (safe * denom)
+    hits = diff == 0.0
+    rows_hit = hits.any(axis=1)
+    weights[rows_hit] = hits[rows_hit].astype(float)
+    return cols, weights
+
+
+def _reference_row_rule(kernel, out_nodes, in_grid, t):
+    # the row rule as first written: the full plain matrix, flagged rows
+    # zeroed, refined terms scattered in with np.add.at
+    t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
+    M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t[:, None])
+    M = M * in_grid.weights[None, :]
+    flagged = np.nonzero(t < PEAK_FACTOR * in_grid.local_spacing(out_nodes))[0]
+    s, w, offsets = _diagonal_rules(out_nodes[flagged], t[flagged], in_grid)
+    rows = np.repeat(flagged, np.diff(offsets))
+    coeff = w * kernel(out_nodes[rows], s, t[rows]) * s ** (in_grid.d - 1)
+    cols, lw = _reference_stencils(in_grid, s)
+    M[flagged, :] = 0.0
+    np.add.at(M, (np.repeat(rows, 4), cols.ravel()),
+              (coeff[:, None] * lw).ravel())
+    return M
+
+
+@pytest.mark.parametrize("n, N, ring", [(3, 64, ring_kernel),
+                                        (5, 24, ring_kernel),
+                                        (3, 48, qt_ring)])
+def test_kernel_matrix_matches_reference_row_rule(n, N, ring):
+    # bitwise: the plain rule on unflagged rows only and one bincount over
+    # the refined terms sum the same terms in the same order
+    g = build_radial_grid(n - 1, N)
+    out = np.concatenate([g.nodes[::3], [0.5 * g.nodes[0], 1.1 * g.r_max]])
+    t = np.geomspace(1e-4, 20.0, out.size)[::-1]
+    refine = t < PEAK_FACTOR * g.local_spacing(out)
+    assert refine.any() and not refine.all()
+    kernel = partial(ring, n)
+    got = _kernel_matrix(kernel, out, g, t)
+    assert got.tobytes() == _reference_row_rule(kernel, out, g, t).tobytes()
+
+
+@pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0),
+                                            ("linear", 2.0)])
+def test_lagrange_stencils_reproduce_cubics(mapping, scale):
+    g = build_radial_grid(2, 40, mapping, scale)
+    xn = g.parameter(g.nodes)
+
+    def cubic(x):
+        return 1.0 - 2.0 * x + 0.7 * x ** 2 - 0.3 * x ** 3
+
+    between = 0.5 * (g.nodes[:-1] + g.nodes[1:])
+    # clamped stencils extrapolate up to one end spacing beyond the mesh
+    last = g.r_max - g.nodes[-2]
+    outside = np.array([0.0, 0.4 * g.nodes[0], g.r_max + 0.5 * last,
+                        g.r_max + last])
+    query = np.concatenate([between, outside])
+    cols, weights = _lagrange_stencils(g, query)
+    assert cols.shape == weights.shape == (query.size, 4)
+    assert cols.min() == 0 and cols.max() == g.size - 1
+    want = cubic(g.parameter(query))
+    assert np.max(np.abs((weights * cubic(xn[cols])).sum(axis=1) - want)) \
+        <= 1e-12 * np.max(np.abs(want))
+    assert _lagrange_stencils(g, query)[1].tobytes() \
+        == _reference_stencils(g, query)[1].tobytes()
+    # a query exactly at a node takes that node's sample: a unit row
+    cols, weights = _lagrange_stencils(g, g.nodes)
+    assert np.all(np.sort(weights, axis=1) == [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(cols[weights == 1.0], np.arange(g.size))
 
 
 def test_slab_mass_identity(boundary3):
