@@ -20,8 +20,19 @@ The angular integral has closed forms in the dimensions used here:
             m = 4 r s / ((r+s)^2 + t^2)   (complete elliptic integral E)
     n = 4:  K = 4 t / ( pi * ((r-s)^2+t^2) * ((r+s)^2+t^2) )
 
-and a Gauss-Legendre fallback in the polar angle for n >= 5 (with panel
-subdivision near theta = 0, where the integrand peaks as t -> 0).
+and one Gauss hypergeometric function for every n >= 5.  With h = n/2 - 1,
+the polar angle theta and u = sin^2(theta/2), the angular integral is the
+Euler integral 2^(n-3) int_0^1 (u(1-u))^(h-1) (a + 4 r s u)^(-n/2) du,
+a = (r-s)^2 + t^2, which is B(h, h) a^(-n/2) 2F1(n/2, h; 2h; -4rs/a); the
+Pfaff transformation (DLMF 15.6.1, 15.8.1) turns it into
+
+    K = (2/(n omega_n)) |S^(n-3)| 2^(n-3) B(h, h) t 2F1(h-1, h; 2h; m)
+        / ( ((r-s)^2+t^2) * ((r+s)^2+t^2)^h ),
+
+which at n = 3 is the E(m) form and at n = 4 the rational one.  Here
+c - a - b = 1, so 2F1 stays finite as m -> 1 (s -> r, t -> 0).  The angular
+integral on Gauss-Legendre panels (``method="gl"``, refined toward
+theta = 0, where the integrand peaks as t -> 0) is kept as the oracle.
 
 As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows of the
 discretized operator whose height cannot be resolved by the radial mesh are
@@ -44,7 +55,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ellipe
+from scipy.special import beta, digamma, ellipe, hyp2f1
 
 from .errors import DivergenceError, DomainError
 from .grids import AxisymFn, HalfspaceGrid, RadialFn, RadialGrid
@@ -54,7 +65,7 @@ from .quadrature import composite_rules, gauss_legendre, peak_breaks
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
 _PANEL_ORDER = 16
-_RING_ORDER = 64
+_RING_ORDER = 24
 _RING_BLOCK = 512      # entries per angular batch: bounds the nodes held
 
 
@@ -71,7 +82,17 @@ def _ring_closed(n: int, r, s, t):
         return (t / np.pi) * 2.0 * ellipe(m) / (amm * np.sqrt(app))
     if n == 4:
         return 4.0 * t / (np.pi * amm * app)
-    raise DomainError(f"no closed ring kernel for n={n}")
+    # n >= 5: B(h, h) 2F1(h-1, h; 2h; 1-w) with h = n/2 - 1 and w = 1 - m,
+    # free of cancellation.  hyp2f1 returns its z = 1 limit once w < 1e-13,
+    # so below 1e-11 take the expansion at z = 1 (DLMF 15.8.10, c-a-b = 1),
+    # whose first dropped term is O(w^2 log w)
+    h = 0.5 * n - 1.0
+    w = amm / app
+    d0 = digamma(h) + digamma(h + 1.0) + 2.0 * np.euler_gamma - 1.0
+    bf = np.where(w < 1e-11, 1.0 / h + (h - 1.0) * w * (np.log(w) + d0),
+                  beta(h, h) * hyp2f1(h - 1.0, h, 2.0 * h, 1.0 - w))
+    c = kernel_constant(n) * sphere_area(n - 2) * 2.0 ** (n - 3)
+    return c * t * bf / (amm * app ** h)
 
 
 def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
@@ -107,16 +128,15 @@ def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
 def ring_kernel(n: int, r, s, t, method: str = "auto"):
     """Ring kernel K(r, s, t); symmetric in (r, s), broadcasts over arrays.
 
-    ``method`` is "closed" (n in {2, 3, 4}), "gl" (angular Gauss panels,
-    n >= 3), or "auto" (closed form when available).
+    ``method`` is "closed" (the closed forms above, every n >= 2), "auto"
+    (the same), or "gl": the angular integral on Gauss-Legendre panels,
+    kept as the independent oracle for the closed forms.
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got n={n}")
     if np.any(np.asarray(t) <= 0.0):
         raise DomainError("height t must be positive")
-    if method == "auto":
-        method = "closed" if n <= 4 else "gl"
-    if method == "closed":
+    if method in ("auto", "closed"):
         out = _ring_closed(n, r, s, t)
         return float(out) if np.ndim(out) == 0 else out
     if method != "gl":

@@ -32,10 +32,50 @@ def test_ring_kernel_at_zero_radius():
         s, t = 1.5, 0.7
         want = sphere_area(n - 1) * kernel_constant(n) * t \
             / (s ** 2 + t ** 2) ** (n / 2) if n > 2 else None
-        got = ring_kernel(n, 0.0, s, t, method="gl" if n >= 5 else "auto")
         if n == 2:
             want = kernel_constant(2) * 2 * t / (s ** 2 + t ** 2)
-        assert got == pytest.approx(want, rel=1e-10)
+        methods = ("auto", "closed", "gl") if n >= 5 else ("auto",)
+        for method in methods:
+            got = ring_kernel(n, 0.0, s, t, method=method)
+            assert got == pytest.approx(want, rel=1e-10)
+
+
+def _ring_triples():
+    # r = 0, r << s, r = s exactly, and s -> r as t -> 0, where
+    # m = 4rs/((r+s)^2+t^2) -> 1: the last four fixed triples put 1 - m at
+    # 2.5e-11, 2.5e-11, 2.8e-12 and 1.6e-14, on both sides of the
+    # hypergeometric branch's switch at 1e-11
+    fixed = [(0.0, 1.3, 0.4), (1e-4, 3.0, 0.2), (0.8, 0.8, 0.05),
+             (1.0, 1.0, 1e-5), (1.0, 1.0 + 1e-7, 1e-5),
+             (3.0, 3.0 * (1.0 + 1e-9), 1e-5), (40.0, 40.0, 1e-5)]
+    gen = np.random.default_rng(5)
+    r = 10.0 ** gen.uniform(-2.0, 1.0, 6)
+    s = r * (1.0 + 10.0 ** gen.uniform(-6.0, 0.0, 6))
+    t = 10.0 ** gen.uniform(-5.0, 0.5, 6)
+    return fixed + list(zip(r, s, t))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_ring_kernel_closed_matches_mpmath(n):
+    # the closed form against the defining angular integral in 30 digits,
+    # with breakpoints at the peak width sqrt(((r-s)^2+t^2)/(r s)) and its
+    # powers of 10
+    mp = pytest.importorskip("mpmath")
+    for r, s, t in _ring_triples():
+        with mp.workdps(30):
+            r_, s_, t_ = mp.mpf(r), mp.mpf(s), mp.mpf(t)
+            amm = (r_ - s_) ** 2 + t_ ** 2
+
+            def integrand(th):
+                return ((amm + 4 * r_ * s_ * mp.sin(th / 2) ** 2) ** (-n / 2)
+                        * mp.sin(th) ** (n - 3))
+            width = mp.sqrt(amm / (r_ * s_)) if r > 0.0 else mp.pi
+            breaks = [mp.mpf(0)] + [width * 10 ** k for k in range(8)
+                                    if width * 10 ** k < mp.pi] + [mp.pi]
+            want = float(mp.mpf(kernel_constant(n))
+                         * mp.mpf(sphere_area(n - 2)) * t_
+                         * mp.quad(integrand, breaks))
+        assert abs(ring_kernel(n, r, s, t) / want - 1.0) <= 1e-13, (r, s, t)
 
 
 def test_ring_kernel_adaptive_quadrature_oracle():
@@ -66,18 +106,19 @@ def test_qt_ring_adaptive_quadrature_oracle(n, r, s, t):
 
 def test_ring_kernel_symmetric(rng):
     r, s, t = rng.uniform(0.1, 5.0, (3, 20))
-    assert np.allclose(ring_kernel(3, r, s, t), ring_kernel(3, s, r, t),
-                       rtol=1e-14)
-    assert np.allclose(ring_kernel(4, r, s, t), ring_kernel(4, s, r, t),
-                       rtol=1e-14)
+    for n in (3, 4, 5, 6):
+        assert np.allclose(ring_kernel(n, r, s, t), ring_kernel(n, s, r, t),
+                           rtol=1e-14)
 
 
 def test_ring_kernel_gl_matches_closed(rng):
-    for n in (3, 4):
-        for _ in range(8):
-            r, s, t = rng.uniform(0.05, 4.0, 3)
-            assert ring_kernel(n, r, s, t, method="gl") == pytest.approx(
-                ring_kernel(n, r, s, t, method="closed"), rel=1e-9)
+    # one (16, 3) draw takes the same 48 numbers from the session generator
+    # as the 16 draws of 3 this test made when it covered n = 3, 4 only
+    r, s, t = rng.uniform(0.05, 4.0, (16, 3)).T
+    for n in (3, 4, 5, 6):
+        gl = ring_kernel(n, r, s, t, method="gl")
+        closed = ring_kernel(n, r, s, t, method="closed")
+        assert np.max(np.abs(gl / closed - 1.0)) <= 1e-12
 
 
 def test_ring_kernel_errors():
@@ -249,6 +290,20 @@ def test_extend_at_matches_operator_rows(n):
     got = extend_at(f, R, T)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_operator_closed_kernel_matches_gl_stack(n):
+    # the operator's closed-form kernel against the angular-panel oracle,
+    # through the same row rule, entry by entry relative to each row's size
+    g = build_radial_grid(n - 1, 24)
+    hs = default_halfspace_grid(g)
+    got = get_operator(n, g, hs).matrices
+    gl = partial(ring_kernel, n, method="gl")
+    want = np.stack([_kernel_matrix(gl, g.nodes, g, t)
+                     for t in hs.heights.nodes])
+    scale = np.sum(np.abs(want), axis=2, keepdims=True)
+    assert np.max(np.abs(got - want) / scale) <= 1e-13
 
 
 def _reference_stencils(grid, query):
