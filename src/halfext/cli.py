@@ -188,11 +188,14 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
         "bump": (lambda r: np.maximum(1 - r ** 2, 0.0) ** 2 * 3 / np.pi,
                  np.inf),
     }
-    for name, (fn, beta) in profiles.items():
-        f = sample_radial(g, fn, tail_exponent=beta, nonnegative=True)
+    fs = [sample_radial(g, fn, tail_exponent=beta, nonnegative=True)
+          for fn, beta in profiles.values()]
+    heights = (0.3, 0.7, 2.0)
+    slabs = [slab_mass(fs, a) for a in heights]
+    for i, (name, f) in enumerate(zip(profiles, fs)):
         mass = lp_norm_boundary(f, 1.0)
-        for a in (0.3, 0.7, 2.0):
-            checks.add(f"slab_mass[{name},a={a}]", slab_mass(f, a),
+        for a, slab in zip(heights, slabs):
+            checks.add(f"slab_mass[{name},a={a}]", float(slab[i]),
                        a * mass, 1e-6)
     # duality pairing <Tu, f> = <u, Pf>
     hs = default_halfspace_grid(g, cfg.height_n)

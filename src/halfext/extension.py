@@ -392,30 +392,37 @@ def kernel_mass(n: int, s: float, t: float) -> float:
     return float(_kernel_mass_many(n, np.asarray([s]), t)[0])
 
 
-def slab_mass(f: RadialFn, a: float) -> float:
-    """Integral of Pf over the slab {0 < x_n < a}.
+def slab_mass(profiles, a: float) -> np.ndarray:
+    """Integrals of Pf over the slab {0 < x_n < a}, one per profile.
 
-    Computed honestly: the spatial integral at each height uses diagonal-
-    refined panels (independently of the Fubini identity it is meant to
-    check), then 24-point Gauss quadrature in the height.  For f >= 0 with
-    unit mass the result equals a.
+    ``profiles`` is a sequence of nonnegative integrable RadialFn on one
+    mesh.  Computed honestly: the spatial integral at each height uses
+    diagonal-refined panels (independently of the Fubini identity it is
+    meant to check), then 24-point Gauss quadrature in the height.  The slab
+    integral is linear in f and its kernel masses depend only on the mesh and
+    a, so the per-node weights ``sphere * weights * sum_t wt * masses_t`` are
+    built once and each profile costs one dot product.  For f >= 0 with unit
+    mass the result equals a.
     """
     if a <= 0.0:
         raise DomainError(f"slab height must be positive, got {a}")
-    if np.any(f.values < 0.0):
-        raise DomainError("slab mass is defined for nonnegative data")
-    _check_integrable(f)
-    n = f.grid.d + 1
+    if not profiles:
+        raise DomainError("slab mass needs at least one profile")
+    grid = profiles[0].grid
+    for f in profiles:
+        if _mesh_key(f.grid) != _mesh_key(grid):
+            raise DomainError("slab mass profiles must share one mesh")
+        if np.any(f.values < 0.0):
+            raise DomainError("slab mass is defined for nonnegative data")
+        _check_integrable(f)
+    n = grid.d + 1
     x, w = gauss_legendre(24)
     t_nodes = 0.5 * a * (x + 1.0)
     t_weights = 0.5 * a * w
-    sphere = f.grid.sphere
-    total = 0.0
-    for t, wt in zip(t_nodes, t_weights):
-        masses = _kernel_mass_many(n, f.grid.nodes, float(t))
-        level = sphere * float(np.dot(f.grid.weights, f.values * masses))
-        total += wt * level
-    return total
+    masses = sum(wt * _kernel_mass_many(n, grid.nodes, float(t))
+                 for t, wt in zip(t_nodes, t_weights))
+    weights = grid.sphere * grid.weights * masses
+    return np.array([f.values for f in profiles]) @ weights
 
 
 def boundary_convolution(f: RadialFn, t: float) -> np.ndarray:

@@ -32,8 +32,7 @@ from scipy.special import gammaln
 from .errors import DivergenceError, DomainError
 from .extension import dual_extend, poisson_extend, ring_kernel
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
-                    RadialGrid, default_halfspace_grid, lp_norm_boundary,
-                    lp_norm_halfspace)
+                    RadialGrid, lp_norm_boundary, lp_norm_halfspace)
 from .kernel import unit_ball_volume
 from .quadrature import (composite_rule, composite_rules, peak_breaks,
                          zero_refined_breaks)
@@ -112,12 +111,10 @@ def sharp_constant(n: int, which: str) -> float:
 
 
 def rayleigh_quotient(f: RadialFn, n: int, p: float,
-                      hs_grid: HalfspaceGrid | None = None) -> float:
+                      hs_grid: HalfspaceGrid) -> float:
     """|Pf|_{L^{np/(n-1)}(R^n_+)} / |f|_{L^p(R^{n-1})}."""
     if not np.any(f.values != 0.0):
         raise DomainError("Rayleigh quotient of the zero function")
-    if hs_grid is None:
-        hs_grid = default_halfspace_grid(f.grid)
     q = n * p / (n - 1)
     u = poisson_extend(f, hs_grid)
     return lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
@@ -136,27 +133,25 @@ def _el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
 
 
 def el_sides(f: RadialFn, n: int, p: float,
-             hs_grid: HalfspaceGrid | None = None):
+             hs_grid: HalfspaceGrid):
     """Both sides of the Euler-Lagrange system on f's mesh: (f^(p-1), T((Pf)^(q-1)))."""
     if np.any(f.values < 0.0):
         raise DomainError("the Euler-Lagrange system is stated for f >= 0")
     if not np.any(f.values > 0.0):
         raise DomainError("f must not be identically zero")
-    if hs_grid is None:
-        hs_grid = default_halfspace_grid(f.grid)
     _, lhs, rhs = _el_sides(f, n, p, hs_grid)
     return lhs, rhs
 
 
 def el_residual(f: RadialFn, n: int, p: float,
-                hs_grid: HalfspaceGrid | None = None) -> float:
+                hs_grid: HalfspaceGrid) -> float:
     """Normalized sup defect of the unit-coefficient Euler-Lagrange system."""
     lhs, rhs = el_sides(f, n, p, hs_grid)
     return float(np.max(np.abs(lhs - rhs)) / np.max(lhs))
 
 
 def normalize_el(f: RadialFn, n: int, p: float,
-                 hs_grid: HalfspaceGrid | None = None) -> float:
+                 hs_grid: HalfspaceGrid) -> float:
     """Amplitude a minimizing the Euler-Lagrange defect of a*f.
 
     The two sides scale as a^(p-1) and a^(np/(n-1)-1), so the optimum is the
@@ -205,7 +200,7 @@ def _calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
 
 
 def calibrated_residual(f: RadialFn, n: int, p: float,
-                        hs_grid: HalfspaceGrid | None = None) -> float:
+                        hs_grid: HalfspaceGrid) -> float:
     """Euler-Lagrange residual after optimal amplitude calibration."""
     lhs, rhs = el_sides(f, n, p, hs_grid)
     try:

@@ -11,6 +11,14 @@ riesz_gain quantifies the convolution-norm monotonicity
 direct planar quadrature route (n = 3 boundaries only), so the comparison is
 exact for already-radial data and the systematic quadrature bias cancels in
 the difference.
+
+The planar convolution sums P_t(|x - y|) over every pair of polar cells, but
+the mesh is invariant under rotation by one angular cell: the kernel rows of
+the targets at one angle are those of any other angle with the sources
+rotated.  It therefore evaluates N_r^2 m kernel entries (the targets at the
+first angle) in place of (N_r m)^2, and applies them to the m rotations of
+the data with one matrix product.  This is the same cell quadrature with the
+same terms, not an angular Fourier expansion.
 """
 
 from __future__ import annotations
@@ -80,22 +88,28 @@ def superlevel_measure(values, measures, level: float) -> float:
 
 
 def planar_convolution(f: PolarFn, n: int, t: float) -> PolarFn:
-    """(P_t * f) at f's own cells by direct cell quadrature (n = 3 only)."""
+    """(P_t * f) at f's own cells by direct cell quadrature (n = 3 only).
+
+    The polar angles are uniform midpoints, so the kernel rows of the targets
+    at angle index j are those at angle index 0 with the sources rotated by
+    j cells.  Only the angle-0 block ``block[i, k, l] = P_t(|x(i,0) - x(k,l)|)``
+    is evaluated (N_r^2 m entries, distances from the Cartesian points), and
+    one GEMM applies it to the m cyclic shifts of the weighted source:
+    ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.
+    """
     if n != 3:
         raise DomainError("planar convolutions are implemented for n = 3")
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
     x, y = f.grid.points()
-    cells = f.grid.cell_measures()
-    src = (f.values * cells).ravel()
-    xs = x.ravel()
-    ys = y.ravel()
-    out = np.empty(x.shape)
-    # row-blocked to keep the distance matrix small
-    for j in range(x.shape[0]):
-        dx = x[j][:, None] - xs[None, :]
-        dy = y[j][:, None] - ys[None, :]
-        out[j] = pt_profile(3, t, np.sqrt(dx * dx + dy * dy)) @ src
+    n_r, m = x.shape
+    src = f.values * f.grid.cell_measures()
+    dx = x[:, 0, None, None] - x[None]
+    dy = y[:, 0, None, None] - y[None]
+    block = pt_profile(3, t, np.sqrt(dx * dx + dy * dy))
+    shift = np.arange(m)
+    shifts = src[:, (shift[:, None] + shift[None, :]) % m]   # [k, d, j]
+    out = block.reshape(n_r, n_r * m) @ shifts.reshape(n_r * m, m)
     return PolarFn(f.grid, out)
 
 

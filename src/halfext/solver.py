@@ -32,8 +32,7 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 from .extension import poisson_extend  # noqa: F401
 from .extremals import _calibrate, _el_sides
 from .grids import (HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
-                    default_halfspace_grid, dilate_boundary, lp_norm_boundary,
-                    lp_norm_halfspace)
+                    dilate_boundary, lp_norm_boundary, lp_norm_halfspace)
 from .quadrature import panel_rule
 
 
@@ -126,7 +125,7 @@ def normalize_mass_half(f: RadialFn, p: float):
 
 
 def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
-                   hs_grid: HalfspaceGrid | None = None):
+                   hs_grid: HalfspaceGrid):
     """Euler-Lagrange solve by the power method for the p -> q norm of P.
 
     Returns (solution, trace).  The solution is gauge-normalized; its
@@ -137,8 +136,6 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     """
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise DomainError("initial guess must be nonnegative and nonzero")
-    if hs_grid is None:
-        hs_grid = default_halfspace_grid(init.grid)
     q = n * p / (n - 1)
     trace = IterationTrace()
     lam, f = normalize_mass_half(init, p)
@@ -216,7 +213,7 @@ def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
 
 
 def match_extremal_family(f: RadialFn, n: int, kind: str,
-                          r_window: float = 10.0):
+                          r_window: float):
     """Fit (lambda, amplitude) of the closed-form family to a radial profile.
 
     Returns (lam, amplitude, sup relative error over nodes with r <= window).

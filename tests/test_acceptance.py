@@ -75,18 +75,17 @@ def test_criterion_03_slab_mass(boundary3):
                       lambda r: np.maximum(1 - (r / 1.5) ** 2, 0.0) ** 2,
                       nonnegative=True),
     ]
+    masses = np.array([lp_norm_boundary(f, 1.0) for f in profiles])
     worst = 0.0
-    for f in profiles:
-        mass = lp_norm_boundary(f, 1.0)
-        for a in (0.3, 0.7, 2.0):
-            worst = max(worst, abs(slab_mass(f, a) - a * mass))
+    for a in (0.3, 0.7, 2.0):
+        worst = max(worst, np.max(np.abs(slab_mass(profiles, a) - a * masses)))
     report(3, "slab-mass identity", worst <= 1e-6, f"max defect {worst:.2e}")
 
 
-def test_criterion_04_sharp_constant_conformal(boundary3):
+def test_criterion_04_sharp_constant_conformal(boundary3, halfspace3):
     start = time.monotonic()
     f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
-    got = rayleigh_quotient(f, 3, 4.0)
+    got = rayleigh_quotient(f, 3, 4.0, halfspace3)
     target = sharp_constant(3, "conformal")
     elapsed = time.monotonic() - start
     err = abs(got - target)
@@ -95,16 +94,16 @@ def test_criterion_04_sharp_constant_conformal(boundary3):
            f"{got:.6f} vs {target:.6f} (err {err:.2e}), {elapsed:.1f} s")
 
 
-def test_criterion_05_sharp_constant_dual(boundary3):
+def test_criterion_05_sharp_constant_dual(boundary3, halfspace3):
     f = extremal_profile(ExtremalSpec(3, "dual"), boundary3)
-    got = rayleigh_quotient(f, 3, 4 / 3)
+    got = rayleigh_quotient(f, 3, 4 / 3, halfspace3)
     target = sharp_constant(3, "dual")
     err = abs(got - target)
     report(5, "sharp constant, dual", err <= 5e-4,
            f"{got:.6f} vs {target:.6f} (err {err:.2e})")
 
 
-def test_criterion_06_maximality(boundary3):
+def test_criterion_06_maximality(boundary3, halfspace3):
     rng = np.random.default_rng(6)
     bound = sharp_constant(3, "conformal") * (1 + 1e-3)
     worst = -np.inf
@@ -125,7 +124,7 @@ def test_criterion_06_maximality(boundary3):
         f = sample_radial(boundary3, profile,
                           tail_exponent=2 * min(e for _, _, e in parts),
                           nonnegative=True)
-        worst = max(worst, rayleigh_quotient(f, 3, 4.0))
+        worst = max(worst, rayleigh_quotient(f, 3, 4.0, halfspace3))
     report(6, "maximality over 50 random trials", worst <= bound,
            f"max quotient {worst:.6f} <= {bound:.6f}")
 

@@ -56,7 +56,8 @@ def test_rayleigh_n4_conformal(boundary4):
     from halfext.extremals import (ExtremalSpec, extremal_profile,
                                    sharp_constant)
     f = extremal_profile(ExtremalSpec(4, "conformal"), boundary4)
-    got = rayleigh_quotient(f, 4, 3.0)      # p = 2(n-1)/(n-2) = 3
+    # p = 2(n-1)/(n-2) = 3
+    got = rayleigh_quotient(f, 4, 3.0, default_halfspace_grid(boundary4))
     assert got == pytest.approx(sharp_constant(4, "conformal"), abs=5e-4)
 
 

@@ -394,13 +394,32 @@ def test_slab_mass_identity(boundary3):
                       lambda r: (1 + r ** 2) ** -1.5 / (2 * math.pi),
                       tail_exponent=3.0, nonnegative=True)
     assert lp_norm_boundary(f, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert slab_mass(f, 0.7) == pytest.approx(0.7, abs=1e-6)
+    assert slab_mass([f], 0.7)[0] == pytest.approx(0.7, abs=1e-6)
     # linear in f: doubled mass doubles the slab integral
-    assert slab_mass(f.scaled(2.0), 1.0) == pytest.approx(2.0, abs=2e-6)
+    assert slab_mass([f.scaled(2.0)], 1.0)[0] == pytest.approx(2.0, abs=2e-6)
     # small slabs shrink proportionally
-    assert slab_mass(f, 1e-3) == pytest.approx(1e-3, abs=1e-9)
+    assert slab_mass([f], 1e-3)[0] == pytest.approx(1e-3, abs=1e-9)
     with pytest.raises(DomainError):
-        slab_mass(f, 0.0)
+        slab_mass([f], 0.0)
+
+
+def test_slab_mass_many_profiles(boundary3):
+    fs = [sample_radial(boundary3, fn, tail_exponent=beta, nonnegative=True)
+          for fn, beta in ((lambda r: (1 + r ** 2) ** -1.5, 3.0),
+                           (lambda r: np.exp(-r ** 2), np.inf),
+                           (lambda r: np.maximum(1 - r ** 2, 0.0) ** 2,
+                            np.inf))]
+    together = slab_mass(fs, 0.7)
+    assert together.shape == (3,)
+    for f, got in zip(fs, together):
+        assert got == pytest.approx(slab_mass([f], 0.7)[0], rel=1e-15)
+    negative = RadialFn(boundary3, -fs[1].values)
+    with pytest.raises(DomainError):
+        slab_mass([fs[0], negative, fs[2]], 0.7)
+    coarse = build_radial_grid(2, 48, "tan", 1.0)
+    other = sample_radial(coarse, lambda r: np.exp(-r ** 2), nonnegative=True)
+    with pytest.raises(DomainError):
+        slab_mass([fs[0], other], 0.7)
 
 
 def test_commutator_constant_phi(boundary3):

@@ -68,35 +68,36 @@ def test_sharp_constants_closed_forms():
         sharp_constant(3, "other")
 
 
-def test_rayleigh_conformal(conformal3):
-    got = rayleigh_quotient(conformal3, 3, 4.0)
+def test_rayleigh_conformal(conformal3, halfspace3):
+    got = rayleigh_quotient(conformal3, 3, 4.0, halfspace3)
     assert got == pytest.approx(sharp_constant(3, "conformal"), abs=5e-4)
     # quadrature is in fact far sharper for this family
     assert got == pytest.approx(sharp_constant(3, "conformal"), abs=1e-8)
 
 
-def test_rayleigh_dual(dual3):
-    assert rayleigh_quotient(dual3, 3, 4 / 3) == pytest.approx(
+def test_rayleigh_dual(dual3, halfspace3):
+    assert rayleigh_quotient(dual3, 3, 4 / 3, halfspace3) == pytest.approx(
         sharp_constant(3, "dual"), abs=5e-4)
 
 
-def test_rayleigh_wrong_family_strictly_smaller(dual3):
-    got = rayleigh_quotient(dual3, 3, 4.0)
+def test_rayleigh_wrong_family_strictly_smaller(dual3, halfspace3):
+    got = rayleigh_quotient(dual3, 3, 4.0, halfspace3)
     assert got < sharp_constant(3, "conformal") * 0.99
 
 
-def test_rayleigh_zero_rejected(boundary3):
+def test_rayleigh_zero_rejected(boundary3, halfspace3):
     from halfext.grids import RadialFn
     zero = RadialFn(boundary3, np.zeros(boundary3.size), value_at_zero=0.0)
     with pytest.raises(DomainError):
-        rayleigh_quotient(zero, 3, 4.0)
+        rayleigh_quotient(zero, 3, 4.0, halfspace3)
 
 
-def test_rayleigh_dilation_invariance(conformal3):
-    base = rayleigh_quotient(conformal3, 3, 4.0)
+def test_rayleigh_dilation_invariance(conformal3, halfspace3):
+    base = rayleigh_quotient(conformal3, 3, 4.0, halfspace3)
     for lam in (0.25, 0.5, 2.0, 4.0):
         f = dilate_boundary(conformal3, lam, 4.0)
-        assert rayleigh_quotient(f, 3, 4.0) == pytest.approx(base, abs=1e-6)
+        got = rayleigh_quotient(f, 3, 4.0, halfspace3)
+        assert got == pytest.approx(base, abs=1e-6)
 
 
 def analytic_conformal_amplitude():
@@ -108,42 +109,43 @@ def analytic_conformal_amplitude():
     return math.sqrt(3.0 / J)
 
 
-def test_normalize_el_conformal(conformal3):
-    a = normalize_el(conformal3, 3, 4.0)
+def test_normalize_el_conformal(conformal3, halfspace3):
+    a = normalize_el(conformal3, 3, 4.0, halfspace3)
     assert a == pytest.approx(analytic_conformal_amplitude(), rel=1e-6)
     # calibrated member solves the unit-coefficient system
-    assert el_residual(conformal3.scaled(a), 3, 4.0) <= 1e-3
-    assert el_residual(conformal3.scaled(a), 3, 4.0) <= 1e-6
+    assert el_residual(conformal3.scaled(a), 3, 4.0, halfspace3) <= 1e-3
+    assert el_residual(conformal3.scaled(a), 3, 4.0, halfspace3) <= 1e-6
 
 
-def test_normalize_el_dual(dual3):
+def test_normalize_el_dual(dual3, halfspace3):
     # independent oracle: the dual-family calibrated amplitude is 2*sqrt(2)
-    a = normalize_el(dual3, 3, 4 / 3)
+    a = normalize_el(dual3, 3, 4 / 3, halfspace3)
     assert a == pytest.approx(2.0 * math.sqrt(2.0), rel=2e-4)
-    assert calibrated_residual(dual3, 3, 4 / 3) <= 1e-3
+    assert calibrated_residual(dual3, 3, 4 / 3, halfspace3) <= 1e-3
 
 
-def test_normalize_el_scaling(conformal3):
-    a = normalize_el(conformal3, 3, 4.0)
+def test_normalize_el_scaling(conformal3, halfspace3):
+    a = normalize_el(conformal3, 3, 4.0, halfspace3)
     solved = conformal3.scaled(a)
-    assert normalize_el(solved, 3, 4.0) == pytest.approx(1.0, rel=1e-12)
-    assert normalize_el(solved.scaled(2.0), 3, 4.0) == pytest.approx(
-        0.5, rel=1e-12)
+    assert normalize_el(solved, 3, 4.0, halfspace3) == pytest.approx(
+        1.0, rel=1e-12)
+    assert normalize_el(solved.scaled(2.0), 3, 4.0,
+                        halfspace3) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_normalize_el_warns_on_wrong_shape(boundary3):
+def test_normalize_el_warns_on_wrong_shape(boundary3, halfspace3):
     f = sample_radial(boundary3, lambda r: np.exp(-r ** 2), nonnegative=True)
     with pytest.warns(UserWarning):
-        normalize_el(f, 3, 4.0)
+        normalize_el(f, 3, 4.0, halfspace3)
 
 
-def test_el_residual_wrong_amplitude(conformal3):
-    a = normalize_el(conformal3, 3, 4.0)
+def test_el_residual_wrong_amplitude(conformal3, halfspace3):
+    a = normalize_el(conformal3, 3, 4.0, halfspace3)
     off = conformal3.scaled(2.0 * a)
-    assert el_residual(off, 3, 4.0) > 0.1
+    assert el_residual(off, 3, 4.0, halfspace3) > 0.1
 
 
-def test_el_residual_minimality(boundary3, conformal3, dual3):
+def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
     # only the matching family solves its own exponent's system
     gauss = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                           nonnegative=True)
@@ -151,10 +153,10 @@ def test_el_residual_minimality(boundary3, conformal3, dual3):
                          lambda r: np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
                          nonnegative=True)
     residuals = {
-        "conformal": calibrated_residual(conformal3, 3, 4.0),
-        "dual": calibrated_residual(dual3, 3, 4.0),
-        "gauss": calibrated_residual(gauss, 3, 4.0),
-        "bump": calibrated_residual(bump, 3, 4.0),
+        "conformal": calibrated_residual(conformal3, 3, 4.0, halfspace3),
+        "dual": calibrated_residual(dual3, 3, 4.0, halfspace3),
+        "gauss": calibrated_residual(gauss, 3, 4.0, halfspace3),
+        "bump": calibrated_residual(bump, 3, 4.0, halfspace3),
     }
     assert residuals["conformal"] <= 1e-3
     for name in ("dual", "gauss", "bump"):
@@ -203,7 +205,7 @@ def test_singular_solution_homogeneity():
     assert q == pytest.approx(3.0)
 
 
-def test_upper_bound_random_trials(boundary3, rng):
+def test_upper_bound_random_trials(boundary3, rng, halfspace3):
     c = sharp_constant(3, "conformal")
     for _ in range(10):
         a = rng.uniform(0.5, 2.0)
@@ -211,13 +213,14 @@ def test_upper_bound_random_trials(boundary3, rng):
         e = rng.uniform(0.6, 1.6)
         f = sample_radial(boundary3, lambda r: a * (b + r ** 2) ** -e,
                           tail_exponent=2 * e, nonnegative=True)
-        assert rayleigh_quotient(f, 3, 4.0) <= c * (1 + 1e-3)
+        assert rayleigh_quotient(f, 3, 4.0, halfspace3) <= c * (1 + 1e-3)
 
 
-def test_el_residual_minimality_dual_exponent(boundary3, conformal3, dual3):
+def test_el_residual_minimality_dual_exponent(boundary3, conformal3, dual3,
+                                              halfspace3):
     # the mirror statement at p = 2(n-1)/n: only the dual family solves
     gauss = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                           nonnegative=True)
-    assert calibrated_residual(dual3, 3, 4 / 3) <= 1e-3
-    assert calibrated_residual(conformal3, 3, 4 / 3) > 1e-2
-    assert calibrated_residual(gauss, 3, 4 / 3) > 1e-2
+    assert calibrated_residual(dual3, 3, 4 / 3, halfspace3) <= 1e-3
+    assert calibrated_residual(conformal3, 3, 4 / 3, halfspace3) > 1e-2
+    assert calibrated_residual(gauss, 3, 4 / 3, halfspace3) > 1e-2

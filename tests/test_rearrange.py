@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from halfext.errors import DomainError
 from halfext.extremals import ExtremalSpec, extremal_polar, extremal_profile
 from halfext.grids import PolarFn, PolarGrid, build_radial_grid
+from halfext.kernel import pt_profile
 from halfext.rearrange import (planar_convolution, radial_to_polar,
                                rearrangement_steps, riesz_gain,
                                superlevel_measure, symmetric_rearrangement)
@@ -132,6 +133,43 @@ def test_riesz_gain_random_inputs(polar_small, rng):
                           rng.uniform(0.4, 1.2), rng.choice([2.0, 4.0]))
         worst = min(worst, gain)
     assert worst >= -1e-8
+
+
+def _reference_planar_convolution(f, t):
+    # the direct route: one row of P_t(|x - y|) per radius, every target
+    # angle evaluated on its own
+    x, y = f.grid.points()
+    src = (f.values * f.grid.cell_measures()).ravel()
+    xs, ys = x.ravel(), y.ravel()
+    out = np.empty(x.shape)
+    for j in range(x.shape[0]):
+        dx = x[j][:, None] - xs[None, :]
+        dy = y[j][:, None] - ys[None, :]
+        out[j] = pt_profile(3, t, np.sqrt(dx * dx + dy * dy)) @ src
+    return out
+
+
+@pytest.mark.parametrize("pg", [
+    PolarGrid(build_radial_grid(2, 48, "tan", 1.0), 32),
+    PolarGrid(build_radial_grid(2, 40, "linear", 4.0), 9),   # odd m
+])
+def test_planar_convolution_matches_direct_rows(pg):
+    noise = np.random.default_rng(7).uniform(
+        0.0, 1.0, (pg.radial.size, pg.n_angles))
+    for f in (two_bump(pg), PolarFn(pg, noise)):
+        for t in (0.3, 1.1):
+            want = _reference_planar_convolution(f, t)
+            got = planar_convolution(f, 3, t).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_planar_convolution_rotation_equivariant(polar_small):
+    # rotating the data by one angular cell rotates the output
+    f = two_bump(polar_small)
+    rolled = PolarFn(polar_small, np.roll(f.values, 1, axis=1))
+    want = np.roll(planar_convolution(f, 3, 0.6).values, 1, axis=1)
+    got = planar_convolution(rolled, 3, 0.6).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_whole_pipeline_monotonicity(polar_small):
