@@ -25,7 +25,6 @@ its runs, not by the CLI.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import os
@@ -37,14 +36,17 @@ import numpy as np
 from . import __version__
 from .errors import HalfextError, SolverDivergence
 from .extension import dual_extend, extend_at, poisson_extend, slab_mass
-from .extremals import ExtremalSpec, extremal_profile, sharp_constant
-from .grids import (AxisymFn, PolarGrid, RadialFn, build_radial_grid,
+from .extremals import (ExtremalSpec, extremal_profile, normalize_el,
+                        sharp_constant)
+from .grids import (AxisymFn, PolarFn, PolarGrid, RadialFn, build_radial_grid,
                     default_halfspace_grid, distribution_mass,
-                    lp_norm_boundary, sample_radial, weak_lp_norm)
+                    lp_norm_boundary, lp_norm_halfspace, sample_radial,
+                    weak_lp_norm, write_csv)
 from .kernel import pt_lp_norm, pt_profile, poisson_kernel
 from .moebius import InversionSpec, ball_map, boundary_inversion, \
     halfspace_inversion
-from .rearrange import radial_to_polar, riesz_gain, symmetric_rearrangement
+from .rearrange import (radial_to_polar, rearrangement_steps, riesz_gain,
+                        symmetric_rearrangement)
 from .solver import (SolverConfig, ascent_estimate_constant,
                      classify_inverted_radial, el_fixed_point,
                      match_extremal_family, ode_check_1d)
@@ -227,11 +229,8 @@ def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
     checks.bound("weak_type_constant_finite", weak_c, 50.0)
     wn = weak_lp_norm(u, exponent)
     checks.bound("weak_norm_finite", wn, 50.0)
-    with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "mass"])
-        writer.writerows([[repr(float(a)), repr(float(b))]
-                          for a, b in zip(levels, masses)])
+    write_csv(os.path.join(outdir, "trace.csv"), ["level", "mass"], levels,
+              masses)
     return {"weak_norm_value": wn}
 
 
@@ -256,7 +255,6 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g = _boundary_grid(cfg)
     hs = default_halfspace_grid(g, cfg.height_n)
-    rng = np.random.default_rng(cfg.seed)
     family = _closed_form_family(n, p)
     r = g.nodes
     if cfg.init == "gaussian":
@@ -288,7 +286,6 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         checks.bound("family_match_error", err, 1e-3)
         # the lambda-free constant of the solved family: calibrating the
         # solution to the unit-coefficient system scales its amplitude
-        from .extremals import normalize_el
         family_c = normalize_el(sol, n, p, hs) * amp
         extra.update({"family": family, "lambda": lam, "amplitude": amp,
                       "family_constant": family_c,
@@ -302,12 +299,10 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
     x, y = pg.points()
     two_bump = (np.exp(-((x - 1.2) ** 2 + y ** 2) * 3.0)
                 + 0.8 * np.exp(-((x + 1.5) ** 2 + (y - 0.4) ** 2) * 5.0))
-    from .grids import PolarFn
     f = PolarFn(pg, two_bump)
     star = symmetric_rearrangement(f, g)
     star.to_csv(os.path.join(outdir, "profile.csv"))
     cells = pg.cell_measures()
-    from .rearrange import rearrangement_steps
     v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
     shells = np.diff(np.concatenate(([0.0], rho ** 2))) * np.pi
     for p in (1.0, 2.0, 4.0):
@@ -385,7 +380,6 @@ def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
                0.0, 1e-9)
     u = poisson_extend(sample_radial(g, lambda r: (1 + r ** 2) ** -0.5,
                                      tail_exponent=1.0, nonnegative=True), hs)
-    from .grids import lp_norm_halfspace
     uinv = halfspace_inversion(u, hs)
     checks.add("halfspace_norm_preserved", lp_norm_halfspace(uinv, 6.0),
                lp_norm_halfspace(u, 6.0), 1e-6)

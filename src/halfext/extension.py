@@ -39,8 +39,8 @@ discretized operator whose height cannot be resolved by the radial mesh are
 built with geometrically refined panels around the diagonal, composed with
 a local cubic interpolation stencil, so the operator stays a plain matrix.
 One row rule, ``_kernel_matrix``, builds every such matrix: the operator's
-per-height stacks, ``boundary_convolution`` (P_t at one height) and
-``extend_at`` (one height per point), so all three agree row for row.
+per-height stacks and ``extend_at`` (one height per point; P_t at the mesh
+nodes is ``extend_at(f, f.grid.nodes, t)``), so they agree row for row.
 
 Every per-point panel quadrature here (refined rows, kernel mass, the
 angular integrals) lays out the breakpoints of all its points in one array
@@ -125,18 +125,18 @@ def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
     return out.reshape(shape)
 
 
-def ring_kernel(n: int, r, s, t, method: str = "auto"):
+def ring_kernel(n: int, r, s, t, method: str = "closed"):
     """Ring kernel K(r, s, t); symmetric in (r, s), broadcasts over arrays.
 
-    ``method`` is "closed" (the closed forms above, every n >= 2), "auto"
-    (the same), or "gl": the angular integral on Gauss-Legendre panels,
-    kept as the independent oracle for the closed forms.
+    ``method`` is "closed" (the closed forms above, every n >= 2) or "gl":
+    the angular integral on Gauss-Legendre panels, kept as the independent
+    oracle for the closed forms.
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got n={n}")
     if np.any(np.asarray(t) <= 0.0):
         raise DomainError("height t must be positive")
-    if method in ("auto", "closed"):
+    if method == "closed":
         out = _ring_closed(n, r, s, t)
         return float(out) if np.ndim(out) == 0 else out
     if method != "gl":
@@ -374,22 +374,17 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
     return (rows @ f.values).reshape(r.shape)
 
 
-def _kernel_mass_many(n: int, s_arr: np.ndarray, t: float) -> np.ndarray:
-    """Quadrature of K(., s, t) r^(d-1) dr over (0, inf) for many s at once."""
+def kernel_mass(n: int, s, t: float) -> np.ndarray:
+    """Quadrature of K(., s, t) r^(d-1) dr over (0, inf), one per entry of s
+    (an array); exactly 1 in theory."""
     d = n - 1
-    s_arr = np.asarray(s_arr, dtype=float)
-    breaks = peak_breaks(s_arr, max(t, 1e-6), 0.0,
-                         np.maximum(np.maximum(8.0 * s_arr, 64.0 * t), 16.0))
-    r, w, offsets = composite_rules(breaks, 24,
-                                    np.maximum(s_arr, max(t, 1.0)))
-    s_rep = np.repeat(s_arr, np.diff(offsets))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    breaks = peak_breaks(s, max(t, 1e-6), 0.0,
+                         np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0))
+    r, w, offsets = composite_rules(breaks, 24, np.maximum(s, max(t, 1.0)))
+    s_rep = np.repeat(s, np.diff(offsets))
     contrib = w * ring_kernel(n, r, s_rep, t) * r ** (d - 1)
     return np.add.reduceat(contrib, offsets[:-1])
-
-
-def kernel_mass(n: int, s: float, t: float) -> float:
-    """Quadrature of K(., s, t) r^(d-1) dr over (0, inf); exactly 1 in theory."""
-    return float(_kernel_mass_many(n, np.asarray([s]), t)[0])
 
 
 def slab_mass(profiles, a: float) -> np.ndarray:
@@ -419,18 +414,10 @@ def slab_mass(profiles, a: float) -> np.ndarray:
     x, w = gauss_legendre(24)
     t_nodes = 0.5 * a * (x + 1.0)
     t_weights = 0.5 * a * w
-    masses = sum(wt * _kernel_mass_many(n, grid.nodes, float(t))
+    masses = sum(wt * kernel_mass(n, grid.nodes, float(t))
                  for t, wt in zip(t_nodes, t_weights))
     weights = grid.sphere * grid.weights * masses
     return np.array([f.values for f in profiles]) @ weights
-
-
-def boundary_convolution(f: RadialFn, t: float) -> np.ndarray:
-    """(P_t * f) sampled on f's own grid (radial data only)."""
-    if t <= 0.0:
-        raise DomainError(f"height t must be positive, got {t}")
-    ring = partial(ring_kernel, f.grid.d + 1)
-    return _kernel_matrix(ring, f.grid.nodes, f.grid, t) @ f.values
 
 
 def commutator_gap(f: RadialFn, phi_lip: float, phi: RadialFn,

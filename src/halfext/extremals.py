@@ -120,8 +120,12 @@ def rayleigh_quotient(f: RadialFn, n: int, p: float,
     return lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
 
 
-def _el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
-    """Pf and both Euler-Lagrange sides, (f^(p-1), T((Pf)^(q-1)))."""
+def el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
+    """Pf and both Euler-Lagrange sides: (Pf, f^(p-1), T((Pf)^(q-1)))."""
+    if np.any(f.values < 0.0):
+        raise DomainError("the Euler-Lagrange system is stated for f >= 0")
+    if not np.any(f.values > 0.0):
+        raise DomainError("f must not be identically zero")
     q = n * p / (n - 1)
     u = poisson_extend(f, hs_grid)
     power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
@@ -132,35 +136,47 @@ def _el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
     return u, lhs, rhs
 
 
-def el_sides(f: RadialFn, n: int, p: float,
-             hs_grid: HalfspaceGrid):
-    """Both sides of the Euler-Lagrange system on f's mesh: (f^(p-1), T((Pf)^(q-1)))."""
-    if np.any(f.values < 0.0):
-        raise DomainError("the Euler-Lagrange system is stated for f >= 0")
-    if not np.any(f.values > 0.0):
-        raise DomainError("f must not be identically zero")
-    _, lhs, rhs = _el_sides(f, n, p, hs_grid)
-    return lhs, rhs
-
-
 def el_residual(f: RadialFn, n: int, p: float,
                 hs_grid: HalfspaceGrid) -> float:
     """Normalized sup defect of the unit-coefficient Euler-Lagrange system."""
-    lhs, rhs = el_sides(f, n, p, hs_grid)
+    _, lhs, rhs = el_sides(f, n, p, hs_grid)
     return float(np.max(np.abs(lhs - rhs)) / np.max(lhs))
+
+
+def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
+    """Calibration amplitude a, residual of a*f, and the log-ratio spread.
+
+    The two sides scale as a^(p-1) and a^(np/(n-1)-1), so a comes from the
+    mean of log(rhs/lhs), weighted by lhs^2 over the region carrying mass:
+    that concentrates the calibration where the normalized defect is
+    measured, keeping the far mesh (where quadrature is weakest but both
+    sides are negligible) from biasing the amplitude.
+    """
+    mask = (lhs >= 1e-6 * np.max(lhs)) & (rhs > 0.0)
+    if not np.any(mask):
+        raise DomainError("nonpositive Euler-Lagrange ratio; cannot calibrate")
+    logs = np.log(rhs[mask] / lhs[mask])
+    log_ratio = float(np.average(logs, weights=lhs[mask] ** 2))
+    # shape diagnosis over the core only; the far mesh carries no mass but
+    # its quadrature is too weak to hold the ratio to calibration accuracy
+    core = lhs[mask] >= 1e-3 * np.max(lhs)
+    spread = float(np.max(np.abs(logs[core] - log_ratio)))
+    q = n * p / (n - 1)
+    a = math.exp(log_ratio / (p - q))
+    lhs2 = a ** (p - 1.0) * lhs
+    rhs2 = a ** (q - 1.0) * rhs
+    return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2)), spread
 
 
 def normalize_el(f: RadialFn, n: int, p: float,
                  hs_grid: HalfspaceGrid) -> float:
     """Amplitude a minimizing the Euler-Lagrange defect of a*f.
 
-    The two sides scale as a^(p-1) and a^(np/(n-1)-1), so the optimum is the
-    geometric mean of (rhs/lhs)^(1/(p-q)).  Warns when the pointwise log-ratio
-    varies by more than 0.05 (f does not have the right shape); the returned
-    amplitude is then best-effort.
+    Warns when the pointwise log-ratio varies by more than 0.05 (f does not
+    have the right shape); the returned amplitude is then best-effort.
     """
-    lhs, rhs = el_sides(f, n, p, hs_grid)
-    a, _, spread = _calibrate(n, p, lhs, rhs)
+    _, lhs, rhs = el_sides(f, n, p, hs_grid)
+    a, _, spread = calibrate(n, p, lhs, rhs)
     if spread > 0.05:
         warnings.warn(
             f"Euler-Lagrange ratio varies by {spread:.2e} across the mesh; "
@@ -169,42 +185,12 @@ def normalize_el(f: RadialFn, n: int, p: float,
     return a
 
 
-def _calibration_log_ratio(lhs: np.ndarray, rhs: np.ndarray):
-    """Defect-weighted mean of log(rhs/lhs) over the region carrying mass.
-
-    Weighting by lhs^2 concentrates the calibration where the normalized
-    defect is measured, keeping the far mesh (where quadrature is weakest but
-    both sides are negligible) from biasing the amplitude.
-    """
-    mask = (lhs >= 1e-6 * np.max(lhs)) & (rhs > 0.0)
-    if not np.any(mask):
-        raise DomainError("nonpositive Euler-Lagrange ratio; cannot calibrate")
-    logs = np.log(rhs[mask] / lhs[mask])
-    w = lhs[mask] ** 2
-    mean = float(np.average(logs, weights=w))
-    # shape diagnosis over the core only; the far mesh carries no mass but
-    # its quadrature is too weak to hold the ratio to calibration accuracy
-    core = lhs[mask] >= 1e-3 * np.max(lhs)
-    spread = float(np.max(np.abs(logs[core] - mean)))
-    return mean, spread
-
-
-def _calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
-    """Calibration amplitude a, residual of a*f, and the log-ratio spread."""
-    q = n * p / (n - 1)
-    log_ratio, spread = _calibration_log_ratio(lhs, rhs)
-    a = math.exp(log_ratio / (p - q))
-    lhs2 = a ** (p - 1.0) * lhs
-    rhs2 = a ** (q - 1.0) * rhs
-    return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2)), spread
-
-
 def calibrated_residual(f: RadialFn, n: int, p: float,
                         hs_grid: HalfspaceGrid) -> float:
     """Euler-Lagrange residual after optimal amplitude calibration."""
-    lhs, rhs = el_sides(f, n, p, hs_grid)
+    _, lhs, rhs = el_sides(f, n, p, hs_grid)
     try:
-        return _calibrate(n, p, lhs, rhs)[1]
+        return calibrate(n, p, lhs, rhs)[1]
     except DomainError:
         return math.inf
 
@@ -269,7 +255,7 @@ def singular_constant(n: int, p: float, r0: float = 1.0) -> float:
 
     # I(r0) = int K(r0, rho cos, rho sin) (rho^-beta phi)^(q-1)
     #             (rho cos)^(d-1) rho drho dtheta
-    theta_breaks = zero_refined_breaks(np.pi / 512.0, 0.5 * np.pi, levels=10)
+    theta_breaks = zero_refined_breaks(np.pi / 512.0, 0.5 * np.pi)
     th, wth = composite_rule(theta_breaks, _ORDER)
     phi_pow = np.exp(log_phi(th)) ** (q - 1.0)
     hi = max(8.0 * r0, 16.0)

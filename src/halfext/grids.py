@@ -5,11 +5,11 @@ weights that already include the surface Jacobian r^(d-1), so that
 
     integral_0^inf g(r) r^(d-1) dr  ~=  sum_i weights_i * g(r_i).
 
-Two node mappings are supported: ``tan`` (r = scale*tan(theta); the workhorse
-here because power-law tails become smooth on the mapped interval and the
-scale-1 node set is exactly closed under r -> 1/r) and ``linear`` (Gauss
-nodes on the bounded interval (0, scale), the planar mesh of the
-rearrangement code).
+Two node mappings are supported: ``tan`` (r = scale*tan(theta); every mesh
+the experiments build, because power-law tails become smooth on the mapped
+interval and the scale-1 node set is exactly closed under r -> 1/r) and
+``linear`` (Gauss nodes on the bounded interval (0, scale), built only by
+tests).
 
 Boundary functions of |xi| live in RadialFn, axisymmetric half-space
 functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, and non-radial
@@ -232,11 +232,20 @@ class RadialFn:
                         self.tail_exponent, self.nonnegative and c >= 0.0)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "value"])
-            for r, v in zip(self.grid.nodes, self.values):
-                writer.writerow([repr(float(r)), repr(float(v))])
+        write_csv(path, ["r", "value"], self.grid.nodes, self.values)
+
+
+def write_csv(path, header, *columns) -> None:
+    """Write columns under a header row, each value as its repr.
+
+    Values go through ``tolist``, so floats are written as Python floats
+    (exact round trip) and integers as integers.
+    """
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(v) for v in row] for row in rows)
 
 
 def radial_fn_from_csv(grid: RadialGrid, path, **kwargs) -> RadialFn:
@@ -320,13 +329,9 @@ class AxisymFn:
         return spline.ev(radial.parameter(r), heights.parameter(t))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "t", "value"])
-            for j, r in enumerate(self.grid.radial.nodes):
-                for k, t in enumerate(self.grid.heights.nodes):
-                    writer.writerow([repr(float(r)), repr(float(t)),
-                                     repr(float(self.values[j, k]))])
+        r, t = self.grid.radial.nodes, self.grid.heights.nodes
+        write_csv(path, ["r", "t", "value"], np.repeat(r, t.size),
+                  np.tile(t, r.size), self.values.ravel())
 
 
 @dataclass(eq=False)
@@ -402,36 +407,25 @@ class PolarFn:
         return self._spline.ev(self.grid.radial.parameter(rho), phi)
 
 
-def _tail_guard(p: float, d: int, declared: float, fitted: float) -> None:
-    """Raise DivergenceError when p * beta <= d for any credible tail slope."""
-    candidates = [b for b in (declared, fitted) if not math.isnan(b)]
-    if not candidates:
-        return
-    beta = min(candidates)
-    if math.isinf(beta):
-        return
-    # small slack absorbs fit noise on exactly-critical tails
-    if p * beta <= d + 1e-6:
-        raise DivergenceError(
-            f"L^{p} norm divergent: tail exponent {beta:.4g} gives "
-            f"p*beta = {p * beta:.4g} <= d = {d}")
-
-
 def lp_norm_boundary(f: RadialFn, p: float) -> float:
     """L^p(R^d) norm of a radial boundary function by grid quadrature.
 
     The tan-mapped Gauss rule integrates the full half-line, so no additive
     tail term is applied; the declared/fitted tail exponents only gate
-    divergence.  Requires the estimated truncation remainder to stay below 1%
-    of the truncated integral.
+    divergence: the slower of the two must give p * beta > d.  Requires the
+    estimated truncation remainder to stay below 1% of the truncated integral.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     d = f.grid.d
-    fitted = f.fitted_tail()
-    _tail_guard(p, d, f.tail_exponent, fitted)
+    beta = min([b for b in (f.tail_exponent, f.fitted_tail())
+                if not math.isnan(b)], default=math.inf)
+    # small slack absorbs fit noise on exactly-critical tails
+    if p * beta <= d + 1e-6:
+        raise DivergenceError(
+            f"L^{p} norm divergent: tail exponent {beta:.4g} gives "
+            f"p*beta = {p * beta:.4g} <= d = {d}")
     total = f.grid.quad(np.abs(f.values) ** p)
-    beta = min(b for b in (f.tail_exponent, fitted) if not math.isnan(b))
     if not math.isinf(beta):
         r_hi = f.grid.r_max
         tail = abs(f.values[-1]) ** p * r_hi ** d / (p * beta - d)

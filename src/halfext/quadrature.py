@@ -19,6 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
+# geometric factor between neighbouring panels of the refined breakpoints
+GROW = 4.0
+# panels refining toward 0 in zero_refined_breaks
+ZERO_LEVELS = 10
+
 
 @lru_cache(maxsize=128)
 def gauss_legendre(order: int):
@@ -49,13 +54,9 @@ def half_line_rule(a: float, scale: float, order: int):
     return nodes, weights
 
 
-def composite_rule(breaks, order: int, tail_scale: float | None = None):
-    """Gauss panels over consecutive breakpoints, optional tan-mapped tail.
-
-    ``breaks`` is an increasing sequence; if ``tail_scale`` is given, the rule
-    is extended from the last breakpoint to infinity.
-    """
-    nodes, weights, _ = composite_rules([breaks], order, tail_scale)
+def composite_rule(breaks, order: int):
+    """Gauss panels over consecutive breakpoints of an increasing sequence."""
+    nodes, weights, _ = composite_rules([breaks], order)
     return nodes, weights
 
 
@@ -65,7 +66,8 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     Returns ``(nodes, weights, offsets)``: the rule of list ``k`` is
     ``nodes[offsets[k]:offsets[k + 1]]``, node for node.  Zero-width panels
     are skipped, so lists may be padded by repeating a breakpoint.
-    ``tail_scales`` (one per list, or one for all) attaches the mapped tail.
+    ``tail_scales`` (one per list, or one for all) extends each rule from its
+    last breakpoint to infinity by a tan-mapped tail of that scale.
     The panel rules are built in breakpoint order, which is the output order
     when there is no tail; a tail after each list's panels is scattered in.
     """
@@ -95,11 +97,11 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     return nodes, weights, offsets
 
 
-def peak_breaks(peak, width, lo, hi, grow: float = 4.0):
+def peak_breaks(peak, width, lo, hi):
     """Breakpoints resolving a feature of given width at ``peak`` in [lo, hi].
 
     Panels have width ~``width`` at the feature and grow geometrically by
-    ``grow`` until they cover the interval; ``hi`` may be ``inf`` (capped at
+    ``GROW`` until they cover the interval; ``hi`` may be ``inf`` (capped at
     max(4 |peak|, 16 width, 1); the caller then attaches a mapped tail panel
     from the last break).  The arguments broadcast: the result holds one
     sorted row of breakpoints per feature, all rows of one length, padded by
@@ -113,8 +115,8 @@ def peak_breaks(peak, width, lo, hi, grow: float = 4.0):
     hi = np.where(np.isfinite(hi), hi, cap)
     # one level count for every row; rows needing fewer clip the rest
     reach = np.max(np.maximum(peak - lo, hi - peak) / width, initial=1.0)
-    levels = int(np.ceil(np.log(reach) / np.log(grow))) + 1
-    steps = width[..., None] * grow ** np.arange(levels)
+    levels = int(np.ceil(np.log(reach) / np.log(GROW))) + 1
+    steps = width[..., None] * GROW ** np.arange(levels)
     lo, hi, peak = lo[..., None], hi[..., None], peak[..., None]
     # peak -+ steps increase; clipping to [lo, hi] keeps that order
     breaks = np.concatenate([lo, peak - steps[..., ::-1], peak + steps, hi],
@@ -122,15 +124,16 @@ def peak_breaks(peak, width, lo, hi, grow: float = 4.0):
     return np.clip(breaks, lo, hi)
 
 
-def zero_refined_breaks(lo_feature, hi, levels: int = 10, ratio: float = 4.0):
+def zero_refined_breaks(lo_feature, hi):
     """Breakpoints geometrically refined toward 0 (integrable endpoint).
 
-    Broadcasts like ``peak_breaks``: one sorted row of ``levels + 2``
-    breakpoints per (lo_feature, hi) pair.
+    Broadcasts like ``peak_breaks``: one sorted row of ``ZERO_LEVELS + 2``
+    breakpoints per (lo_feature, hi) pair, shrinking by ``GROW`` from
+    min(lo_feature, hi) toward 0.
     """
     lo_feature, hi = np.broadcast_arrays(np.asarray(lo_feature, dtype=float),
                                          np.asarray(hi, dtype=float))
     top = np.minimum(lo_feature, hi)[..., None]
     return np.concatenate([np.zeros_like(top),
-                           top / ratio ** np.arange(levels - 1, -1, -1),
+                           top / GROW ** np.arange(ZERO_LEVELS - 1, -1, -1),
                            hi[..., None]], axis=-1)

@@ -30,16 +30,6 @@ from .grids import PolarFn, PolarGrid, RadialFn, RadialGrid
 from .kernel import pt_profile, unit_ball_volume
 
 
-def _as_value_measure(f):
-    """Extract (values, measures, d) from a PolarFn or RadialFn."""
-    if isinstance(f, PolarFn):
-        return f.values.ravel(), f.grid.cell_measures().ravel(), 2
-    if isinstance(f, RadialFn):
-        d = f.grid.d
-        return f.values, f.grid.sphere * f.grid.weights, d
-    raise DomainError("expected a PolarFn or RadialFn")
-
-
 def rearrangement_steps(values, measures, d: int):
     """Sorted (descending) values and outer radii of the equimeasured balls.
 
@@ -64,13 +54,16 @@ def rearrangement_steps(values, measures, d: int):
 def symmetric_rearrangement(f, out_grid: RadialGrid) -> RadialFn:
     """Radial non-increasing rearrangement sampled on out_grid.
 
-    Accepts a PolarFn, a RadialFn, or a (values, measures, d) triple.  The
-    output is the layer-cake step function evaluated at the grid nodes.
+    Accepts a PolarFn or a RadialFn.  The output is the layer-cake step
+    function evaluated at the grid nodes.
     """
-    if isinstance(f, tuple):
-        values, measures, d = f
+    if isinstance(f, PolarFn):
+        values, measures, d = f.values, f.grid.cell_measures(), 2
+    elif isinstance(f, RadialFn):
+        g = f.grid
+        values, measures, d = f.values, g.sphere * g.weights, g.d
     else:
-        values, measures, d = _as_value_measure(f)
+        raise DomainError("expected a PolarFn or RadialFn")
     if d != out_grid.d:
         raise DomainError("output grid dimension must match the data")
     v, rho = rearrangement_steps(values, measures, d)

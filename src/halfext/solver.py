@@ -19,7 +19,6 @@ and the one-dimensional third-difference test for [a(x-x0)^2+b]^(alpha/2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +29,10 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 # kept importable as halfext.solver.poisson_extend; the loop reaches it
 # through the Euler-Lagrange helpers of extremals
 from .extension import poisson_extend  # noqa: F401
-from .extremals import _calibrate, _el_sides
+from .extremals import ExtremalSpec, calibrate, el_sides
 from .grids import (HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
-                    dilate_boundary, lp_norm_boundary, lp_norm_halfspace)
+                    dilate_boundary, lp_norm_boundary, lp_norm_halfspace,
+                    write_csv)
 from .quadrature import panel_rule
 
 
@@ -64,12 +64,9 @@ class IterationTrace:
         return len(self.residuals)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "residual", "rayleigh", "lambda"])
-            for i, (res, ray, lam) in enumerate(
-                    zip(self.residuals, self.rayleighs, self.lambdas)):
-                writer.writerow([i, f"{res!r}", f"{ray!r}", f"{lam!r}"])
+        write_csv(path, ["iter", "residual", "rayleigh", "lambda"],
+                  range(len(self)), self.residuals, self.rayleighs,
+                  self.lambdas)
 
 
 def _cell_masses(f: RadialFn, p: float, a, b) -> np.ndarray:
@@ -142,8 +139,8 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     for _ in range(cfg.max_iters):
         residual = rayleigh = math.nan
         try:
-            u, lhs, rhs = _el_sides(f, n, p, hs_grid)
-            _, residual, _ = _calibrate(n, p, lhs, rhs)
+            u, lhs, rhs = el_sides(f, n, p, hs_grid)
+            _, residual, _ = calibrate(n, p, lhs, rhs)
             rayleigh = lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
         except DivergenceError as exc:
             # the failed iterate's row, NaN where it stopped short
@@ -180,8 +177,9 @@ def initial_profiles(grid: RadialGrid, n: int, rng: np.random.Generator):
         vals = amp * np.maximum(1.0 - (r / (2.0 * width)) ** 2, 0.0) ** 2
         v0, beta = amp, math.inf
     else:
-        e = 0.5 * n   # the other family's exponent
-        vals = amp * (width / (width ** 2 + r ** 2)) ** e
+        # the dual family's extremal
+        spec = ExtremalSpec(n, "dual", width, amplitude=amp)
+        vals, e = spec.profile(r), spec.exponent
         v0, beta = amp * width ** (-e), 2.0 * e
     return RadialFn(grid, vals, value_at_zero=v0, tail_exponent=beta,
                     nonnegative=True)
@@ -217,8 +215,9 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     """Fit (lambda, amplitude) of the closed-form family to a radial profile.
 
     Returns (lam, amplitude, sup relative error over nodes with r <= window).
+    The shapes are ``ExtremalSpec.profile``; an unknown ``kind`` raises
+    DomainError.
     """
-    e = 0.5 * (n - 2) if kind == "conformal" else 0.5 * n
     sel = f.grid.nodes <= r_window
     r = f.grid.nodes[sel]
     y = f.values[sel]
@@ -227,7 +226,7 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
 
     def best_amp(lam: float):
         # minimax amplitude for multiplicative deviation: geometric midrange
-        shape = (lam / (lam * lam + r * r)) ** e
+        shape = ExtremalSpec(n, kind, lam).profile(r)
         ratio = y / shape
         amp = math.sqrt(float(np.min(ratio)) * float(np.max(ratio)))
         err = float(np.max(np.abs(ratio / amp - 1.0)))

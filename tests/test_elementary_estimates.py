@@ -9,7 +9,7 @@ than assertions (they have no closed form).
 import numpy as np
 import pytest
 
-from halfext.extension import boundary_convolution
+from halfext.extension import extend_at
 from halfext.grids import RadialFn, build_radial_grid, lp_norm_boundary, \
     sample_radial
 
@@ -33,7 +33,7 @@ def test_young_type_height_decay(grid):
     norm_f = lp_norm_boundary(f, p)
     ratios = []
     for t in np.geomspace(0.25, 64.0, 9):
-        conv = boundary_convolution(f, float(t))
+        conv = extend_at(f, grid.nodes, float(t))
         ratios.append(_single_height_norm(conv, grid, q)
                       / (t ** decay * norm_f))
     ratios = np.asarray(ratios)
@@ -54,7 +54,7 @@ def test_exterior_support_bound(grid):
                         (grid.nodes / R) ** -4.0, 0.0)
         f = RadialFn(grid, vals, value_at_zero=0.0, tail_exponent=4.0,
                      nonnegative=True)
-        conv = boundary_convolution(f, t)
+        conv = extend_at(f, grid.nodes, t)
         inner = grid.nodes <= R / 2
         sup_inner = float(np.max(conv[inner]))
         consts.append(sup_inner
@@ -75,7 +75,7 @@ def test_compact_support_envelope(grid):
                  nonnegative=True)
     mass = lp_norm_boundary(f, 1.0)
     for t in (0.3, 1.0, 3.0):
-        conv = boundary_convolution(f, float(t))
+        conv = extend_at(f, grid.nodes, float(t))
         gap = np.maximum(grid.nodes - R, 0.0)
         envelope = t * mass / (gap ** 2 + t ** 2) ** 1.5
         ratio = conv / envelope

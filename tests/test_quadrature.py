@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from halfext.quadrature import (composite_rule, composite_rules, peak_breaks,
+from halfext.quadrature import (GROW, ZERO_LEVELS, composite_rule,
+                                composite_rules, peak_breaks,
                                 zero_refined_breaks)
 
 
@@ -22,11 +23,14 @@ def test_composite_rules_matches_composite_rule(rng, with_tail):
     nodes, weights, offsets = composite_rules(lists, 16, scales)
     assert offsets[0] == 0 and offsets[-1] == nodes.size == weights.size
     for k, breaks in enumerate(lists):
-        x, w = composite_rule(breaks, 16,
-                              None if scales is None else scales[k])
+        x, w, _ = composite_rules([breaks], 16,
+                                  None if scales is None else scales[k])
         seg = slice(offsets[k], offsets[k + 1])
         assert np.array_equal(nodes[seg], x)
         assert np.array_equal(weights[seg], w)
+        if scales is None:
+            x1, w1 = composite_rule(breaks, 16)
+            assert np.array_equal(x1, x) and np.array_equal(w1, w)
 
 
 def test_composite_rules_padded_rows_and_shared_tail():
@@ -35,7 +39,7 @@ def test_composite_rules_padded_rows_and_shared_tail():
     nodes, weights, offsets = composite_rules(padded, 8, tail_scales=1.5)
     assert list(np.diff(offsets)) == [2 * 8 + 16, 8 + 16]
     for k, row in enumerate(padded):
-        x, w = composite_rule(np.unique(row), 8, 1.5)
+        x, w, _ = composite_rules([np.unique(row)], 8, 1.5)
         assert np.array_equal(nodes[offsets[k]:offsets[k + 1]], x)
         assert np.array_equal(weights[offsets[k]:offsets[k + 1]], w)
 
@@ -59,7 +63,7 @@ def peak_breaks_loop(peak, width, lo, hi, grow):
 def test_peak_breaks_rows(scalar):
     # own generator: draws from the session rng would shift later modules'
     rng = np.random.default_rng(4)
-    K, lo, grow = 200, 0.0, 4.0
+    K, lo, grow = 200, 0.0, GROW
     peak = rng.uniform(0.0, 10.0, K)
     width = 10.0 ** rng.uniform(-9.0, 0.5, K)
     hi = np.where(rng.random(K) < 0.5, np.inf, rng.uniform(10.0, 60.0, K))
@@ -67,7 +71,7 @@ def test_peak_breaks_rows(scalar):
         peak = 2.5
     elif scalar == "width":
         width = 1e-3
-    rows = peak_breaks(peak, width, lo, hi, grow)
+    rows = peak_breaks(peak, width, lo, hi)
     peak, width = np.broadcast_arrays(peak, width, hi)[:2]
     cap = np.where(np.isfinite(hi), hi,
                    np.maximum(np.maximum(4.0 * peak, 16.0 * width), 1.0))
@@ -97,8 +101,8 @@ def test_zero_refined_breaks_rows():
     rng = np.random.default_rng(5)
     lo_feature = 10.0 ** rng.uniform(-3.0, 1.0, 50)
     hi = rng.uniform(0.5, 20.0, 50)
-    rows = zero_refined_breaks(lo_feature, hi, levels=6, ratio=4.0)
-    assert rows.shape == (50, 8)
+    rows = zero_refined_breaks(lo_feature, hi)
+    assert ZERO_LEVELS == 10 and rows.shape == (50, 12)
     assert np.all(np.diff(rows, axis=1) >= 0.0)
     assert np.all(rows[:, 0] == 0.0) and np.array_equal(rows[:, -1], hi)
-    assert np.array_equal(rows[:, 1], np.minimum(lo_feature, hi) / 4.0 ** 5)
+    assert np.array_equal(rows[:, 1], np.minimum(lo_feature, hi) / 4.0 ** 9)

@@ -107,6 +107,14 @@ def test_fixed_point_from_gaussian(boundary3, halfspace3):
     assert max(trace.rayleighs) <= sharp_constant(3, "conformal") * (1 + 1e-3)
 
 
+def test_match_extremal_family_rejects_unknown_kind(boundary3):
+    # a misspelled family must not silently fit the dual family's shape
+    f = extremal_profile(ExtremalSpec(3, "dual"), boundary3)
+    assert match_extremal_family(f, 3, "dual", 10.0)[2] < 1e-12
+    with pytest.raises(DomainError):
+        match_extremal_family(f, 3, "duall", 10.0)
+
+
 def test_solution_tail_is_fitted_not_inherited(boundary3, halfspace3):
     # the Gaussian start declares a tail of inf; the conformal solution
     # decays like r^-1, so it must declare none and let the fit decide
