@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .errors import HalfextError, SolverDivergence
-from .extension import dual_extend, extend_at, poisson_extend, slab_mass
+from .extension import (dual_extend, extend_at, extension_norm,
+                        poisson_extend, slab_mass)
 from .extremals import (ExtremalSpec, extremal_profile, normalize_el,
                         sharp_constant)
 from .grids import (AxisymFn, PolarFn, PolarGrid, RadialFn, build_radial_grid,
@@ -84,6 +85,13 @@ class ExperimentConfig:
         if self.trials < 1 or self.max_iters < 1 or not self.tol_residual > 0:
             raise HalfextError("trials, max_iters and tol_residual must be "
                                "positive")
+        if self.init == "extremal" and self.n < 3:
+            raise HalfextError("extremal starts need n >= 3")
+        # the start's tail r^-beta must be in L^p(R^(n-1)), as in
+        # lp_norm_boundary
+        if self.init == "extremal" and self.p * 2.0 * _extremal_start(
+                self.n, self.p).exponent <= self.n - 1 + 1e-6:
+            raise HalfextError(f"--init extremal starts outside L^{self.p}")
 
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iters=self.max_iters,
@@ -119,8 +127,9 @@ def _jsonable(x):
     return x
 
 
-def _boundary_grid(cfg: ExperimentConfig):
-    return build_radial_grid(cfg.n - 1, cfg.grid_n, "tan", 1.0)
+def _meshes(cfg: ExperimentConfig):
+    g = build_radial_grid(cfg.n - 1, cfg.grid_n, "tan", 1.0)
+    return g, default_halfspace_grid(g, cfg.height_n)
 
 
 def _closed_form_family(n: int, p: float):
@@ -129,6 +138,12 @@ def _closed_form_family(n: int, p: float):
         return None
     return next((kind for kind in ("conformal", "dual")
                  if abs(ExtremalSpec(n, kind).critical_p - p) < 1e-12), None)
+
+
+def _extremal_start(n: int, p: float) -> ExtremalSpec:
+    """solve-el's extremal start: the other closed-form family's extremal."""
+    family = _closed_form_family(n, p)
+    return ExtremalSpec(n, "dual" if family == "conformal" else "conformal")
 
 
 # ----------------------------------------------------------------- experiments
@@ -167,7 +182,7 @@ def run_verify_kernel(cfg: ExperimentConfig, checks: Checks, outdir: str):
 def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
     if cfg.n != 3:
         raise HalfextError("extension identities are scripted for n=3")
-    g = _boundary_grid(cfg)
+    g, hs = _meshes(cfg)
     rng = np.random.default_rng(cfg.seed)
     r_pts = rng.uniform(0.0, 4.0, 20)
     t_pts = rng.uniform(0.05, 4.0, 20)
@@ -200,7 +215,6 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
             checks.add(f"slab_mass[{name},a={a}]", float(slab[i]),
                        a * mass, 1e-6)
     # duality pairing <Tu, f> = <u, Pf>
-    hs = default_halfspace_grid(g, cfg.height_n)
     f = sample_radial(g, lambda r: (0.5 + r ** 2) ** -1.2,
                       tail_exponent=2.4, nonnegative=True)
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
@@ -214,8 +228,7 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
 
 def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n = cfg.n
-    g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g, cfg.height_n)
+    g, hs = _meshes(cfg)
     f = sample_radial(g, lambda r: (1 + r ** 2) ** (-0.5 * (n + 1)),
                       tail_exponent=float(n + 1), nonnegative=True)
     f = f.scaled(1.0 / lp_norm_boundary(f, 1.0))
@@ -236,8 +249,7 @@ def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
 
 def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
-    g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g, cfg.height_n)
+    g, hs = _meshes(cfg)
     est = ascent_estimate_constant(n, p, cfg.trials, cfg.solver(), hs)
     summary_extra = {"c_estimate": est}
     family = _closed_form_family(n, p)
@@ -253,8 +265,7 @@ def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
 
 def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
-    g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g, cfg.height_n)
+    g, hs = _meshes(cfg)
     family = _closed_form_family(n, p)
     r = g.nodes
     if cfg.init == "gaussian":
@@ -264,12 +275,8 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         init = RadialFn(g, np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
                         value_at_zero=1.0, tail_exponent=np.inf,
                         nonnegative=True)
-    else:   # "extremal", the only other choice validate() admits
-        if n < 3:
-            raise HalfextError("extremal starts need n >= 3")
-        # start from the other family's extremal
-        kind = "dual" if family == "conformal" else "conformal"
-        init = extremal_profile(ExtremalSpec(n, kind), g)
+    else:   # "extremal", which validate() admits for n >= 3 in L^p only
+        init = extremal_profile(_extremal_start(n, p), g)
     try:
         sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
     except SolverDivergence as exc:
@@ -280,7 +287,12 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     sol.to_csv(os.path.join(outdir, "profile.csv"))
     checks.bound("converged", 0.0 if trace.converged else 1.0, 0.5)
     checks.bound("final_residual", trace.residuals[-1], cfg.tol_residual)
-    extra = {"iterations": len(trace), "rayleigh": trace.rayleighs[-1]}
+    # resolution indicator: the solution's |Pf|_q, product mesh over the
+    # polar rule that the Rayleigh quotients read
+    q = n * p / (n - 1)
+    extra = {"iterations": len(trace), "rayleigh": trace.rayleighs[-1],
+             "norm_mesh_gap": lp_norm_halfspace(poisson_extend(sol, hs), q)
+             / extension_norm(sol, q, hs) - 1.0}
     if family is not None:
         lam, amp, err = match_extremal_family(sol, n, family, 10.0)
         checks.bound("family_match_error", err, 1e-3)
@@ -361,8 +373,7 @@ def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
                              outdir: str):
     if cfg.n != 3:
         raise HalfextError("inversion checks are scripted for n=3")
-    g = _boundary_grid(cfg)
-    hs = default_halfspace_grid(g, cfg.height_n)
+    g, hs = _meshes(cfg)
     p_crit = 4.0
     f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)

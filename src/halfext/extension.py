@@ -58,7 +58,8 @@ import numpy as np
 from scipy.special import beta, digamma, ellipe, hyp2f1
 
 from .errors import DivergenceError, DomainError
-from .grids import AxisymFn, HalfspaceGrid, RadialFn, RadialGrid
+from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
+                    polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
 from .quadrature import composite_rules, gauss_legendre, peak_breaks
 
@@ -254,13 +255,16 @@ class PoissonOperator:
 
     ``extend`` (M[k] @ f) and ``dual`` (M[k] @ u[:, k]) are BLAS products
     that read the C-contiguous stack in place: it holds 20 MB at N=160,
-    N_t=96, so neither direction may copy or transpose it.  Built once per
-    n and mesh content by ``get_operator``.
+    N_t=96, so neither direction may copy or transpose it; ``extension_norm``
+    reads the 1.3 MB of polar rows.  Built once per n and mesh content by
+    ``get_operator``.
     """
 
     n: int
     halfspace: HalfspaceGrid
     matrices: np.ndarray          # (N_t, N, N), C-contiguous
+    polar_rows: np.ndarray        # (POLAR_PHI * POLAR_RHO, N), ray by ray
+    polar_weights: np.ndarray     # (POLAR_PHI * POLAR_RHO,)
 
     @property
     def dual_matrices(self) -> np.ndarray:
@@ -323,17 +327,26 @@ def get_operator(n: int, boundary: RadialGrid,
     op = _OPERATOR_CACHE.get(key)
     if op is not None:
         return op
-    op = PoissonOperator(n, halfspace, _matrix_stack(n, radial, heights))
+    r, t, weights = polar_halfspace_rule(n)
+    # polar rows one ray per call, as _matrix_stack goes one height per call
+    rows = [_kernel_matrix(partial(ring_kernel, n), r_ray, radial, t_ray)
+            for r_ray, t_ray in zip(r, t)]
+    op = PoissonOperator(n, halfspace, _matrix_stack(n, radial, heights),
+                         np.concatenate(rows), weights.ravel())
     if len(_OPERATOR_CACHE) >= _CACHE_LIMIT:
         _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
     _OPERATOR_CACHE[key] = op
     return op
 
 
-def _check_integrable(f: RadialFn) -> None:
+def _tail(f: RadialFn) -> float:
+    # the declared tail exponent of f, else its fitted one
     beta = f.tail_exponent
-    if math.isnan(beta):
-        beta = f.fitted_tail()
+    return f.fitted_tail() if math.isnan(beta) else beta
+
+
+def _check_integrable(f: RadialFn) -> None:
+    beta = _tail(f)
     if not math.isnan(beta) and beta <= 0.0:
         raise DivergenceError(
             f"boundary data with tail exponent {beta:.3g} <= 0 is not "
@@ -345,6 +358,23 @@ def poisson_extend(f: RadialFn, grid: HalfspaceGrid) -> AxisymFn:
     _check_integrable(f)
     op = get_operator(grid.n, f.grid, grid)
     return AxisymFn(grid, op.extend(f.values))
+
+
+def extension_norm(f: RadialFn, q: float, halfspace: HalfspaceGrid) -> float:
+    """|Pf|_{L^q(R^n_+)} on the polar half-space rule (``polar_rows`` @ f).
+
+    Its tan map reaches rho = inf, where |Pf| ~ rho^-beta, beta = min(tail of
+    f, n-1), makes the mapped integrand ~ (pi/2 - theta)^(q beta - n - 1), so
+    q beta < n + 1 raises DivergenceError: a far field the rule cannot take."""
+    n = halfspace.n
+    beta = min(_tail(f), n - 1.0)
+    if q * beta < n + 1 - 1e-6:     # slack: fit noise at critical decay
+        raise DivergenceError(
+            f"far field of Pf too slow for the polar rule: q*beta = "
+            f"{q * beta:.4g} < n + 1 (L^{q}, |Pf| ~ |x|^-{beta:.4g})")
+    op = get_operator(n, f.grid, halfspace)
+    u = op.polar_rows @ f.values
+    return float(np.dot(op.polar_weights, np.abs(u) ** q) ** (1.0 / q))
 
 
 def dual_extend(u: AxisymFn) -> RadialFn:

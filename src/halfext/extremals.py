@@ -18,6 +18,7 @@ Nonnegative critical points of the quotient satisfy the integral system
 whose residual, amplitude calibration, and singular power-law solution
 c * |xi|^(-(n-1)/p) are computed here.  The calibration amplitude is well
 defined because the two sides scale with different powers of the amplitude.
+Rayleigh quotients read |Pf|_q on the polar half-space rule.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError
-from .extension import dual_extend, poisson_extend, ring_kernel
+from .extension import (dual_extend, extension_norm, poisson_extend,
+                        ring_kernel)
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
-                    RadialGrid, lp_norm_boundary, lp_norm_halfspace)
+                    RadialGrid, lp_norm_boundary)
 from .kernel import unit_ball_volume
 from .quadrature import (composite_rule, composite_rules, peak_breaks,
                          zero_refined_breaks)
@@ -112,16 +114,15 @@ def sharp_constant(n: int, which: str) -> float:
 
 def rayleigh_quotient(f: RadialFn, n: int, p: float,
                       hs_grid: HalfspaceGrid) -> float:
-    """|Pf|_{L^{np/(n-1)}(R^n_+)} / |f|_{L^p(R^{n-1})}."""
+    """|Pf|_{L^{np/(n-1)}(R^n_+)} / |f|_{L^p(R^{n-1})}, with |Pf| on the
+    polar half-space rule (``extension_norm``)."""
     if not np.any(f.values != 0.0):
         raise DomainError("Rayleigh quotient of the zero function")
-    q = n * p / (n - 1)
-    u = poisson_extend(f, hs_grid)
-    return lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
+    return extension_norm(f, n * p / (n - 1), hs_grid) / lp_norm_boundary(f, p)
 
 
 def el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
-    """Pf and both Euler-Lagrange sides: (Pf, f^(p-1), T((Pf)^(q-1)))."""
+    """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1)))."""
     if np.any(f.values < 0.0):
         raise DomainError("the Euler-Lagrange system is stated for f >= 0")
     if not np.any(f.values > 0.0):
@@ -133,13 +134,13 @@ def el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
     lhs = f.values ** (p - 1.0)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise DivergenceError("Euler-Lagrange sides are not finite")
-    return u, lhs, rhs
+    return lhs, rhs
 
 
 def el_residual(f: RadialFn, n: int, p: float,
                 hs_grid: HalfspaceGrid) -> float:
     """Normalized sup defect of the unit-coefficient Euler-Lagrange system."""
-    _, lhs, rhs = el_sides(f, n, p, hs_grid)
+    lhs, rhs = el_sides(f, n, p, hs_grid)
     return float(np.max(np.abs(lhs - rhs)) / np.max(lhs))
 
 
@@ -175,7 +176,7 @@ def normalize_el(f: RadialFn, n: int, p: float,
     Warns when the pointwise log-ratio varies by more than 0.05 (f does not
     have the right shape); the returned amplitude is then best-effort.
     """
-    _, lhs, rhs = el_sides(f, n, p, hs_grid)
+    lhs, rhs = el_sides(f, n, p, hs_grid)
     a, _, spread = calibrate(n, p, lhs, rhs)
     if spread > 0.05:
         warnings.warn(
@@ -188,7 +189,7 @@ def normalize_el(f: RadialFn, n: int, p: float,
 def calibrated_residual(f: RadialFn, n: int, p: float,
                         hs_grid: HalfspaceGrid) -> float:
     """Euler-Lagrange residual after optimal amplitude calibration."""
-    _, lhs, rhs = el_sides(f, n, p, hs_grid)
+    lhs, rhs = el_sides(f, n, p, hs_grid)
     try:
         return calibrate(n, p, lhs, rhs)[1]
     except DomainError:

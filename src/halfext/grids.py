@@ -32,6 +32,8 @@ from .kernel import sphere_area
 from .quadrature import half_line_rule, panel_rule
 
 _TAIL_FIT_MIN_POINTS = 6
+# nodes of the polar half-space rule: rho (tan map) and phi (Gauss-Legendre)
+POLAR_RHO, POLAR_PHI = 64, 16
 
 
 @dataclass(eq=False)
@@ -284,6 +286,20 @@ class HalfspaceGrid:
         """Measure of each (r_j, t_k) cell, shape (N_r, N_t)."""
         return self.radial.sphere * np.outer(self.radial.weights,
                                              self.heights.weights)
+
+
+def polar_halfspace_rule(n: int):
+    """(r, t, weights) of a rule for axisymmetric integrals over R^n_+.
+
+    One row per ray phi in (0, pi/2) (Gauss-Legendre), one column per rho on
+    the scale-1 tan map: r = rho cos(phi), t = rho sin(phi), weights
+    w_rho w_phi rho r^(n-2) |S^(n-2)|.
+    """
+    rho, w_rho = half_line_rule(0.0, 1.0, POLAR_RHO)
+    phi, w_phi = panel_rule(0.0, 0.5 * np.pi, POLAR_PHI)
+    r, t = np.outer(np.cos(phi), rho), np.outer(np.sin(phi), rho)
+    weights = sphere_area(n - 1) * np.outer(w_phi, w_rho * rho) * r ** (n - 2)
+    return r, t, weights
 
 
 @dataclass(eq=False)

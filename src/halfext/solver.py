@@ -5,8 +5,9 @@ each step, is the nonlinear power method for the p -> q norm of P (Boyd,
 Linear Algebra Appl. 9, 1974; Higham, Numer. Math. 62, 1992).  For an exact
 adjoint pair Hoelder's inequality makes its Rayleigh quotient |Pf|_q / |f|_p
 nondecreasing; here that holds only up to quadrature, since T is the
-kernel-symmetric row rule rather than the transpose of the discrete P, and
-the gauge interpolates.  The gauge scales each iterate to unit L^p norm and
+kernel-symmetric row rule rather than the transpose of the discrete P, the
+gauge interpolates, and the quotient reads the polar half-space rule.  The
+gauge scales each iterate to unit L^p norm and
 dilates it so that half of its L^p mass sits inside the unit ball, as the
 existence theory does to restore compactness.  No convergence theorem backs
 the iteration; divergence is detected and reported with the trace.
@@ -29,10 +30,9 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 # kept importable as halfext.solver.poisson_extend; the loop reaches it
 # through the Euler-Lagrange helpers of extremals
 from .extension import poisson_extend  # noqa: F401
-from .extremals import ExtremalSpec, calibrate, el_sides
+from .extremals import ExtremalSpec, calibrate, el_sides, rayleigh_quotient
 from .grids import (HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
-                    dilate_boundary, lp_norm_boundary, lp_norm_halfspace,
-                    write_csv)
+                    dilate_boundary, lp_norm_boundary, write_csv)
 from .quadrature import panel_rule
 
 
@@ -127,21 +127,21 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
 
     Returns (solution, trace).  The solution is gauge-normalized; its
     amplitude solves the unit-coefficient system only after calibration by
-    normalize_el.  Raises SolverDivergence (trace attached) when the residual
-    grows tenfold over 50 iterations or an iterate diverges; a divergent
-    iterate gets its own trace row, NaN for what it could not compute.
+    normalize_el; the trace's Rayleigh quotients read the polar half-space
+    rule.  Raises SolverDivergence (trace attached) when the residual grows
+    tenfold over 50 iterations or an iterate diverges; a divergent iterate
+    gets its own trace row, NaN for what it could not compute.
     """
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise DomainError("initial guess must be nonnegative and nonzero")
-    q = n * p / (n - 1)
     trace = IterationTrace()
     lam, f = normalize_mass_half(init, p)
     for _ in range(cfg.max_iters):
         residual = rayleigh = math.nan
         try:
-            u, lhs, rhs = el_sides(f, n, p, hs_grid)
+            lhs, rhs = el_sides(f, n, p, hs_grid)
             _, residual, _ = calibrate(n, p, lhs, rhs)
-            rayleigh = lp_norm_halfspace(u, q) / lp_norm_boundary(f, p)
+            rayleigh = rayleigh_quotient(f, n, p, hs_grid)
         except DivergenceError as exc:
             # the failed iterate's row, NaN where it stopped short
             trace.append(residual, rayleigh, lam)

@@ -67,15 +67,36 @@ def test_numerical_failure_exit_code(tmp_path):
     assert any(c["name"] == "numerical_failure" for c in summary["checks"])
 
 
-def test_solve_el_extremal_start_needs_closed_forms(tmp_path):
-    # n = 2 has no closed-form family: a numerical failure, not a crash
+def test_solve_el_extremal_start_needs_closed_forms(tmp_path, capsys):
+    # n = 2 has no closed-form family: a usage error, and nothing written
     out = tmp_path / "n2"
     assert run_cli(["run", "solve-el", "--n", "2", "--init", "extremal",
                     "--grid-n", "32", "--height-n", "16",
-                    "--out", str(out)]) == 1
-    summary = load_summary(out)
-    values = {c["name"]: c["value"] for c in summary["checks"]}
-    assert "n >= 3" in values["numerical_failure"]
+                    "--out", str(out)]) == 2
+    assert "n >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, p", [(3, "1.3333333333333333"), (4, "1.5")])
+def test_solve_el_extremal_start_must_be_in_lp(tmp_path, capsys, n, p):
+    # at the dual exponent the start is the conformal extremal, whose tail
+    # r^-(n-2) is not in L^p for n <= 4: rejected before any work
+    out = tmp_path / "dual"
+    assert run_cli(["run", "solve-el", "--n", str(n), "--p", p,
+                    "--init", "extremal", "--out", str(out)]) == 2
+    assert "outside L^" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_solve_el_extremal_start_conformal_exponent(tmp_path):
+    # at the conformal exponent the start is the dual extremal, in L^4
+    out = tmp_path / "conf"
+    assert run_cli(["run", "solve-el", "--n", "3", "--p", "4.0",
+                    "--init", "extremal", "--grid-n", "96",
+                    "--tol-residual", "2e-4", "--out", str(out)]) == 0
+    results = load_summary(out)["results"]
+    assert results["family"] == "conformal"
+    assert results["family_match_error"] <= 1e-3
 
 
 @pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
@@ -163,6 +184,8 @@ def test_solve_el_artifacts(tmp_path):
     assert rc == 0
     summary = load_summary(out)
     assert summary["results"]["family_match_error"] <= 1e-3
+    # the solution's |Pf|_q, product mesh against polar rule
+    assert abs(summary["results"]["norm_mesh_gap"]) <= 1e-6
     with open(out / "trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "residual", "rayleigh", "lambda"]
@@ -218,7 +241,7 @@ def test_shipped_fixtures_consistent():
         pytest.skip("fixtures not generated")
     assert c4 == pytest.approx(sharp_constant(3, "conformal"), rel=5e-3)
     cd = read_fixture("c[n=3,p=1.333333333]")
-    assert cd == pytest.approx(sharp_constant(3, "dual"), rel=5e-3)
+    assert cd == pytest.approx(sharp_constant(3, "dual"), rel=1e-6)
     c2 = read_fixture("c[n=3,p=2]")
     assert c2 is not None and 0.0 < c2 < sharp_constant(3, "conformal")
     J = _quad(lambda t: (4 * t + 3) / ((t + 1) ** 3 * (2 * t + 1) ** 3),

@@ -61,6 +61,16 @@ def test_rayleigh_n4_conformal(boundary4):
     assert got == pytest.approx(sharp_constant(4, "conformal"), abs=5e-4)
 
 
+def test_rayleigh_n4_dual():
+    from halfext.extremals import (ExtremalSpec, extremal_profile,
+                                   sharp_constant)
+    g = build_radial_grid(3, 160, "tan", 1.0)
+    f = extremal_profile(ExtremalSpec(4, "dual"), g)
+    # p = 2(n-1)/n = 3/2; 4.2e-8 measured on the polar rule
+    got = rayleigh_quotient(f, 4, 1.5, default_halfspace_grid(g))
+    assert got == pytest.approx(sharp_constant(4, "dual"), rel=1e-7)
+
+
 def _random_profiles(grid, rng, count, e_min):
     out = []
     for _ in range(count):

@@ -8,12 +8,15 @@ from scipy.integrate import quad
 from halfext.errors import DivergenceError, DomainError
 from halfext.extension import (PEAK_FACTOR, _diagonal_rules, _kernel_matrix,
                                _lagrange_stencils, commutator_gap,
-                               dual_extend, extend_at, get_operator,
-                               kernel_mass, poisson_extend, qt_ring,
-                               ring_kernel, slab_mass)
+                               dual_extend, extend_at, extension_norm,
+                               get_operator, kernel_mass, poisson_extend,
+                               qt_ring, ring_kernel, slab_mass)
+from halfext.extremals import (ExtremalSpec, extremal_profile,
+                               rayleigh_quotient, sharp_constant)
 from halfext.grids import (AxisymFn, RadialFn, RadialGrid, build_radial_grid,
                            default_halfspace_grid, lp_norm_boundary,
-                           lp_norm_halfspace, sample_radial)
+                           lp_norm_halfspace, polar_halfspace_rule,
+                           sample_radial)
 from halfext.kernel import kernel_constant, pt_lp_norm, sphere_area
 
 
@@ -290,6 +293,53 @@ def test_extend_at_matches_operator_rows(n):
     got = extend_at(f, R, T)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_polar_rows_are_extend_at_rows(n):
+    # the operator's polar rows are the row rule at the polar points, one
+    # height per row, ray after ray
+    g = build_radial_grid(n - 1, 96)
+    hs = default_halfspace_grid(g)
+    op = get_operator(n, g, hs)
+    r, t, w = polar_halfspace_rule(n)
+    f = dual_data(g)
+    want = extend_at(f, r, t).ravel()
+    assert np.max(np.abs(op.polar_rows @ f.values - want)) \
+        <= 1e-13 * np.max(want)
+    assert np.array_equal(op.polar_weights, w.ravel())
+    q = 2.0
+    assert extension_norm(f, q, hs) == pytest.approx(
+        np.sum(w.ravel() * want ** q) ** (1 / q), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("N", [64, 160, 224])
+def test_polar_norm_far_field_guard_passes_closed_forms(n, N):
+    # both families at their exponents, with the tail left to the fit as
+    # for solver iterates: q*beta >= n + 1, so the guard passes and the
+    # quotient is at the polar rule's accuracy (worst: 1.5e-6 at n=4, N=64)
+    g = build_radial_grid(n - 1, N)
+    hs = default_halfspace_grid(g)
+    for kind in ("conformal", "dual"):
+        spec = ExtremalSpec(n, kind)
+        f = RadialFn(g, extremal_profile(spec, g).values, nonnegative=True)
+        got = rayleigh_quotient(f, n, spec.critical_p, hs)
+        assert got == pytest.approx(sharp_constant(n, kind), rel=3e-6)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.25])
+def test_polar_norm_far_field_guard_raises_below_l1_threshold(boundary3, p):
+    # L^1 data extends like |x|^-(n-1); below p = (n+1)/n the mapped
+    # integrand is singular at rho = inf (p = 1.25 gave a silent 0.552719 on
+    # the product mesh, while polar rules were still moving)
+    f = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
+                      tail_exponent=math.inf, nonnegative=True)
+    hs = default_halfspace_grid(boundary3)
+    with pytest.raises(DivergenceError, match="far field"):
+        rayleigh_quotient(f, 3, p, hs)
+    with pytest.raises(DivergenceError, match="far field"):
+        extension_norm(f, 1.5 * p, hs)
 
 
 @pytest.mark.parametrize("n", [5, 6])

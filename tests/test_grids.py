@@ -10,7 +10,9 @@ from halfext.grids import (AxisymFn, PolarGrid, RadialFn, RadialGrid,
                            build_radial_grid, default_halfspace_grid,
                            dilate_boundary, distribution_mass,
                            lp_norm_boundary, lp_norm_halfspace,
-                           radial_fn_from_csv, sample_radial, weak_lp_norm)
+                           polar_halfspace_rule, radial_fn_from_csv,
+                           sample_radial, weak_lp_norm)
+from halfext.kernel import sphere_area
 
 
 def test_tan_grid_gaussian():
@@ -122,6 +124,27 @@ def test_lp_norm_halfspace_monte_carlo_oracle(halfspace3, rng):
     sigma = samples.std(ddof=1) / math.sqrt(m)
     assert abs(quad_val - mc) < 3 * sigma
     assert sigma < 5e-3
+
+
+def test_polar_rule_exact_dual_extension_norm():
+    # the dual family's extension (t+1)/|x+e_3|^3 has |.|_2^2 = pi/2
+    r, t, w = polar_halfspace_rule(3)
+    u = (t + 1) / (r ** 2 + (t + 1) ** 2) ** 1.5
+    assert abs(np.sum(w * u ** 2) - math.pi / 2) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_polar_rule_dual_extension_norms_every_q(n):
+    # |(t+1)/|x+e_n|^n|_q^q = |S^(n-2)| B((n(q-1)+1)/2, (n-1)/2)
+    # / (2((n-1)q - n)), by polar coordinates about -e_n
+    from scipy.special import beta
+    r, t, w = polar_halfspace_rule(n)
+    assert r.shape == t.shape == w.shape
+    u = (t + 1) / (r ** 2 + (t + 1) ** 2) ** (n / 2)
+    for q in (2.0, 2.0 * n / (n - 2), 3.0):
+        want = (sphere_area(n - 1) * beta((n * (q - 1) + 1) / 2, (n - 1) / 2)
+                / (2 * ((n - 1) * q - n)))
+        assert np.sum(w * u ** q) == pytest.approx(want, rel=1e-13)
 
 
 def test_lp_norm_halfspace_constant_box():
