@@ -39,7 +39,7 @@ from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
 from .extremals import (ExtremalSpec, extremal_profile, normalize_el,
                         sharp_constant)
-from .grids import (AxisymFn, PolarFn, PolarGrid, RadialFn, build_radial_grid,
+from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
                     default_halfspace_grid, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
                     weak_lp_norm, write_csv)
@@ -50,7 +50,7 @@ from .rearrange import (radial_to_polar, rearrangement_steps, riesz_gain,
                         symmetric_rearrangement)
 from .solver import (SolverConfig, ascent_estimate_constant,
                      classify_inverted_radial, el_fixed_point,
-                     match_extremal_family, ode_check_1d)
+                     match_extremal_family, ode_check_1d, start_profile)
 
 EXPERIMENTS = ("verify-kernel", "verify-identities", "weak-type-sweep",
                "estimate-constant", "solve-el", "rearrange-demo",
@@ -267,16 +267,10 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g, hs = _meshes(cfg)
     family = _closed_form_family(n, p)
-    r = g.nodes
-    if cfg.init == "gaussian":
-        init = RadialFn(g, np.exp(-r ** 2), value_at_zero=1.0,
-                        tail_exponent=np.inf, nonnegative=True)
-    elif cfg.init == "bump":
-        init = RadialFn(g, np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
-                        value_at_zero=1.0, tail_exponent=np.inf,
-                        nonnegative=True)
-    else:   # "extremal", which validate() admits for n >= 3 in L^p only
+    if cfg.init == "extremal":   # validate() admits it for n >= 3 in L^p only
         init = extremal_profile(_extremal_start(n, p), g)
+    else:
+        init = start_profile(g, n, cfg.init, 1.0, 1.0)
     try:
         sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
     except SolverDivergence as exc:
@@ -389,11 +383,10 @@ def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
     finv2 = boundary_inversion(finv, spec, g)
     checks.add("involution", float(np.max(np.abs(finv2.values - f.values))),
                0.0, 1e-9)
-    u = poisson_extend(sample_radial(g, lambda r: (1 + r ** 2) ** -0.5,
-                                     tail_exponent=1.0, nonnegative=True), hs)
-    uinv = halfspace_inversion(u, hs)
-    checks.add("halfspace_norm_preserved", lp_norm_halfspace(uinv, 6.0),
-               lp_norm_halfspace(u, 6.0), 1e-6)
+    # f is not self-inverse, so K(Pf) and Pf are different arrays
+    checks.add("halfspace_norm_preserved",
+               lp_norm_halfspace(halfspace_inversion(f, hs), 6.0),
+               lp_norm_halfspace(poisson_extend(f, hs), 6.0), 1e-6)
     rng = np.random.default_rng(cfg.seed)
     pts = np.column_stack([rng.normal(size=(200, cfg.n - 1)),
                            np.abs(rng.normal(size=200)) + 1e-3])

@@ -339,14 +339,8 @@ def get_operator(n: int, boundary: RadialGrid,
     return op
 
 
-def _tail(f: RadialFn) -> float:
-    # the declared tail exponent of f, else its fitted one
-    beta = f.tail_exponent
-    return f.fitted_tail() if math.isnan(beta) else beta
-
-
 def _check_integrable(f: RadialFn) -> None:
-    beta = _tail(f)
+    beta = f.tail()
     if not math.isnan(beta) and beta <= 0.0:
         raise DivergenceError(
             f"boundary data with tail exponent {beta:.3g} <= 0 is not "
@@ -367,7 +361,7 @@ def extension_norm(f: RadialFn, q: float, halfspace: HalfspaceGrid) -> float:
     f, n-1), makes the mapped integrand ~ (pi/2 - theta)^(q beta - n - 1), so
     q beta < n + 1 raises DivergenceError: a far field the rule cannot take."""
     n = halfspace.n
-    beta = min(_tail(f), n - 1.0)
+    beta = min(f.tail(), n - 1.0)
     if q * beta < n + 1 - 1e-6:     # slack: fit noise at critical decay
         raise DivergenceError(
             f"far field of Pf too slow for the polar rule: q*beta = "

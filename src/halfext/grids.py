@@ -173,6 +173,11 @@ class RadialFn:
     def fitted_tail(self) -> float:
         return _fit_tail_exponent(self.grid.nodes, self.values)
 
+    def tail(self) -> float:
+        """The declared tail exponent, else the fitted one."""
+        beta = self.tail_exponent
+        return self.fitted_tail() if math.isnan(beta) else beta
+
     def _build_interp(self):
         nodes = self.grid.nodes
         vals = self.values
@@ -219,9 +224,7 @@ class RadialFn:
             b = (f1 - f0) / r1 ** 2 - a * r1 ** 2
             out[lo] = f0 + b * r[lo] ** 2 + a * r[lo] ** 4
         if np.any(hi):
-            beta = self.tail_exponent
-            if math.isnan(beta):
-                beta = self.fitted_tail()
+            beta = self.tail()
             fN = self.values[-1]
             if fN == 0.0 or math.isinf(beta):
                 out[hi] = 0.0
@@ -317,33 +320,6 @@ class AxisymFn:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("values must be finite")
 
-    def eval(self, r, t, clamp: bool = False):
-        """Bicubic evaluation in mapped coordinates.
-
-        Heights below the first mesh node are boundary-trace territory and are
-        rejected unless ``clamp`` is set (then values are clamped to the first
-        height row; callers that integrate over vanishing-measure regions use
-        this, see halfspace_inversion).  The spline is built on each call:
-        callers evaluate once per function, every point in one call.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        t_min = self.grid.heights.nodes[0]
-        if np.any(t <= 0.0):
-            raise DomainError("heights must be positive")
-        if not clamp and np.any(t < t_min):
-            raise DomainError(
-                f"height below first mesh node {t_min:.3e}; extension values "
-                "there are not extrapolated")
-        t = np.maximum(t, t_min)
-        r = np.minimum(r, self.grid.radial.r_max)
-        t = np.minimum(t, self.grid.heights.r_max)
-        radial, heights = self.grid.radial, self.grid.heights
-        spline = RectBivariateSpline(radial.parameter(radial.nodes),
-                                     heights.parameter(heights.nodes),
-                                     self.values, kx=3, ky=3)
-        return spline.ev(radial.parameter(r), heights.parameter(t))
-
     def to_csv(self, path) -> None:
         r, t = self.grid.radial.nodes, self.grid.heights.nodes
         write_csv(path, ["r", "t", "value"], np.repeat(r, t.size),
@@ -434,8 +410,7 @@ def lp_norm_boundary(f: RadialFn, p: float) -> float:
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     d = f.grid.d
-    beta = min([b for b in (f.tail_exponent, f.fitted_tail())
-                if not math.isnan(b)], default=math.inf)
+    beta = min(f.tail(), f.fitted_tail())
     # small slack absorbs fit noise on exactly-critical tails
     if p * beta <= d + 1e-6:
         raise DivergenceError(
@@ -495,8 +470,9 @@ def default_halfspace_grid(boundary: RadialGrid,
     return HalfspaceGrid(boundary, build_radial_grid(1, N_t))
 
 
-def distribution_mass(u: AxisymFn, level: float) -> float:
-    """Measure of the superlevel set {x : u(x) > level} by cell quadrature."""
+def distribution_mass(u, level: float) -> float:
+    """Measure of the superlevel set {x : u(x) > level} by cell quadrature,
+    for any samples whose grid has ``cell_measures()`` (AxisymFn, PolarFn)."""
     if level <= 0.0:
         raise DomainError(f"level must be positive, got {level}")
     cells = u.grid.cell_measures()

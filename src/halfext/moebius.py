@@ -15,6 +15,10 @@ node set is closed under r -> 1/r (tan and cot swap under reflection of the
 Gauss nodes), so that case is evaluated by exact node reflection with no
 interpolation at all.  Shifted inversions produce genuinely non-radial
 output and are returned on a polar mesh.
+
+The half-space Kelvin transform of Pf is harmonic with boundary values
+|xi|^(2-n) f(xi/|xi|^2): it is P of the boundary inversion, so it too is
+exact by node reflection, with no interpolation in the half-space.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .extension import poisson_extend
 from .grids import AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn, RadialGrid
 
 
@@ -111,20 +116,12 @@ def boundary_inversion(f: RadialFn, spec: InversionSpec, out_grid: RadialGrid):
     return PolarFn(pg, vals)
 
 
-def halfspace_inversion(u: AxisymFn, out_grid: HalfspaceGrid) -> AxisymFn:
-    """Samples of |x|^(2-n) u(x/|x|^2) on a half-space mesh.
-
-    Preimages land below the first height row for large |x|; those values are
-    clamped to the boundary-adjacent row (the affected region carries
-    O(rho^(-n)) of the critical norm, see AxisymFn.eval).
-    """
-    n = out_grid.n
-    if u.grid.n != n:
-        raise DomainError("half-space dimensions do not match")
-    r = out_grid.radial.nodes[:, None]
-    t = out_grid.heights.nodes[None, :]
-    rho2 = r * r + t * t
-    vals = rho2 ** (-0.5 * (n - 2)) * u.eval((r / rho2).ravel(),
-                                             (t / rho2).ravel(),
-                                             clamp=True).reshape(rho2.shape)
-    return AxisymFn(out_grid, vals)
+def halfspace_inversion(f: RadialFn, halfspace: HalfspaceGrid) -> AxisymFn:
+    """|x|^(2-n) (Pf)(x/|x|^2) on a half-space mesh (n >= 3), as P of the
+    boundary inversion |xi|^(2-n) f(xi/|xi|^2) on the mesh's radial factor."""
+    n = halfspace.n
+    if n < 3:
+        raise DomainError(f"the half-space inversion needs n >= 3, got n={n}")
+    spec = InversionSpec(alpha=2.0 - n)
+    return poisson_extend(boundary_inversion(f, spec, halfspace.radial),
+                          halfspace)

@@ -73,13 +73,6 @@ def symmetric_rearrangement(f, out_grid: RadialGrid) -> RadialFn:
                     tail_exponent=np.inf, nonnegative=True)
 
 
-def superlevel_measure(values, measures, level: float) -> float:
-    """Measure of {f > level} in the value/measure representation."""
-    values = np.asarray(values, dtype=float).ravel()
-    measures = np.asarray(measures, dtype=float).ravel()
-    return float(np.sum(measures[values > level]))
-
-
 def planar_convolution(f: PolarFn, n: int, t: float) -> PolarFn:
     """(P_t * f) at f's own cells by direct cell quadrature (n = 3 only).
 

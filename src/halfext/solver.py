@@ -164,25 +164,31 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     return f, trace
 
 
-def initial_profiles(grid: RadialGrid, n: int, rng: np.random.Generator):
-    """The initialization menu: Gaussian, compact bump, wrong-family extremal."""
-    amp = float(rng.uniform(0.5, 2.0))
-    width = float(rng.uniform(0.7, 1.8))
-    kind = rng.integers(0, 3)
+def start_profile(grid: RadialGrid, n: int, kind: str, amp: float,
+                  width: float) -> RadialFn:
+    """An EL start: "gaussian", compact "bump" or the "dual" family's extremal."""
     r = grid.nodes
-    if kind == 0:
+    v0, beta = amp, math.inf
+    if kind == "gaussian":
         vals = amp * np.exp(-(r / width) ** 2)
-        v0, beta = amp, math.inf
-    elif kind == 1:
+    elif kind == "bump":
         vals = amp * np.maximum(1.0 - (r / (2.0 * width)) ** 2, 0.0) ** 2
-        v0, beta = amp, math.inf
-    else:
-        # the dual family's extremal
+    elif kind == "dual":
         spec = ExtremalSpec(n, "dual", width, amplitude=amp)
         vals, e = spec.profile(r), spec.exponent
         v0, beta = amp * width ** (-e), 2.0 * e
+    else:
+        raise DomainError(f"unknown start profile {kind!r}")
     return RadialFn(grid, vals, value_at_zero=v0, tail_exponent=beta,
                     nonnegative=True)
+
+
+def initial_profiles(grid: RadialGrid, n: int, rng: np.random.Generator):
+    """A random start from the menu of ``start_profile``."""
+    amp = float(rng.uniform(0.5, 2.0))
+    width = float(rng.uniform(0.7, 1.8))
+    kind = ("gaussian", "bump", "dual")[rng.integers(0, 3)]
+    return start_profile(grid, n, kind, amp, width)
 
 
 def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,

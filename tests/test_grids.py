@@ -296,16 +296,6 @@ def test_axisym_csv(tmp_path):
     assert path.read_text().splitlines()[0] == "r,t,value"
 
 
-def test_axisym_eval_guard():
-    hs = default_halfspace_grid(build_radial_grid(2, 32), 32)
-    R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
-    u = AxisymFn(hs, np.exp(-R - T))
-    t_min = hs.heights.nodes[0]
-    with pytest.raises(DomainError):
-        u.eval(1.0, t_min / 2)
-    assert np.isfinite(u.eval(1.0, t_min / 2, clamp=True)).all()
-
-
 def test_polar_grid_measures():
     g = build_radial_grid(2, 64, "tan", 1.0)
     pg = PolarGrid(g, 32)

@@ -3,7 +3,8 @@ import pytest
 
 from halfext.errors import DomainError
 from halfext.extension import poisson_extend
-from halfext.grids import (build_radial_grid, lp_norm_boundary,
+from halfext.grids import (RadialFn, build_radial_grid,
+                           default_halfspace_grid, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
 from halfext.moebius import (InversionSpec, ball_map,
                              ball_map_conformal_factor, boundary_inversion,
@@ -105,47 +106,48 @@ def test_shifted_inversion_polar(boundary3):
     assert np.max(np.abs(v.values - want) / want) < 1e-6
 
 
-def test_halfspace_inversion_pure_power(halfspace3):
-    from halfext.grids import AxisymFn
+def test_halfspace_inversion_dual_closed_form(boundary3, halfspace3):
+    # K(Pf) for the dual extremal f = (1+r^2)^(-3/2), whose extension is
+    # (t+1)/(r^2+(t+1)^2)^(3/2): |x|^(-1) times that at x/|x|^2
+    f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.5,
+                      tail_exponent=3.0, nonnegative=True)
+    out = halfspace_inversion(f, halfspace3)
     R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
                        indexing="ij")
-    u = AxisymFn(halfspace3, (R ** 2 + T ** 2) ** -0.5)
-    out = halfspace_inversion(u, halfspace3)
-    # pointwise accuracy is set by the far-field spline (preimages of the
-    # near-origin zone) and the first-height clamp; sharp on the annulus the
-    # inversion maps to itself, norm-level identities hold at 1e-6 elsewhere
-    rho = np.sqrt(R ** 2 + T ** 2)
-    assert np.max(np.abs(out.values - 1.0)[(rho >= 0.2) & (rho <= 20)]) < 5e-5
-    assert np.max(np.abs(out.values - 1.0)[(rho >= 0.05) & (rho <= 100)]) < 1e-3
+    rho2 = R ** 2 + T ** 2
+    r, t = R / rho2, T / rho2
+    want = rho2 ** -0.5 * (t + 1) / (r ** 2 + (t + 1) ** 2) ** 1.5
+    sel = (rho2 >= 0.05 ** 2) & (rho2 <= 20.0 ** 2)
+    assert np.max(np.abs(out.values - want)[sel] / want[sel]) < 1e-5
 
 
-def test_halfspace_inversion_zero(halfspace3):
-    from halfext.grids import AxisymFn
-    shape = (halfspace3.radial.size, halfspace3.heights.size)
-    out = halfspace_inversion(AxisymFn(halfspace3, np.zeros(shape)),
+def test_halfspace_inversion_zero(boundary3, halfspace3):
+    out = halfspace_inversion(RadialFn(boundary3, np.zeros(boundary3.size)),
                               halfspace3)
     assert not np.any(out.values)
 
 
 def test_halfspace_inversion_fixed_point(boundary3, halfspace3):
-    # the conformal extremal extension is self-inverse
+    # the conformal extremal extension is self-inverse, and node reflection
+    # makes the inversion exact on every node
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -0.5,
                       tail_exponent=1.0, nonnegative=True)
     u = poisson_extend(f, halfspace3)
-    out = halfspace_inversion(u, halfspace3)
-    rel = np.abs(out.values - u.values) / np.abs(u.values)
-    R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
-                       indexing="ij")
-    # the first-height clamp floor (t_min ~ 2e-4) caps pointwise accuracy
-    rho = np.sqrt(R ** 2 + T ** 2)
-    assert np.max(rel[(rho >= 0.05) & (rho <= 20.0)]) < 5e-4
+    out = halfspace_inversion(f, halfspace3)
+    assert np.max(np.abs(out.values - u.values) / np.abs(u.values)) < 1e-12
 
 
 def test_halfspace_inversion_preserves_critical_norm(boundary3, halfspace3):
-    from halfext.grids import AxisymFn
-    R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
-                       indexing="ij")
-    u = AxisymFn(halfspace3, (R ** 2 + (T + 2) ** 2) ** -1.0)
-    out = halfspace_inversion(u, halfspace3)
+    # f = (1+r^2)^(-1) is not self-inverse: K(Pf) and Pf differ pointwise
+    f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
+                      tail_exponent=2.0, nonnegative=True)
+    out = halfspace_inversion(f, halfspace3)
     assert lp_norm_halfspace(out, 6.0) == pytest.approx(
-        lp_norm_halfspace(u, 6.0), rel=1e-6)
+        lp_norm_halfspace(poisson_extend(f, halfspace3), 6.0), rel=1e-7)
+
+
+def test_halfspace_inversion_needs_n_at_least_3():
+    g = build_radial_grid(1, 32)
+    f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0, tail_exponent=2.0)
+    with pytest.raises(DomainError):
+        halfspace_inversion(f, default_halfspace_grid(g))

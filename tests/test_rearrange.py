@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from halfext.errors import DomainError
 from halfext.extremals import ExtremalSpec, extremal_polar, extremal_profile
-from halfext.grids import PolarFn, PolarGrid, build_radial_grid
+from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
+                           distribution_mass)
 from halfext.kernel import pt_profile
 from halfext.rearrange import (planar_convolution, radial_to_polar,
                                rearrangement_steps, riesz_gain,
-                               superlevel_measure, symmetric_rearrangement)
+                               symmetric_rearrangement)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_annulus_becomes_disk():
     assert onset[-1] == pytest.approx(r_star, abs=2 * 4.0 / 128)
     # equimeasurability within one cell at every level
     cells = pg.cell_measures()
-    m_orig = superlevel_measure(f.values, cells, 0.5)
+    m_orig = distribution_mass(f, 0.5)
     v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
     m_star = math.pi * rho[np.searchsorted(-v, -0.5, side="right") - 1] ** 2
     assert m_star == pytest.approx(m_orig, rel=1e-12)
@@ -74,7 +75,7 @@ def test_equimeasurability_all_levels(polar_small):
     cum = math.pi * rho ** 2
     max_cell = float(np.max(cells))
     for level in np.quantile(f.values, [0.3, 0.6, 0.9, 0.99]):
-        m_orig = superlevel_measure(f.values, cells, level)
+        m_orig = distribution_mass(f, level)
         k = np.searchsorted(-v, -level, side="left")
         m_star = cum[k - 1] if k > 0 else 0.0
         assert abs(m_star - m_orig) <= max_cell + 1e-12
