@@ -35,7 +35,8 @@ RUNS = {
 
 
 def fixture_row(summary: dict) -> list:
-    """[key, value, grid_n, height_n] of the constant a run derived."""
+    """[key, value, grid_n] of the constant a run derived; the half-space
+    mesh is default_halfspace_grid's for that grid_n."""
     cfg, results = summary["config"], summary["results"]
     if summary["experiment"] == "estimate-constant":
         key = f"c[n={cfg['n']},p={cfg['p']:.10g}]"
@@ -43,7 +44,7 @@ def fixture_row(summary: dict) -> list:
     else:
         key = f"el_family_constant[{results['family']},n={cfg['n']}]"
         value = results["family_constant"]
-    return [key, repr(float(value)), cfg["grid_n"], cfg["height_n"]]
+    return [key, repr(float(value)), cfg["grid_n"]]
 
 
 if __name__ == "__main__":
@@ -63,5 +64,5 @@ if __name__ == "__main__":
     with open(os.path.join(fixtures, "derived_constants.csv"), "w",
               newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["key", "value", "grid_n", "height_n"])
+        writer.writerow(["key", "value", "grid_n"])
         writer.writerows(sorted(rows))

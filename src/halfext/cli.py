@@ -37,8 +37,7 @@ from . import __version__
 from .errors import HalfextError, SolverDivergence
 from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
-from .extremals import (ExtremalSpec, extremal_profile, normalize_el,
-                        sharp_constant)
+from .extremals import ExtremalSpec, normalize_el, sharp_constant
 from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
                     default_halfspace_grid, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
@@ -55,7 +54,6 @@ from .solver import (SolverConfig, ascent_estimate_constant,
 EXPERIMENTS = ("verify-kernel", "verify-identities", "weak-type-sweep",
                "estimate-constant", "solve-el", "rearrange-demo",
                "classify-radial", "conformal-invariance")
-INITS = ("gaussian", "bump", "extremal")     # solve-el starts
 
 
 @dataclass
@@ -64,7 +62,6 @@ class ExperimentConfig:
     n: int = 3
     p: float = 4.0
     grid_n: int = 160
-    height_n: int = 96
     trials: int = 4
     seed: int = 0
     out: str = "results"
@@ -75,23 +72,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise HalfextError(f"unknown experiment {self.experiment!r}")
-        if self.init not in INITS:
-            raise HalfextError(
-                f"unknown init {self.init!r}; use one of {INITS}")
-        if self.n < 2 or self.grid_n < 16 or self.height_n < 16:
+        if self.n < 2 or self.grid_n < 16:
             raise HalfextError("invalid dimension or grid sizes")
         if not (1.0 < self.p):
             raise HalfextError(f"p must exceed 1, got {self.p}")
         if self.trials < 1 or self.max_iters < 1 or not self.tol_residual > 0:
             raise HalfextError("trials, max_iters and tol_residual must be "
                                "positive")
-        if self.init == "extremal" and self.n < 3:
-            raise HalfextError("extremal starts need n >= 3")
-        # the start's tail r^-beta must be in L^p(R^(n-1)), as in
-        # lp_norm_boundary
-        if self.init == "extremal" and self.p * 2.0 * _extremal_start(
-                self.n, self.p).exponent <= self.n - 1 + 1e-6:
-            raise HalfextError(f"--init extremal starts outside L^{self.p}")
+        # start_profile rejects an unknown kind; the start's tail r^-beta
+        # must be in L^p(R^(n-1)), as in lp_norm_boundary
+        start = start_profile(build_radial_grid(self.n - 1, 16), self.n,
+                              self.init, 1.0, 1.0)
+        if self.p * start.tail_exponent <= self.n - 1 + 1e-6:
+            raise HalfextError(f"--init {self.init} starts outside L^{self.p}")
 
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iters=self.max_iters,
@@ -129,7 +122,7 @@ def _jsonable(x):
 
 def _meshes(cfg: ExperimentConfig):
     g = build_radial_grid(cfg.n - 1, cfg.grid_n, "tan", 1.0)
-    return g, default_halfspace_grid(g, cfg.height_n)
+    return g, default_halfspace_grid(g)
 
 
 def _closed_form_family(n: int, p: float):
@@ -138,12 +131,6 @@ def _closed_form_family(n: int, p: float):
         return None
     return next((kind for kind in ("conformal", "dual")
                  if abs(ExtremalSpec(n, kind).critical_p - p) < 1e-12), None)
-
-
-def _extremal_start(n: int, p: float) -> ExtremalSpec:
-    """solve-el's extremal start: the other closed-form family's extremal."""
-    family = _closed_form_family(n, p)
-    return ExtremalSpec(n, "dual" if family == "conformal" else "conformal")
 
 
 # ----------------------------------------------------------------- experiments
@@ -267,10 +254,7 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g, hs = _meshes(cfg)
     family = _closed_form_family(n, p)
-    if cfg.init == "extremal":   # validate() admits it for n >= 3 in L^p only
-        init = extremal_profile(_extremal_start(n, p), g)
-    else:
-        init = start_profile(g, n, cfg.init, 1.0, 1.0)
+    init = start_profile(g, n, cfg.init, 1.0, 1.0)
     try:
         sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
     except SolverDivergence as exc:
@@ -435,11 +419,20 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(file_cfg) - known
+        if not isinstance(file_cfg, dict):
+            raise HalfextError("a config file holds one flat JSON object")
+        # the flags' types; a JSON integer may fill a float field
+        types = {f.name: type(f.default) for f in fields(ExperimentConfig)[1:]}
+        unknown = set(file_cfg) - set(types)
         if unknown:
             raise HalfextError(f"unknown config keys: {sorted(unknown)}")
-        base.update(file_cfg)
+        for key, value in file_cfg.items():
+            if types[key] is float and type(value) is int:
+                value = float(value)
+            if type(value) is not types[key]:
+                raise HalfextError(f"config key {key!r} needs a "
+                                   f"{types[key].__name__}, got {value!r}")
+            base[key] = value
     for f in fields(ExperimentConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:

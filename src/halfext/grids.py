@@ -458,15 +458,11 @@ def dilate_boundary(f: RadialFn, lam: float, p: float) -> RadialFn:
                     tail_exponent=f.tail_exponent, nonnegative=f.nonnegative)
 
 
-def default_halfspace_grid(boundary: RadialGrid,
-                           N_t: int | None = None) -> HalfspaceGrid:
-    """Half-space mesh reusing a boundary grid as its radial factor.
-
-    ``N_t`` defaults to max(48, 3N/5) heights.  Each call builds a new height
-    mesh; operators are cached by mesh content, so equal meshes share one.
-    """
-    if N_t is None:
-        N_t = max(48, (3 * boundary.size) // 5)
+def default_halfspace_grid(boundary: RadialGrid) -> HalfspaceGrid:
+    """Half-space mesh on a boundary grid's radial factor and max(48, 3N/5)
+    heights, the one height rule.  Each call builds a new height mesh;
+    operators are cached by mesh content, so equal meshes share one."""
+    N_t = max(48, (3 * boundary.size) // 5)
     return HalfspaceGrid(boundary, build_radial_grid(1, N_t))
 
 

@@ -166,25 +166,27 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
 
 def start_profile(grid: RadialGrid, n: int, kind: str, amp: float,
                   width: float) -> RadialFn:
-    """An EL start: "gaussian", compact "bump" or the "dual" family's extremal."""
+    """An EL start: "gaussian", compact "bump", or the extremal of the
+    "conformal" or "dual" family with lambda = width; the menu of --init."""
     r = grid.nodes
     v0, beta = amp, math.inf
     if kind == "gaussian":
         vals = amp * np.exp(-(r / width) ** 2)
     elif kind == "bump":
         vals = amp * np.maximum(1.0 - (r / (2.0 * width)) ** 2, 0.0) ** 2
-    elif kind == "dual":
-        spec = ExtremalSpec(n, "dual", width, amplitude=amp)
+    elif kind in ("conformal", "dual"):
+        spec = ExtremalSpec(n, kind, width, amplitude=amp)
         vals, e = spec.profile(r), spec.exponent
         v0, beta = amp * width ** (-e), 2.0 * e
     else:
-        raise DomainError(f"unknown start profile {kind!r}")
+        raise DomainError(f"unknown start profile {kind!r}; use gaussian, "
+                          "bump, conformal or dual")
     return RadialFn(grid, vals, value_at_zero=v0, tail_exponent=beta,
                     nonnegative=True)
 
 
 def initial_profiles(grid: RadialGrid, n: int, rng: np.random.Generator):
-    """A random start from the menu of ``start_profile``."""
+    """A random gaussian, bump or dual start from ``start_profile``."""
     amp = float(rng.uniform(0.5, 2.0))
     width = float(rng.uniform(0.7, 1.8))
     kind = ("gaussian", "bump", "dual")[rng.integers(0, 3)]

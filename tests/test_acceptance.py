@@ -14,14 +14,13 @@ from halfext.extension import extend_at, poisson_extend, slab_mass
 from halfext.extremals import (ExtremalSpec, extremal_profile,
                                rayleigh_quotient, sharp_constant)
 from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
-                           default_halfspace_grid, distribution_mass,
-                           lp_norm_boundary,
+                           distribution_mass, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
 from halfext.kernel import pt_lp_norm
 from halfext.moebius import InversionSpec, boundary_inversion, \
     halfspace_inversion
 from halfext.rearrange import (radial_to_polar, rearrangement_steps,
-                               riesz_gain, symmetric_rearrangement)
+                               riesz_gain)
 from halfext.solver import (SolverConfig, classify_inverted_radial,
                             el_fixed_point, match_extremal_family,
                             ode_check_1d)

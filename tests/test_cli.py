@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from halfext.cli import main
+from halfext.cli import ExperimentConfig, main
+from halfext.grids import build_radial_grid, default_halfspace_grid
 
 
 def read_fixture(key):
@@ -68,66 +69,84 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_solve_el_extremal_start_needs_closed_forms(tmp_path, capsys):
-    # n = 2 has no closed-form family: a usage error, and nothing written
+    # n = 2 has no closed-form family: its conformal start is a constant,
+    # outside every L^p, so a usage error with nothing written; its dual
+    # start is a Cauchy profile, in every L^p
     out = tmp_path / "n2"
-    assert run_cli(["run", "solve-el", "--n", "2", "--init", "extremal",
-                    "--grid-n", "32", "--height-n", "16",
-                    "--out", str(out)]) == 2
-    assert "n >= 3" in capsys.readouterr().err
+    assert run_cli(["run", "solve-el", "--n", "2", "--init", "conformal",
+                    "--grid-n", "32", "--out", str(out)]) == 2
+    assert "outside L^" in capsys.readouterr().err
     assert not out.exists()
+    ExperimentConfig("solve-el", n=2, p=1.01, init="dual").validate()
 
 
 @pytest.mark.parametrize("n, p", [(3, "1.3333333333333333"), (4, "1.5")])
 def test_solve_el_extremal_start_must_be_in_lp(tmp_path, capsys, n, p):
-    # at the dual exponent the start is the conformal extremal, whose tail
-    # r^-(n-2) is not in L^p for n <= 4: rejected before any work
+    # the conformal extremal's tail r^-(n-2) is not in L^p at the dual
+    # exponent for n <= 4: rejected before any work
     out = tmp_path / "dual"
     assert run_cli(["run", "solve-el", "--n", str(n), "--p", p,
-                    "--init", "extremal", "--out", str(out)]) == 2
+                    "--init", "conformal", "--out", str(out)]) == 2
     assert "outside L^" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 
 def test_solve_el_extremal_start_conformal_exponent(tmp_path):
-    # at the conformal exponent the start is the dual extremal, in L^4
+    # from the dual extremal, which is in L^4, to the conformal family
     out = tmp_path / "conf"
     assert run_cli(["run", "solve-el", "--n", "3", "--p", "4.0",
-                    "--init", "extremal", "--grid-n", "96",
+                    "--init", "dual", "--grid-n", "96",
                     "--tol-residual", "2e-4", "--out", str(out)]) == 0
     results = load_summary(out)["results"]
     assert results["family"] == "conformal"
     assert results["family_match_error"] <= 1e-3
 
 
-@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
-def test_height_n_flag_sets_the_height_mesh(tmp_path):
-    # three iterations: enough to tell the meshes apart, not to converge
-    rayleigh = []
-    for height_n in ("24", "40"):
-        out = tmp_path / height_n
-        run_cli(["run", "solve-el", "--grid-n", "48", "--height-n", height_n,
-                 "--max-iters", "3", "--out", str(out)])
-        rayleigh.append(load_summary(out)["results"]["rayleigh"])
-    assert rayleigh[0] != rayleigh[1]
+def test_init_is_the_start_profile_menu(tmp_path, capsys):
+    # --init takes start_profile's kinds only; the error comes from there
+    out = tmp_path / "init"
+    assert run_cli(["run", "solve-el", "--init", "extremal",
+                    "--out", str(out)]) == 2
+    assert "unknown start profile 'extremal'" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
-def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
-    # --height-n 40 differs from the default max(48, 3N/5) heights: the
-    # family calibration must reuse the solve's mesh, not build a second one
+def _operator_heights(monkeypatch):
+    """Clear the operator cache; return the list that collects the height
+    mesh of every operator built from then on."""
     from halfext import extension
     monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
     heights = []
     build = extension._matrix_stack
 
-    def counted(n, grid, hs_heights):
-        heights.append(hs_heights.size)
+    def recorded(n, grid, hs_heights):
+        heights.append(hs_heights)
         return build(n, grid, hs_heights)
 
-    monkeypatch.setattr(extension, "_matrix_stack", counted)
-    run_cli(["run", "solve-el", "--grid-n", "64", "--height-n", "40",
-             "--max-iters", "3", "--out", str(tmp_path / "el")])
-    assert heights and set(heights) == {40}
+    monkeypatch.setattr(extension, "_matrix_stack", recorded)
+    return heights
+
+
+@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
+def test_solve_el_uses_the_library_height_mesh(tmp_path, monkeypatch):
+    # the CLI's half-space mesh is default_halfspace_grid's, 48 heights at
+    # --grid-n 64: the one height rule, shared with the benchmark
+    heights = _operator_heights(monkeypatch)
+    run_cli(["run", "solve-el", "--grid-n", "64", "--max-iters", "3",
+             "--out", str(tmp_path / "el")])
+    want = default_halfspace_grid(build_radial_grid(2, 64)).heights.nodes
+    assert want.size == 48 and heights
+    assert all(np.array_equal(h.nodes, want) for h in heights)
+
+
+@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
+def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
+    # the family calibration must reuse the solve's operator, not build a
+    # second one
+    heights = _operator_heights(monkeypatch)
+    run_cli(["run", "solve-el", "--grid-n", "64", "--max-iters", "3",
+             "--out", str(tmp_path / "el")])
+    assert [h.size for h in heights] == [48]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -139,6 +158,34 @@ def test_config_file_and_flag_override(tmp_path):
     summary = load_summary(out)
     assert summary["config"]["grid_n"] == 96     # from file
     assert summary["config"]["seed"] == 9        # flag wins
+
+
+@pytest.mark.parametrize("entry", [
+    {"grid_n": "96"}, {"p": None}, {"tol_residual": "1e-4"}, {"seed": 1.5},
+    {"grid_n": 40.5}, {"trials": True}, [], 5],
+    ids=["str-int", "null", "str-float", "float-int", "fraction", "bool-int",
+         "list", "number"])
+def test_config_file_values_typed_like_flags(tmp_path, capsys, entry):
+    # a flat object whose values have their fields' types, or exit 2, one
+    # error line, and nothing written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "bad"
+    assert run_cli(["run", "verify-kernel", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_file_integer_fills_a_float_field(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 4}))
+    out = tmp_path / "int"
+    assert run_cli(["run", "verify-kernel", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+    p = load_summary(out)["config"]["p"]
+    assert p == 4.0 and type(p) is float
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -179,7 +226,7 @@ def test_idempotent_summary(tmp_path):
 def test_solve_el_artifacts(tmp_path):
     out = tmp_path / "el"
     rc = run_cli(["run", "solve-el", "--n", "3", "--p", "4.0",
-                  "--init", "gaussian", "--grid-n", "128", "--height-n", "80",
+                  "--init", "gaussian", "--grid-n", "128",
                   "--tol-residual", "2e-4", "--out", str(out)])
     assert rc == 0
     summary = load_summary(out)
@@ -221,7 +268,7 @@ def test_solve_el_divergence_keeps_trace(tmp_path):
 def test_weak_type_sweep_artifacts(tmp_path):
     out = tmp_path / "wt"
     assert run_cli(["run", "weak-type-sweep", "--n", "3", "--grid-n", "96",
-                    "--height-n", "64", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
     with open(out / "trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["level", "mass"]

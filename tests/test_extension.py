@@ -13,10 +13,10 @@ from halfext.extension import (PEAK_FACTOR, _diagonal_rules, _kernel_matrix,
                                qt_ring, ring_kernel, slab_mass)
 from halfext.extremals import (ExtremalSpec, extremal_profile,
                                rayleigh_quotient, sharp_constant)
-from halfext.grids import (AxisymFn, RadialFn, RadialGrid, build_radial_grid,
-                           default_halfspace_grid, lp_norm_boundary,
-                           lp_norm_halfspace, polar_halfspace_rule,
-                           sample_radial)
+from halfext.grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
+                           build_radial_grid, default_halfspace_grid,
+                           lp_norm_boundary, lp_norm_halfspace,
+                           polar_halfspace_rule, sample_radial)
 from halfext.kernel import kernel_constant, pt_lp_norm, sphere_area
 
 
@@ -188,7 +188,7 @@ def test_operator_rejects_foreign_boundary_mesh():
     # boundary data lives on the half-space's radial mesh: a boundary mesh
     # with other content has no operator, in either direction
     g = build_radial_grid(2, 24, "tan", 1.0)
-    hs = default_halfspace_grid(g, 16)
+    hs = HalfspaceGrid(g, build_radial_grid(1, 16))
     for other in (build_radial_grid(2, 24, "tan", 1.3),
                   build_radial_grid(2, 32, "tan", 1.0)):
         with pytest.raises(DomainError, match="radial mesh"):
@@ -231,14 +231,15 @@ def test_operator_cache_keyed_by_mesh_content():
     # with the same nodes and weights but another scale or mapping does not
     g1 = build_radial_grid(2, 24, "tan", 1.0)
     g2 = build_radial_grid(2, 24, "tan", 1.0)
-    op = get_operator(3, g1, default_halfspace_grid(g1, 16))
-    assert get_operator(3, g2, default_halfspace_grid(g2, 16)) is op
+    op = get_operator(3, g1, HalfspaceGrid(g1, build_radial_grid(1, 16)))
+    assert get_operator(3, g2,
+                        HalfspaceGrid(g2, build_radial_grid(1, 16))) is op
     assert op.dual_matrices is op.matrices
     for mapping, scale in (("tan", 2.0), ("linear", 1.0)):
         other = RadialGrid(2, g1.nodes.copy(), g1.weights.copy(), g1.r_max,
                            mapping=mapping, scale=scale)
-        assert get_operator(3, other, default_halfspace_grid(other, 16)) \
-            is not op
+        assert get_operator(
+            3, other, HalfspaceGrid(other, build_radial_grid(1, 16))) is not op
 
 
 def test_dual_monte_carlo_oracle(boundary3, halfspace3, rng):

@@ -9,8 +9,7 @@ from halfext.extremals import (ExtremalSpec, calibrated_residual, el_residual,
                                extremal_polar, extremal_profile, normalize_el,
                                rayleigh_quotient, sharp_constant,
                                singular_constant)
-from halfext.grids import (PolarGrid, dilate_boundary, lp_norm_boundary,
-                           sample_radial)
+from halfext.grids import PolarGrid, dilate_boundary, sample_radial
 from halfext.kernel import unit_ball_volume
 
 

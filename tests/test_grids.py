@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
-from halfext.grids import (AxisymFn, PolarGrid, RadialFn, RadialGrid,
-                           build_radial_grid, default_halfspace_grid,
-                           dilate_boundary, distribution_mass,
-                           lp_norm_boundary, lp_norm_halfspace,
-                           polar_halfspace_rule, radial_fn_from_csv,
-                           sample_radial, weak_lp_norm)
+from halfext.grids import (AxisymFn, HalfspaceGrid, PolarGrid, RadialFn,
+                           RadialGrid, build_radial_grid, dilate_boundary,
+                           distribution_mass, lp_norm_boundary,
+                           lp_norm_halfspace, polar_halfspace_rule,
+                           radial_fn_from_csv, sample_radial, weak_lp_norm)
 from halfext.kernel import sphere_area
 
 
@@ -148,7 +147,7 @@ def test_polar_rule_dual_extension_norms_every_q(n):
 
 
 def test_lp_norm_halfspace_constant_box():
-    hs = default_halfspace_grid(build_radial_grid(2, 96), 64)
+    hs = HalfspaceGrid(build_radial_grid(2, 96), build_radial_grid(1, 64))
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     c = 1.7
     inside = (R < 2.0) & (T < 1.5)
@@ -162,7 +161,7 @@ def test_lp_norm_halfspace_constant_box():
 
 
 def test_lp_norm_halfspace_divergence():
-    hs = default_halfspace_grid(build_radial_grid(2, 64), 48)
+    hs = HalfspaceGrid(build_radial_grid(2, 64), build_radial_grid(1, 48))
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     u = AxisymFn(hs, (1 + R ** 2 + T ** 2) ** -0.4)
     with pytest.raises(DivergenceError):
@@ -187,7 +186,8 @@ def test_weak_lp_norm_basics(halfspace3):
 def test_weak_lp_norm_two_resolutions():
     vals = []
     for N_r, N_t in ((96, 64), (192, 128)):
-        hs = default_halfspace_grid(build_radial_grid(2, N_r), N_t)
+        hs = HalfspaceGrid(build_radial_grid(2, N_r),
+                           build_radial_grid(1, N_t))
         R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
         from halfext.kernel import kernel_constant
         u = AxisymFn(hs, kernel_constant(3) * T / (R ** 2 + T ** 2) ** 1.5)
@@ -289,7 +289,7 @@ def test_csv_roundtrip(tmp_path, boundary3):
 
 
 def test_axisym_csv(tmp_path):
-    hs = default_halfspace_grid(build_radial_grid(2, 16), 16)
+    hs = HalfspaceGrid(build_radial_grid(2, 16), build_radial_grid(1, 16))
     u = AxisymFn(hs, np.ones((16, 16)))
     path = tmp_path / "u.csv"
     u.to_csv(path)

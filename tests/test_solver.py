@@ -6,8 +6,7 @@ import pytest
 from halfext.errors import DomainError
 from halfext.extremals import (ExtremalSpec, extremal_profile, normalize_el,
                                el_residual, sharp_constant)
-from halfext.grids import (build_radial_grid, dilate_boundary,
-                           lp_norm_boundary, sample_radial)
+from halfext.grids import build_radial_grid, dilate_boundary, sample_radial
 from halfext.moebius import InversionSpec, boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig,
                             ascent_estimate_constant, classify_inverted_radial,
