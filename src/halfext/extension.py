@@ -36,11 +36,11 @@ theta = 0, where the integrand peaks as t -> 0) is kept as the oracle.
 
 As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows of the
 discretized operator whose height cannot be resolved by the radial mesh are
-built with geometrically refined panels around the diagonal, composed with
-a local cubic interpolation stencil, so the operator stays a plain matrix.
-One row rule, ``_kernel_matrix``, builds every such matrix: the operator's
-per-height stacks and ``extend_at`` (one height per point; P_t at the mesh
-nodes is ``extend_at(f, f.grid.nodes, t)``), so they agree row for row.
+built with geometrically refined panels around the diagonal (width t at
+s = r, growing by 8; below r/2 merged with a ladder resolving the mesh's
+decades) and a local cubic interpolation stencil: a plain matrix.  One row
+rule, ``_kernel_matrix``, builds the per-height stacks, the polar rows and
+``extend_at`` (one height per point), so they agree row for row.
 
 Every per-point panel quadrature here (refined rows, kernel mass, the
 angular integrals) lays out the breakpoints of all its points in one array
@@ -61,11 +61,13 @@ from .errors import DivergenceError, DomainError
 from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
                     polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
-from .quadrature import composite_rules, gauss_legendre, peak_breaks
+from .quadrature import GROW, composite_rules, panel_rule, peak_breaks
 
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
 _PANEL_ORDER = 16
+# growth of the refined rows' panels away from the diagonal s = r
+_DIAGONAL_GROW = 8.0
 _RING_ORDER = 24
 _RING_BLOCK = 512      # entries per angular batch: bounds the nodes held
 
@@ -116,7 +118,7 @@ def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
             width = np.sqrt(((r - s) ** 2 + t * t) / (r * s))
         width = np.where((r * s > 0.0) & (width < np.pi / 2.0), width, np.pi)
         th, w, offsets = composite_rules(
-            peak_breaks(0.0, width, 0.0, np.pi), _RING_ORDER)
+            peak_breaks(0.0, width, 0.0, np.pi, GROW), _RING_ORDER)
         k = np.repeat(np.arange(r.size), np.diff(offsets))
         vals = w * core(np.sin(0.5 * th) ** 2,
                         *(x[k] for x in terms(r, s, t)))
@@ -137,13 +139,11 @@ def ring_kernel(n: int, r, s, t, method: str = "closed"):
         raise DomainError(f"dimension must be >= 2, got n={n}")
     if np.any(np.asarray(t) <= 0.0):
         raise DomainError("height t must be positive")
-    if method == "closed":
+    if method not in ("closed", "gl"):
+        raise DomainError(f"unknown ring kernel method {method!r}")
+    if method == "closed" or n == 2:
         out = _ring_closed(n, r, s, t)
         return float(out) if np.ndim(out) == 0 else out
-    if method != "gl":
-        raise DomainError(f"unknown ring kernel method {method!r}")
-    if n == 2:
-        return ring_kernel(n, r, s, t, method="closed")
 
     def terms(r, s, t):
         return (r - s) ** 2 + t * t, 4.0 * r * s
@@ -208,12 +208,15 @@ def _lagrange_stencils(grid: RadialGrid, query: np.ndarray):
 def _diagonal_rules(r_out, t, in_grid: RadialGrid):
     """Rules resolving the kernel diagonal at each (r_out, t) and the data.
 
-    Each point's breakpoints are its diagonal peak merged with a geometric
-    ladder resolving the decades of the mesh itself.
+    Breakpoints: the peak at s = r (width t, growing by 8) and, below r/2
+    only, a ladder for the mesh's decades (scale/64, growing by 4).
     """
-    peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, in_grid.r_max)
-    ladder = peak_breaks(0.0, in_grid.scale / 64.0, 0.0, in_grid.r_max)
-    ladder = np.broadcast_to(ladder, (len(peaks), ladder.size))
+    peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, in_grid.r_max,
+                        _DIAGONAL_GROW)
+    ladder = peak_breaks(0.0, in_grid.scale / 64.0, 0.0, in_grid.r_max, GROW)
+    # from r/2 up the peak's own panels cover every decade: ladder points
+    # there become zeros, zero-width panels that composite_rules skips
+    ladder = np.where(ladder < 0.5 * r_out[:, None], ladder, 0.0)
     return composite_rules(np.sort(np.hstack([peaks, ladder]), axis=1),
                            _PANEL_ORDER)
 
@@ -304,9 +307,12 @@ def _mesh_key(grid: RadialGrid) -> tuple:
 
 
 def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:
-    # one height per call: all heights at once would hold N_t N^2 temporaries
-    return np.stack([_kernel_matrix(partial(ring_kernel, n), grid.nodes,
-                                    grid, t) for t in heights.nodes])
+    # one height per call: all heights at once would hold N_t N^2
+    # temporaries; each is written into the one preallocated stack
+    stack = np.empty((heights.size, grid.size, grid.size))
+    for k, t in enumerate(heights.nodes):
+        stack[k] = _kernel_matrix(partial(ring_kernel, n), grid.nodes, grid, t)
+    return stack
 
 
 def get_operator(n: int, boundary: RadialGrid,
@@ -399,15 +405,14 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
 
 
 def kernel_mass(n: int, s, t: float) -> np.ndarray:
-    """Quadrature of K(., s, t) r^(d-1) dr over (0, inf), one per entry of s
+    """Quadrature of K(., s, t) r^(n-2) dr over (0, inf), one per entry of s
     (an array); exactly 1 in theory."""
-    d = n - 1
     s = np.atleast_1d(np.asarray(s, dtype=float))
     breaks = peak_breaks(s, max(t, 1e-6), 0.0,
-                         np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0))
+                         np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0), GROW)
     r, w, offsets = composite_rules(breaks, 24, np.maximum(s, max(t, 1.0)))
     s_rep = np.repeat(s, np.diff(offsets))
-    contrib = w * ring_kernel(n, r, s_rep, t) * r ** (d - 1)
+    contrib = w * ring_kernel(n, r, s_rep, t) * r ** (n - 2)
     return np.add.reduceat(contrib, offsets[:-1])
 
 
@@ -435,9 +440,7 @@ def slab_mass(profiles, a: float) -> np.ndarray:
             raise DomainError("slab mass is defined for nonnegative data")
         _check_integrable(f)
     n = grid.d + 1
-    x, w = gauss_legendre(24)
-    t_nodes = 0.5 * a * (x + 1.0)
-    t_weights = 0.5 * a * w
+    t_nodes, t_weights = panel_rule(0.0, a, 24)
     masses = sum(wt * kernel_mass(n, grid.nodes, float(t))
                  for t, wt in zip(t_nodes, t_weights))
     weights = grid.sphere * grid.weights * masses

@@ -36,8 +36,8 @@ from .extension import (dual_extend, extension_norm, poisson_extend,
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     RadialGrid, lp_norm_boundary)
 from .kernel import unit_ball_volume
-from .quadrature import (composite_rule, composite_rules, peak_breaks,
-                         zero_refined_breaks)
+from .quadrature import (GROW, composite_rule, composite_rules,
+                         peak_breaks, zero_refined_breaks)
 
 # Gauss order of every panel in the singular-solution quadratures
 _ORDER = 16
@@ -209,7 +209,7 @@ def _power_law_extension(n: int, beta: float, r_pts, t_pts) -> np.ndarray:
     width = np.maximum(t_pts, 1e-8)
     lo_feature = np.minimum(width, np.maximum(r_pts, t_pts)) / 8.0
     hi = np.maximum(np.maximum(8.0 * r_pts, 64.0 * t_pts), 16.0)
-    breaks = np.sort(np.hstack([peak_breaks(r_pts, width, 0.0, hi),
+    breaks = np.sort(np.hstack([peak_breaks(r_pts, width, 0.0, hi, GROW),
                                 zero_refined_breaks(lo_feature, hi)]), axis=1)
     s, w, offsets = composite_rules(
         breaks, _ORDER, tail_scales=np.maximum(np.maximum(r_pts, t_pts), 1.0))
@@ -260,7 +260,7 @@ def singular_constant(n: int, p: float, r0: float = 1.0) -> float:
     th, wth = composite_rule(theta_breaks, _ORDER)
     phi_pow = np.exp(log_phi(th)) ** (q - 1.0)
     hi = max(8.0 * r0, 16.0)
-    peaks = peak_breaks(r0, np.maximum(r0 * np.sin(th), 1e-8 * r0), 0.0, hi)
+    peaks = peak_breaks(r0, r0 * np.maximum(np.sin(th), 1e-8), 0.0, hi, GROW)
     zero = zero_refined_breaks(np.full(th.shape, r0 / 256.0), hi)
     breaks = np.sort(np.hstack([peaks, zero]), axis=1)
     rho, w, offsets = composite_rules(breaks, _ORDER, tail_scales=max(r0, 1.0))

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 # geometric factor between neighbouring panels of the refined breakpoints
+# (the operator's diagonal panels use their own, extension._DIAGONAL_GROW)
 GROW = 4.0
 # panels refining toward 0 in zero_refined_breaks
 ZERO_LEVELS = 10
@@ -97,11 +98,11 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     return nodes, weights, offsets
 
 
-def peak_breaks(peak, width, lo, hi):
+def peak_breaks(peak, width, lo, hi, grow):
     """Breakpoints resolving a feature of given width at ``peak`` in [lo, hi].
 
     Panels have width ~``width`` at the feature and grow geometrically by
-    ``GROW`` until they cover the interval; ``hi`` may be ``inf`` (capped at
+    ``grow`` until they cover the interval; ``hi`` may be ``inf`` (capped at
     max(4 |peak|, 16 width, 1); the caller then attaches a mapped tail panel
     from the last break).  The arguments broadcast: the result holds one
     sorted row of breakpoints per feature, all rows of one length, padded by
@@ -115,8 +116,8 @@ def peak_breaks(peak, width, lo, hi):
     hi = np.where(np.isfinite(hi), hi, cap)
     # one level count for every row; rows needing fewer clip the rest
     reach = np.max(np.maximum(peak - lo, hi - peak) / width, initial=1.0)
-    levels = int(np.ceil(np.log(reach) / np.log(GROW))) + 1
-    steps = width[..., None] * GROW ** np.arange(levels)
+    levels = int(np.ceil(np.log(reach) / np.log(grow))) + 1
+    steps = width[..., None] * grow ** np.arange(levels)
     lo, hi, peak = lo[..., None], hi[..., None], peak[..., None]
     # peak -+ steps increase; clipping to [lo, hi] keeps that order
     breaks = np.concatenate([lo, peak - steps[..., ::-1], peak + steps, hi],

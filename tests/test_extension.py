@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from halfext import extension
 from halfext.errors import DivergenceError, DomainError
 from halfext.extension import (PEAK_FACTOR, _diagonal_rules, _kernel_matrix,
                                _lagrange_stencils, commutator_gap,
@@ -18,6 +19,7 @@ from halfext.grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
                            lp_norm_boundary, lp_norm_halfspace,
                            polar_halfspace_rule, sample_radial)
 from halfext.kernel import kernel_constant, pt_lp_norm, sphere_area
+from halfext.quadrature import GROW, composite_rules, peak_breaks
 
 
 def conformal_data(grid):
@@ -296,6 +298,27 @@ def test_extend_at_matches_operator_rows(n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n, N, bound_conformal, bound_dual",
+                         [(3, 160, 5e-9, 8e-7), (4, 128, 3e-7, 1.2e-5)])
+def test_extend_at_below_mesh_spacing(n, N, bound_conformal, bound_dual):
+    # refined rows off the nodes, at heights far below the mesh spacing,
+    # against both closed-form families: (1+r^2)^-(n-2)/2 extends to
+    # (r^2+(1+t)^2)^-(n-2)/2 and (1+r^2)^-n/2 to (1+t)(r^2+(1+t)^2)^-n/2
+    g = build_radial_grid(n - 1, N)
+    r = np.random.default_rng(16).uniform(0.0, 5.0, 200)
+    conformal = sample_radial(g, lambda s: (1 + s ** 2) ** (1 - 0.5 * n),
+                              tail_exponent=n - 2.0, nonnegative=True)
+    dual = sample_radial(g, lambda s: (1 + s ** 2) ** (-0.5 * n),
+                         tail_exponent=float(n), nonnegative=True)
+    for t in (1e-4, 1e-3, 1e-2, 1e-1):
+        a = r ** 2 + (1.0 + t) ** 2
+        err_c = np.abs(extend_at(conformal, r, t) / a ** (1 - 0.5 * n) - 1.0)
+        err_d = np.abs(extend_at(dual, r, t) / ((1 + t) * a ** (-0.5 * n))
+                       - 1.0)
+        assert np.max(err_c) <= bound_conformal
+        assert np.max(err_d) <= bound_dual
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_polar_rows_are_extend_at_rows(n):
     # the operator's polar rows are the row rule at the polar points, one
@@ -393,6 +416,35 @@ def _reference_row_rule(kernel, out_nodes, in_grid, t):
     np.add.at(M, (np.repeat(rows, 4), cols.ravel()),
               (coeff[:, None] * lw).ravel())
     return M
+
+
+@pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0),
+                                            ("linear", 2.0)])
+def test_diagonal_rules_ladder_only_below_half_r(monkeypatch, mapping, scale):
+    # the refined rows' breakpoints: the mesh ladder scale/64 * GROW^k is
+    # kept below r/2 only; from r/2 up every breakpoint is the diagonal
+    # peak's, whose panels grow by 8 from width t
+    g = build_radial_grid(2, 64, mapping, scale)
+    seen = []
+
+    def spy(breaks, order):
+        seen.append(np.array(breaks))
+        return composite_rules(breaks, order)
+
+    monkeypatch.setattr(extension, "composite_rules", spy)
+    r = np.concatenate([np.geomspace(1e-4, g.r_max, 40), g.nodes[::7]])
+    t = np.geomspace(1e-6, 1e-2, r.size)
+    _diagonal_rules(r, t, g)
+    ladder = g.scale / 64.0 * GROW ** np.arange(60)
+    ladder = ladder[ladder < g.r_max]
+    (rows,) = seen
+    assert rows.shape[0] == r.size
+    for row, x, h in zip(rows, r, t):
+        assert not np.any(np.isin(row[row >= 0.5 * x], ladder))
+        assert np.all(np.isin(ladder[ladder < 0.5 * x], row))
+        peak = peak_breaks(x, h, 0.0, g.r_max, 8.0)
+        assert np.array_equal(np.unique(row[row >= 0.5 * x]),
+                              np.unique(peak[peak >= 0.5 * x]))
 
 
 @pytest.mark.parametrize("n, N, ring", [(3, 64, ring_kernel),

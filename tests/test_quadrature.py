@@ -59,11 +59,13 @@ def peak_breaks_loop(peak, width, lo, hi, grow):
     return np.unique(np.clip(out + [lo, cap], lo, cap))
 
 
-@pytest.mark.parametrize("scalar", [None, "peak", "width"])
-def test_peak_breaks_rows(scalar):
+@pytest.mark.parametrize("scalar, grow", [
+    pytest.param(s, g, id=str(s) if g == GROW else f"{s}-grow{g:g}")
+    for g in (GROW, 8.0) for s in (None, "peak", "width")])
+def test_peak_breaks_rows(scalar, grow):
     # own generator: draws from the session rng would shift later modules'
     rng = np.random.default_rng(4)
-    K, lo, grow = 200, 0.0, GROW
+    K, lo = 200, 0.0
     peak = rng.uniform(0.0, 10.0, K)
     width = 10.0 ** rng.uniform(-9.0, 0.5, K)
     hi = np.where(rng.random(K) < 0.5, np.inf, rng.uniform(10.0, 60.0, K))
@@ -71,7 +73,7 @@ def test_peak_breaks_rows(scalar):
         peak = 2.5
     elif scalar == "width":
         width = 1e-3
-    rows = peak_breaks(peak, width, lo, hi)
+    rows = peak_breaks(peak, width, lo, hi, grow)
     peak, width = np.broadcast_arrays(peak, width, hi)[:2]
     cap = np.where(np.isfinite(hi), hi,
                    np.maximum(np.maximum(4.0 * peak, 16.0 * width), 1.0))
@@ -92,9 +94,9 @@ def test_peak_breaks_rows(scalar):
 
 def test_peak_breaks_rejects_nonpositive_width():
     with pytest.raises(ValueError):
-        peak_breaks(1.0, 0.0, 0.0, 2.0)
+        peak_breaks(1.0, 0.0, 0.0, 2.0, GROW)
     with pytest.raises(ValueError):
-        peak_breaks(np.ones(3), np.array([0.1, -0.1, 0.1]), 0.0, np.inf)
+        peak_breaks(np.ones(3), np.array([0.1, -0.1, 0.1]), 0.0, np.inf, 8.0)
 
 
 def test_zero_refined_breaks_rows():
