@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, extension
 from .errors import HalfextError, SolverDivergence
 from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
@@ -448,6 +448,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     checks = Checks()
     extra = None
     status = 0
+    counts = dict(extension.CACHE_COUNTS)
     try:
         extra = RUNNERS[cfg.experiment](cfg, checks, outdir)
     except HalfextError as exc:
@@ -466,6 +467,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "halfext_version": __version__,
         "numpy_version": np.__version__,
+        # this run's operator traffic, and what the cache holds at its end
+        "operator_cache": {
+            **{k: v - counts[k] for k, v in extension.CACHE_COUNTS.items()},
+            "held_mb": extension.cache_held_bytes() / 2 ** 20},
     }
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -58,8 +58,8 @@ import numpy as np
 from scipy.special import beta, digamma, ellipe, hyp2f1
 
 from .errors import DivergenceError, DomainError
-from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
-                    polar_halfspace_rule)
+from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
+                    RadialGrid, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
 from .quadrature import GROW, composite_rules, panel_rule, peak_breaks
 
@@ -260,7 +260,7 @@ class PoissonOperator:
     that read the C-contiguous stack in place: it holds 20 MB at N=160,
     N_t=96, so neither direction may copy or transpose it; ``extension_norm``
     reads the 1.3 MB of polar rows.  Built once per n and mesh content by
-    ``get_operator``.
+    ``get_operator``, whose cache holds operators up to a byte budget.
     """
 
     n: int
@@ -296,8 +296,22 @@ class PoissonOperator:
         return np.matmul(self.matrices, v).sum(axis=0)[:, 0]
 
 
-_OPERATOR_CACHE: dict = {}
-_CACHE_LIMIT = 12      # operators hold N_t N^2 doubles; cap the cache
+_OPERATOR_CACHE: dict = {}     # least recently used first
+_CACHE_BYTES = 64 * 2 ** 20    # budget of stacks and polar rows held
+# get_operator's traffic since import: the CLI reports one run's deltas
+CACHE_COUNTS = {"builds": 0, "hits": 0, "evictions": 0}
+
+
+def cache_held_bytes() -> int:
+    """Bytes of the stacks and polar rows the operator cache holds."""
+    return sum(op.matrices.nbytes + op.polar_rows.nbytes
+               for op in _OPERATOR_CACHE.values())
+
+
+def operator_nbytes(halfspace: HalfspaceGrid) -> int:
+    """Bytes of the stack and polar rows an operator on this mesh holds."""
+    n_r, n_t = halfspace.radial.size, halfspace.heights.size
+    return 8 * n_r * (n_t * n_r + POLAR_RHO * POLAR_PHI)
 
 
 def _mesh_key(grid: RadialGrid) -> tuple:
@@ -321,7 +335,8 @@ def get_operator(n: int, boundary: RadialGrid,
 
     ``boundary`` must equal the radial mesh in content (DomainError if not).
     Keyed by mesh content, so meshes built separately but equal share one
-    operator; the cache keeps the last ``_CACHE_LIMIT`` operators.
+    operator; the cache keeps the most recently used operators that fit in
+    ``_CACHE_BYTES``, and always the newest, even one over it alone.
     """
     if boundary.d != n - 1 or halfspace.n != n:
         raise DomainError("grid dimensions are inconsistent with n")
@@ -330,17 +345,22 @@ def get_operator(n: int, boundary: RadialGrid,
     if _mesh_key(boundary) != key[1]:
         raise DomainError(
             "boundary data must live on the half-space's radial mesh")
-    op = _OPERATOR_CACHE.get(key)
-    if op is not None:
-        return op
+    if key in _OPERATOR_CACHE:
+        CACHE_COUNTS["hits"] += 1
+        _OPERATOR_CACHE[key] = _OPERATOR_CACHE.pop(key)     # now the newest
+        return _OPERATOR_CACHE[key]
+    # make room before the build, so the evicted stacks are freed first
+    need = operator_nbytes(halfspace)
+    while _OPERATOR_CACHE and cache_held_bytes() + need > _CACHE_BYTES:
+        _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
+        CACHE_COUNTS["evictions"] += 1
     r, t, weights = polar_halfspace_rule(n)
     # polar rows one ray per call, as _matrix_stack goes one height per call
     rows = [_kernel_matrix(partial(ring_kernel, n), r_ray, radial, t_ray)
             for r_ray, t_ray in zip(r, t)]
     op = PoissonOperator(n, halfspace, _matrix_stack(n, radial, heights),
                          np.concatenate(rows), weights.ravel())
-    if len(_OPERATOR_CACHE) >= _CACHE_LIMIT:
-        _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
+    CACHE_COUNTS["builds"] += 1
     _OPERATOR_CACHE[key] = op
     return op
 

@@ -154,6 +154,8 @@ class RadialFn:
     tail_exponent: float = math.nan
     nonnegative: bool = False
     _interp: object = field(default=None, repr=False)
+    # None marks an unset fit: the fit itself may return nan
+    _fitted: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -171,7 +173,9 @@ class RadialFn:
                                        / (r2 ** 2 - r1 ** 2))
 
     def fitted_tail(self) -> float:
-        return _fit_tail_exponent(self.grid.nodes, self.values)
+        if self._fitted is None:
+            self._fitted = _fit_tail_exponent(self.grid.nodes, self.values)
+        return self._fitted
 
     def tail(self) -> float:
         """The declared tail exponent, else the fitted one."""

@@ -149,6 +149,26 @@ def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
     assert [h.size for h in heights] == [48]
 
 
+@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
+def test_summary_meta_reports_operator_cache(tmp_path, monkeypatch):
+    # meta counts one run's operator traffic; a second run of the same
+    # experiment in the process finds its operator cached
+    from halfext import extension
+    monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
+    caches = []
+    for name in ("first", "second"):
+        assert run_cli(["run", "solve-el", "--grid-n", "64", "--max-iters",
+                        "3", "--out", str(tmp_path / name)]) in (0, 1)
+        caches.append(load_summary(tmp_path / name)["meta"]["operator_cache"])
+    first, second = caches
+    assert first["builds"] == 1 and second["builds"] == 0
+    # the first run's build is the second run's hit
+    assert second["hits"] == first["hits"] + 1 > 1
+    assert first["evictions"] == second["evictions"] == 0
+    hs = default_halfspace_grid(build_radial_grid(2, 64))
+    assert second["held_mb"] == extension.operator_nbytes(hs) / 2 ** 20
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "seed": 5, "grid_n": 96}))

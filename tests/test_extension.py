@@ -418,6 +418,80 @@ def _reference_row_rule(kernel, out_nodes, in_grid, t):
     return M
 
 
+def _operator_builds(monkeypatch, budget):
+    """Empty the operator cache under a byte budget; return the list that
+    collects the boundary mesh size of every operator built from then on.
+    Each build first checks that the cache made room for it."""
+    monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
+    monkeypatch.setattr(extension, "_CACHE_BYTES", budget)
+    built = []
+    build = extension._matrix_stack
+
+    def recorded(n, grid, heights):
+        need = extension.operator_nbytes(HalfspaceGrid(grid, heights))
+        assert extension.cache_held_bytes() + need <= max(budget, need)
+        built.append(grid.size)
+        return build(n, grid, heights)
+
+    monkeypatch.setattr(extension, "_matrix_stack", recorded)
+    return built
+
+
+def _meshes(N, n=3):
+    g = build_radial_grid(n - 1, N)
+    return g, default_halfspace_grid(g)
+
+
+def test_operator_cache_held_bytes_within_budget(monkeypatch):
+    budget = 1_000_000      # two or three of these operators; N=48 is over
+    built = _operator_builds(monkeypatch, budget)
+    ladder = (16, 24, 32, 40, 48, 16, 32)
+    for N in ladder:
+        g, hs = _meshes(N)
+        op = get_operator(3, g, hs)
+        need = extension.operator_nbytes(hs)
+        assert op.matrices.nbytes + op.polar_rows.nbytes == need
+        assert extension.cache_held_bytes() <= max(budget, need)
+        assert next(reversed(extension._OPERATOR_CACHE.values())) is op
+    # N=16 and N=32 were evicted before they came back, so built again
+    assert built == list(ladder)
+    assert len(extension._OPERATOR_CACHE) == 2
+
+
+def test_operator_cache_hit_refreshes_recency(monkeypatch):
+    (ga, a), (gb, b), (gc, c) = (_meshes(N) for N in (16, 24, 32))
+    nbytes = [extension.operator_nbytes(hs) for hs in (a, b, c)]
+    # A and B fit, and A and C, but not all three
+    built = _operator_builds(monkeypatch, nbytes[0] + nbytes[2])
+    op_a = get_operator(3, ga, a)
+    get_operator(3, gb, b)
+    assert get_operator(3, ga, a) is op_a and built == [16, 24]
+    get_operator(3, gc, c)            # evicts B, used less recently than A
+    assert get_operator(3, ga, a) is op_a and built == [16, 24, 32]
+    get_operator(3, gb, b)
+    assert built == [16, 24, 32, 24]
+
+
+def test_operator_over_budget_built_once(monkeypatch):
+    built = _operator_builds(monkeypatch, 1)
+    g, hs = _meshes(32)
+    f = conformal_data(g)
+    op = get_operator(3, g, hs)
+    poisson_extend(f, hs)
+    extension_norm(f, 6.0, hs)
+    dual_extend(AxisymFn(hs, np.ones((g.size, hs.heights.size))))
+    assert get_operator(3, g, hs) is op and built == [32]
+    assert extension.cache_held_bytes() == extension.operator_nbytes(hs)
+
+
+def test_cache_budget_holds_el_solve_pair():
+    # the el-solve benchmark's two N=160 operators, and kernel-build's
+    # largest rung alone, by the mesh formula: nothing is built
+    pair = sum(extension.operator_nbytes(_meshes(160, n)[1]) for n in (3, 4))
+    assert pair <= extension._CACHE_BYTES
+    assert extension.operator_nbytes(_meshes(224)[1]) <= extension._CACHE_BYTES
+
+
 @pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0),
                                             ("linear", 2.0)])
 def test_diagonal_rules_ladder_only_below_half_r(monkeypatch, mapping, scale):

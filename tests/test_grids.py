@@ -96,6 +96,21 @@ def test_lp_norm_fitted_tail_guard(boundary3):
         lp_norm_boundary(f, 2.0)
 
 
+def test_fitted_tail_fits_once_per_function(boundary3, monkeypatch):
+    from halfext import grids
+    calls = []
+
+    def fit(nodes, values):
+        calls.append(values)
+        return math.nan             # a fit that finds no slope
+    monkeypatch.setattr(grids, "_fit_tail_exponent", fit)
+    f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0)
+    assert all(math.isnan(f.fitted_tail()) for _ in range(3))
+    assert math.isnan(f.tail()) and len(calls) == 1
+    # a new function, even one scaled from f, fits its own samples
+    assert math.isnan(f.scaled(2.0).fitted_tail()) and len(calls) == 2
+
+
 def test_lp_norm_halfspace_closed_form(halfspace3):
     R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
                        indexing="ij")

@@ -4,7 +4,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfext"
 CEILING = 38
-LINE_CEILING = 2156     # non-blank, non-comment lines of src/halfext/*.py
+LINE_CEILING = 2176     # non-blank, non-comment lines of src/halfext/*.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
