@@ -206,7 +206,7 @@ def _power_law_extension(n: int, beta: float, r_pts, t_pts) -> np.ndarray:
     r_pts = np.atleast_1d(np.asarray(r_pts, dtype=float))
     t_pts = np.atleast_1d(np.asarray(t_pts, dtype=float))
     r_pts, t_pts = np.broadcast_arrays(r_pts, t_pts)
-    width = np.maximum(t_pts, 1e-8)
+    width = np.maximum(t_pts, 1e-12)
     lo_feature = np.minimum(width, np.maximum(r_pts, t_pts)) / 8.0
     hi = np.maximum(np.maximum(8.0 * r_pts, 64.0 * t_pts), 16.0)
     breaks = np.sort(np.hstack([peak_breaks(r_pts, width, 0.0, hi, GROW),
@@ -220,30 +220,14 @@ def _power_law_extension(n: int, beta: float, r_pts, t_pts) -> np.ndarray:
     return np.add.reduceat(contrib, offsets[:-1])
 
 
-def _power_extension_angular_profile(n: int, beta: float):
-    """Angular factor phi with (P s^-beta)(x) = |x|^-beta * phi(theta).
-
-    The extension of a pure power is exactly homogeneous, so one profile on
-    the unit quarter-circle determines it everywhere; phi is smooth up to
-    the boundary angle (where it equals 1, the boundary trace), and a cubic
-    spline through 192 equispaced angles carries it.
-    """
-    from scipy.interpolate import CubicSpline
-    theta = np.linspace(0.0, 0.5 * np.pi, 192)
-    vals = np.empty(theta.size)
-    vals[0] = 1.0
-    vals[1:] = _power_law_extension(n, beta, np.cos(theta[1:]),
-                                    np.sin(theta[1:]))
-    return CubicSpline(theta, np.log(vals))
-
-
 def singular_constant(n: int, p: float, r0: float = 1.0) -> float:
     """Scalar c such that c*|xi|^(-(n-1)/p) formally solves the EL system.
 
     Both sides are homogeneous of the same degree, so matching them at the
     single radius r0 determines c; r0-independence is a consistency check.
-    The half-space integral runs in polar coordinates against the one-time
-    angular profile of the power-law extension.
+    The half-space integral runs in polar coordinates: the extension of the
+    power law is |x|^-beta phi(theta), and phi is its value on the unit
+    quarter-circle at the angular quadrature nodes.
     """
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p}")
@@ -252,13 +236,11 @@ def singular_constant(n: int, p: float, r0: float = 1.0) -> float:
     beta = (n - 1) / p
     q = n * p / (n - 1)
     d = n - 1
-    log_phi = _power_extension_angular_profile(n, beta)
-
     # I(r0) = int K(r0, rho cos, rho sin) (rho^-beta phi)^(q-1)
     #             (rho cos)^(d-1) rho drho dtheta
     theta_breaks = zero_refined_breaks(np.pi / 512.0, 0.5 * np.pi)
     th, wth = composite_rule(theta_breaks, _ORDER)
-    phi_pow = np.exp(log_phi(th)) ** (q - 1.0)
+    phi_pow = _power_law_extension(n, beta, np.cos(th), np.sin(th)) ** (q - 1.0)
     hi = max(8.0 * r0, 16.0)
     peaks = peak_breaks(r0, r0 * np.maximum(np.sin(th), 1e-8), 0.0, hi, GROW)
     zero = zero_refined_breaks(np.full(th.shape, r0 / 256.0), hi)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, RectBivariateSpline
 
 from .errors import DivergenceError, DomainError
 from .kernel import sphere_area
@@ -139,6 +138,38 @@ def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
     return float(-slope)
 
 
+def pchip(x, y):
+    """scipy's PchipInterpolator(x, y, extrapolate=False) on 3 or more nodes:
+    Fritsch-Butland harmonic-mean slopes (0 at a sign change or flat secant),
+    shape-kept one-sided end slopes, the same cubics, NaN outside the nodes."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    # three-point end slopes: 0 against the end secant's sign, else at most
+    # 3 times it where the two end secants differ in sign
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    cap = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+    e = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(cap, 3.0 * m0, e))
+    d = np.concatenate(([e[0]], inner, [e[1]]))
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c3, c2 = t / h, (m - d[:-1]) / h - t
+
+    def interp(xp):
+        xp = np.asarray(xp, dtype=float)
+        i = np.searchsorted(x[1:-1], xp, side="right")
+        s = xp - x[i]
+        s2 = s * s
+        v = y[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+        return np.where((xp >= x[0]) & (xp <= x[-1]), v, np.nan)
+
+    return interp
+
+
 @dataclass(eq=False)
 class RadialFn:
     """Samples of a radial function on a RadialGrid, with tail metadata.
@@ -183,23 +214,21 @@ class RadialFn:
         return self.fitted_tail() if math.isnan(beta) else beta
 
     def _build_interp(self):
-        nodes = self.grid.nodes
-        vals = self.values
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if np.all(vals > 0.0) and self.value_at_zero > 0.0:
-                logf = PchipInterpolator(np.log(nodes), np.log(vals),
-                                         extrapolate=False)
-                self._interp = ("log", logf)
-            else:
-                x = np.concatenate(([0.0], self.grid.parameter(nodes)))
-                y = np.concatenate(([self.value_at_zero], vals))
-                self._interp = ("lin", PchipInterpolator(x, y,
-                                                         extrapolate=False))
+        nodes, vals = self.grid.nodes, self.values
+        if np.all(vals > 0.0) and self.value_at_zero > 0.0:
+            logf = pchip(np.log(nodes), np.log(vals))
+            self._interp = lambda r: np.exp(logf(np.log(r)))
+        else:
+            lin = pchip(np.concatenate(([0.0], self.grid.parameter(nodes))),
+                        np.concatenate(([self.value_at_zero], vals)))
+            self._interp = lambda r: lin(self.grid.parameter(r))
 
     def eval(self, r):
         """Evaluate at arbitrary radii.
 
-        Below the first node: even quadratic through (0, value_at_zero) and the
+        Between nodes: ``pchip`` of log f in log r if f > 0 (value_at_zero
+        too), else of f in the mesh parameter from (0, value_at_zero).  Below
+        the first node: even quadratic through (0, value_at_zero) and the
         first nodes.  Beyond the last node: power-law continuation with the
         declared tail exponent (fitted slope if undeclared).
         """
@@ -213,12 +242,7 @@ class RadialFn:
         lo = r < nodes[0]
         hi = r > nodes[-1]
         mid = ~(lo | hi)
-        kind, f = self._interp
-        if kind == "log":
-            with np.errstate(divide="ignore"):
-                out[mid] = np.exp(f(np.log(r[mid])))
-        else:
-            out[mid] = f(self.grid.parameter(r[mid]))
+        out[mid] = self._interp(r[mid])
         if np.any(lo):
             r1, r2 = nodes[:2]
             f0 = self.value_at_zero
@@ -383,6 +407,7 @@ class PolarFn:
 
     def _build_spline(self):
         # periodic padding in the angle, then a plain bicubic spline
+        from scipy.interpolate import RectBivariateSpline
         pad = 4
         phi = self.grid.angles
         phi_ext = np.concatenate([phi[-pad:] - 2 * np.pi, phi, phi[:pad] + 2 * np.pi])

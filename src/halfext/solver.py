@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DivergenceError, DomainError, SolverDivergence
 # kept importable as halfext.solver.poisson_extend; the loop reaches it
@@ -82,8 +81,9 @@ def concentration_radius(f: RadialFn, p: float,
 
     The mass profile is accumulated from per-cell Gauss panels of the sample
     interpolant, all cells in one evaluation, making partial masses
-    consistent with the total used here.  R is then found by Brent's method
-    inside the one cell where the cumulative mass crosses the target.
+    consistent with the total used here.  R is then found to 1e-12 by
+    safeguarded Newton steps inside the one cell where the cumulative mass
+    crosses the target.
     """
     if not 0.0 < fraction < 1.0:
         raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
@@ -99,12 +99,18 @@ def concentration_radius(f: RadialFn, p: float,
     i = int(np.searchsorted(cum, target)) - 1
     if i == 0:
         return float(grid.nodes[0] * (target / cum[1]) ** (1.0 / grid.d))
-
-    def excess(R: float) -> float:
-        return cum[i] + float(_cell_masses(f, p, edges[i], R)) - target
-
-    return float(brentq(excess, edges[i], edges[i + 1], xtol=1e-12,
-                        rtol=1e-12))
+    # Newton on the mass derivative |f(R)|^p R^(d-1); a step that leaves
+    # the bracket [a, b] of the root bisects it instead
+    a, b = edges[i], edges[i + 1]
+    R, step = 0.5 * (a + b), math.inf
+    while abs(step) > 1e-12 * (1.0 + R):
+        excess = cum[i] + float(_cell_masses(f, p, edges[i], R)) - target
+        a, b = (a, R) if excess > 0.0 else (R, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = R - excess / (abs(f.eval(R)) ** p * R ** (grid.d - 1))
+        step = (newton if a <= newton <= b else 0.5 * (a + b)) - R
+        R += step
+    return float(R)
 
 
 def normalize_mass_half(f: RadialFn, p: float):
@@ -218,6 +224,21 @@ def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
     return float(best)
 
 
+def _golden_min(fun, lo: float, hi: float, xatol: float) -> float:
+    """A minimizer of fun on [lo, hi] by golden-section search, to xatol."""
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd, c = d, c, fc, d - g * (d - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc, d = c, d, fd, c + g * (hi - c)
+            fd = fun(d)
+    return 0.5 * (lo + hi)
+
+
 def match_extremal_family(f: RadialFn, n: int, kind: str,
                           r_window: float):
     """Fit (lambda, amplitude) of the closed-form family to a radial profile.
@@ -240,10 +261,8 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
         err = float(np.max(np.abs(ratio / amp - 1.0)))
         return amp, err
 
-    res = minimize_scalar(lambda ll: best_amp(math.exp(ll))[1],
-                          bounds=(-3.0, 3.0), method="bounded",
-                          options={"xatol": 1e-12})
-    lam = math.exp(res.x)
+    lam = math.exp(_golden_min(lambda ll: best_amp(math.exp(ll))[1],
+                               -3.0, 3.0, 1e-12))
     amp, err = best_amp(lam)
     return lam, amp, err
 
@@ -284,9 +303,8 @@ def radial_about_point(v: PolarFn, tol: float):
     i = int(np.argmin(devs))
     lo = grid_a[max(i - 1, 0)]
     hi = grid_a[min(i + 1, grid_a.size - 1)]
-    res = minimize_scalar(deviation, bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    return np.array([float(res.x), 0.0]) if res.fun <= tol else None
+    a = _golden_min(deviation, lo, hi, 1e-10)
+    return np.array([a, 0.0]) if deviation(a) <= tol else None
 
 
 @dataclass(frozen=True)

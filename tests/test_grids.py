@@ -9,7 +9,7 @@ from halfext.errors import DivergenceError, DomainError
 from halfext.grids import (AxisymFn, HalfspaceGrid, PolarGrid, RadialFn,
                            RadialGrid, build_radial_grid, dilate_boundary,
                            distribution_mass, lp_norm_boundary,
-                           lp_norm_halfspace, polar_halfspace_rule,
+                           lp_norm_halfspace, pchip, polar_halfspace_rule,
                            radial_fn_from_csv, sample_radial, weak_lp_norm)
 from halfext.kernel import sphere_area
 
@@ -281,6 +281,33 @@ def test_radial_fn_eval_interpolation(boundary3):
     # beyond the mesh: power-law continuation
     big = 5.0 * boundary3.r_max
     assert f.eval(big) == pytest.approx((1 + big ** 2) ** -1.0, rel=1e-2)
+
+
+PCHIP_KINDS = ("random", "monotone", "flat-segment", "3-node")
+
+
+def _pchip_data(kind, rng):
+    x = np.sort(rng.uniform(-3.0, 3.0, 3 if kind == "3-node" else 40))
+    if kind == "monotone":
+        return x, np.cumsum(rng.uniform(0.0, 1.0, x.size))
+    if kind == "flat-segment":
+        # runs of equal values, sign changes and exact zeros among the secants
+        return x, np.round(rng.normal(size=x.size))
+    return x, rng.normal(size=x.size)
+
+
+@pytest.mark.parametrize("kind", PCHIP_KINDS)
+def test_pchip_matches_scipy(kind):
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(PCHIP_KINDS.index(kind))
+    for _ in range(20):
+        x, y = _pchip_data(kind, rng)
+        inside = np.concatenate([x, rng.uniform(x[0], x[-1], 400)])
+        want = PchipInterpolator(x, y, extrapolate=False)(inside)
+        np.testing.assert_allclose(pchip(x, y)(inside), want, rtol=1e-14,
+                                   atol=0.0)
+        outside = np.array([x[0] - 1e-9, x[-1] + 1e-9, x[0] - 5.0, x[-1] + 5.0])
+        assert np.all(np.isnan(pchip(x, y)(outside)))
 
 
 def test_radial_fn_validation(boundary3):

@@ -56,6 +56,18 @@ def test_concentration_radius_closed_form(boundary3, fraction):
                                                                    rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_concentration_radius_of_gaussian(n, p):
+    # mass of exp(-p r^2) r^(d-1) inside B_R is P(d/2, p R^2) of the total
+    from scipy.special import gammaincinv
+    g = build_radial_grid(n - 1, 160, "tan", 1.0)
+    f = sample_radial(g, lambda r: np.exp(-np.asarray(r) ** 2),
+                      tail_exponent=math.inf, nonnegative=True)
+    want = math.sqrt(gammaincinv(0.5 * (n - 1), 0.5) / p)
+    assert concentration_radius(f, p) == pytest.approx(want, rel=5e-7)
+
+
 @pytest.mark.parametrize("fraction", [-0.1, 0.0, 1.0])
 def test_concentration_radius_rejects_bad_fraction(boundary3, fraction):
     f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
@@ -104,6 +116,17 @@ def test_fixed_point_from_gaussian(boundary3, halfspace3):
     assert trace.rayleighs[-1] == pytest.approx(
         sharp_constant(3, "conformal"), abs=5e-4)
     assert max(trace.rayleighs) <= sharp_constant(3, "conformal") * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("kind", ["conformal", "dual"])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_match_extremal_family_recovers_member(boundary3, kind, lam):
+    spec = ExtremalSpec(3, kind, lam=lam, amplitude=1.7)
+    fit_lam, amp, err = match_extremal_family(
+        extremal_profile(spec, boundary3), 3, kind, 10.0)
+    assert fit_lam == pytest.approx(lam, rel=1e-11)
+    assert amp == pytest.approx(1.7, rel=1e-12)
+    assert err < 1e-12
 
 
 def test_match_extremal_family_rejects_unknown_kind(boundary3):
