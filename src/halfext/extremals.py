@@ -18,6 +18,9 @@ Nonnegative critical points of the quotient satisfy the integral system
 whose residual, amplitude calibration, and singular power-law solution
 c * |xi|^(-(n-1)/p) are computed here.  The calibration amplitude is well
 defined because the two sides scale with different powers of the amplitude.
+The singular solution is in closed form: its extension is |x|^(-(n-1)/p)
+times a hypergeometric profile in the elevation, and c^(p-q) is a smooth
+1-D integral of that profile.
 Rayleigh quotients read |Pf|_q on the polar half-space rule.
 """
 
@@ -28,19 +31,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1
 
 from .errors import DivergenceError, DomainError
-from .extension import (dual_extend, extension_norm, poisson_extend,
-                        ring_kernel)
+from .extension import dual_extend, extension_norm, poisson_extend
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     RadialGrid, lp_norm_boundary)
 from .kernel import unit_ball_volume
-from .quadrature import (GROW, composite_rule, composite_rules,
-                         peak_breaks, zero_refined_breaks)
-
-# Gauss order of every panel in the singular-solution quadratures
-_ORDER = 16
+from .quadrature import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -196,67 +194,35 @@ def calibrated_residual(f: RadialFn, n: int, p: float,
         return math.inf
 
 
-def _power_law_extension(n: int, beta: float, r_pts, t_pts) -> np.ndarray:
-    """(P s^-beta)(r, t) at points, panels refined at the diagonal and s = 0.
+def power_profile(n: int, beta: float, theta) -> np.ndarray:
+    """Angular profile phi_beta of the extension of |xi|^-beta.
 
-    The breakpoints of all points are built as arrays, the rules come from
-    one ``composite_rules`` call and the kernel is evaluated once over them.
+    P|xi|^-beta = |x|^-beta phi_beta(theta) with t = |x| sin(theta): the
+    extension is homogeneous, harmonic and regular on the axis, so phi_beta
+    is the axis-regular Gegenbauer function of degree -beta (Legendre at
+    n = 3), normalised to 1 on the boundary.  Valid for 0 < beta < n - 1.
     """
-    d = n - 1
-    r_pts = np.atleast_1d(np.asarray(r_pts, dtype=float))
-    t_pts = np.atleast_1d(np.asarray(t_pts, dtype=float))
-    r_pts, t_pts = np.broadcast_arrays(r_pts, t_pts)
-    width = np.maximum(t_pts, 1e-12)
-    lo_feature = np.minimum(width, np.maximum(r_pts, t_pts)) / 8.0
-    hi = np.maximum(np.maximum(8.0 * r_pts, 64.0 * t_pts), 16.0)
-    breaks = np.sort(np.hstack([peak_breaks(r_pts, width, 0.0, hi, GROW),
-                                zero_refined_breaks(lo_feature, hi)]), axis=1)
-    s, w, offsets = composite_rules(
-        breaks, _ORDER, tail_scales=np.maximum(np.maximum(r_pts, t_pts), 1.0))
-    counts = np.diff(offsets)
-    r_rep = np.repeat(r_pts, counts)
-    t_rep = np.repeat(t_pts, counts)
-    contrib = w * ring_kernel(n, r_rep, s, t_rep) * s ** (d - 1 - beta)
-    return np.add.reduceat(contrib, offsets[:-1])
+    a, b, c = beta, n - 2 - beta, 0.5 * (n - 1)
+    z = 0.5 * (1.0 - np.sin(theta))
+    return hyp2f1(a, b, c, z) / hyp2f1(a, b, c, 0.5)
 
 
 def singular_constant(n: int, p: float, r0: float = 1.0) -> float:
-    """Scalar c such that c*|xi|^(-(n-1)/p) formally solves the EL system.
+    """Scalar c such that c*|xi|^(-(n-1)/p) solves the EL system exactly.
 
-    Both sides are homogeneous of the same degree, so matching them at the
-    single radius r0 determines c; r0-independence is a consistency check.
-    The half-space integral runs in polar coordinates: the extension of the
-    power law is |x|^-beta phi(theta), and phi is its value on the unit
-    quarter-circle at the angular quadrature nodes.
+    Homogeneity and the symmetry of the ring kernel in its two radii reduce
+    the system at |xi| = 1 to c^(p-q) = int_0^(pi/2) phi^q cos^(n-2) dtheta
+    with phi = power_profile(n, (n-1)/p, .), a smooth 1-D integral.  Both
+    sides scale alike in |xi|, so c is exactly the same at every matching
+    radius r0; r0 only has to be positive.
     """
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p}")
     if r0 <= 0.0:
         raise DomainError("matching radius must be positive")
-    beta = (n - 1) / p
     q = n * p / (n - 1)
-    d = n - 1
-    # I(r0) = int K(r0, rho cos, rho sin) (rho^-beta phi)^(q-1)
-    #             (rho cos)^(d-1) rho drho dtheta
-    theta_breaks = zero_refined_breaks(np.pi / 512.0, 0.5 * np.pi)
-    th, wth = composite_rule(theta_breaks, _ORDER)
-    phi_pow = _power_law_extension(n, beta, np.cos(th), np.sin(th)) ** (q - 1.0)
-    hi = max(8.0 * r0, 16.0)
-    peaks = peak_breaks(r0, r0 * np.maximum(np.sin(th), 1e-8), 0.0, hi, GROW)
-    zero = zero_refined_breaks(np.full(th.shape, r0 / 256.0), hi)
-    breaks = np.sort(np.hstack([peaks, zero]), axis=1)
-    rho, w, offsets = composite_rules(breaks, _ORDER, tail_scales=max(r0, 1.0))
-    counts = np.diff(offsets)
-    th_rep = np.repeat(th, counts)
-    wth_rep = np.repeat(wth, counts)
-    phi_rep = np.repeat(phi_pow, counts)
-    cos_t, sin_t = np.cos(th_rep), np.sin(th_rep)
-    kern = ring_kernel(n, r0, rho * cos_t, rho * sin_t)
-    integrand = (kern * rho ** (-beta * (q - 1.0)) * phi_rep
-                 * (rho * cos_t) ** (d - 1) * rho)
-    I = float(np.dot(w * wth_rep, integrand))
-    if not math.isfinite(I) or I <= 0.0:
-        raise DivergenceError("singular-solution quadrature failed")
-    # LHS scales as c^(p-1) r^(-beta(p-1)); RHS as c^(q-1) * I * r0-profile
-    c = (I * r0 ** (beta * (p - 1.0))) ** (1.0 / (p - q))
-    return float(c)
+    x, w = gauss_legendre(64)
+    theta = 0.25 * np.pi * (x + 1.0)
+    phi = power_profile(n, (n - 1) / p, theta)
+    integral = 0.25 * np.pi * np.dot(w, phi ** q * np.cos(theta) ** (n - 2))
+    return float(integral ** (1.0 / (p - q)))

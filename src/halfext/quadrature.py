@@ -10,7 +10,7 @@ converges spectrally.
 The composite "peak" rule resolves Lorentzian-type features of prescribed
 width (the Poisson kernel develops an O(1/t) spike on the diagonal as the
 height t -> 0); panels grow geometrically away from the feature.  The
-breakpoint builders take arrays: one call lays out the panels of every point.
+breakpoint builder takes arrays: one call lays out the panels of every point.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import numpy as np
 # geometric factor between neighbouring panels of the refined breakpoints
 # (the operator's diagonal panels use their own, extension._DIAGONAL_GROW)
 GROW = 4.0
-# panels refining toward 0 in zero_refined_breaks
-ZERO_LEVELS = 10
 
 
 @lru_cache(maxsize=128)
@@ -55,6 +53,7 @@ def half_line_rule(a: float, scale: float, order: int):
     return nodes, weights
 
 
+# no caller in the library; the benchmark traces it by name, so it stays
 def composite_rule(breaks, order: int):
     """Gauss panels over consecutive breakpoints of an increasing sequence."""
     nodes, weights, _ = composite_rules([breaks], order)
@@ -123,18 +122,3 @@ def peak_breaks(peak, width, lo, hi, grow):
     breaks = np.concatenate([lo, peak - steps[..., ::-1], peak + steps, hi],
                             axis=-1)
     return np.clip(breaks, lo, hi)
-
-
-def zero_refined_breaks(lo_feature, hi):
-    """Breakpoints geometrically refined toward 0 (integrable endpoint).
-
-    Broadcasts like ``peak_breaks``: one sorted row of ``ZERO_LEVELS + 2``
-    breakpoints per (lo_feature, hi) pair, shrinking by ``GROW`` from
-    min(lo_feature, hi) toward 0.
-    """
-    lo_feature, hi = np.broadcast_arrays(np.asarray(lo_feature, dtype=float),
-                                         np.asarray(hi, dtype=float))
-    top = np.minimum(lo_feature, hi)[..., None]
-    return np.concatenate([np.zeros_like(top),
-                           top / GROW ** np.arange(ZERO_LEVELS - 1, -1, -1),
-                           hi[..., None]], axis=-1)

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from halfext.errors import DomainError
 from halfext.extremals import (ExtremalSpec, calibrated_residual, el_residual,
                                extremal_polar, extremal_profile, normalize_el,
-                               rayleigh_quotient, sharp_constant,
-                               singular_constant)
+                               power_profile, rayleigh_quotient,
+                               sharp_constant, singular_constant)
 from halfext.grids import PolarGrid, dilate_boundary, sample_radial
 from halfext.kernel import unit_ball_volume
 
@@ -164,27 +164,59 @@ def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
 
 
 def test_singular_constant_consistency():
-    values = [singular_constant(3, 2.0, r0) for r0 in (0.5, 1.0, 2.0)]
-    assert values[1] > 0.0
-    for v in values:
-        assert v == pytest.approx(values[1], rel=1e-4)
+    # the matching radius drops out exactly, not just to quadrature error
+    for n, p in ((3, 2.0), (3, 1.5), (4, 2.0)):
+        values = [singular_constant(n, p, r0) for r0 in (0.5, 1.0, 2.0)]
+        assert values[0] == values[1] == values[2] > 0.0
+    with pytest.raises(DomainError):
+        singular_constant(3, 2.0, 0.0)
 
 
 def test_singular_constant_exact_oracle():
     # at (n, p) = (3, 2) the singular solution is exactly |xi|^(-1): the
     # half-space pairing of P(., xi) against |x|^(-2) equals 1/|xi| (checked
     # independently with adaptive quadrature to 1e-13), so c(3, 2) = 1
-    assert singular_constant(3, 2.0) == pytest.approx(1.0, abs=1e-6)
+    assert singular_constant(3, 2.0) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (3, 1.0), (4, 1.6211389382774049), (5, 3.375), (6, 8.306066827691268)])
+def test_singular_constant_flat_profile(n, expected):
+    # at p = (n-1)/(n-2) the power is |xi|^-(n-2), whose extension has
+    # phi = 1, so c^(p-q) = int_0^(pi/2) cos^(n-2) = W in closed form
+    p = (n - 1) / (n - 2)
+    q = n * p / (n - 1)
+    W = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / (2 * math.gamma(n / 2))
+    assert W ** (1.0 / (p - q)) == pytest.approx(expected, rel=1e-15)
+    assert singular_constant(n, p) == pytest.approx(expected, rel=1e-13)
 
 
 def test_singular_constant_other_exponents():
-    # positive, finite, and stable in the matching radius over the range
-    # r0 in [0.5, 2] the benchmark draws from, to its tolerances
-    for n, p, tol in ((3, 4.0, 1e-6), (4, 2.0, 1e-4)):
-        c = singular_constant(n, p)
-        assert 0.0 < c < 10.0
-        for r0 in (0.5, 2.0):
-            assert singular_constant(n, p, r0) == pytest.approx(c, rel=tol)
+    # closed-form values at exponents where phi is not constant
+    for n, p, c in ((3, 4.0, 1.2879481193), (4, 2.0, 2.6891246054),
+                    (3, 1.5, 0.5423716189)):
+        assert singular_constant(n, p) == pytest.approx(c, abs=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_power_profile_matches_poisson_integral(beta):
+    # P|xi|^-beta at (cos theta, sin theta) for n = 3, by mpmath: the ring
+    # average of t/(2 pi |x - xi|^3) over |xi| = s is an elliptic integral
+    mp = pytest.importorskip("mpmath")
+
+    def extension(theta):
+        r, t = mp.cos(theta), mp.sin(theta)
+
+        def radial(s):
+            a, b = r * r + s * s + t * t, 2 * r * s
+            ring = 2 * mp.ellipe(2 * b / (a + b)) / ((a - b) * mp.sqrt(a + b))
+            return t / mp.pi * ring * s ** (1 - beta)
+        return float(mp.quad(radial, [0, r, 2 * r, mp.inf]))
+
+    with mp.workdps(20):
+        for theta in (0.2, 0.7, 1.2):
+            assert power_profile(3, beta, theta) == pytest.approx(
+                extension(theta), rel=1e-11)
 
 
 def test_singular_constant_rejects_bad_p():
@@ -196,8 +228,9 @@ def test_singular_constant_rejects_bad_p():
 
 def test_singular_solution_homogeneity():
     # both sides of the system scale with the same power of the radius, so
-    # the matching constant is radius-free (dimensional analysis); verified
-    # numerically by the consistency test above. Here: degree bookkeeping.
+    # the matching constant is radius-free (dimensional analysis); the
+    # consistency test checks that c is bitwise the same at every radius.
+    # Here: degree bookkeeping.
     n, p = 3, 2.0
     beta = (n - 1) / p
     q = n * p / (n - 1)

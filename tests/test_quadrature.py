@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from halfext.quadrature import (GROW, ZERO_LEVELS, composite_rule,
-                                composite_rules, peak_breaks,
-                                zero_refined_breaks)
+from halfext.quadrature import (GROW, composite_rule, composite_rules,
+                                peak_breaks)
 
 
 def breakpoint_lists(rng):
@@ -97,14 +96,3 @@ def test_peak_breaks_rejects_nonpositive_width():
         peak_breaks(1.0, 0.0, 0.0, 2.0, GROW)
     with pytest.raises(ValueError):
         peak_breaks(np.ones(3), np.array([0.1, -0.1, 0.1]), 0.0, np.inf, 8.0)
-
-
-def test_zero_refined_breaks_rows():
-    rng = np.random.default_rng(5)
-    lo_feature = 10.0 ** rng.uniform(-3.0, 1.0, 50)
-    hi = rng.uniform(0.5, 20.0, 50)
-    rows = zero_refined_breaks(lo_feature, hi)
-    assert ZERO_LEVELS == 10 and rows.shape == (50, 12)
-    assert np.all(np.diff(rows, axis=1) >= 0.0)
-    assert np.all(rows[:, 0] == 0.0) and np.array_equal(rows[:, -1], hi)
-    assert np.array_equal(rows[:, 1], np.minimum(lo_feature, hi) / 4.0 ** 9)
