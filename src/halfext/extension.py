@@ -61,7 +61,8 @@ from .errors import DivergenceError, DomainError
 from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
                     RadialGrid, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
-from .quadrature import GROW, composite_rules, panel_rule, peak_breaks
+from .quadrature import (GROW, composite_rules, half_line_rule, panel_rule,
+                         peak_breaks)
 
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
@@ -98,13 +99,14 @@ def _ring_closed(n: int, r, s, t):
     return c * t * bf / (amm * app ** h)
 
 
-def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
-    """Per entry, integral of core(h, *terms) sin(theta)^(n-3) on (0, pi).
+def _angular_integral(n: int, r, s, t, k: int) -> np.ndarray:
+    """Per entry, integral of |z|^k (|z|^2 + t^2)^(-n/2) sin(theta)^(n-3)
+    over theta in (0, pi), with |z|^2 = (r-s)^2 + 4 r s sin(theta/2)^2.
 
-    ``terms(r, s, t)`` gives the integrand's per-entry factors once per
-    entry; they are gathered at the entry's angular nodes and passed to
-    ``core`` with h = sin(theta/2)^2.  Panels are refined geometrically
-    toward theta = 0, where the integrand peaks with width
+    |z| is the distance from a point at radius r to the point of the ring
+    of radius s at polar angle theta, free of cancellation; k = 0 gives the
+    ring integral of P_t and k = 1 that of Q_t.  Panels are refined
+    geometrically toward theta = 0, where the integrand peaks with width
     sqrt(((r-s)^2 + t^2) / (r s)) as t -> 0.
     """
     r, s, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float),
@@ -119,9 +121,9 @@ def _angular_integral(n: int, r, s, t, terms, core) -> np.ndarray:
         width = np.where((r * s > 0.0) & (width < np.pi / 2.0), width, np.pi)
         th, w, offsets = composite_rules(
             peak_breaks(0.0, width, 0.0, np.pi, GROW), _RING_ORDER)
-        k = np.repeat(np.arange(r.size), np.diff(offsets))
-        vals = w * core(np.sin(0.5 * th) ** 2,
-                        *(x[k] for x in terms(r, s, t)))
+        e = np.repeat(np.arange(r.size), np.diff(offsets))
+        z2 = ((r - s) ** 2)[e] + (4.0 * r * s)[e] * np.sin(0.5 * th) ** 2
+        vals = w * z2 ** (0.5 * k) * (z2 + (t * t)[e]) ** (-0.5 * n)
         if n != 3:
             vals *= np.sin(th) ** (n - 3)
         out[lo:lo + r.size] = np.add.reduceat(vals, offsets[:-1])
@@ -144,16 +146,8 @@ def ring_kernel(n: int, r, s, t, method: str = "closed"):
     if method == "closed" or n == 2:
         out = _ring_closed(n, r, s, t)
         return float(out) if np.ndim(out) == 0 else out
-
-    def terms(r, s, t):
-        return (r - s) ** 2 + t * t, 4.0 * r * s
-
-    def core(h, amm, b):
-        # a - b cos(theta) = amm + b (1 - cos(theta)), free of cancellation
-        return (amm + b * h) ** (-0.5 * n)
-
     out = (kernel_constant(n) * np.asarray(t, float) * sphere_area(n - 2)
-           * _angular_integral(n, r, s, t, terms, core))
+           * _angular_integral(n, r, s, t, 0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -164,16 +158,8 @@ def qt_ring(n: int, r, s, t):
         out = kernel_constant(2) * (np.abs(r - s) / ((r - s) ** 2 + t * t)
                                     + (r + s) / ((r + s) ** 2 + t * t))
         return float(out) if out.ndim == 0 else out
-
-    def terms(r, s, t):
-        return (r - s) ** 2, 4.0 * r * s, t * t
-
-    def core(h, d2, b, t2):
-        R2 = d2 + b * h
-        return np.sqrt(R2) * (R2 + t2) ** (-0.5 * n)
-
     out = (kernel_constant(n) * sphere_area(n - 2)
-           * _angular_integral(n, r, s, t, terms, core))
+           * _angular_integral(n, r, s, t, 1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -426,14 +412,21 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
 
 def kernel_mass(n: int, s, t: float) -> np.ndarray:
     """Quadrature of K(., s, t) r^(n-2) dr over (0, inf), one per entry of s
-    (an array); exactly 1 in theory."""
+    (an array); exactly 1 in theory.
+
+    Panels refined around the peak r = s cover [0, hi]; a tan-mapped tail
+    of scale max(s, t, 1) covers [hi, inf).
+    """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    breaks = peak_breaks(s, max(t, 1e-6), 0.0,
-                         np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0), GROW)
-    r, w, offsets = composite_rules(breaks, 24, np.maximum(s, max(t, 1.0)))
+    hi = np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0)
+    r, w, offsets = composite_rules(
+        peak_breaks(s, max(t, 1e-6), 0.0, hi, GROW), 24)
     s_rep = np.repeat(s, np.diff(offsets))
     contrib = w * ring_kernel(n, r, s_rep, t) * r ** (n - 2)
-    return np.add.reduceat(contrib, offsets[:-1])
+    r, w = half_line_rule(hi[:, None], np.maximum(s, max(t, 1.0))[:, None],
+                          48)
+    tail = w * ring_kernel(n, r, s[:, None], t) * r ** (n - 2)
+    return np.add.reduceat(contrib, offsets[:-1]) + tail.sum(axis=1)
 
 
 def slab_mass(profiles, a: float) -> np.ndarray:

@@ -60,16 +60,12 @@ def composite_rule(breaks, order: int):
     return nodes, weights
 
 
-def composite_rules(breaks_list, order: int, tail_scales=None):
+def composite_rules(breaks_list, order: int):
     """``composite_rule`` for many breakpoint lists at once, concatenated.
 
     Returns ``(nodes, weights, offsets)``: the rule of list ``k`` is
     ``nodes[offsets[k]:offsets[k + 1]]``, node for node.  Zero-width panels
     are skipped, so lists may be padded by repeating a breakpoint.
-    ``tail_scales`` (one per list, or one for all) extends each rule from its
-    last breakpoint to infinity by a tan-mapped tail of that scale.
-    The panel rules are built in breakpoint order, which is the output order
-    when there is no tail; a tail after each list's panels is scattered in.
     """
     sizes = np.fromiter(map(len, breaks_list), dtype=np.intp)
     flat = np.concatenate(breaks_list, dtype=float)
@@ -79,40 +75,26 @@ def composite_rules(breaks_list, order: int, tail_scales=None):
     panels = np.nonzero(use)[0]
     owner = np.searchsorted(ends, panels, side="right")
     xs, ws = panel_rule(flat[panels, None], flat[panels + 1, None], order)
-    n_panels = np.bincount(owner, minlength=sizes.size)
-    tail = 0 if tail_scales is None else 2 * order
     offsets = np.zeros(sizes.size + 1, dtype=np.intp)
-    np.cumsum(order * n_panels + tail, out=offsets[1:])
-    if not tail:
-        return xs.ravel(), ws.ravel(), offsets
-    rank = np.arange(panels.size) - (np.cumsum(n_panels) - n_panels)[owner]
-    at = (offsets[owner] + order * rank)[:, None] + np.arange(order)
-    nodes = np.empty(offsets[-1])
-    weights = np.empty(offsets[-1])
-    nodes[at], weights[at] = xs, ws
-    scales = np.broadcast_to(np.asarray(tail_scales, dtype=float), sizes.shape)
-    xs, ws = half_line_rule(flat[ends - 1, None], scales[:, None], tail)
-    at = (offsets[1:] - tail)[:, None] + np.arange(tail)
-    nodes[at], weights[at] = xs, ws
-    return nodes, weights, offsets
+    np.cumsum(order * np.bincount(owner, minlength=sizes.size),
+              out=offsets[1:])
+    return xs.ravel(), ws.ravel(), offsets
 
 
 def peak_breaks(peak, width, lo, hi, grow):
-    """Breakpoints resolving a feature of given width at ``peak`` in [lo, hi].
+    """Breakpoints resolving a feature of given width at ``peak`` in the
+    finite interval [lo, hi].
 
     Panels have width ~``width`` at the feature and grow geometrically by
-    ``grow`` until they cover the interval; ``hi`` may be ``inf`` (capped at
-    max(4 |peak|, 16 width, 1); the caller then attaches a mapped tail panel
-    from the last break).  The arguments broadcast: the result holds one
-    sorted row of breakpoints per feature, all rows of one length, padded by
-    repeated breakpoints (zero-width panels, which ``composite_rules`` skips).
+    ``grow`` until they cover the interval.  The arguments broadcast: the
+    result holds one sorted row of breakpoints per feature, all rows of one
+    length, padded by repeated breakpoints (zero-width panels, which
+    ``composite_rules`` skips).
     """
     peak, width, lo, hi = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (peak, width, lo, hi)))
     if np.any(width <= 0.0):
         raise ValueError("peak width must be positive")
-    cap = np.maximum(np.maximum(4.0 * np.abs(peak), 16.0 * width), 1.0)
-    hi = np.where(np.isfinite(hi), hi, cap)
     # one level count for every row; rows needing fewer clip the rest
     reach = np.max(np.maximum(peak - lo, hi - peak) / width, initial=1.0)
     levels = int(np.ceil(np.log(reach) / np.log(grow))) + 1

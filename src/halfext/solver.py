@@ -75,9 +75,8 @@ def _cell_masses(f: RadialFn, p: float, a, b) -> np.ndarray:
     return (ws * vals).sum(axis=-1)
 
 
-def concentration_radius(f: RadialFn, p: float,
-                         fraction: float = 0.5) -> float:
-    """Radius R with mass(|f|^p within B_R) = fraction * total, 0 < fraction < 1.
+def concentration_radius(f: RadialFn, p: float) -> float:
+    """Radius R of the ball B_R holding half the mass of |f|^p.
 
     The mass profile is accumulated from per-cell Gauss panels of the sample
     interpolant, all cells in one evaluation, making partial masses
@@ -85,8 +84,6 @@ def concentration_radius(f: RadialFn, p: float,
     safeguarded Newton steps inside the one cell where the cumulative mass
     crosses the target.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
     grid = f.grid
     edges = np.concatenate(([0.0], grid.nodes))
     cum = np.concatenate(([0.0], np.cumsum(
@@ -94,7 +91,7 @@ def concentration_radius(f: RadialFn, p: float,
     total = cum[-1]
     if total <= 0.0 or not math.isfinite(total):
         raise DomainError("mass profile is degenerate; cannot fix the gauge")
-    target = fraction * total
+    target = 0.5 * total
     # cum[i] < target <= cum[i + 1]: the crossing cell is [edges[i], edges[i+1]]
     i = int(np.searchsorted(cum, target)) - 1
     if i == 0:
@@ -122,7 +119,7 @@ def normalize_mass_half(f: RadialFn, p: float):
     if norm <= 0.0:
         raise DomainError("cannot normalize the zero function")
     fn = f.scaled(1.0 / norm)
-    R_half = concentration_radius(fn, p, 0.5)
+    R_half = concentration_radius(fn, p)
     lam = 1.0 / R_half
     return lam, dilate_boundary(fn, lam, p)
 

@@ -286,7 +286,7 @@ def test_criterion_11_property_coverage(boundary3):
         pytest.skip("criterion 7 must run first")
     sol, trace = EL_RUNS["gaussian"]
     from halfext.solver import concentration_radius
-    gauge = abs(concentration_radius(sol, 4.0, 0.5) - 1.0)
+    gauge = abs(concentration_radius(sol, 4.0) - 1.0)
     decay = sol.values[-1] / sol.values[0]
     monotone = bool(np.all(np.diff(sol.values) < 0.0))
     # smoothness proxy: the profile is pointwise close to an analytic family

@@ -91,17 +91,18 @@ def test_ring_kernel_adaptive_quadrature_oracle():
     assert ring_kernel(3, 1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("r, s, t", [(1.0, 1.0005, 1e-3), (1.0, 1.0, 1e-3),
                                      (0.3, 2.0, 0.5), (2.5, 1.2, 4.0)])
 def test_qt_ring_adaptive_quadrature_oracle(n, r, s, t):
     # qt_ring integrates Q_t(z) = c_n |z| / (|z|^2 + t^2)^(n/2) over the
     # ring |z'| = s; with w_1 = cos(theta), |z|^2 = (r-s)^2 + 4rs sin^2(theta/2)
-    # and the ring measure is 2 dtheta (n=3) or 2 pi sin(theta) dtheta (n=4)
+    # and the ring measure is |S^(n-3)| sin(theta)^(n-3) dtheta: 2 dtheta at
+    # n=3, 2 pi sin(theta) dtheta at n=4
     def integrand(th):
         R2 = (r - s) ** 2 + 4.0 * r * s * math.sin(0.5 * th) ** 2
-        return math.sqrt(R2) * (R2 + t * t) ** (-0.5 * n) * (
-            2.0 if n == 3 else 2.0 * math.pi * math.sin(th))
+        return (math.sqrt(R2) * (R2 + t * t) ** (-0.5 * n)
+                * sphere_area(n - 2) * math.sin(th) ** (n - 3))
     width = math.sqrt(((r - s) ** 2 + t * t) / (r * s))
     val, _ = quad(integrand, 0.0, math.pi, points=[width, 10 * width],
                   limit=400, epsabs=0.0, epsrel=1e-13)
@@ -120,6 +121,12 @@ def test_ring_kernel_gl_matches_closed(rng):
     # one (16, 3) draw takes the same 48 numbers from the session generator
     # as the 16 draws of 3 this test made when it covered n = 3, 4 only
     r, s, t = rng.uniform(0.05, 4.0, (16, 3)).T
+    # low heights, where the angular peak is narrow, from an own generator
+    # so the session draws above do not shift
+    low = np.random.default_rng(19)
+    r = np.concatenate([r, low.uniform(0.05, 4.0, 16)])
+    s = np.concatenate([s, low.uniform(0.05, 4.0, 16)])
+    t = np.concatenate([t, 10.0 ** low.uniform(-6.0, -1.0, 16)])
     for n in (3, 4, 5, 6):
         gl = ring_kernel(n, r, s, t, method="gl")
         closed = ring_kernel(n, r, s, t, method="closed")
@@ -269,6 +276,10 @@ def test_kernel_mass_unity():
     for n in (2, 3, 4):
         for s, t in ((1.0, 0.001), (0.2, 2.0), (30.0, 0.05)):
             assert kernel_mass(n, s, t) == pytest.approx(1.0, abs=2e-8)
+        # one call for every node of a mesh, as slab_mass makes it
+        s = build_radial_grid(n - 1, 160, "tan", 1.0).nodes
+        for t in (1e-4, 0.3, 2.0, 50.0):
+            assert np.max(np.abs(kernel_mass(n, s, t) - 1.0)) <= 2e-8
 
 
 @pytest.mark.parametrize("n", [3, 4])
