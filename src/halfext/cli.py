@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise HalfextError(f"unknown experiment {self.experiment!r}")
         if self.n < 2 or self.grid_n < 16:
             raise HalfextError("invalid dimension or grid sizes")
-        if not (1.0 < self.p):
-            raise HalfextError(f"p must exceed 1, got {self.p}")
+        if not (1.0 < self.p < np.inf):
+            raise HalfextError(f"p must lie in (1, inf), got {self.p}")
         if self.trials < 1 or self.max_iters < 1 or not self.tol_residual > 0:
             raise HalfextError("trials, max_iters and tol_residual must be "
                                "positive")

@@ -35,8 +35,8 @@ from scipy.special import gammaln, hyp2f1
 
 from .errors import DivergenceError, DomainError
 from .extension import dual_extend, extension_norm, poisson_extend
-from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
-                    RadialGrid, lp_norm_boundary)
+from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
+                    lp_norm_boundary)
 from .kernel import unit_ball_volume
 from .quadrature import gauss_legendre
 
@@ -48,7 +48,6 @@ class ExtremalSpec:
     n: int
     kind: str                  # "conformal" (exponent (n-2)/2) or "dual" (n/2)
     lam: float = 1.0
-    center: float = 0.0        # radial offset of the center along e_1
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -74,25 +73,13 @@ class ExtremalSpec:
 
 
 def extremal_profile(spec: ExtremalSpec, grid: RadialGrid) -> RadialFn:
-    """Radial samples of the extremal; the center must be 0 (else use polar)."""
-    if spec.center != 0.0:
-        raise DomainError("centered extremals are radial only about their "
-                          "center; route nonzero centers through "
-                          "extremal_polar")
+    """Radial samples of the extremal centered at the origin."""
     if grid.d != spec.n - 1:
         raise DomainError("grid dimension does not match the family")
-    vals = spec.profile(grid.nodes)
-    return RadialFn(grid, vals, value_at_zero=float(spec.profile(0.0)),
-                    tail_exponent=2.0 * spec.exponent, nonnegative=True)
-
-
-def extremal_polar(spec: ExtremalSpec, pg: PolarGrid) -> PolarFn:
-    """Planar samples of an extremal centered at spec.center * e_1 (n=3)."""
-    if spec.n != 3:
-        raise DomainError("polar sampling is planar (n=3 boundaries) only")
-    x, y = pg.points()
-    rho = np.hypot(x - spec.center, y)
-    return PolarFn(pg, spec.profile(rho))
+    e = spec.exponent
+    return RadialFn(grid, spec.profile(grid.nodes),
+                    value_at_zero=spec.amplitude * spec.lam ** -e,
+                    tail_exponent=2.0 * e, nonnegative=True)
 
 
 def sharp_constant(n: int, which: str) -> float:
@@ -135,13 +122,6 @@ def el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
     return lhs, rhs
 
 
-def el_residual(f: RadialFn, n: int, p: float,
-                hs_grid: HalfspaceGrid) -> float:
-    """Normalized sup defect of the unit-coefficient Euler-Lagrange system."""
-    lhs, rhs = el_sides(f, n, p, hs_grid)
-    return float(np.max(np.abs(lhs - rhs)) / np.max(lhs))
-
-
 def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
     """Calibration amplitude a, residual of a*f, and the log-ratio spread.
 
@@ -182,16 +162,6 @@ def normalize_el(f: RadialFn, n: int, p: float,
             "f is not a solution shape, amplitude is best-effort",
             stacklevel=2)
     return a
-
-
-def calibrated_residual(f: RadialFn, n: int, p: float,
-                        hs_grid: HalfspaceGrid) -> float:
-    """Euler-Lagrange residual after optimal amplitude calibration."""
-    lhs, rhs = el_sides(f, n, p, hs_grid)
-    try:
-        return calibrate(n, p, lhs, rhs)[1]
-    except DomainError:
-        return math.inf
 
 
 def power_profile(n: int, beta: float, theta) -> np.ndarray:

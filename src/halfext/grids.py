@@ -281,14 +281,6 @@ def write_csv(path, header, *columns) -> None:
         writer.writerows([repr(v) for v in row] for row in rows)
 
 
-def radial_fn_from_csv(grid: RadialGrid, path, **kwargs) -> RadialFn:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    if rows.shape[0] != grid.size or not np.allclose(rows[:, 0], grid.nodes,
-                                                     rtol=1e-12, atol=0.0):
-        raise DomainError("CSV radii do not match the grid nodes")
-    return RadialFn(grid, rows[:, 1], **kwargs)
-
-
 def sample_radial(grid: RadialGrid, fn, value_at_zero=None,
                   tail_exponent=math.nan, nonnegative=False) -> RadialFn:
     """Sample a callable profile fn(r) onto a grid."""
@@ -347,11 +339,6 @@ class AxisymFn:
             raise DomainError(f"values must have shape {want}")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("values must be finite")
-
-    def to_csv(self, path) -> None:
-        r, t = self.grid.radial.nodes, self.grid.heights.nodes
-        write_csv(path, ["r", "t", "value"], np.repeat(r, t.size),
-                  np.tile(t, r.size), self.values.ravel())
 
 
 @dataclass(eq=False)

@@ -6,8 +6,9 @@ Poisson kernel is
     P(x, xi) = (2 / (n * omega_n)) * x_n / (|x' - xi|^2 + x_n^2)^(n/2),
 
 where omega_n is the volume of the unit ball in R^n.  Freezing the height
-x_n = t gives the radial profile P_t(rho), with companion profile
-Q_t(rho) = P_t(rho) * rho / t.  P_t has unit mass on R^{n-1} for every t,
+x_n = t gives the radial profile P_t(rho).  Its companion
+Q_t(rho) = P_t(rho) * rho / t enters only through its ring reduction,
+extension.qt_ring.  P_t has unit mass on R^{n-1} for every t,
 its sup is attained at rho = 0, and its L^p norm obeys the exact power law
 |P_t|_p = c(n, p) * t^{-(n-1)(p-1)/p} on (n-1)/n < p <= inf.
 
@@ -61,13 +62,6 @@ def pt_profile(n: int, t: float, rho):
         raise DomainError("radius rho must be >= 0")
     out = kernel_constant(n) * t / (rho * rho + t * t) ** (0.5 * n)
     return float(out) if out.ndim == 0 else out
-
-
-def qt_profile(n: int, t: float, rho):
-    """Companion profile Q_t(rho) = P_t(rho) * rho / t."""
-    rho = np.asarray(rho, dtype=float)
-    out = pt_profile(n, t, rho) * rho / t
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def poisson_kernel(n: int, x, xi) -> float:

@@ -59,14 +59,6 @@ def ball_map(x) -> np.ndarray:
     return out
 
 
-def ball_map_conformal_factor(x) -> np.ndarray:
-    """|x + e_n/2|^(-2), the conformal factor of the pulled-back metric."""
-    x = np.asarray(x, dtype=float)
-    y = x.copy()
-    y[..., -1] += 0.5
-    return 1.0 / np.sum(y * y, axis=-1)
-
-
 def _reciprocal_grid(out_grid: RadialGrid, in_grid: RadialGrid) -> bool:
     """True when out nodes are exactly the reciprocals of the in nodes."""
     if out_grid.size != in_grid.size:

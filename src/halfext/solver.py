@@ -29,7 +29,8 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 # kept importable as halfext.solver.poisson_extend; the loop reaches it
 # through the Euler-Lagrange helpers of extremals
 from .extension import poisson_extend  # noqa: F401
-from .extremals import ExtremalSpec, calibrate, el_sides, rayleigh_quotient
+from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
+                        rayleigh_quotient)
 from .grids import (HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
                     dilate_boundary, lp_norm_boundary, write_csv)
 from .quadrature import panel_rule
@@ -171,20 +172,18 @@ def start_profile(grid: RadialGrid, n: int, kind: str, amp: float,
                   width: float) -> RadialFn:
     """An EL start: "gaussian", compact "bump", or the extremal of the
     "conformal" or "dual" family with lambda = width; the menu of --init."""
+    if kind in ("conformal", "dual"):
+        return extremal_profile(ExtremalSpec(n, kind, width, amplitude=amp),
+                                grid)
     r = grid.nodes
-    v0, beta = amp, math.inf
     if kind == "gaussian":
         vals = amp * np.exp(-(r / width) ** 2)
     elif kind == "bump":
         vals = amp * np.maximum(1.0 - (r / (2.0 * width)) ** 2, 0.0) ** 2
-    elif kind in ("conformal", "dual"):
-        spec = ExtremalSpec(n, kind, width, amplitude=amp)
-        vals, e = spec.profile(r), spec.exponent
-        v0, beta = amp * width ** (-e), 2.0 * e
     else:
         raise DomainError(f"unknown start profile {kind!r}; use gaussian, "
                           "bump, conformal or dual")
-    return RadialFn(grid, vals, value_at_zero=v0, tail_exponent=beta,
+    return RadialFn(grid, vals, value_at_zero=amp, tail_exponent=math.inf,
                     nonnegative=True)
 
 

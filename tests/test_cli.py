@@ -46,9 +46,9 @@ def test_unknown_experiment_usage_error(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--grid-n", "8"], ["--p", "0.5"], ["--n", "1"], ["--trials", "0"],
-    ["--max-iters", "0"], ["--tol-residual", "0"]],
-    ids=["grid-n", "p", "n", "trials", "max-iters", "tol-residual"])
+    ["--grid-n", "8"], ["--p", "0.5"], ["--p", "inf"], ["--n", "1"],
+    ["--trials", "0"], ["--max-iters", "0"], ["--tol-residual", "0"]],
+    ids=["grid-n", "p", "p-inf", "n", "trials", "max-iters", "tol-residual"])
 def test_invalid_config_usage_error(tmp_path, capsys, flags):
     # values the config rejects are usage errors: exit 2, a one-line
     # message, and no summary written

@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from halfext.errors import DomainError
-from halfext.extremals import (ExtremalSpec, calibrated_residual, el_residual,
-                               extremal_polar, extremal_profile, normalize_el,
-                               power_profile, rayleigh_quotient,
-                               sharp_constant, singular_constant)
-from halfext.grids import PolarGrid, dilate_boundary, sample_radial
+from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
+                               extremal_profile, normalize_el, power_profile,
+                               rayleigh_quotient, sharp_constant,
+                               singular_constant)
+from halfext.grids import dilate_boundary, sample_radial
 from halfext.kernel import unit_ball_volume
 
 
@@ -42,14 +42,6 @@ def test_extremal_dilation_family(boundary3):
     ratio = f2.values / d.values
     # constant up to the interpolation noise of the resampled dilation
     assert np.allclose(ratio, ratio[0], rtol=1e-6)
-
-
-def test_extremal_center_routing(boundary3):
-    with pytest.raises(DomainError):
-        extremal_profile(ExtremalSpec(3, "conformal", center=0.5), boundary3)
-    pg = PolarGrid(boundary3, 16)
-    v = extremal_polar(ExtremalSpec(3, "conformal", center=0.5), pg)
-    assert v.values.shape == (boundary3.size, 16)
 
 
 def test_sharp_constants_closed_forms():
@@ -113,15 +105,18 @@ def test_normalize_el_conformal(conformal3, halfspace3):
     a = normalize_el(conformal3, 3, 4.0, halfspace3)
     assert a == pytest.approx(analytic_conformal_amplitude(), rel=1e-6)
     # calibrated member solves the unit-coefficient system
-    assert el_residual(conformal3.scaled(a), 3, 4.0, halfspace3) <= 1e-3
-    assert el_residual(conformal3.scaled(a), 3, 4.0, halfspace3) <= 1e-6
+    again, residual, _ = calibrate(
+        3, 4.0, *el_sides(conformal3.scaled(a), 3, 4.0, halfspace3))
+    assert again == pytest.approx(1.0, abs=1e-6)
+    assert residual <= 1e-6
 
 
 def test_normalize_el_dual(dual3, halfspace3):
     # independent oracle: the dual-family calibrated amplitude is 2*sqrt(2)
     a = normalize_el(dual3, 3, 4 / 3, halfspace3)
     assert a == pytest.approx(2.0 * math.sqrt(2.0), rel=2e-4)
-    assert calibrated_residual(dual3, 3, 4 / 3, halfspace3) <= 1e-3
+    assert calibrate(3, 4 / 3, *el_sides(dual3, 3, 4 / 3, halfspace3))[1] \
+        <= 1e-3
 
 
 def test_normalize_el_scaling(conformal3, halfspace3):
@@ -141,8 +136,8 @@ def test_normalize_el_warns_on_wrong_shape(boundary3, halfspace3):
 
 def test_el_residual_wrong_amplitude(conformal3, halfspace3):
     a = normalize_el(conformal3, 3, 4.0, halfspace3)
-    off = conformal3.scaled(2.0 * a)
-    assert el_residual(off, 3, 4.0, halfspace3) > 0.1
+    lhs, rhs = el_sides(conformal3.scaled(2.0 * a), 3, 4.0, halfspace3)
+    assert np.max(np.abs(lhs - rhs)) / np.max(lhs) > 0.1
 
 
 def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
@@ -152,12 +147,9 @@ def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
     bump = sample_radial(boundary3,
                          lambda r: np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
                          nonnegative=True)
-    residuals = {
-        "conformal": calibrated_residual(conformal3, 3, 4.0, halfspace3),
-        "dual": calibrated_residual(dual3, 3, 4.0, halfspace3),
-        "gauss": calibrated_residual(gauss, 3, 4.0, halfspace3),
-        "bump": calibrated_residual(bump, 3, 4.0, halfspace3),
-    }
+    residuals = {name: calibrate(3, 4.0, *el_sides(f, 3, 4.0, halfspace3))[1]
+                 for name, f in (("conformal", conformal3), ("dual", dual3),
+                                 ("gauss", gauss), ("bump", bump))}
     assert residuals["conformal"] <= 1e-3
     for name in ("dual", "gauss", "bump"):
         assert residuals[name] > 1e-3
@@ -256,6 +248,10 @@ def test_el_residual_minimality_dual_exponent(boundary3, conformal3, dual3,
     # the mirror statement at p = 2(n-1)/n: only the dual family solves
     gauss = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                           nonnegative=True)
-    assert calibrated_residual(dual3, 3, 4 / 3, halfspace3) <= 1e-3
-    assert calibrated_residual(conformal3, 3, 4 / 3, halfspace3) > 1e-2
-    assert calibrated_residual(gauss, 3, 4 / 3, halfspace3) > 1e-2
+
+    def residual(f):
+        return calibrate(3, 4 / 3, *el_sides(f, 3, 4 / 3, halfspace3))[1]
+
+    assert residual(dual3) <= 1e-3
+    assert residual(conformal3) > 1e-2
+    assert residual(gauss) > 1e-2

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
 from halfext.kernel import (kernel_constant, poisson_kernel, pt_lp_norm,
-                            pt_profile, qt_profile, sphere_area,
-                            unit_ball_volume)
+                            pt_profile, sphere_area, unit_ball_volume)
 
 
 def test_unit_ball_volumes():
@@ -65,19 +64,9 @@ def test_pt_profile_peak_at_zero():
     assert vals[0] == pytest.approx(kernel_constant(3) / 0.7 ** 2, abs=1e-15)
 
 
-def test_qt_profile():
-    assert qt_profile(4, 1.3, 0.0) == 0.0
-    assert qt_profile(3, 1.0, 1.0) == pytest.approx(pt_profile(3, 1.0, 1.0),
-                                                    abs=1e-16)
-    assert qt_profile(3, 2.0, 1.0) == pytest.approx(
-        pt_profile(3, 2.0, 1.0) / 2, abs=1e-16)
-
-
 def test_pt_errors():
     with pytest.raises(DomainError):
         pt_profile(3, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        qt_profile(3, -1.0, 1.0)
 
 
 def test_pt_l1_is_one():

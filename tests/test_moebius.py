@@ -6,8 +6,7 @@ from halfext.extension import poisson_extend
 from halfext.grids import (RadialFn, build_radial_grid,
                            default_halfspace_grid, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
-from halfext.moebius import (InversionSpec, ball_map,
-                             ball_map_conformal_factor, boundary_inversion,
+from halfext.moebius import (InversionSpec, ball_map, boundary_inversion,
                              halfspace_inversion)
 
 
@@ -28,13 +27,6 @@ def test_ball_map_inside(rng):
                            np.abs(rng.normal(size=1000)) * 3 + 1e-6])
     mapped = ball_map(pts)
     assert np.all(np.linalg.norm(mapped, axis=1) < 1.0)
-
-
-def test_ball_map_conformal_factor():
-    x = np.array([1.0, 2.0, 0.5])
-    y = x + np.array([0.0, 0.0, 0.5])
-    assert ball_map_conformal_factor(x) == pytest.approx(
-        1.0 / np.dot(y, y), rel=1e-15)
 
 
 def test_ball_map_rejects_lower_halfspace():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfext.errors import DomainError
-from halfext.extremals import ExtremalSpec, extremal_polar, extremal_profile
+from halfext.extremals import ExtremalSpec, extremal_profile
 from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
                            distribution_mass)
 from halfext.kernel import pt_profile
@@ -114,7 +114,8 @@ def test_riesz_gain_shifted_extremal():
     # up to the O(h^2) distribution error of the cell sampling
     g = build_radial_grid(2, 160, "linear", 40.0)
     pg = PolarGrid(g, 48)
-    f = extremal_polar(ExtremalSpec(3, "conformal", center=0.5), pg)
+    x, y = pg.points()
+    f = PolarFn(pg, ExtremalSpec(3, "conformal").profile(np.hypot(x - 0.5, y)))
     gain = riesz_gain(f, 3, 0.8, 4.0)
     assert -1e-8 <= gain <= 2e-4
 

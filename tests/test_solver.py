@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from halfext.errors import DomainError
-from halfext.extremals import (ExtremalSpec, extremal_profile, normalize_el,
-                               el_residual, sharp_constant)
+from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
+                               extremal_profile, normalize_el, sharp_constant)
 from halfext.grids import build_radial_grid, dilate_boundary, sample_radial
 from halfext.moebius import InversionSpec, boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig,
@@ -158,7 +158,10 @@ def test_fixed_point_consistency_posthoc(boundary3, halfspace3):
     cfg = SolverConfig(max_iters=300, tol_residual=1e-4)
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
     a = normalize_el(sol, 3, 4.0, halfspace3)
-    assert el_residual(sol.scaled(a), 3, 4.0, halfspace3) <= cfg.tol_residual
+    again, residual, _ = calibrate(
+        3, 4.0, *el_sides(sol.scaled(a), 3, 4.0, halfspace3))
+    assert again == pytest.approx(1.0, abs=1e-6)
+    assert residual <= cfg.tol_residual
 
 
 def test_unconverged_reports(boundary3, halfspace3):
