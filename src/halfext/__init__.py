@@ -14,8 +14,7 @@ from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     weak_lp_norm)
 from .extension import (commutator_gap, dual_extend, extend_at, kernel_mass,
                         poisson_extend, ring_kernel, slab_mass)
-from .moebius import (InversionSpec, ball_map, boundary_inversion,
-                      halfspace_inversion)
+from .moebius import ball_map, boundary_inversion, halfspace_inversion
 from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
                         normalize_el, rayleigh_quotient, sharp_constant,
                         singular_constant)

@@ -43,8 +43,7 @@ from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
                     weak_lp_norm, write_csv)
 from .kernel import pt_lp_norm, pt_profile, poisson_kernel
-from .moebius import InversionSpec, ball_map, boundary_inversion, \
-    halfspace_inversion
+from .moebius import ball_map, boundary_inversion, halfspace_inversion
 from .rearrange import (radial_to_polar, rearrangement_steps, riesz_gain,
                         symmetric_rearrangement)
 from .solver import (SolverConfig, ascent_estimate_constant,
@@ -355,8 +354,8 @@ def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
     p_crit = 4.0
     f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    spec = InversionSpec(alpha=-(cfg.n - 2))
-    finv = boundary_inversion(f, spec, g)
+    alpha = -(cfg.n - 2)
+    finv = boundary_inversion(f, alpha)
     checks.add("boundary_norm_preserved",
                lp_norm_boundary(finv, p_crit), lp_norm_boundary(f, p_crit),
                1e-6)
@@ -364,7 +363,7 @@ def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
         ratio = lp_norm_boundary(finv, p_off) / lp_norm_boundary(f, p_off)
         checks.bound(f"noncritical_broken[p={p_off:g}]", abs(ratio - 1.0),
                      0.01, upper=False)
-    finv2 = boundary_inversion(finv, spec, g)
+    finv2 = boundary_inversion(finv, alpha)
     checks.add("involution", float(np.max(np.abs(finv2.values - f.values))),
                0.0, 1e-9)
     # f is not self-inverse, so K(Pf) and Pf are different arrays

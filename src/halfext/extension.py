@@ -302,8 +302,7 @@ def operator_nbytes(halfspace: HalfspaceGrid) -> int:
 
 def _mesh_key(grid: RadialGrid) -> tuple:
     """Everything the operator build reads from a mesh, compared by value."""
-    return (grid.d, grid.mapping, grid.scale, grid.r_max,
-            grid.nodes.tobytes(), grid.weights.tobytes())
+    return (grid.d, grid.scale, grid.nodes.tobytes(), grid.weights.tobytes())
 
 
 def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:

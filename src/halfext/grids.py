@@ -5,11 +5,9 @@ weights that already include the surface Jacobian r^(d-1), so that
 
     integral_0^inf g(r) r^(d-1) dr  ~=  sum_i weights_i * g(r_i).
 
-Two node mappings are supported: ``tan`` (r = scale*tan(theta); every mesh
-the experiments build, because power-law tails become smooth on the mapped
-interval and the scale-1 node set is exactly closed under r -> 1/r) and
-``linear`` (Gauss nodes on the bounded interval (0, scale), built only by
-tests).
+The nodes are Gauss nodes in theta mapped by r = scale*tan(theta): power-law
+tails become smooth on the mapped interval, and the scale-1 node set, the
+mesh every experiment builds, is exactly closed under r -> 1/r.
 
 Boundary functions of |xi| live in RadialFn, axisymmetric half-space
 functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, and non-radial
@@ -42,8 +40,6 @@ class RadialGrid:
     d: int
     nodes: np.ndarray
     weights: np.ndarray          # include the r^(d-1) Jacobian
-    r_max: float
-    mapping: str = "tan"
     scale: float = 1.0
 
     def __post_init__(self):
@@ -57,12 +53,14 @@ class RadialGrid:
             raise DomainError("nodes must be strictly increasing and positive")
         if np.any(self.weights < 0.0):
             raise DomainError("weights must be nonnegative")
-        if self.mapping not in ("tan", "linear"):
-            raise DomainError(f"unknown mapping {self.mapping!r}")
 
     @property
     def size(self) -> int:
         return int(self.nodes.size)
+
+    @property
+    def r_max(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def sphere(self) -> float:
@@ -71,18 +69,12 @@ class RadialGrid:
 
     def parameter(self, r):
         """Monotone parameter coordinate used for interpolation stencils."""
-        r = np.asarray(r, dtype=float)
-        if self.mapping == "tan":
-            return np.arctan(r / self.scale)
-        return r / self.scale
+        return np.arctan(np.asarray(r, dtype=float) / self.scale)
 
     def local_spacing(self, r):
         """Approximate node spacing of the mesh near radius r."""
-        r = np.asarray(r, dtype=float)
-        if self.mapping == "tan":
-            dtheta = (np.pi / 2.0) / self.size
-            return self.scale * dtheta * (1.0 + (r / self.scale) ** 2)
-        return np.full_like(r, self.scale / self.size)
+        x = np.asarray(r, dtype=float) / self.scale
+        return self.scale * ((np.pi / 2.0) / self.size) * (1.0 + x ** 2)
 
     def quad(self, samples) -> float:
         """Apply the grid rule: sum_i w_i * samples_i."""
@@ -93,7 +85,7 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan",
                       scale: float = 1.0) -> RadialGrid:
     """Gauss-Legendre mesh for radial integrals on R^d.
 
-    tan: r = scale*tan(theta), theta in (0, pi/2); linear: r in (0, scale).
+    r = scale*tan(theta), theta in (0, pi/2); ``tan`` is the only mapping.
     The weights include the r^(d-1) surface Jacobian.
     """
     if d < 1 or int(d) != d:
@@ -102,16 +94,10 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan",
         raise DomainError(f"need at least 16 nodes, got N={N}")
     if scale <= 0.0:
         raise DomainError(f"scale must be positive, got {scale}")
-    if mapping == "tan":
-        nodes, dr = half_line_rule(0.0, scale, N)
-    else:
-        # linear (RadialGrid rejects other names): bounded mesh on [0, scale]
-        # with near-uniform cells, for planar convolution work where every
-        # cell must resolve the kernel width
-        nodes, dr = panel_rule(0.0, scale, N)
-    weights = dr * nodes ** (d - 1)
-    return RadialGrid(d=d, nodes=nodes, weights=weights, r_max=float(nodes[-1]),
-                      mapping=mapping, scale=scale)
+    if mapping != "tan":
+        raise DomainError(f"unknown mapping {mapping!r}")
+    nodes, dr = half_line_rule(0.0, scale, N)
+    return RadialGrid(d, nodes, dr * nodes ** (d - 1), scale)
 
 
 def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:

@@ -51,22 +51,16 @@ def rearrangement_steps(values, measures, d: int):
     return v, rho
 
 
-def symmetric_rearrangement(f, out_grid: RadialGrid) -> RadialFn:
-    """Radial non-increasing rearrangement sampled on out_grid.
+def symmetric_rearrangement(f: PolarFn, out_grid: RadialGrid) -> RadialFn:
+    """Radial non-increasing rearrangement of planar data, sampled on out_grid.
 
-    Accepts a PolarFn or a RadialFn.  The output is the layer-cake step
-    function evaluated at the grid nodes.
+    The output is the layer-cake step function evaluated at the grid nodes.
     """
-    if isinstance(f, PolarFn):
-        values, measures, d = f.values, f.grid.cell_measures(), 2
-    elif isinstance(f, RadialFn):
-        g = f.grid
-        values, measures, d = f.values, g.sphere * g.weights, g.d
-    else:
-        raise DomainError("expected a PolarFn or RadialFn")
-    if d != out_grid.d:
+    if not isinstance(f, PolarFn):
+        raise DomainError("expected a PolarFn")
+    if out_grid.d != 2:
         raise DomainError("output grid dimension must match the data")
-    v, rho = rearrangement_steps(values, measures, d)
+    v, rho = rearrangement_steps(f.values, f.grid.cell_measures(), 2)
     idx = np.searchsorted(rho, out_grid.nodes, side="left")
     vals = np.where(idx < v.size, v[np.minimum(idx, v.size - 1)], 0.0)
     return RadialFn(out_grid, vals, value_at_zero=float(v[0]),
@@ -100,12 +94,10 @@ def planar_convolution(f: PolarFn, n: int, t: float) -> PolarFn:
 
 
 def radial_to_polar(f: RadialFn, pg: PolarGrid) -> PolarFn:
-    """Expand a radial function as a constant-in-angle polar field."""
-    if pg.radial is f.grid:
-        column = f.values
-    else:
-        column = f.eval(pg.radial.nodes)
-    return PolarFn(pg, np.repeat(column[:, None], pg.n_angles, axis=1))
+    """Expand a radial function as a constant-in-angle field on its own mesh."""
+    if pg.radial is not f.grid:
+        raise DomainError("the polar grid must be built on f's radial mesh")
+    return PolarFn(pg, np.repeat(f.values[:, None], pg.n_angles, axis=1))
 
 
 def riesz_gain(f: PolarFn, n: int, t: float, q: float) -> float:

@@ -17,8 +17,7 @@ from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
                            distribution_mass, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
 from halfext.kernel import pt_lp_norm
-from halfext.moebius import InversionSpec, boundary_inversion, \
-    halfspace_inversion
+from halfext.moebius import boundary_inversion, halfspace_inversion
 from halfext.rearrange import (radial_to_polar, rearrangement_steps,
                                riesz_gain)
 from halfext.solver import (SolverConfig, classify_inverted_radial,
@@ -219,10 +218,9 @@ def test_criterion_08_rearrangement_suite():
 
 
 def test_criterion_09_conformal_invariance(boundary3, halfspace3):
-    spec = InversionSpec(alpha=-1.0)
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    finv = boundary_inversion(f, spec, boundary3)
+    finv = boundary_inversion(f, -1.0)
     bdry_err = abs(lp_norm_boundary(finv, 4.0) - lp_norm_boundary(f, 4.0))
     breaks = []
     for p_off in (3.6, 4.4):

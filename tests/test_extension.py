@@ -237,18 +237,16 @@ def test_contractions_match_per_height_loop(n, boundary):
 
 def test_operator_cache_keyed_by_mesh_content():
     # equal meshes built separately share one operator, built once; a mesh
-    # with the same nodes and weights but another scale or mapping does not
+    # with the same nodes and weights but another scale does not
     g1 = build_radial_grid(2, 24, "tan", 1.0)
     g2 = build_radial_grid(2, 24, "tan", 1.0)
     op = get_operator(3, g1, HalfspaceGrid(g1, build_radial_grid(1, 16)))
     assert get_operator(3, g2,
                         HalfspaceGrid(g2, build_radial_grid(1, 16))) is op
     assert op.dual_matrices is op.matrices
-    for mapping, scale in (("tan", 2.0), ("linear", 1.0)):
-        other = RadialGrid(2, g1.nodes.copy(), g1.weights.copy(), g1.r_max,
-                           mapping=mapping, scale=scale)
-        assert get_operator(
-            3, other, HalfspaceGrid(other, build_radial_grid(1, 16))) is not op
+    other = RadialGrid(2, g1.nodes.copy(), g1.weights.copy(), scale=2.0)
+    assert get_operator(
+        3, other, HalfspaceGrid(other, build_radial_grid(1, 16))) is not op
 
 
 def test_dual_monte_carlo_oracle(boundary3, halfspace3, rng):
@@ -503,8 +501,7 @@ def test_cache_budget_holds_el_solve_pair():
     assert extension.operator_nbytes(_meshes(224)[1]) <= extension._CACHE_BYTES
 
 
-@pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0),
-                                            ("linear", 2.0)])
+@pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0)])
 def test_diagonal_rules_ladder_only_below_half_r(monkeypatch, mapping, scale):
     # the refined rows' breakpoints: the mesh ladder scale/64 * GROW^k is
     # kept below r/2 only; from r/2 up every breakpoint is the diagonal
@@ -548,8 +545,7 @@ def test_kernel_matrix_matches_reference_row_rule(n, N, ring):
     assert got.tobytes() == _reference_row_rule(kernel, out, g, t).tobytes()
 
 
-@pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0),
-                                            ("linear", 2.0)])
+@pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0)])
 def test_lagrange_stencils_reproduce_cubics(mapping, scale):
     g = build_radial_grid(2, 40, mapping, scale)
     xn = g.parameter(g.nodes)
@@ -624,6 +620,19 @@ def test_commutator_lipschitz_bound(boundary3):
                    value_at_zero=0.0, tail_exponent=0.0)
     assert commutator_gap(f, 1.0, phi, 1.0) <= 1e-6
     assert commutator_gap(f, 1.0, phi, 0.3) <= 1e-6
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+@pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+def test_commutator_bound_n2_closed_form(k, t):
+    # n = 2 takes qt_ring's closed form; phi = sin(kr)/k has Lipschitz
+    # seminorm 1, so the bound holds at phi_lip = 1 and fails at 0.2
+    g = build_radial_grid(1, 96)
+    f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0, nonnegative=True)
+    phi = RadialFn(g, np.sin(k * g.nodes) / k, value_at_zero=0.0,
+                   tail_exponent=0.0)
+    assert commutator_gap(f, 1.0, phi, t) <= 1e-6
+    assert commutator_gap(f, 0.2, phi, t) > 0.05
 
 
 def test_commutator_zero_f(boundary3):

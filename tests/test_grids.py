@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
 from halfext.grids import (AxisymFn, HalfspaceGrid, PolarGrid, RadialFn,
-                           RadialGrid, build_radial_grid, dilate_boundary,
+                           build_radial_grid, dilate_boundary,
                            distribution_mass, lp_norm_boundary,
                            lp_norm_halfspace, pchip, polar_halfspace_rule,
                            sample_radial, weak_lp_norm)
@@ -31,12 +31,6 @@ def test_tan_grid_coarse():
     assert g.quad(np.exp(-g.nodes ** 2)) == pytest.approx(0.5, abs=1e-4)
 
 
-def test_linear_grid_bounded():
-    g = build_radial_grid(2, 64, "linear", 3.0)
-    assert g.r_max <= 3.0
-    assert g.quad(np.ones_like(g.nodes)) == pytest.approx(9.0 / 2, abs=1e-12)
-
-
 def test_grid_validation():
     with pytest.raises(DomainError):
         build_radial_grid(0, 64)
@@ -47,14 +41,11 @@ def test_grid_validation():
 
 
 def test_radial_grid_rejects_unknown_mapping():
-    # the mapping picks the stencil coordinate and the spacing estimate; a
-    # mesh whose mapping names neither of the two rules has neither
-    g = build_radial_grid(2, 24)
-    for mapping in ("tna", "exp"):
+    # tan is the one node mapping; the argument stays for callers that name it
+    for mapping in ("linear", "exp"):
         with pytest.raises(DomainError, match="unknown mapping"):
-            RadialGrid(2, g.nodes, g.weights, g.r_max, mapping=mapping)
-    for mapping in ("tan", "linear"):
-        RadialGrid(2, g.nodes, g.weights, g.r_max, mapping=mapping)
+            build_radial_grid(2, 24, mapping)
+    assert build_radial_grid(2, 24, "tan", 1.0).size == 24
 
 
 def test_grid_refinement_invariant():

@@ -6,8 +6,7 @@ from halfext.extension import poisson_extend
 from halfext.grids import (RadialFn, build_radial_grid,
                            default_halfspace_grid, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
-from halfext.moebius import (InversionSpec, ball_map, boundary_inversion,
-                             halfspace_inversion)
+from halfext.moebius import ball_map, boundary_inversion, halfspace_inversion
 
 
 def test_ball_map_center():
@@ -38,24 +37,23 @@ def test_inversion_pure_power(boundary3):
     # n=3: f(s) = 1/s has s^(2-n) f(1/s) identically one (pure-power algebra)
     f = sample_radial(boundary3, lambda r: 1.0 / r, value_at_zero=0.0,
                       tail_exponent=1.0)
-    out = boundary_inversion(f, InversionSpec(alpha=-1.0), boundary3)
+    out = boundary_inversion(f, -1.0)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
 
 def test_inversion_self_dual_extremal(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -0.5,
                       tail_exponent=1.0, nonnegative=True)
-    out = boundary_inversion(f, InversionSpec(alpha=-1.0), boundary3)
+    out = boundary_inversion(f, -1.0)
     assert np.max(np.abs(out.values - f.values)) < 1e-12
 
 
 def test_inversion_preserves_critical_norm(boundary3, rng):
-    spec = InversionSpec(alpha=-1.0)
     for _ in range(5):
         b, e = rng.uniform(0.5, 2.0), rng.uniform(0.8, 1.5)
         f = sample_radial(boundary3, lambda r: (b + r ** 2) ** -e,
                           tail_exponent=2 * e, nonnegative=True)
-        out = boundary_inversion(f, spec, boundary3)
+        out = boundary_inversion(f, -1.0)
         assert lp_norm_boundary(out, 4.0) == pytest.approx(
             lp_norm_boundary(f, 4.0), rel=1e-9)
 
@@ -63,7 +61,7 @@ def test_inversion_preserves_critical_norm(boundary3, rng):
 def test_inversion_breaks_noncritical_norm(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    out = boundary_inversion(f, InversionSpec(alpha=-1.0), boundary3)
+    out = boundary_inversion(f, -1.0)
     for p in (3.6, 4.4):
         ratio = lp_norm_boundary(out, p) / lp_norm_boundary(f, p)
         assert abs(ratio - 1.0) > 0.01
@@ -72,26 +70,24 @@ def test_inversion_breaks_noncritical_norm(boundary3):
 def test_inversion_involution(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    spec = InversionSpec(alpha=-1.0)
-    back = boundary_inversion(boundary_inversion(f, spec, boundary3), spec,
-                              boundary3)
+    back = boundary_inversion(boundary_inversion(f, -1.0), -1.0)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
-def test_inversion_interpolated_grid(boundary3):
-    # non-reciprocal output mesh goes through the interpolant
-    out_grid = build_radial_grid(2, 128, "tan", 1.7)
-    f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
+def test_inversion_rejects_mesh_not_closed_under_reciprocal():
+    # node reflection is exact only where the nodes are closed under
+    # r -> 1/r; the scale-1.7 tan mesh is not
+    g = build_radial_grid(2, 128, "tan", 1.7)
+    f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    out = boundary_inversion(f, InversionSpec(alpha=-1.0), out_grid)
-    want = out_grid.nodes / (1 + out_grid.nodes ** 2)
-    assert np.max(np.abs(out.values - want) / np.maximum(want, 1e-12)) < 1e-5
+    with pytest.raises(DomainError, match="closed under"):
+        boundary_inversion(f, -1.0)
 
 
 def test_shifted_inversion_polar(boundary3):
     f = sample_radial(boundary3, lambda r: (0.5 * r ** 2 + 0.5) ** -0.5,
                       tail_exponent=1.0, nonnegative=True)
-    v = boundary_inversion(f, InversionSpec(alpha=-1.0, shift=1.0), boundary3)
+    v = boundary_inversion(f, -1.0, shift=1.0)
     # closed form: v(x) = (|x - e_1/2|^2 + 1/4)^(-1/2)
     x, y = v.grid.points()
     want = ((x - 0.5) ** 2 + y ** 2 + 0.25) ** -0.5

@@ -6,8 +6,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfext"
-CEILING = 35
-LINE_CEILING = 2087     # non-blank, non-comment lines of src/halfext/*.py
+CEILING = 34
+LINE_CEILING = 2045     # non-blank, non-comment lines of src/halfext/*.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -79,7 +79,7 @@ def unused_imports(path: pathlib.Path) -> list:
 
 def test_no_unused_imports():
     paths = [path for pattern in ("src/halfext/*.py", "tests/*.py",
-                                  "scripts/*.py")
+                                  "scripts/*.py", "bench/*.py")
              for path in sorted(ROOT.glob(pattern))
              if path.name != "__init__.py"]
     unused = [entry for path in paths for entry in unused_imports(path)]

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from halfext.errors import DomainError
 from halfext.extremals import ExtremalSpec, extremal_profile
-from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
+from halfext.grids import (PolarFn, PolarGrid, RadialGrid, build_radial_grid,
                            distribution_mass)
 from halfext.kernel import pt_profile
+from halfext.quadrature import panel_rule
 from halfext.rearrange import (planar_convolution, radial_to_polar,
                                rearrangement_steps, riesz_gain,
                                symmetric_rearrangement)
@@ -18,6 +19,13 @@ from halfext.rearrange import (planar_convolution, radial_to_polar,
 @pytest.fixture(scope="module")
 def polar_small():
     return PolarGrid(build_radial_grid(2, 48, "tan", 1.0), 32)
+
+
+def bounded_grid(d, N, R):
+    # Gauss nodes on the bounded interval (0, R), near-uniform cells: every
+    # cell resolves the kernel width of a planar convolution
+    nodes, dr = panel_rule(0.0, R, N)
+    return RadialGrid(d, nodes, dr * nodes ** (d - 1))
 
 
 def two_bump(pg):
@@ -36,7 +44,7 @@ def test_fixed_point_nodewise(polar_small):
 
 def test_annulus_becomes_disk():
     # indicator of {a < r < b} rearranges to the disk of equal area
-    g = build_radial_grid(2, 128, "linear", 4.0)
+    g = bounded_grid(2, 128, 4.0)
     pg = PolarGrid(g, 16)
     a, b = 1.0, 2.0
     r = g.nodes[:, None] * np.ones((1, 16))
@@ -112,7 +120,7 @@ def test_riesz_gain_two_bumps_strictly_positive(polar_small):
 def test_riesz_gain_shifted_extremal():
     # translation invariance: the gain of a recentred family member vanishes
     # up to the O(h^2) distribution error of the cell sampling
-    g = build_radial_grid(2, 160, "linear", 40.0)
+    g = bounded_grid(2, 160, 40.0)
     pg = PolarGrid(g, 48)
     x, y = pg.points()
     f = PolarFn(pg, ExtremalSpec(3, "conformal").profile(np.hypot(x - 0.5, y)))
@@ -153,7 +161,7 @@ def _reference_planar_convolution(f, t):
 
 @pytest.mark.parametrize("pg", [
     PolarGrid(build_radial_grid(2, 48, "tan", 1.0), 32),
-    PolarGrid(build_radial_grid(2, 40, "linear", 4.0), 9),   # odd m
+    PolarGrid(bounded_grid(2, 40, 4.0), 9),   # odd m
 ])
 def test_planar_convolution_matches_direct_rows(pg):
     noise = np.random.default_rng(7).uniform(
@@ -206,10 +214,21 @@ def test_rearranged_is_radial_decreasing(seed):
 
 def test_rearrangement_d1_even_profile():
     # d = 1: even profiles on the line, ball volume 2r
-    g = build_radial_grid(1, 64, "linear", 3.0)
+    g = bounded_grid(1, 64, 3.0)
     r = g.nodes
     measures = 2.0 * g.weights          # both half-lines
     values = np.where((r > 1.0) & (r < 2.0), 1.0, 0.0)
     v, rho = rearrangement_steps(values, measures, 1)
     support = rho[np.searchsorted(-v, -0.5, side="right") - 1]
     assert support == pytest.approx(1.0, abs=2 * 3.0 / 64)
+
+
+def test_radial_helpers_stay_on_their_own_mesh(polar_small):
+    # no interpolation: the rearrangement takes planar samples only, and a
+    # radial function expands onto polar cells over its own radii only
+    f_r = extremal_profile(ExtremalSpec(3, "conformal"), polar_small.radial)
+    with pytest.raises(DomainError, match="PolarFn"):
+        symmetric_rearrangement(f_r, polar_small.radial)
+    other = PolarGrid(build_radial_grid(2, 48, "tan", 1.0), 32)
+    with pytest.raises(DomainError, match="radial mesh"):
+        radial_to_polar(f_r, other)

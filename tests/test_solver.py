@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from halfext.errors import DomainError
+from halfext.errors import DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                extremal_profile, normalize_el, sharp_constant)
-from halfext.grids import build_radial_grid, dilate_boundary, sample_radial
-from halfext.moebius import InversionSpec, boundary_inversion
+from halfext.grids import (build_radial_grid, default_halfspace_grid,
+                           dilate_boundary, sample_radial)
+from halfext.moebius import boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig,
                             ascent_estimate_constant, classify_inverted_radial,
                             concentration_radius, el_fixed_point,
@@ -136,7 +137,7 @@ def test_solution_tail_is_fitted_not_inherited(boundary3, halfspace3):
         sol.values[-1] * 2.0 ** -sol.fitted_tail(), rel=1e-12)
     # the gauge fixes lambda = 1, where the Kelvin inversion maps the
     # conformal extremal to itself: its value at 0 is the solution's
-    inv = boundary_inversion(sol, InversionSpec(alpha=-1.0), boundary3)
+    inv = boundary_inversion(sol, -1.0)
     assert inv.value_at_zero == pytest.approx(sol.value_at_zero, rel=1e-2)
 
 
@@ -233,6 +234,15 @@ def test_ascent_cross_seed_stability(halfspace3):
     assert abs(vals[0] - vals[1]) / vals[0] < 5e-3
 
 
+def test_ascent_all_trials_diverged():
+    # at p = 1.1 every start leaves what the mesh can hold, and no trial
+    # records a finite Rayleigh quotient to report
+    hs = default_halfspace_grid(build_radial_grid(2, 48))
+    cfg = SolverConfig(max_iters=50, tol_residual=1e-6)
+    with pytest.raises(SolverDivergence, match="^all 3 trials diverged$"):
+        ascent_estimate_constant(3, 1.1, 3, cfg, hs)
+
+
 def test_initial_profiles_menu(boundary3):
     rng = np.random.default_rng(0)
     kinds = set()
@@ -258,8 +268,7 @@ def test_radial_about_point_shifted_center(boundary3):
     alpha = -1.0
     u = sample_radial(boundary3, lambda r: (0.5 * r ** 2 + 0.5) ** (alpha / 2),
                       nonnegative=True)
-    v = boundary_inversion(u, InversionSpec(alpha=alpha, shift=1.0),
-                           boundary3)
+    v = boundary_inversion(u, alpha, shift=1.0)
     center = radial_about_point(v, 1e-3)
     assert center is not None
     assert center[0] == pytest.approx(0.5, abs=1e-4)
@@ -269,7 +278,7 @@ def test_radial_about_point_shifted_center(boundary3):
 def test_radial_about_point_origin(boundary3):
     # shift-free inversion of the self-dual extremal stays radial about 0
     f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
-    finv = boundary_inversion(f, InversionSpec(alpha=-1.0), boundary3)
+    finv = boundary_inversion(f, -1.0)
     from halfext.rearrange import radial_to_polar
     from halfext.grids import PolarGrid
     v = radial_to_polar(finv, PolarGrid(boundary3, 64))
@@ -284,8 +293,7 @@ def test_radial_about_point_rejects_perturbed(boundary3):
         boundary3,
         lambda r: (1 + r ** 2) ** (alpha / 2)
         * (1 + 0.1 * r / (1 + r)), nonnegative=True)
-    v = boundary_inversion(u, InversionSpec(alpha=alpha, shift=1.0),
-                           boundary3)
+    v = boundary_inversion(u, alpha, shift=1.0)
     assert radial_about_point(v, 1e-3) is None
 
 
@@ -357,8 +365,7 @@ def test_converged_solution_inversion_symmetry(boundary3, halfspace3):
     cfg = SolverConfig(max_iters=300, tol_residual=1e-4)
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
     assert trace.converged
-    v = boundary_inversion(sol, InversionSpec(alpha=-1.0, shift=1.0),
-                           boundary3)
+    v = boundary_inversion(sol, -1.0, shift=1.0)
     center = radial_about_point(v, 1e-3)
     assert center is not None
 
@@ -378,7 +385,6 @@ def test_trace_bitwise_determinism(boundary3, halfspace3):
 def test_divergence_reported_with_trace(boundary3, halfspace3):
     # exponents near 1 produce iterates whose target norm the mesh cannot
     # hold; the solver must report divergence rather than assert convergence
-    from halfext.errors import SolverDivergence
     init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                          nonnegative=True)
     cfg = SolverConfig(max_iters=120, tol_residual=1e-6)
