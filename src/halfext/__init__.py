@@ -16,8 +16,7 @@ from .extension import (commutator_gap, dual_extend, extend_at, kernel_mass,
                         poisson_extend, ring_kernel, slab_mass)
 from .moebius import ball_map, boundary_inversion, halfspace_inversion
 from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
-                        normalize_el, rayleigh_quotient, sharp_constant,
-                        singular_constant)
+                        rayleigh_quotient, sharp_constant, singular_constant)
 from .rearrange import (planar_convolution, radial_to_polar, riesz_gain,
                         symmetric_rearrangement)
 from .solver import (ClassifyResult, IterationTrace, SolverConfig,

@@ -37,7 +37,7 @@ from . import __version__, extension
 from .errors import HalfextError, SolverDivergence
 from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
-from .extremals import ExtremalSpec, normalize_el, sharp_constant
+from .extremals import ExtremalSpec, calibrate, el_sides, sharp_constant
 from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
                     default_halfspace_grid, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
@@ -49,11 +49,6 @@ from .rearrange import (radial_to_polar, rearrangement_steps, riesz_gain,
 from .solver import (SolverConfig, ascent_estimate_constant,
                      classify_inverted_radial, el_fixed_point,
                      match_extremal_family, ode_check_1d, start_profile)
-
-EXPERIMENTS = ("verify-kernel", "verify-identities", "weak-type-sweep",
-               "estimate-constant", "solve-el", "rearrange-demo",
-               "classify-radial", "conformal-invariance")
-
 
 @dataclass
 class ExperimentConfig:
@@ -75,13 +70,13 @@ class ExperimentConfig:
             raise HalfextError("invalid dimension or grid sizes")
         if not (1.0 < self.p < np.inf):
             raise HalfextError(f"p must lie in (1, inf), got {self.p}")
-        if self.trials < 1 or self.max_iters < 1 or not self.tol_residual > 0:
-            raise HalfextError("trials, max_iters and tol_residual must be "
-                               "positive")
+        if self.trials < 1:
+            raise HalfextError("trials must be positive")
+        self.solver()       # SolverConfig checks max_iters and tol_residual
         # start_profile rejects an unknown kind; the start's tail r^-beta
         # must be in L^p(R^(n-1)), as in lp_norm_boundary
-        start = start_profile(build_radial_grid(self.n - 1, 16), self.n,
-                              self.init, 1.0, 1.0)
+        start = start_profile(build_radial_grid(self.n - 1, 16), self.init,
+                              1.0, 1.0)
         if self.p * start.tail_exponent <= self.n - 1 + 1e-6:
             raise HalfextError(f"--init {self.init} starts outside L^{self.p}")
 
@@ -253,7 +248,7 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g, hs = _meshes(cfg)
     family = _closed_form_family(n, p)
-    init = start_profile(g, n, cfg.init, 1.0, 1.0)
+    init = start_profile(g, cfg.init, 1.0, 1.0)
     try:
         sol, trace = el_fixed_point(n, p, init, cfg.solver(), hs)
     except SolverDivergence as exc:
@@ -275,7 +270,7 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         checks.bound("family_match_error", err, 1e-3)
         # the lambda-free constant of the solved family: calibrating the
         # solution to the unit-coefficient system scales its amplitude
-        family_c = normalize_el(sol, n, p, hs) * amp
+        family_c = calibrate(n, p, *el_sides(sol, n, p, hs))[0] * amp
         extra.update({"family": family, "lambda": lam, "amplitude": amp,
                       "family_constant": family_c,
                       "family_match_error": err})
@@ -289,7 +284,7 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
     two_bump = (np.exp(-((x - 1.2) ** 2 + y ** 2) * 3.0)
                 + 0.8 * np.exp(-((x + 1.5) ** 2 + (y - 0.4) ** 2) * 5.0))
     f = PolarFn(pg, two_bump)
-    star = symmetric_rearrangement(f, g)
+    star = symmetric_rearrangement(f)
     star.to_csv(os.path.join(outdir, "profile.csv"))
     cells = pg.cell_measures()
     v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
@@ -298,10 +293,10 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
         orig = float(np.sum(cells * f.values ** p))
         star_mass = float(np.dot(shells, v ** p))
         checks.add(f"lp_preserved[p={p}]", star_mass, orig, 1e-8 * orig)
-    gain = riesz_gain(f, 3, 0.8, 4.0)
+    gain = riesz_gain(f, 0.8, 4.0)
     checks.bound("two_bump_gain_positive", gain, 1e-6, upper=False)
     radial = radial_to_polar(star, pg)
-    checks.add("radial_gain_zero", riesz_gain(radial, 3, 0.8, 4.0), 0.0, 1e-12)
+    checks.add("radial_gain_zero", riesz_gain(radial, 0.8, 4.0), 0.0, 1e-12)
     return {"two_bump_gain": gain}
 
 
@@ -395,6 +390,7 @@ RUNNERS = {
     "classify-radial": run_classify_radial,
     "conformal-invariance": run_conformal_invariance,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 # ----------------------------------------------------------------- plumbing

@@ -27,7 +27,6 @@ Rayleigh quotients read |Pf|_q on the polar half-space rule.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,23 +144,6 @@ def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
     lhs2 = a ** (p - 1.0) * lhs
     rhs2 = a ** (q - 1.0) * rhs
     return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2)), spread
-
-
-def normalize_el(f: RadialFn, n: int, p: float,
-                 hs_grid: HalfspaceGrid) -> float:
-    """Amplitude a minimizing the Euler-Lagrange defect of a*f.
-
-    Warns when the pointwise log-ratio varies by more than 0.05 (f does not
-    have the right shape); the returned amplitude is then best-effort.
-    """
-    lhs, rhs = el_sides(f, n, p, hs_grid)
-    a, _, spread = calibrate(n, p, lhs, rhs)
-    if spread > 0.05:
-        warnings.warn(
-            f"Euler-Lagrange ratio varies by {spread:.2e} across the mesh; "
-            "f is not a solution shape, amplitude is best-effort",
-            stacklevel=2)
-    return a
 
 
 def power_profile(n: int, beta: float, theta) -> np.ndarray:

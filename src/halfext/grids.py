@@ -13,7 +13,7 @@ Boundary functions of |xi| live in RadialFn, axisymmetric half-space
 functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, and non-radial
 planar functions in PolarFn on a radius x angle mesh.  L^p norms carry
 divergence guards driven by the declared tail exponent of the data and by an
-empirical log-log fit over the outermost decade of samples.
+empirical log-log fit over the last eighth of the mesh.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class RadialGrid:
         x = np.asarray(r, dtype=float) / self.scale
         return self.scale * ((np.pi / 2.0) / self.size) * (1.0 + x ** 2)
 
-    def quad(self, samples) -> float:
-        """Apply the grid rule: sum_i w_i * samples_i."""
-        return float(np.dot(self.weights, np.asarray(samples, dtype=float)))
-
 
 def build_radial_grid(d: int, N: int, mapping: str = "tan",
                       scale: float = 1.0) -> RadialGrid:
@@ -101,24 +97,17 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan",
 
 
 def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Log-log decay slope over the outermost decade of strictly positive samples.
+    """Log-log decay slope over the last eighth of the mesh (at least
+    _TAIL_FIT_MIN_POINTS nodes), strictly positive samples only.
 
-    Returns +inf for (numerically) compactly supported tails, nan if the data
-    does not determine a slope.
+    Returns +inf, a (numerically) compactly supported tail, when fewer than
+    _TAIL_FIT_MIN_POINTS of those samples are positive; else a finite slope.
     """
-    r_hi = nodes[-1]
-    sel = nodes >= 0.1 * r_hi
-    # mapped meshes may put only a couple of nodes in the outer radius
-    # decade; widen to the last eighth of the mesh in that case
-    if sel.sum() < max(_TAIL_FIT_MIN_POINTS, nodes.size // 8):
-        sel = np.arange(nodes.size) >= nodes.size - max(
-            _TAIL_FIT_MIN_POINTS, nodes.size // 8)
-    v = np.abs(values[sel])
-    r = nodes[sel]
-    tiny = 1e-300
-    good = v > tiny
+    k = max(_TAIL_FIT_MIN_POINTS, nodes.size // 8)
+    v = np.abs(values[-k:])
+    r = nodes[-k:]
+    good = v > 1e-300
     if good.sum() < _TAIL_FIT_MIN_POINTS:
-        # outer window (numerically) vanishes: effectively compact support
         return math.inf
     slope = np.polyfit(np.log(r[good]), np.log(v[good]), 1)[0]
     return float(-slope)
@@ -171,7 +160,7 @@ class RadialFn:
     tail_exponent: float = math.nan
     nonnegative: bool = False
     _interp: object = field(default=None, repr=False)
-    # None marks an unset fit: the fit itself may return nan
+    # None until the first fit; the fit is +inf or a finite slope
     _fitted: object = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -418,7 +407,7 @@ def lp_norm_boundary(f: RadialFn, p: float) -> float:
         raise DivergenceError(
             f"L^{p} norm divergent: tail exponent {beta:.4g} gives "
             f"p*beta = {p * beta:.4g} <= d = {d}")
-    total = f.grid.quad(np.abs(f.values) ** p)
+    total = float(np.dot(f.grid.weights, np.abs(f.values) ** p))
     if not math.isinf(beta):
         r_hi = f.grid.r_max
         tail = abs(f.values[-1]) ** p * r_hi ** d / (p * beta - d)

@@ -1,7 +1,7 @@
 """Gauss-Legendre building blocks: panels, mapped half-line rules, peak refinement.
 
 Everything here returns plain ``(nodes, weights)`` pairs; ``composite_rules``
-also returns where each list's rule starts, so callers build the rules of many
+also returns where each row's rule starts, so callers build the rules of many
 points in one pass.  The half-line rules use the substitution
 r = scale * tan(theta), which turns algebraically decaying integrands into
 smooth functions on a finite interval, so a single global Gauss rule
@@ -60,24 +60,19 @@ def composite_rule(breaks, order: int):
     return nodes, weights
 
 
-def composite_rules(breaks_list, order: int):
-    """``composite_rule`` for many breakpoint lists at once, concatenated.
+def composite_rules(breaks, order: int):
+    """``composite_rule`` on each row of a 2-D breakpoint array, concatenated.
 
-    Returns ``(nodes, weights, offsets)``: the rule of list ``k`` is
+    Returns ``(nodes, weights, offsets)``: the rule of row ``k`` is
     ``nodes[offsets[k]:offsets[k + 1]]``, node for node.  Zero-width panels
-    are skipped, so lists may be padded by repeating a breakpoint.
+    are skipped, so rows may be padded by repeating a breakpoint.
     """
-    sizes = np.fromiter(map(len, breaks_list), dtype=np.intp)
-    flat = np.concatenate(breaks_list, dtype=float)
-    ends = np.cumsum(sizes)
-    use = np.diff(flat) > 0.0
-    use[ends[:-1] - 1] = False          # pairs straddling two lists
-    panels = np.nonzero(use)[0]
-    owner = np.searchsorted(ends, panels, side="right")
-    xs, ws = panel_rule(flat[panels, None], flat[panels + 1, None], order)
-    offsets = np.zeros(sizes.size + 1, dtype=np.intp)
-    np.cumsum(order * np.bincount(owner, minlength=sizes.size),
-              out=offsets[1:])
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:, :-1], breaks[:, 1:]
+    use = hi > lo
+    xs, ws = panel_rule(lo[use][:, None], hi[use][:, None], order)
+    offsets = np.zeros(breaks.shape[0] + 1, dtype=np.intp)
+    np.cumsum(order * use.sum(axis=1), out=offsets[1:])
     return xs.ravel(), ws.ravel(), offsets
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .grids import PolarFn, PolarGrid, RadialFn, RadialGrid
+from .grids import PolarFn, PolarGrid, RadialFn
 from .kernel import pt_profile, unit_ball_volume
 
 
@@ -51,24 +51,23 @@ def rearrangement_steps(values, measures, d: int):
     return v, rho
 
 
-def symmetric_rearrangement(f: PolarFn, out_grid: RadialGrid) -> RadialFn:
-    """Radial non-increasing rearrangement of planar data, sampled on out_grid.
+def symmetric_rearrangement(f: PolarFn) -> RadialFn:
+    """Radial non-increasing rearrangement of planar data, on f's radial mesh.
 
-    The output is the layer-cake step function evaluated at the grid nodes.
+    The output is the layer-cake step function evaluated at the mesh nodes.
     """
     if not isinstance(f, PolarFn):
         raise DomainError("expected a PolarFn")
-    if out_grid.d != 2:
-        raise DomainError("output grid dimension must match the data")
+    grid = f.grid.radial
     v, rho = rearrangement_steps(f.values, f.grid.cell_measures(), 2)
-    idx = np.searchsorted(rho, out_grid.nodes, side="left")
+    idx = np.searchsorted(rho, grid.nodes, side="left")
     vals = np.where(idx < v.size, v[np.minimum(idx, v.size - 1)], 0.0)
-    return RadialFn(out_grid, vals, value_at_zero=float(v[0]),
+    return RadialFn(grid, vals, value_at_zero=float(v[0]),
                     tail_exponent=np.inf, nonnegative=True)
 
 
-def planar_convolution(f: PolarFn, n: int, t: float) -> PolarFn:
-    """(P_t * f) at f's own cells by direct cell quadrature (n = 3 only).
+def planar_convolution(f: PolarFn, t: float) -> PolarFn:
+    """(P_t * f) at f's own cells by direct cell quadrature, P_t of R^3_+.
 
     The polar angles are uniform midpoints, so the kernel rows of the targets
     at angle index j are those at angle index 0 with the sources rotated by
@@ -77,8 +76,6 @@ def planar_convolution(f: PolarFn, n: int, t: float) -> PolarFn:
     one GEMM applies it to the m cyclic shifts of the weighted source:
     ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.
     """
-    if n != 3:
-        raise DomainError("planar convolutions are implemented for n = 3")
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
     x, y = f.grid.points()
@@ -100,7 +97,7 @@ def radial_to_polar(f: RadialFn, pg: PolarGrid) -> PolarFn:
     return PolarFn(pg, np.repeat(f.values[:, None], pg.n_angles, axis=1))
 
 
-def riesz_gain(f: PolarFn, n: int, t: float, q: float) -> float:
+def riesz_gain(f: PolarFn, t: float, q: float) -> float:
     """|P_t * f*|_q - |P_t * f|_q over the boundary plane (>= 0 in theory).
 
     Both terms use the same planar quadrature; in particular the gain is
@@ -109,8 +106,7 @@ def riesz_gain(f: PolarFn, n: int, t: float, q: float) -> float:
     """
     if q < 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
-    star = symmetric_rearrangement(f, f.grid.radial)
-    fstar = radial_to_polar(star, f.grid)
-    norm_orig = planar_convolution(f, n, t).lp_norm(q)
-    norm_star = planar_convolution(fstar, n, t).lp_norm(q)
+    fstar = radial_to_polar(symmetric_rearrangement(f), f.grid)
+    norm_orig = planar_convolution(f, t).lp_norm(q)
+    norm_star = planar_convolution(fstar, t).lp_norm(q)
     return float(norm_star - norm_orig)

@@ -43,8 +43,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0:
-            raise DomainError("tol_residual must be positive")
+        if not (self.max_iters >= 1 and self.tol_residual > 0.0):
+            raise DomainError("max_iters and tol_residual must be positive")
 
 
 @dataclass
@@ -131,7 +131,7 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
 
     Returns (solution, trace).  The solution is gauge-normalized; its
     amplitude solves the unit-coefficient system only after calibration by
-    normalize_el; the trace's Rayleigh quotients read the polar half-space
+    ``calibrate``; the trace's Rayleigh quotients read the polar half-space
     rule.  Raises SolverDivergence (trace attached) when the residual grows
     tenfold over 50 iterations or an iterate diverges; a divergent iterate
     gets its own trace row, NaN for what it could not compute.
@@ -168,13 +168,14 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     return f, trace
 
 
-def start_profile(grid: RadialGrid, n: int, kind: str, amp: float,
+def start_profile(grid: RadialGrid, kind: str, amp: float,
                   width: float) -> RadialFn:
     """An EL start: "gaussian", compact "bump", or the extremal of the
-    "conformal" or "dual" family with lambda = width; the menu of --init."""
+    "conformal" or "dual" family on R^(grid.d + 1)_+ with lambda = width;
+    the menu of --init."""
     if kind in ("conformal", "dual"):
-        return extremal_profile(ExtremalSpec(n, kind, width, amplitude=amp),
-                                grid)
+        spec = ExtremalSpec(grid.d + 1, kind, width, amplitude=amp)
+        return extremal_profile(spec, grid)
     r = grid.nodes
     if kind == "gaussian":
         vals = amp * np.exp(-(r / width) ** 2)
@@ -187,12 +188,12 @@ def start_profile(grid: RadialGrid, n: int, kind: str, amp: float,
                     nonnegative=True)
 
 
-def initial_profiles(grid: RadialGrid, n: int, rng: np.random.Generator):
+def initial_profiles(grid: RadialGrid, rng: np.random.Generator):
     """A random gaussian, bump or dual start from ``start_profile``."""
     amp = float(rng.uniform(0.5, 2.0))
     width = float(rng.uniform(0.7, 1.8))
     kind = ("gaussian", "bump", "dual")[rng.integers(0, 3)]
-    return start_profile(grid, n, kind, amp, width)
+    return start_profile(grid, kind, amp, width)
 
 
 def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
@@ -207,7 +208,7 @@ def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
     best = -math.inf
     failures = 0
     for _ in range(trials):
-        init = initial_profiles(grid, n, rng)
+        init = initial_profiles(grid, rng)
         try:
             _, trace = el_fixed_point(n, p, init, cfg, hs_grid)
         except SolverDivergence as exc:

@@ -206,10 +206,10 @@ def test_criterion_08_rearrangement_suite():
                 vals += rng.uniform(0.3, 1.5) * np.exp(
                     -((x - cx) ** 2 + (y - cy) ** 2) / w ** 2)
             f_rand = PolarFn(pg, vals)
-        gain = riesz_gain(f_rand, 3, float(rng.uniform(0.4, 1.2)),
+        gain = riesz_gain(f_rand, float(rng.uniform(0.4, 1.2)),
                           float(rng.choice([2.0, 4.0])))
         min_gain = min(min_gain, gain)
-    two_bump_gain = riesz_gain(two_bump, 3, 0.8, 4.0)
+    two_bump_gain = riesz_gain(two_bump, 0.8, 4.0)
     ok = (eq_worst <= 1e-8 and lp_worst <= 1e-8 and min_gain >= -1e-8
           and two_bump_gain > 0.0)
     report(8, "rearrangement suite", ok,

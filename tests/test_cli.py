@@ -39,6 +39,16 @@ def test_verify_kernel(tmp_path):
     assert "timestamp" in summary["meta"]
 
 
+@pytest.mark.parametrize("name", [
+    "verify-identities", "estimate-constant", "rearrange-demo",
+    "conformal-invariance"])
+def test_default_experiment_passes(tmp_path, name):
+    # default flags, as scripts/run_all_experiments.py runs them
+    out = tmp_path / name
+    assert run_cli(["run", name, "--out", str(out)]) == 0
+    assert load_summary(out)["pass"] is True
+
+
 def test_unknown_experiment_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "not-an-experiment"])
@@ -127,7 +137,6 @@ def _operator_heights(monkeypatch):
     return heights
 
 
-@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
 def test_solve_el_uses_the_library_height_mesh(tmp_path, monkeypatch):
     # the CLI's half-space mesh is default_halfspace_grid's, 48 heights at
     # --grid-n 64: the one height rule, shared with the benchmark
@@ -139,7 +148,6 @@ def test_solve_el_uses_the_library_height_mesh(tmp_path, monkeypatch):
     assert all(np.array_equal(h.nodes, want) for h in heights)
 
 
-@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
 def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
     # the family calibration must reuse the solve's operator, not build a
     # second one
@@ -149,7 +157,6 @@ def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
     assert [h.size for h in heights] == [48]
 
 
-@pytest.mark.filterwarnings("ignore:Euler-Lagrange ratio varies")
 def test_summary_meta_reports_operator_cache(tmp_path, monkeypatch):
     # meta counts one run's operator traffic; a second run of the same
     # experiment in the process finds its operator cached

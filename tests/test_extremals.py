@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from halfext.errors import DomainError
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
-                               extremal_profile, normalize_el, power_profile,
+                               extremal_profile, power_profile,
                                rayleigh_quotient, sharp_constant,
                                singular_constant)
 from halfext.grids import dilate_boundary, sample_radial
@@ -102,7 +102,7 @@ def analytic_conformal_amplitude():
 
 
 def test_normalize_el_conformal(conformal3, halfspace3):
-    a = normalize_el(conformal3, 3, 4.0, halfspace3)
+    a = calibrate(3, 4.0, *el_sides(conformal3, 3, 4.0, halfspace3))[0]
     assert a == pytest.approx(analytic_conformal_amplitude(), rel=1e-6)
     # calibrated member solves the unit-coefficient system
     again, residual, _ = calibrate(
@@ -113,29 +113,23 @@ def test_normalize_el_conformal(conformal3, halfspace3):
 
 def test_normalize_el_dual(dual3, halfspace3):
     # independent oracle: the dual-family calibrated amplitude is 2*sqrt(2)
-    a = normalize_el(dual3, 3, 4 / 3, halfspace3)
+    a, residual, _ = calibrate(3, 4 / 3,
+                               *el_sides(dual3, 3, 4 / 3, halfspace3))
     assert a == pytest.approx(2.0 * math.sqrt(2.0), rel=2e-4)
-    assert calibrate(3, 4 / 3, *el_sides(dual3, 3, 4 / 3, halfspace3))[1] \
-        <= 1e-3
+    assert residual <= 1e-3
 
 
 def test_normalize_el_scaling(conformal3, halfspace3):
-    a = normalize_el(conformal3, 3, 4.0, halfspace3)
-    solved = conformal3.scaled(a)
-    assert normalize_el(solved, 3, 4.0, halfspace3) == pytest.approx(
-        1.0, rel=1e-12)
-    assert normalize_el(solved.scaled(2.0), 3, 4.0,
-                        halfspace3) == pytest.approx(0.5, rel=1e-12)
+    def amplitude(f):
+        return calibrate(3, 4.0, *el_sides(f, 3, 4.0, halfspace3))[0]
 
-
-def test_normalize_el_warns_on_wrong_shape(boundary3, halfspace3):
-    f = sample_radial(boundary3, lambda r: np.exp(-r ** 2), nonnegative=True)
-    with pytest.warns(UserWarning):
-        normalize_el(f, 3, 4.0, halfspace3)
+    solved = conformal3.scaled(amplitude(conformal3))
+    assert amplitude(solved) == pytest.approx(1.0, rel=1e-12)
+    assert amplitude(solved.scaled(2.0)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_el_residual_wrong_amplitude(conformal3, halfspace3):
-    a = normalize_el(conformal3, 3, 4.0, halfspace3)
+    a = calibrate(3, 4.0, *el_sides(conformal3, 3, 4.0, halfspace3))[0]
     lhs, rhs = el_sides(conformal3.scaled(2.0 * a), 3, 4.0, halfspace3)
     assert np.max(np.abs(lhs - rhs)) / np.max(lhs) > 0.1
 
@@ -147,12 +141,14 @@ def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
     bump = sample_radial(boundary3,
                          lambda r: np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
                          nonnegative=True)
-    residuals = {name: calibrate(3, 4.0, *el_sides(f, 3, 4.0, halfspace3))[1]
-                 for name, f in (("conformal", conformal3), ("dual", dual3),
-                                 ("gauss", gauss), ("bump", bump))}
-    assert residuals["conformal"] <= 1e-3
+    calibrated = {name: calibrate(3, 4.0, *el_sides(f, 3, 4.0, halfspace3))
+                  for name, f in (("conformal", conformal3), ("dual", dual3),
+                                  ("gauss", gauss), ("bump", bump))}
+    assert calibrated["conformal"][1] <= 1e-3
     for name in ("dual", "gauss", "bump"):
-        assert residuals[name] > 1e-3
+        assert calibrated[name][1] > 1e-3
+    # the log-ratio spread tells a wrong shape from a wrong amplitude
+    assert calibrated["gauss"][2] > 0.05
 
 
 def test_singular_constant_consistency():

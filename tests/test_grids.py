@@ -17,18 +17,19 @@ from halfext.kernel import sphere_area
 def test_tan_grid_gaussian():
     for N in (64, 128):
         g = build_radial_grid(2, N, "tan", 1.0)
-        assert g.quad(np.exp(-g.nodes ** 2)) == pytest.approx(0.5, abs=1e-10)
+        assert g.weights @ np.exp(-g.nodes ** 2) == pytest.approx(0.5,
+                                                                  abs=1e-10)
 
 
 def test_tan_grid_cauchy():
     g = build_radial_grid(1, 128, "tan", 1.0)
-    assert g.quad(1 / (1 + g.nodes ** 2)) == pytest.approx(math.pi / 2,
-                                                           abs=1e-10)
+    assert g.weights @ (1 / (1 + g.nodes ** 2)) == pytest.approx(math.pi / 2,
+                                                                 abs=1e-10)
 
 
 def test_tan_grid_coarse():
     g = build_radial_grid(2, 16, "tan", 1.0)
-    assert g.quad(np.exp(-g.nodes ** 2)) == pytest.approx(0.5, abs=1e-4)
+    assert g.weights @ np.exp(-g.nodes ** 2) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_grid_validation():

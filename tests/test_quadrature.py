@@ -23,7 +23,11 @@ def test_composite_rules_matches_composite_rule(rng, scaled):
         # the session draws of later modules as they were
         lists = [b * c for b, c in
                  zip(lists, rng.uniform(0.5, 3.0, len(lists)))]
-    nodes, weights, offsets = composite_rules(lists, 16)
+    # one array, each list padded with its last breakpoint
+    size = max(b.size for b in lists)
+    rows = np.array([np.pad(b, (0, size - b.size), mode="edge")
+                     for b in lists])
+    nodes, weights, offsets = composite_rules(rows, 16)
     assert offsets[0] == 0 and offsets[-1] == nodes.size == weights.size
     for k, breaks in enumerate(lists):
         x, w = composite_rule(breaks, 16)
@@ -38,7 +42,7 @@ def test_composite_rules_padded_rows():
     nodes, weights, offsets = composite_rules(padded, 8)
     assert list(np.diff(offsets)) == [2 * 8, 8]
     for k, row in enumerate(padded):
-        x, w, _ = composite_rules([np.unique(row)], 8)
+        x, w = composite_rule(np.unique(row), 8)
         assert np.array_equal(nodes[offsets[k]:offsets[k + 1]], x)
         assert np.array_equal(weights[offsets[k]:offsets[k + 1]], w)
 

@@ -38,7 +38,7 @@ def two_bump(pg):
 def test_fixed_point_nodewise(polar_small):
     f_r = extremal_profile(ExtremalSpec(3, "conformal"), polar_small.radial)
     f = radial_to_polar(f_r, polar_small)
-    star = symmetric_rearrangement(f, polar_small.radial)
+    star = symmetric_rearrangement(f)
     assert np.array_equal(star.values, f_r.values)
 
 
@@ -49,7 +49,7 @@ def test_annulus_becomes_disk():
     a, b = 1.0, 2.0
     r = g.nodes[:, None] * np.ones((1, 16))
     f = PolarFn(pg, ((r > a) & (r < b)).astype(float))
-    star = symmetric_rearrangement(f, g)
+    star = symmetric_rearrangement(f)
     onset = g.nodes[star.values > 0.5]
     r_star = math.sqrt(b ** 2 - a ** 2)
     assert onset.size > 0
@@ -72,7 +72,7 @@ def test_two_bump_norm_preservation(polar_small):
         orig = float(np.sum(cells * f.values ** p))
         star = float(np.dot(shells, v ** p))
         assert star == pytest.approx(orig, rel=1e-8)
-    sampled = symmetric_rearrangement(f, polar_small.radial)
+    sampled = symmetric_rearrangement(f)
     assert np.all(np.diff(sampled.values) <= 0.0)   # unimodal and radial
 
 
@@ -94,8 +94,8 @@ def test_rearrangement_order_preserved(polar_small, rng):
     extra = rng.uniform(0.0, 0.5, base.shape)
     f = PolarFn(polar_small, base)
     gplus = PolarFn(polar_small, base + extra)
-    sf = symmetric_rearrangement(f, polar_small.radial)
-    sg = symmetric_rearrangement(gplus, polar_small.radial)
+    sf = symmetric_rearrangement(f)
+    sg = symmetric_rearrangement(gplus)
     assert np.all(sg.values >= sf.values - 1e-15)
 
 
@@ -103,17 +103,17 @@ def test_rearrangement_rejects_negative(polar_small):
     f = PolarFn(polar_small, -np.ones((polar_small.radial.size,
                                        polar_small.n_angles)))
     with pytest.raises(DomainError):
-        symmetric_rearrangement(f, polar_small.radial)
+        symmetric_rearrangement(f)
 
 
 def test_riesz_gain_radial_is_exactly_zero(polar_small):
     f_r = extremal_profile(ExtremalSpec(3, "conformal"), polar_small.radial)
     f = radial_to_polar(f_r, polar_small)
-    assert riesz_gain(f, 3, 0.8, 4.0) == 0.0
+    assert riesz_gain(f, 0.8, 4.0) == 0.0
 
 
 def test_riesz_gain_two_bumps_strictly_positive(polar_small):
-    gain = riesz_gain(two_bump(polar_small), 3, 0.8, 4.0)
+    gain = riesz_gain(two_bump(polar_small), 0.8, 4.0)
     assert gain > 1e-3
 
 
@@ -124,7 +124,7 @@ def test_riesz_gain_shifted_extremal():
     pg = PolarGrid(g, 48)
     x, y = pg.points()
     f = PolarFn(pg, ExtremalSpec(3, "conformal").profile(np.hypot(x - 0.5, y)))
-    gain = riesz_gain(f, 3, 0.8, 4.0)
+    gain = riesz_gain(f, 0.8, 4.0)
     assert -1e-8 <= gain <= 2e-4
 
 
@@ -139,8 +139,8 @@ def test_riesz_gain_random_inputs(polar_small, rng):
             w = rng.uniform(0.3, 1.2)
             vals += rng.uniform(0.3, 1.5) * np.exp(
                 -((x - cx) ** 2 + (y - cy) ** 2) / w ** 2)
-        gain = riesz_gain(PolarFn(polar_small, vals), 3,
-                          rng.uniform(0.4, 1.2), rng.choice([2.0, 4.0]))
+        gain = riesz_gain(PolarFn(polar_small, vals), rng.uniform(0.4, 1.2),
+                          rng.choice([2.0, 4.0]))
         worst = min(worst, gain)
     assert worst >= -1e-8
 
@@ -169,7 +169,7 @@ def test_planar_convolution_matches_direct_rows(pg):
     for f in (two_bump(pg), PolarFn(pg, noise)):
         for t in (0.3, 1.1):
             want = _reference_planar_convolution(f, t)
-            got = planar_convolution(f, 3, t).values
+            got = planar_convolution(f, t).values
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -177,8 +177,8 @@ def test_planar_convolution_rotation_equivariant(polar_small):
     # rotating the data by one angular cell rotates the output
     f = two_bump(polar_small)
     rolled = PolarFn(polar_small, np.roll(f.values, 1, axis=1))
-    want = np.roll(planar_convolution(f, 3, 0.6).values, 1, axis=1)
-    got = planar_convolution(rolled, 3, 0.6).values
+    want = np.roll(planar_convolution(f, 0.6).values, 1, axis=1)
+    got = planar_convolution(rolled, 0.6).values
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -187,13 +187,12 @@ def test_whole_pipeline_monotonicity(polar_small):
     # the planar mesh resolves (kernel width below the cell size makes the
     # discrete convolution meaningless), and hence for the height integral
     f = two_bump(polar_small)
-    star = radial_to_polar(symmetric_rearrangement(f, polar_small.radial),
-                           polar_small)
+    star = radial_to_polar(symmetric_rearrangement(f), polar_small)
     q = 6.0
     total_f = total_star = 0.0
     for t in np.geomspace(0.25, 4.0, 8):
-        nf = planar_convolution(f, 3, float(t)).lp_norm(q) ** q
-        ns = planar_convolution(star, 3, float(t)).lp_norm(q) ** q
+        nf = planar_convolution(f, float(t)).lp_norm(q) ** q
+        ns = planar_convolution(star, float(t)).lp_norm(q) ** q
         assert ns >= nf * (1.0 - 1e-12)
         total_f += nf
         total_star += ns
@@ -207,7 +206,7 @@ def test_rearranged_is_radial_decreasing(seed):
     g = build_radial_grid(2, 32, "tan", 1.0)
     pg = PolarGrid(g, 16)
     vals = rng.uniform(0.0, 1.0, (32, 16))
-    star = symmetric_rearrangement(PolarFn(pg, vals), g)
+    star = symmetric_rearrangement(PolarFn(pg, vals))
     assert np.all(np.diff(star.values) <= 0.0)
     assert star.values[0] <= np.max(vals)
 
@@ -228,7 +227,7 @@ def test_radial_helpers_stay_on_their_own_mesh(polar_small):
     # radial function expands onto polar cells over its own radii only
     f_r = extremal_profile(ExtremalSpec(3, "conformal"), polar_small.radial)
     with pytest.raises(DomainError, match="PolarFn"):
-        symmetric_rearrangement(f_r, polar_small.radial)
+        symmetric_rearrangement(f_r)
     other = PolarGrid(build_radial_grid(2, 48, "tan", 1.0), 32)
     with pytest.raises(DomainError, match="radial mesh"):
         radial_to_polar(f_r, other)

@@ -5,7 +5,7 @@ import pytest
 
 from halfext.errors import DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
-                               extremal_profile, normalize_el, sharp_constant)
+                               extremal_profile, sharp_constant)
 from halfext.grids import (build_radial_grid, default_halfspace_grid,
                            dilate_boundary, sample_radial)
 from halfext.moebius import boundary_inversion
@@ -17,9 +17,11 @@ from halfext.solver import (IterationTrace, SolverConfig,
                             radial_about_point)
 
 
-def test_solver_config_validation():
+@pytest.mark.parametrize("max_iters, tol", [(1, 0.0), (1, math.nan),
+                                             (0, 1e-4)])
+def test_solver_config_validation(max_iters, tol):
     with pytest.raises(DomainError):
-        SolverConfig(max_iters=1, tol_residual=0.0)
+        SolverConfig(max_iters=max_iters, tol_residual=tol)
 
 
 def test_mass_half_gauge(boundary3):
@@ -158,7 +160,7 @@ def test_fixed_point_consistency_posthoc(boundary3, halfspace3):
                          nonnegative=True)
     cfg = SolverConfig(max_iters=300, tol_residual=1e-4)
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
-    a = normalize_el(sol, 3, 4.0, halfspace3)
+    a = calibrate(3, 4.0, *el_sides(sol, 3, 4.0, halfspace3))[0]
     again, residual, _ = calibrate(
         3, 4.0, *el_sides(sol.scaled(a), 3, 4.0, halfspace3))
     assert again == pytest.approx(1.0, abs=1e-6)
@@ -247,7 +249,7 @@ def test_initial_profiles_menu(boundary3):
     rng = np.random.default_rng(0)
     kinds = set()
     for _ in range(12):
-        f = initial_profiles(boundary3, 3, rng)
+        f = initial_profiles(boundary3, rng)
         assert np.all(f.values >= 0.0) and np.any(f.values > 0.0)
         kinds.add(round(float(f.values[0]), 6))
     assert len(kinds) >= 3
