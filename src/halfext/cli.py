@@ -37,7 +37,7 @@ from . import __version__, extension
 from .errors import HalfextError, SolverDivergence
 from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
-from .extremals import ExtremalSpec, calibrate, el_sides, sharp_constant
+from .extremals import ExtremalSpec, sharp_constant
 from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
                     default_halfspace_grid, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
@@ -82,8 +82,7 @@ class ExperimentConfig:
 
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iters=self.max_iters,
-                            tol_residual=self.tol_residual,
-                            seed=self.seed)
+                            tol_residual=self.tol_residual)
 
 
 class Checks:
@@ -231,7 +230,7 @@ def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
 def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n, p = cfg.n, cfg.p
     g, hs = _meshes(cfg)
-    est = ascent_estimate_constant(n, p, cfg.trials, cfg.solver(), hs)
+    est = ascent_estimate_constant(p, cfg.trials, cfg.seed, cfg.solver(), hs)
     summary_extra = {"c_estimate": est}
     family = _closed_form_family(n, p)
     if family is not None:
@@ -266,12 +265,11 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
              "norm_mesh_gap": lp_norm_halfspace(poisson_extend(sol, hs), q)
              / extension_norm(sol, q, hs) - 1.0}
     if family is not None:
-        lam, amp, err = match_extremal_family(sol, n, family, 10.0)
+        # the solution is calibrated to the unit-coefficient system, so the
+        # fitted amplitude is the lambda-free constant of the solved family
+        lam, family_c, err = match_extremal_family(sol, n, family, 10.0)
         checks.bound("family_match_error", err, 1e-3)
-        # the lambda-free constant of the solved family: calibrating the
-        # solution to the unit-coefficient system scales its amplitude
-        family_c = calibrate(n, p, *el_sides(sol, n, p, hs))[0] * amp
-        extra.update({"family": family, "lambda": lam, "amplitude": amp,
+        extra.update({"family": family, "lambda": lam,
                       "family_constant": family_c,
                       "family_match_error": err})
     return extra

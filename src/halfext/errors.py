@@ -16,6 +16,6 @@ class DivergenceError(HalfextError, ArithmeticError):
 class SolverDivergence(HalfextError, RuntimeError):
     """Fixed-point iteration diverged.  Carries the iteration trace."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace

@@ -105,12 +105,13 @@ def rayleigh_quotient(f: RadialFn, n: int, p: float,
     return extension_norm(f, n * p / (n - 1), hs_grid) / lp_norm_boundary(f, p)
 
 
-def el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
-    """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1)))."""
+def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
+    """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1))), n = hs_grid.n."""
     if np.any(f.values < 0.0):
         raise DomainError("the Euler-Lagrange system is stated for f >= 0")
     if not np.any(f.values > 0.0):
         raise DomainError("f must not be identically zero")
+    n = hs_grid.n
     q = n * p / (n - 1)
     u = poisson_extend(f, hs_grid)
     power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
@@ -122,7 +123,7 @@ def el_sides(f: RadialFn, n: int, p: float, hs_grid: HalfspaceGrid):
 
 
 def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
-    """Calibration amplitude a, residual of a*f, and the log-ratio spread.
+    """Calibration amplitude a and the residual sup|lhs-rhs| / sup lhs of a*f.
 
     The two sides scale as a^(p-1) and a^(np/(n-1)-1), so a comes from the
     mean of log(rhs/lhs), weighted by lhs^2 over the region carrying mass:
@@ -135,15 +136,11 @@ def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
         raise DomainError("nonpositive Euler-Lagrange ratio; cannot calibrate")
     logs = np.log(rhs[mask] / lhs[mask])
     log_ratio = float(np.average(logs, weights=lhs[mask] ** 2))
-    # shape diagnosis over the core only; the far mesh carries no mass but
-    # its quadrature is too weak to hold the ratio to calibration accuracy
-    core = lhs[mask] >= 1e-3 * np.max(lhs)
-    spread = float(np.max(np.abs(logs[core] - log_ratio)))
     q = n * p / (n - 1)
     a = math.exp(log_ratio / (p - q))
     lhs2 = a ** (p - 1.0) * lhs
     rhs2 = a ** (q - 1.0) * rhs
-    return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2)), spread
+    return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2))
 
 
 def power_profile(n: int, beta: float, theta) -> np.ndarray:

@@ -7,10 +7,11 @@ adjoint pair Hoelder's inequality makes its Rayleigh quotient |Pf|_q / |f|_p
 nondecreasing; here that holds only up to quadrature, since T is the
 kernel-symmetric row rule rather than the transpose of the discrete P, the
 gauge interpolates, and the quotient reads the polar half-space rule.  The
-gauge scales each iterate to unit L^p norm and
-dilates it so that half of its L^p mass sits inside the unit ball, as the
-existence theory does to restore compactness.  No convergence theorem backs
-the iteration; divergence is detected and reported with the trace.
+gauge scales each iterate to unit L^p norm and dilates it so that half of
+its L^p mass sits inside the unit ball, as the existence theory does to
+restore compactness.  The solve returns the last iterate it measured times
+its ``calibrate`` amplitude.  No convergence theorem backs the iteration;
+divergence is detected and reported with the trace.
 
 The module also hosts the inversion-symmetry machinery: a scan for the
 center that makes a planar field radial, the least-squares classifier for
@@ -40,7 +41,6 @@ from .quadrature import panel_rule
 class SolverConfig:
     max_iters: int
     tol_residual: float
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.max_iters >= 1 and self.tol_residual > 0.0):
@@ -129,43 +129,46 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
                    hs_grid: HalfspaceGrid):
     """Euler-Lagrange solve by the power method for the p -> q norm of P.
 
-    Returns (solution, trace).  The solution is gauge-normalized; its
-    amplitude solves the unit-coefficient system only after calibration by
-    ``calibrate``; the trace's Rayleigh quotients read the polar half-space
-    rule.  Raises SolverDivergence (trace attached) when the residual grows
-    tenfold over 50 iterations or an iterate diverges; a divergent iterate
-    gets its own trace row, NaN for what it could not compute.
+    Returns (solution, trace).  The solution is the trace's last iterate
+    times its calibration amplitude: it solves the unit-coefficient system
+    to within the last residual, converged or not.  The trace's Rayleigh
+    quotients read the polar half-space rule.  Raises SolverDivergence
+    (trace attached) when the residual grows tenfold over 50 iterations or
+    an iterate diverges; a divergent iterate gets its own trace row, NaN
+    for what it could not compute.
     """
     if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
         raise DomainError("initial guess must be nonnegative and nonzero")
     trace = IterationTrace()
     lam, f = normalize_mass_half(init, p)
-    for _ in range(cfg.max_iters):
+    while True:
         residual = rayleigh = math.nan
         try:
-            lhs, rhs = el_sides(f, n, p, hs_grid)
-            _, residual, _ = calibrate(n, p, lhs, rhs)
+            lhs, rhs = el_sides(f, p, hs_grid)
+            a, residual = calibrate(n, p, lhs, rhs)
             rayleigh = rayleigh_quotient(f, n, p, hs_grid)
         except DivergenceError as exc:
             # the failed iterate's row, NaN where it stopped short
             trace.append(residual, rayleigh, lam)
             trace.message = f"divergent iterate: {exc}"
-            raise SolverDivergence(trace.message, trace=trace) from exc
+            raise SolverDivergence(trace.message, trace) from exc
         trace.append(residual, rayleigh, lam)
         if residual <= cfg.tol_residual:
             trace.converged = True
             trace.message = f"residual {residual:.3e} <= tol"
-            return f, trace
+            break
         if len(trace) >= 50 and residual > 10.0 * trace.residuals[-50]:
             trace.message = "residual grew 10x over 50 iterations"
-            raise SolverDivergence(trace.message, trace=trace)
+            raise SolverDivergence(trace.message, trace)
+        if len(trace) == cfg.max_iters:
+            trace.message = f"no convergence in {cfg.max_iters} iterations"
+            break
         update = np.maximum(rhs, 0.0) ** (1.0 / (p - 1.0))
         # no declared tail: the start's (a Gaussian's is inf) is not the
         # iterate's, so the tail fit decides
         f = RadialFn(f.grid, update, nonnegative=True)
         lam, f = normalize_mass_half(f, p)
-    trace.message = f"no convergence in {cfg.max_iters} iterations"
-    return f, trace
+    return f.scaled(a), trace
 
 
 def start_profile(grid: RadialGrid, kind: str, amp: float,
@@ -196,28 +199,26 @@ def initial_profiles(grid: RadialGrid, rng: np.random.Generator):
     return start_profile(grid, kind, amp, width)
 
 
-def ascent_estimate_constant(n: int, p: float, trials: int, cfg: SolverConfig,
+def ascent_estimate_constant(p: float, trials: int, seed: int,
+                             cfg: SolverConfig,
                              hs_grid: HalfspaceGrid) -> float:
-    """Lower-bound estimate of the sharp constant: max Rayleigh quotient
-    recorded along fixed-point trajectories from random initializations on
-    the radial mesh of ``hs_grid``."""
+    """Lower-bound estimate of the sharp constant on R^n_+, n = hs_grid.n:
+    max Rayleigh quotient along fixed-point trajectories from random starts
+    drawn with ``seed``.  Raises SolverDivergence, with the last trial's
+    trace, when no trial records a finite quotient."""
     if trials < 1:
         raise DomainError("need at least one trial")
-    grid = hs_grid.radial
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     best = -math.inf
-    failures = 0
     for _ in range(trials):
-        init = initial_profiles(grid, rng)
+        init = initial_profiles(hs_grid.radial, rng)
         try:
-            _, trace = el_fixed_point(n, p, init, cfg, hs_grid)
+            _, trace = el_fixed_point(hs_grid.n, p, init, cfg, hs_grid)
         except SolverDivergence as exc:
-            failures += 1
-            best = max([best, *filter(math.isfinite, exc.trace.rayleighs)])
-            continue
-        best = max(best, max(trace.rayleighs))
-    if failures == trials and not math.isfinite(best):
-        raise SolverDivergence(f"all {trials} trials diverged")
+            trace = exc.trace
+        best = max([best, *filter(math.isfinite, trace.rayleighs)])
+    if not math.isfinite(best):
+        raise SolverDivergence(f"all {trials} trials diverged", trace)
     return float(best)
 
 

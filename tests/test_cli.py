@@ -149,12 +149,26 @@ def test_solve_el_uses_the_library_height_mesh(tmp_path, monkeypatch):
 
 
 def test_solve_el_calibrates_on_the_solve_mesh(tmp_path, monkeypatch):
-    # the family calibration must reuse the solve's operator, not build a
-    # second one
+    # the solve returns its solution calibrated on its own operator: one
+    # operator is built, and the Euler-Lagrange sides (one dual extension
+    # each) are evaluated once per trace row and never after the loop
+    from halfext import extremals
     heights = _operator_heights(monkeypatch)
+    calls = []
+    dual = extremals.dual_extend
+
+    def counted(u):
+        calls.append(u)
+        return dual(u)
+
+    monkeypatch.setattr(extremals, "dual_extend", counted)
+    out = tmp_path / "el"
     run_cli(["run", "solve-el", "--grid-n", "64", "--max-iters", "3",
-             "--out", str(tmp_path / "el")])
+             "--out", str(out)])
     assert [h.size for h in heights] == [48]
+    with open(out / "trace.csv") as fh:
+        assert len(calls) == len(fh.readlines()) - 1 == 3
+    assert "amplitude" not in load_summary(out)["results"]
 
 
 def test_summary_meta_reports_operator_cache(tmp_path, monkeypatch):

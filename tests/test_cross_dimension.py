@@ -94,8 +94,8 @@ def test_strong_bound_at_stated_pairs(n, p, e_min, boundary4, boundary3):
     # ascent solver (a consistency statement, not a fixed constant)
     grid = boundary3 if n == 3 else boundary4
     hs = default_halfspace_grid(grid)
-    cfg = SolverConfig(max_iters=200, tol_residual=3e-4, seed=2)
-    c = ascent_estimate_constant(n, p, 2, cfg, hs)
+    cfg = SolverConfig(max_iters=200, tol_residual=3e-4)
+    c = ascent_estimate_constant(p, 2, 2, cfg, hs)
     rng = np.random.default_rng(int(10 * p) + n)
     q = n * p / (n - 1)
     for f in _random_profiles(grid, rng, 20, e_min):

@@ -6,8 +6,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfext"
-CEILING = 34
-LINE_CEILING = 2012     # non-blank, non-comment lines of src/halfext/*.py
+CEILING = 32
+LINE_CEILING = 2010     # non-blank, non-comment lines of src/halfext/*.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -71,12 +71,13 @@ def test_mass_half_rejects_zero(boundary3):
 
 def test_fixed_point_from_extremal(boundary3, halfspace3):
     # starting at the solution: residual below tolerance at iteration 1 and
-    # the profile unchanged
+    # the profile unchanged up to the gauge and the calibration
     f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
     cfg = SolverConfig(max_iters=10, tol_residual=1e-6)
     sol, trace = el_fixed_point(3, 4.0, f, cfg, halfspace3)
     assert trace.converged and len(trace) == 1
     lam, fn = normalize_mass_half(f, 4.0)
+    fn = fn.scaled(calibrate(3, 4.0, *el_sides(fn, 4.0, halfspace3))[0])
     assert np.max(np.abs(sol.values - fn.values)
                   / np.maximum(fn.values, 1e-12)) < 1e-6
 
@@ -156,18 +157,21 @@ def test_fixed_point_dual_family(boundary3, halfspace3):
 
 
 def test_fixed_point_consistency_posthoc(boundary3, halfspace3):
+    # the converged solution is already calibrated to the unit-coefficient
+    # system
     init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                          nonnegative=True)
     cfg = SolverConfig(max_iters=300, tol_residual=1e-4)
     sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
-    a = calibrate(3, 4.0, *el_sides(sol, 3, 4.0, halfspace3))[0]
-    again, residual, _ = calibrate(
-        3, 4.0, *el_sides(sol.scaled(a), 3, 4.0, halfspace3))
-    assert again == pytest.approx(1.0, abs=1e-6)
+    assert trace.converged
+    a, residual = calibrate(3, 4.0, *el_sides(sol, 4.0, halfspace3))
+    assert a == pytest.approx(1.0, rel=1e-12)
     assert residual <= cfg.tol_residual
 
 
 def test_unconverged_reports(boundary3, halfspace3):
+    # at max_iters the solution is the trace's last iterate, calibrated: its
+    # residual is the one the last row records
     init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                          nonnegative=True)
     cfg = SolverConfig(max_iters=3, tol_residual=1e-12)
@@ -175,6 +179,9 @@ def test_unconverged_reports(boundary3, halfspace3):
     assert not trace.converged
     assert "no convergence" in trace.message
     assert len(trace) == 3
+    a, residual = calibrate(3, 4.0, *el_sides(sol, 4.0, halfspace3))
+    assert a == pytest.approx(1.0, rel=1e-12)
+    assert residual == pytest.approx(trace.residuals[-1], rel=1e-12)
 
 
 def test_scaling_covariance_of_iteration_map(boundary3, halfspace3):
@@ -212,37 +219,42 @@ def test_scaling_covariance_of_iteration_map(boundary3, halfspace3):
 
 
 def test_determinism(halfspace3):
-    cfg = SolverConfig(max_iters=25, tol_residual=1e-9, seed=42)
+    cfg = SolverConfig(max_iters=25, tol_residual=1e-9)
     runs = []
     for _ in range(2):
-        est = ascent_estimate_constant(3, 4.0, 2, cfg, halfspace3)
+        est = ascent_estimate_constant(4.0, 2, 42, cfg, halfspace3)
         runs.append(est)
     assert runs[0] == runs[1]
 
 
 def test_ascent_estimate(halfspace3):
-    cfg = SolverConfig(max_iters=150, tol_residual=1e-4, seed=3)
-    est = ascent_estimate_constant(3, 4.0, 3, cfg, halfspace3)
+    cfg = SolverConfig(max_iters=150, tol_residual=1e-4)
+    est = ascent_estimate_constant(4.0, 3, 3, cfg, halfspace3)
     c = sharp_constant(3, "conformal")
     assert abs(est - c) / c < 5e-3
 
 
 def test_ascent_cross_seed_stability(halfspace3):
     # p = 2 has no closed form; the estimate must be seed-stable
-    vals = []
-    for seed in (1, 2):
-        cfg = SolverConfig(max_iters=150, tol_residual=2e-4, seed=seed)
-        vals.append(ascent_estimate_constant(3, 2.0, 2, cfg, halfspace3))
+    cfg = SolverConfig(max_iters=150, tol_residual=2e-4)
+    vals = [ascent_estimate_constant(2.0, 2, seed, cfg, halfspace3)
+            for seed in (1, 2)]
     assert abs(vals[0] - vals[1]) / vals[0] < 5e-3
 
 
 def test_ascent_all_trials_diverged():
     # at p = 1.1 every start leaves what the mesh can hold, and no trial
-    # records a finite Rayleigh quotient to report
+    # records a finite Rayleigh quotient to report; the error carries the
+    # last trial's trace
     hs = default_halfspace_grid(build_radial_grid(2, 48))
     cfg = SolverConfig(max_iters=50, tol_residual=1e-6)
-    with pytest.raises(SolverDivergence, match="^all 3 trials diverged$"):
-        ascent_estimate_constant(3, 1.1, 3, cfg, hs)
+    with pytest.raises(SolverDivergence,
+                       match="^all 3 trials diverged$") as exc:
+        ascent_estimate_constant(1.1, 3, 0, cfg, hs)
+    trace = exc.value.trace
+    assert len(trace) >= 1 and not trace.converged
+    assert trace.message.startswith("divergent iterate")
+    assert not any(map(math.isfinite, trace.rayleighs))
 
 
 def test_initial_profiles_menu(boundary3):
@@ -375,7 +387,7 @@ def test_converged_solution_inversion_symmetry(boundary3, halfspace3):
 def test_trace_bitwise_determinism(boundary3, halfspace3):
     init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
                          nonnegative=True)
-    cfg = SolverConfig(max_iters=20, tol_residual=1e-9, seed=7)
+    cfg = SolverConfig(max_iters=20, tol_residual=1e-9)
     traces = []
     for _ in range(2):
         _, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
