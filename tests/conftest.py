@@ -21,6 +21,6 @@ def halfspace3(boundary3):
     return default_halfspace_grid(boundary3)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

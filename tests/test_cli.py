@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from halfext.cli import ExperimentConfig, main
+from halfext.cli import ExperimentConfig, _build_parser, main
 from halfext.grids import build_radial_grid, default_halfspace_grid
 
 
@@ -55,24 +56,45 @@ def test_unknown_experiment_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [
-    ["--grid-n", "8"], ["--p", "0.5"], ["--p", "inf"], ["--n", "1"],
-    ["--trials", "0"], ["--max-iters", "0"], ["--tol-residual", "0"]],
-    ids=["grid-n", "p", "p-inf", "n", "trials", "max-iters", "tol-residual"])
-def test_invalid_config_usage_error(tmp_path, capsys, flags):
+def test_run_flags_are_the_config_fields():
+    # the flags are the only input: one per ExperimentConfig field, no other
+    run = _build_parser()._subparsers._group_actions[0].choices["run"]
+    dests = {a.dest for a in run._actions}
+    assert dests == {f.name for f in fields(ExperimentConfig)} | {"help"}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "verify-kernel", "--config", "x.json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("experiment, flags", [
+    ("verify-kernel", ["--grid-n", "8"]), ("verify-kernel", ["--p", "0.5"]),
+    ("verify-kernel", ["--p", "inf"]), ("verify-kernel", ["--n", "1"]),
+    ("verify-kernel", ["--trials", "0"]),
+    ("verify-kernel", ["--max-iters", "0"]),
+    ("verify-kernel", ["--tol-residual", "0"]),
+    # a misspelt init, which every experiment rejects (not only solve-el,
+    # the one that reads it)
+    ("verify-kernel", ["--init", "gausian"]),
+    ("solve-el", ["--init", "gausian"]),
+    # scripted on R^3_+ only
+    ("verify-identities", ["--n", "4"]), ("rearrange-demo", ["--n", "5"])],
+    ids=["grid-n", "p", "p-inf", "n", "trials", "max-iters", "tol-residual",
+         "init-verify-kernel", "init-solve-el", "n4-verify-identities",
+         "n5-rearrange-demo"])
+def test_invalid_config_usage_error(tmp_path, capsys, experiment, flags):
     # values the config rejects are usage errors: exit 2, a one-line
     # message, and no summary written
     out = tmp_path / "bad"
-    assert run_cli(["run", "verify-kernel", *flags, "--out", str(out)]) == 2
+    assert run_cli(["run", experiment, *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (out / "summary.json").exists()
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # the identity script is n=3 only; other n reports a numerical failure
+    # p = 1.1 outruns the 48-node mesh: every ascent trial diverges
     out = tmp_path / "fail"
-    assert run_cli(["run", "verify-identities", "--n", "4",
-                    "--out", str(out)]) == 1
+    assert run_cli(["run", "estimate-constant", "--p", "1.1", "--trials", "1",
+                    "--grid-n", "48", "--out", str(out)]) == 1
     summary = load_summary(out)
     assert summary["pass"] is False
     assert any(c["name"] == "numerical_failure" for c in summary["checks"])
@@ -188,66 +210,6 @@ def test_summary_meta_reports_operator_cache(tmp_path, monkeypatch):
     assert first["evictions"] == second["evictions"] == 0
     hs = default_halfspace_grid(build_radial_grid(2, 64))
     assert second["held_mb"] == extension.operator_nbytes(hs) / 2 ** 20
-
-
-def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 3, "seed": 5, "grid_n": 96}))
-    out = tmp_path / "cfgout"
-    assert run_cli(["run", "verify-kernel", "--config", str(cfg),
-                    "--seed", "9", "--out", str(out)]) == 0
-    summary = load_summary(out)
-    assert summary["config"]["grid_n"] == 96     # from file
-    assert summary["config"]["seed"] == 9        # flag wins
-
-
-@pytest.mark.parametrize("entry", [
-    {"grid_n": "96"}, {"p": None}, {"tol_residual": "1e-4"}, {"seed": 1.5},
-    {"grid_n": 40.5}, {"trials": True}, [], 5],
-    ids=["str-int", "null", "str-float", "float-int", "fraction", "bool-int",
-         "list", "number"])
-def test_config_file_values_typed_like_flags(tmp_path, capsys, entry):
-    # a flat object whose values have their fields' types, or exit 2, one
-    # error line, and nothing written
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(entry))
-    out = tmp_path / "bad"
-    assert run_cli(["run", "verify-kernel", "--config", str(cfg),
-                    "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_config_file_integer_fills_a_float_field(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 4}))
-    out = tmp_path / "int"
-    assert run_cli(["run", "verify-kernel", "--config", str(cfg),
-                    "--out", str(out)]) == 0
-    p = load_summary(out)["config"]["p"]
-    assert p == 4.0 and type(p) is float
-
-
-def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "bad"
-    # a misspelt key, the removed normalization, damping, quad_order and
-    # write_fixtures options, and a misspelt init, which every experiment
-    # rejects (not only solve-el, the one that reads it)
-    for experiment, entry in (
-            ("verify-kernel", {"grid_m": 96}),
-            ("verify-kernel", {"normalization": "mass_half"}),
-            ("verify-kernel", {"damping": 0.5}),
-            ("verify-kernel", {"quad_order": 64}),
-            ("verify-kernel", {"write_fixtures": True}),
-            ("verify-kernel", {"init": "gausian"}),
-            ("solve-el", {"init": "gausian"})):
-        cfg.write_text(json.dumps(entry))
-        assert run_cli(["run", experiment, "--config", str(cfg),
-                        "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (out / "summary.json").exists()
 
 
 def test_idempotent_summary(tmp_path):
