@@ -19,9 +19,8 @@ from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
                         rayleigh_quotient, sharp_constant, singular_constant)
 from .rearrange import (planar_convolution, radial_to_polar, riesz_gain,
                         symmetric_rearrangement)
-from .solver import (ClassifyResult, IterationTrace, SolverConfig,
-                     ascent_estimate_constant, classify_inverted_radial,
+from .solver import (IterationTrace, SolverConfig, ascent_estimate_constant,
                      el_fixed_point, match_extremal_family,
-                     normalize_mass_half, ode_check_1d, radial_about_point)
+                     normalize_mass_half, radial_about_point)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Fixed-point solution of the Euler-Lagrange system and symmetry classifiers.
+"""Fixed-point solution of the Euler-Lagrange system and the family fit.
 
 The iteration f <- [T((Pf)^(q-1))]^(1/(p-1)), q = np/(n-1), renormalized
 each step, is the nonlinear power method for the p -> q norm of P (Boyd,
@@ -13,10 +13,10 @@ restore compactness.  The solve returns the last iterate it measured times
 its ``calibrate`` amplitude.  No convergence theorem backs the iteration;
 divergence is detected and reported with the trace.
 
-The module also hosts the inversion-symmetry machinery: a scan for the
-center that makes a planar field radial, the least-squares classifier for
-profiles of the form (c1 r^2 + c2)^(alpha/2) versus pure powers c1 r^alpha,
-and the one-dimensional third-difference test for [a(x-x0)^2+b]^(alpha/2).
+The module also hosts the symmetry classification: the one family fit,
+which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
+either closed-form family, and a scan for the center that makes a planar
+field radial.
 """
 
 from __future__ import annotations
@@ -243,7 +243,11 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
 
     Returns (lam, amplitude, sup relative error over nodes with r <= window).
     The shapes are ``ExtremalSpec.profile``; an unknown ``kind`` raises
-    DomainError.
+    DomainError.  lam is searched in [e^-3, e^3] only (the mass-half gauge
+    puts members near lam = 1).  A lam on the bracket's edge makes the
+    error an upper bound on the family's misfit: an exact dual member with
+    lam = 25 comes back as lam = e^3 with error 0.051, and the conformal
+    fit of the n = 3 EL solutions at p = 4/3 and 1.6 lands on lam = e^-3.
     """
     sel = f.grid.nodes <= r_window
     r = f.grid.nodes[sel]
@@ -303,66 +307,3 @@ def radial_about_point(v: PolarFn, tol: float):
     hi = grid_a[min(i + 1, grid_a.size - 1)]
     a = _golden_min(deviation, lo, hi, 1e-10)
     return np.array([a, 0.0]) if deviation(a) <= tol else None
-
-
-@dataclass(frozen=True)
-class ClassifyResult:
-    kind: str            # "quadratic_power", "pure_power", or "none"
-    c1: float = math.nan
-    c2: float = math.nan
-
-
-FIT_TOL = 1e-6
-
-
-def classify_inverted_radial(u: RadialFn, alpha: float) -> ClassifyResult:
-    """Decide whether u is (c1 r^2 + c2)^(alpha/2), c1 r^alpha, or neither.
-
-    u^(2/alpha) is fit to the linear model c1 r^2 + c2 by least squares with
-    relative weights; membership requires pointwise relative fit residual
-    <= FIT_TOL.  Pure powers are recognized by the intercept-free fit
-    passing the same residual test (exact members have c2 = 0).
-    """
-    if alpha == 0.0:
-        raise DomainError("alpha = 0 is a degenerate case, not classified")
-    if np.any(u.values <= 0.0):
-        raise DomainError("classification needs strictly positive samples")
-    r2 = u.grid.nodes ** 2
-    y = np.exp((2.0 / alpha) * np.log(u.values))
-    w = 1.0 / y
-    A = np.stack([r2 * w, np.ones_like(r2) * w], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y * w, rcond=None)
-    c1, c2 = float(coef[0]), float(coef[1])
-    fit = c1 * r2 + c2
-    ok_two = np.all(fit > 0.0) and float(np.max(np.abs(y - fit) / y)) <= FIT_TOL
-    a_vec = r2 * w
-    c1_pow = float(np.dot(a_vec, y * w) / np.dot(a_vec, a_vec))
-    fit_pow = c1_pow * r2
-    ok_pow = c1_pow > 0.0 and float(np.max(np.abs(y - fit_pow) / y)) <= FIT_TOL
-    if ok_pow:
-        return ClassifyResult("pure_power", c1_pow ** (0.5 * alpha))
-    if ok_two and c2 > 0.0 and c1 >= -FIT_TOL * abs(c2):
-        return ClassifyResult("quadratic_power", max(c1, 0.0), c2)
-    return ClassifyResult("none")
-
-
-def ode_check_1d(x, u, alpha: float) -> float:
-    """Max |third difference of u^(2/alpha)| / (2h^3) on a uniform mesh.
-
-    Vanishes (to roundoff amplified by h^-3) exactly on the family
-    [a(x-x0)^2 + b]^(alpha/2); at least 7 samples required.
-    """
-    if alpha == 0.0:
-        raise DomainError("alpha must be nonzero")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.size < 7 or x.shape != u.shape:
-        raise DomainError("need >= 7 samples on a common mesh")
-    h = x[1] - x[0]
-    if h <= 0.0 or np.max(np.abs(np.diff(x) - h)) > 1e-9 * abs(h):
-        raise DomainError("samples must be uniformly spaced")
-    if np.any(u <= 0.0):
-        raise DomainError("samples must be strictly positive")
-    y = np.exp((2.0 / alpha) * np.log(u))
-    third = y[4:] - 2.0 * y[3:-1] + 2.0 * y[1:-3] - y[:-4]
-    return float(np.max(np.abs(third)) / (2.0 * h ** 3))

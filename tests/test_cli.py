@@ -77,10 +77,11 @@ def test_run_flags_are_the_config_fields():
     ("verify-kernel", ["--init", "gausian"]),
     ("solve-el", ["--init", "gausian"]),
     # scripted on R^3_+ only
-    ("verify-identities", ["--n", "4"]), ("rearrange-demo", ["--n", "5"])],
+    ("verify-identities", ["--n", "4"]), ("rearrange-demo", ["--n", "5"]),
+    ("classify-radial", ["--n", "4"])],
     ids=["grid-n", "p", "p-inf", "n", "trials", "max-iters", "tol-residual",
          "init-verify-kernel", "init-solve-el", "n4-verify-identities",
-         "n5-rearrange-demo"])
+         "n5-rearrange-demo", "n4-classify-radial"])
 def test_invalid_config_usage_error(tmp_path, capsys, experiment, flags):
     # values the config rejects are usage errors: exit 2, a one-line
     # message, and no summary written
@@ -253,6 +254,20 @@ def test_solve_el_dual_exponent_converges(tmp_path):
     results = load_summary(out)["results"]
     assert results["family"] == "dual"
     assert results["family_match_error"] <= 1e-3
+
+
+@pytest.mark.parametrize("p", ["3.0", "4.0"])
+def test_solve_el_classifies_its_solution(tmp_path, p):
+    # the solutions are bubbles only at the closed-form exponents: at p = 4
+    # the conformal family fits and the dual does not, at p = 3 neither does
+    out = tmp_path / "el"
+    assert run_cli(["run", "solve-el", "--p", p, "--out", str(out)]) == 0
+    results = load_summary(out)["results"]
+    if p == "4.0":
+        assert results["misfit_conformal"] <= 1e-3
+    else:
+        assert results["misfit_conformal"] >= 0.1
+    assert results["misfit_dual"] >= 0.1
 
 
 def test_solve_el_divergence_keeps_trace(tmp_path):

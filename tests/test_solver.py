@@ -10,10 +10,9 @@ from halfext.grids import (build_radial_grid, default_halfspace_grid,
                            dilate_boundary, sample_radial)
 from halfext.moebius import boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig,
-                            ascent_estimate_constant, classify_inverted_radial,
-                            concentration_radius, el_fixed_point,
-                            initial_profiles, match_extremal_family,
-                            normalize_mass_half, ode_check_1d,
+                            ascent_estimate_constant, concentration_radius,
+                            el_fixed_point, initial_profiles,
+                            match_extremal_family, normalize_mass_half,
                             radial_about_point)
 
 
@@ -123,6 +122,37 @@ def test_match_extremal_family_rejects_unknown_kind(boundary3):
     assert match_extremal_family(f, 3, "dual", 10.0)[2] < 1e-12
     with pytest.raises(DomainError):
         match_extremal_family(f, 3, "duall", 10.0)
+
+
+@pytest.mark.parametrize("kind, other", [("conformal", "dual"),
+                                         ("dual", "conformal")])
+def test_match_extremal_family_rejects_nonmembers(boundary3, kind, other):
+    # at the corners of classify-radial's draws (lam = 3, eps = 0.02), where
+    # the misfits are smallest, the other family's member and a perturbed
+    # bubble still miss by more than solve-el's 1e-3 membership gate
+    f = extremal_profile(ExtremalSpec(3, kind, lam=3.0), boundary3)
+    assert match_extremal_family(f, 3, other, 10.0)[2] >= 0.1
+    e = ExtremalSpec(3, kind).exponent
+    u = sample_radial(boundary3,
+                      lambda r: (1 + r ** 2 + 0.02 * np.sin(r)) ** -e,
+                      nonnegative=True)
+    assert match_extremal_family(u, 3, kind, 10.0)[2] >= 2e-3
+
+
+def test_match_extremal_family_bracket_edge(boundary3):
+    # lambda is searched in [e^-3, e^3]: an exact member outside it comes
+    # back on the edge, and its error only bounds the family's misfit
+    f = extremal_profile(ExtremalSpec(3, "dual", lam=25.0), boundary3)
+    lam, _, err = match_extremal_family(f, 3, "dual", 10.0)
+    assert lam == pytest.approx(math.exp(3.0), rel=1e-9)
+    assert 0.04 < err < 0.06
+
+
+def test_match_extremal_family_needs_positive_window(boundary3):
+    u = sample_radial(boundary3, lambda r: np.maximum(1.0 - r ** 2, 0.0),
+                      nonnegative=True)
+    with pytest.raises(DomainError):
+        match_extremal_family(u, 3, "conformal", 10.0)
 
 
 def test_solution_tail_is_fitted_not_inherited(boundary3, halfspace3):
@@ -309,67 +339,6 @@ def test_radial_about_point_rejects_perturbed(boundary3):
         * (1 + 0.1 * r / (1 + r)), nonnegative=True)
     v = boundary_inversion(u, alpha, shift=1.0)
     assert radial_about_point(v, 1e-3) is None
-
-
-def test_classify_quadratic(boundary3):
-    u = sample_radial(boundary3, lambda r: (0.3 * r ** 2 + 0.7) ** -0.5,
-                      nonnegative=True)
-    got = classify_inverted_radial(u, -1.0)
-    assert got.kind == "quadratic_power"
-    assert got.c1 == pytest.approx(0.3, abs=1e-9)
-    assert got.c2 == pytest.approx(0.7, abs=1e-9)
-
-
-def test_classify_pure_power(boundary3):
-    u = sample_radial(boundary3, lambda r: 2.0 * r ** -1.0, value_at_zero=0.0)
-    got = classify_inverted_radial(u, -1.0)
-    assert got.kind == "pure_power"
-    assert got.c1 == pytest.approx(2.0, rel=1e-9)
-
-
-def test_classify_constant_is_quadratic_member(boundary3):
-    u = sample_radial(boundary3, lambda r: 0.8 + 0.0 * r, nonnegative=True)
-    got = classify_inverted_radial(u, 2.0)
-    assert got.kind == "quadratic_power"
-    assert got.c1 == pytest.approx(0.0, abs=1e-10)
-    assert got.c2 == pytest.approx(0.8, rel=1e-10)
-
-
-def test_classify_rejects_perturbed(boundary3):
-    u = sample_radial(boundary3,
-                      lambda r: (1 + r ** 2 + 0.05 * np.sin(r)) ** -0.5,
-                      nonnegative=True)
-    assert classify_inverted_radial(u, -1.0).kind == "none"
-
-
-def test_classify_alpha_zero_rejected(boundary3):
-    u = sample_radial(boundary3, lambda r: np.exp(-r), nonnegative=True)
-    with pytest.raises(DomainError):
-        classify_inverted_radial(u, 0.0)
-
-
-def test_ode_check_family_members():
-    x = np.linspace(1.0, 2.0, 25)
-    assert ode_check_1d(x, (x ** 2 + 1) ** -0.5, -1.0) <= 1e-8
-    assert ode_check_1d(x, (2 * (x - 1) ** 2 + 3) ** 0.75, 1.5) <= 1e-8
-
-
-def test_ode_check_nonmember():
-    x = np.linspace(0.0, 1.0, 33)
-    res = ode_check_1d(x, np.exp(x), 2.0)
-    assert res >= 0.5 * math.exp(0.0)
-
-
-def test_ode_check_validation():
-    x = np.linspace(0.0, 1.0, 6)
-    with pytest.raises(DomainError):
-        ode_check_1d(x, np.ones(6), 1.0)
-    x = np.array([0.0, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7])
-    with pytest.raises(DomainError):
-        ode_check_1d(x, np.ones(7), 1.0)
-    x = np.linspace(0.0, 1.0, 9)
-    with pytest.raises(DomainError):
-        ode_check_1d(x, np.zeros(9), 1.0)
 
 
 def test_converged_solution_inversion_symmetry(boundary3, halfspace3):
