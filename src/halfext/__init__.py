@@ -9,7 +9,7 @@ from .kernel import (kernel_constant, poisson_kernel, pt_lp_norm, pt_profile,
                      sphere_area, unit_ball_volume)
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     RadialGrid, build_radial_grid, default_halfspace_grid,
-                    dilate_boundary, distribution_mass,
+                    dilate_boundary, distribution, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
                     weak_lp_norm)
 from .extension import (commutator_gap, dual_extend, extend_at, kernel_mass,

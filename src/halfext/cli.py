@@ -40,13 +40,12 @@ from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
 from .extremals import ExtremalSpec, extremal_profile, sharp_constant
 from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
-                    default_halfspace_grid, distribution_mass,
+                    default_halfspace_grid, distribution, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
                     weak_lp_norm, write_csv)
 from .kernel import pt_lp_norm, pt_profile, poisson_kernel
 from .moebius import ball_map, boundary_inversion, halfspace_inversion
-from .rearrange import (radial_to_polar, rearrangement_steps, riesz_gain,
-                        symmetric_rearrangement)
+from .rearrange import radial_to_polar, riesz_gain, symmetric_rearrangement
 from .solver import (SolverConfig, ascent_estimate_constant, el_fixed_point,
                      match_extremal_family, start_profile)
 
@@ -116,7 +115,7 @@ def _jsonable(x):
 
 
 def _meshes(cfg: ExperimentConfig):
-    g = build_radial_grid(cfg.n - 1, cfg.grid_n, "tan", 1.0)
+    g = build_radial_grid(cfg.n - 1, cfg.grid_n)
     return g, default_halfspace_grid(g)
 
 
@@ -215,7 +214,7 @@ def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
     u = poisson_extend(f, hs)
     exponent = n / (n - 1)
     levels = np.geomspace(1e-4, float(np.max(u.values)) * 0.8, 25)
-    masses = np.array([distribution_mass(u, lv) for lv in levels])
+    masses = distribution_mass(u, levels)
     ok_mono = bool(np.all(np.diff(masses) <= 1e-12))
     checks.add("mass_monotone_in_level", 0.0 if ok_mono else 1.0, 0.0, 0.5)
     wn = weak_lp_norm(u, exponent)
@@ -265,20 +264,22 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     # the solutions are bubbles exactly at the closed-form exponents
     fits = {kind: match_extremal_family(sol, n, kind, 10.0)
             for kind in ("conformal", "dual")}
-    extra.update({f"misfit_{kind}": fit[2] for kind, fit in fits.items()})
+    # a lambda on the fit's bracket edge e^-3 or e^3 makes that family's
+    # misfit an upper bound
+    for kind, (lam, _, err) in fits.items():
+        extra.update({f"lambda_{kind}": lam, f"misfit_{kind}": err})
     if family is not None:
         # the solution is calibrated to the unit-coefficient system, so the
         # fitted amplitude is the lambda-free constant of the solved family
-        lam, family_c, err = fits[family]
+        _, family_c, err = fits[family]
         checks.bound("family_match_error", err, 1e-3)
-        extra.update({"family": family, "lambda": lam,
-                      "family_constant": family_c,
+        extra.update({"family": family, "family_constant": family_c,
                       "family_match_error": err})
     return extra
 
 
 def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
-    g = build_radial_grid(2, max(cfg.grid_n // 2, 48), "tan", 1.0)
+    g = build_radial_grid(2, max(cfg.grid_n // 2, 48))
     pg = PolarGrid(g, 48)
     x, y = pg.points()
     two_bump = (np.exp(-((x - 1.2) ** 2 + y ** 2) * 3.0)
@@ -287,8 +288,8 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
     star = symmetric_rearrangement(f)
     star.to_csv(os.path.join(outdir, "profile.csv"))
     cells = pg.cell_measures()
-    v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
-    shells = np.diff(np.concatenate(([0.0], rho ** 2))) * np.pi
+    v, mu = distribution(f.values, cells)
+    shells = np.diff(mu, prepend=0.0)
     for p in (1.0, 2.0, 4.0):
         orig = float(np.sum(cells * f.values ** p))
         star_mass = float(np.dot(shells, v ** p))
@@ -303,7 +304,7 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
 def run_classify_radial(cfg: ExperimentConfig, checks: Checks, outdir: str):
     # the family fit must recover seeded bubbles of both families and reject
     # the other family's members and perturbed bubbles
-    g = build_radial_grid(2, cfg.grid_n, "tan", 1.0)
+    g = build_radial_grid(2, cfg.grid_n)
     rng = np.random.default_rng(cfg.seed)
     member = np.zeros(3)        # worst |lam/lam0 - 1|, |amp/amp0 - 1|, misfit
     cross, perturbed = [], []

@@ -256,12 +256,11 @@ def write_csv(path, header, *columns) -> None:
         writer.writerows([repr(v) for v in row] for row in rows)
 
 
-def sample_radial(grid: RadialGrid, fn, value_at_zero=None,
-                  tail_exponent=math.nan, nonnegative=False) -> RadialFn:
-    """Sample a callable profile fn(r) onto a grid."""
+def sample_radial(grid: RadialGrid, fn, tail_exponent=math.nan,
+                  nonnegative=False) -> RadialFn:
+    """Sample a callable profile fn(r) onto a grid, with fn(0) at zero."""
     vals = np.asarray(fn(grid.nodes), dtype=float)
-    f0 = fn(0.0) if value_at_zero is None else value_at_zero
-    return RadialFn(grid, vals, float(f0), tail_exponent, nonnegative)
+    return RadialFn(grid, vals, float(fn(0.0)), tail_exponent, nonnegative)
 
 
 @dataclass(eq=False)
@@ -457,32 +456,44 @@ def default_halfspace_grid(boundary: RadialGrid) -> HalfspaceGrid:
     return HalfspaceGrid(boundary, build_radial_grid(1, N_t))
 
 
-def distribution_mass(u, level: float) -> float:
-    """Measure of the superlevel set {x : u(x) > level} by cell quadrature,
-    for any samples whose grid has ``cell_measures()`` (AxisymFn, PolarFn)."""
-    if level <= 0.0:
-        raise DomainError(f"level must be positive, got {level}")
-    cells = u.grid.cell_measures()
-    return float(np.sum(cells[u.values > level]))
+def distribution(values, measures):
+    """The distribution function of sampled data, from one sort.
+
+    Returns (v, mu): the values in decreasing order (stable, so ties keep
+    their input order) and the running total of their cell measures, so
+    that mu[k] is the measure of the cells holding v[0], ..., v[k].
+    """
+    values, measures = np.asarray(values, float), np.asarray(measures, float)
+    if values.shape != measures.shape:
+        raise DomainError("values and measures must align")
+    if np.any(measures < 0.0):
+        raise DomainError("cell measures must be nonnegative")
+    order = np.argsort(-values.ravel(), kind="stable")
+    return values.ravel()[order], np.cumsum(measures.ravel()[order])
+
+
+def distribution_mass(u, levels):
+    """Measures of the superlevel sets {x : u(x) > s} at an array of levels
+    s, by cell quadrature and one sort, for any samples whose grid has
+    ``cell_measures()`` (AxisymFn, PolarFn).  A scalar level gives a float."""
+    levels = np.asarray(levels, dtype=float)
+    if np.any(levels <= 0.0):
+        raise DomainError(f"levels must be positive, got {np.min(levels)}")
+    v, mu = distribution(u.values, u.grid.cell_measures())
+    # -v ascends; k counts the values above each level
+    k = np.searchsorted(-v, -levels, side="left")
+    mass = np.concatenate(([0.0], mu))[k]
+    return float(mass) if levels.ndim == 0 else mass
 
 
 def weak_lp_norm(u: AxisymFn, p: float) -> float:
     """Weak-L^p quasi-norm sup_t t*|{|u| > t}|^(1/p), over sampled levels.
 
     The supremum is evaluated at the sampled values (left limits, so a level
-    contributes the measure of {|u| >= level}); this under-estimates the
-    continuum supremum by at most one grid cell.
+    contributes the measure of {|u| >= level}, its ties' last running total);
+    this under-estimates the continuum supremum by at most one grid cell.
     """
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    absu = np.abs(u.values).ravel()
-    cells = u.grid.cell_measures().ravel()
-    if not np.any(absu > 0.0):
-        return 0.0
-    order = np.argsort(absu)[::-1]
-    v = absu[order]
-    cum = np.cumsum(cells[order])
-    # at level v_k the set {|u| >= v_k} has measure cum at the LAST index of
-    # the tied block; take maximum over all positions (ties handled for free)
-    cand = v * cum ** (1.0 / p)
-    return float(np.max(cand))
+    v, mu = distribution(np.abs(u.values), u.grid.cell_measures())
+    return float(np.max(v * mu ** (1.0 / p)))

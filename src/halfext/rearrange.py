@@ -1,10 +1,12 @@
 """Symmetric decreasing rearrangement and convolution-norm monotonicity.
 
 The rearrangement f* of a nonnegative sampled function is computed in
-measure space: (value, cell measure) pairs are sorted by decreasing value
-(stable, so ties keep their original order and the result is deterministic)
-and re-accumulated into balls of equal volume.  Equimeasurability and L^p
-preservation are then exact up to float summation order.
+measure space, from the distribution function ``grids.distribution``: the
+values in decreasing order (stable, so ties keep their original order and
+the result is deterministic) and the running total mu of their cell
+measures.  f* takes the k-th value on the shell between the discs of area
+mu[k-1] and mu[k], so equimeasurability and L^p preservation are exact up
+to float summation order.
 
 riesz_gain quantifies the convolution-norm monotonicity
 |P_t * f|_q <= |P_t * f*|_q.  Both norms are evaluated through the same
@@ -26,29 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .grids import PolarFn, PolarGrid, RadialFn
+from .grids import PolarFn, PolarGrid, RadialFn, distribution
 from .kernel import pt_profile, unit_ball_volume
-
-
-def rearrangement_steps(values, measures, d: int):
-    """Sorted (descending) values and outer radii of the equimeasured balls.
-
-    Returns (v, rho) where f* equals v[k] on the shell rho[k-1] < r <= rho[k]
-    (rho[-1] treated as 0).
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    measures = np.asarray(measures, dtype=float).ravel()
-    if values.shape != measures.shape:
-        raise DomainError("values and measures must align")
-    if np.any(values < 0.0):
-        raise DomainError("rearrangement is defined for nonnegative data")
-    if np.any(measures < 0.0):
-        raise DomainError("cell measures must be nonnegative")
-    order = np.argsort(-values, kind="stable")
-    v = values[order]
-    cum = np.cumsum(measures[order])
-    rho = (cum / unit_ball_volume(d)) ** (1.0 / d)
-    return v, rho
 
 
 def symmetric_rearrangement(f: PolarFn) -> RadialFn:
@@ -58,8 +39,11 @@ def symmetric_rearrangement(f: PolarFn) -> RadialFn:
     """
     if not isinstance(f, PolarFn):
         raise DomainError("expected a PolarFn")
+    if np.any(f.values < 0.0):
+        raise DomainError("rearrangement is defined for nonnegative data")
     grid = f.grid.radial
-    v, rho = rearrangement_steps(f.values, f.grid.cell_measures(), 2)
+    v, mu = distribution(f.values, f.grid.cell_measures())
+    rho = (mu / unit_ball_volume(2)) ** (1.0 / 2)
     idx = np.searchsorted(rho, grid.nodes, side="left")
     vals = np.where(idx < v.size, v[np.minimum(idx, v.size - 1)], 0.0)
     return RadialFn(grid, vals, value_at_zero=float(v[0]),

@@ -242,6 +242,8 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     """Fit (lambda, amplitude) of the closed-form family to a radial profile.
 
     Returns (lam, amplitude, sup relative error over nodes with r <= window).
+    The window ends at the mesh's last node in it, so the error moves with
+    the mesh: r <= 10 ends at r = 5.8, 8.1 and 9.5 for N = 17, 48 and 160.
     The shapes are ``ExtremalSpec.profile``; an unknown ``kind`` raises
     DomainError.  lam is searched in [e^-3, e^3] only (the mass-half gauge
     puts members near lam = 1).  A lam on the bracket's edge makes the

@@ -256,18 +256,26 @@ def test_solve_el_dual_exponent_converges(tmp_path):
     assert results["family_match_error"] <= 1e-3
 
 
-@pytest.mark.parametrize("p", ["3.0", "4.0"])
+@pytest.mark.parametrize("p", ["3.0", "4.0", "1.3333333333333333"])
 def test_solve_el_classifies_its_solution(tmp_path, p):
     # the solutions are bubbles only at the closed-form exponents: at p = 4
-    # the conformal family fits and the dual does not, at p = 3 neither does
+    # the conformal family fits and the dual does not, at p = 4/3 the dual
+    # fits and the conformal does not, at p = 3 neither does
     out = tmp_path / "el"
     assert run_cli(["run", "solve-el", "--p", p, "--out", str(out)]) == 0
     results = load_summary(out)["results"]
-    if p == "4.0":
-        assert results["misfit_conformal"] <= 1e-3
-    else:
-        assert results["misfit_conformal"] >= 0.1
-    assert results["misfit_dual"] >= 0.1
+    family = {"4.0": "conformal", "1.3333333333333333": "dual"}.get(p)
+    for kind in ("conformal", "dual"):
+        if kind == family:
+            assert results[f"misfit_{kind}"] <= 1e-3
+        else:
+            assert results[f"misfit_{kind}"] >= 0.1
+    if family == "dual":
+        # the conformal fit lands on the bracket's lower edge, so its misfit
+        # is an upper bound; the dual fit is interior
+        assert results["lambda_conformal"] == pytest.approx(np.exp(-3.0),
+                                                            rel=1e-9)
+        assert abs(np.log(results["lambda_dual"])) < 3.0 - 1e-2
 
 
 def test_solve_el_divergence_keeps_trace(tmp_path):

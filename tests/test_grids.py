@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
 from halfext.grids import (AxisymFn, HalfspaceGrid, PolarGrid, RadialFn,
-                           build_radial_grid, dilate_boundary,
+                           build_radial_grid, dilate_boundary, distribution,
                            distribution_mass, lp_norm_boundary,
                            lp_norm_halfspace, pchip, polar_halfspace_rule,
                            sample_radial, weak_lp_norm)
@@ -221,8 +221,78 @@ def test_distribution_mass_monotone(halfspace3):
                        indexing="ij")
     u = AxisymFn(halfspace3, (R ** 2 + (T + 1) ** 2) ** -1.0)
     levels = np.geomspace(1e-6, 1.0, 30)
-    masses = [distribution_mass(u, lv) for lv in levels]
+    masses = distribution_mass(u, levels)
+    assert masses.shape == levels.shape
     assert all(np.diff(masses) <= 0.0)
+
+
+def small_halfspace():
+    return HalfspaceGrid(build_radial_grid(2, 16), build_radial_grid(1, 16))
+
+
+def tied_samples(rng, shape):
+    # few distinct values, so most of them are tied, and some zero cells
+    return rng.integers(-3, 4, shape) * 0.25
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_distribution_matches_stable_sort(seed):
+    rng = np.random.default_rng(seed)
+    values = tied_samples(rng, (16, 16))
+    measures = rng.uniform(0.0, 2.0, (16, 16))
+    measures[rng.uniform(size=(16, 16)) < 0.1] = 0.0     # empty cells
+    v, mu = distribution(values, measures)
+    # Python's sort is stable: ties keep their row-major input order
+    order = sorted(range(values.size), key=lambda i: -values.flat[i])
+    assert np.array_equal(v, values.ravel()[order])
+    want = np.cumsum([measures.flat[i] for i in order])
+    assert mu == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_distribution_ties_keep_input_order():
+    v, mu = distribution([1.0, 2.0, 1.0, 2.0], [1.0, 10.0, 100.0, 1000.0])
+    assert v.tolist() == [2.0, 2.0, 1.0, 1.0]
+    assert mu.tolist() == [10.0, 1010.0, 1011.0, 1111.0]
+
+
+def test_distribution_rejects_bad_input():
+    with pytest.raises(DomainError, match="align"):
+        distribution(np.ones(3), np.ones(4))
+    with pytest.raises(DomainError, match="align"):
+        distribution(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(DomainError, match="nonnegative"):
+        distribution(np.ones(3), np.array([1.0, -1e-300, 1.0]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_distribution_mass_matches_masked_sums(seed):
+    rng = np.random.default_rng(seed)
+    hs = small_halfspace()
+    u = AxisymFn(hs, tied_samples(rng, (16, 16)))
+    cells = hs.cell_measures()
+    # levels at sampled values (the superlevel set is strict) and between
+    levels = np.concatenate([[0.25, 0.5, 0.75], rng.uniform(0.01, 1.0, 5)])
+    masses = distribution_mass(u, levels)
+    for level, mass in zip(levels, masses):
+        want = float(np.sum(cells[u.values > level]))
+        assert mass == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert distribution_mass(u, float(level)) == mass
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.sampled_from([0.5, 1.5, 3.0]))
+def test_weak_lp_norm_matches_level_scan(seed, p):
+    rng = np.random.default_rng(seed)
+    hs = small_halfspace()
+    u = AxisymFn(hs, tied_samples(rng, (16, 16)))
+    cells = hs.cell_measures()
+    absu = np.abs(u.values)
+    # sup over the sampled levels s of s |{|u| >= s}|^(1/p)
+    want = max(s * float(np.sum(cells[absu >= s])) ** (1.0 / p)
+               for s in np.unique(absu))
+    assert weak_lp_norm(u, p) == pytest.approx(want, rel=1e-13)
 
 
 def test_layer_cake_consistency(halfspace3):
@@ -342,7 +412,7 @@ def test_layer_cake_via_distribution_mass(halfspace3):
     p = 3.0
     direct = float(np.sum(halfspace3.cell_measures() * u.values ** p))
     levels = np.geomspace(1e-7, float(np.max(u.values)), 4000)
-    masses = np.array([distribution_mass(u, float(t)) for t in levels])
+    masses = distribution_mass(u, levels)
     layer = float(np.trapezoid(p * levels ** (p - 1) * masses, levels))
     assert layer == pytest.approx(direct, rel=1e-2)
 
@@ -356,8 +426,8 @@ def test_weak_type_constant_sweep(boundary3, halfspace3):
     f = f.scaled(1.0 / lp_norm_boundary(f, 1.0))
     u = poisson_extend(f, halfspace3)
     levels = np.geomspace(1e-4, float(np.max(u.values)) * 0.8, 30)
-    consts = [distribution_mass(u, float(t)) * t ** 1.5 for t in levels]
-    assert 0.0 < max(consts) < 10.0
+    consts = distribution_mass(u, levels) * levels ** 1.5
+    assert 0.0 < np.max(consts) < 10.0
 
 
 def test_truncation_guard():

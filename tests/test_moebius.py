@@ -35,8 +35,8 @@ def test_ball_map_rejects_lower_halfspace():
 
 def test_inversion_pure_power(boundary3):
     # n=3: f(s) = 1/s has s^(2-n) f(1/s) identically one (pure-power algebra)
-    f = sample_radial(boundary3, lambda r: 1.0 / r, value_at_zero=0.0,
-                      tail_exponent=1.0)
+    f = RadialFn(boundary3, 1.0 / boundary3.nodes, value_at_zero=0.0,
+                 tail_exponent=1.0)
     out = boundary_inversion(f, -1.0)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 

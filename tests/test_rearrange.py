@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from halfext.errors import DomainError
 from halfext.extremals import ExtremalSpec, extremal_profile
 from halfext.grids import (PolarFn, PolarGrid, RadialGrid, build_radial_grid,
-                           distribution_mass)
+                           distribution, distribution_mass)
 from halfext.kernel import pt_profile
 from halfext.quadrature import panel_rule
 from halfext.rearrange import (planar_convolution, radial_to_polar,
-                               rearrangement_steps, riesz_gain,
-                               symmetric_rearrangement)
+                               riesz_gain, symmetric_rearrangement)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +56,8 @@ def test_annulus_becomes_disk():
     # equimeasurability within one cell at every level
     cells = pg.cell_measures()
     m_orig = distribution_mass(f, 0.5)
-    v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
-    m_star = math.pi * rho[np.searchsorted(-v, -0.5, side="right") - 1] ** 2
+    v, mu = distribution(f.values, cells)
+    m_star = mu[np.searchsorted(-v, -0.5, side="right") - 1]
     assert m_star == pytest.approx(m_orig, rel=1e-12)
     assert m_orig == pytest.approx(math.pi * (b ** 2 - a ** 2), rel=2e-2)
 
@@ -66,8 +65,8 @@ def test_annulus_becomes_disk():
 def test_two_bump_norm_preservation(polar_small):
     f = two_bump(polar_small)
     cells = polar_small.cell_measures()
-    v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
-    shells = np.diff(np.concatenate(([0.0], rho ** 2))) * math.pi
+    v, mu = distribution(f.values, cells)
+    shells = np.diff(mu, prepend=0.0)
     for p in (1.0, 2.0, 4.0):
         orig = float(np.sum(cells * f.values ** p))
         star = float(np.dot(shells, v ** p))
@@ -79,14 +78,13 @@ def test_two_bump_norm_preservation(polar_small):
 def test_equimeasurability_all_levels(polar_small):
     f = two_bump(polar_small)
     cells = polar_small.cell_measures()
-    v, rho = rearrangement_steps(f.values.ravel(), cells.ravel(), 2)
-    cum = math.pi * rho ** 2
+    v, mu = distribution(f.values, cells)
     max_cell = float(np.max(cells))
-    for level in np.quantile(f.values, [0.3, 0.6, 0.9, 0.99]):
-        m_orig = distribution_mass(f, level)
-        k = np.searchsorted(-v, -level, side="left")
-        m_star = cum[k - 1] if k > 0 else 0.0
-        assert abs(m_star - m_orig) <= max_cell + 1e-12
+    levels = np.quantile(f.values, [0.3, 0.6, 0.9, 0.99])
+    m_orig = distribution_mass(f, levels)
+    k = np.searchsorted(-v, -levels, side="left")
+    m_star = np.where(k > 0, mu[k - 1], 0.0)
+    assert np.all(np.abs(m_star - m_orig) <= max_cell + 1e-12)
 
 
 def test_rearrangement_order_preserved(polar_small, rng):
@@ -223,8 +221,8 @@ def test_rearrangement_d1_even_profile():
     r = g.nodes
     measures = 2.0 * g.weights          # both half-lines
     values = np.where((r > 1.0) & (r < 2.0), 1.0, 0.0)
-    v, rho = rearrangement_steps(values, measures, 1)
-    support = rho[np.searchsorted(-v, -0.5, side="right") - 1]
+    v, mu = distribution(values, measures)
+    support = mu[np.searchsorted(-v, -0.5, side="right") - 1] / 2.0
     assert support == pytest.approx(1.0, abs=2 * 3.0 / 64)
 
 
