@@ -34,18 +34,16 @@ c - a - b = 1, so 2F1 stays finite as m -> 1 (s -> r, t -> 0).  The angular
 integral on Gauss-Legendre panels (``method="gl"``, refined toward
 theta = 0, where the integrand peaks as t -> 0) is kept as the oracle.
 
-As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows of the
-discretized operator whose height cannot be resolved by the radial mesh are
-built with geometrically refined panels around the diagonal (width t at
-s = r, growing by 8; below r/2 merged with a ladder resolving the mesh's
-decades) and a local cubic interpolation stencil: a plain matrix.  One row
-rule, ``_kernel_matrix``, builds the per-height stacks, the polar rows and
-``extend_at`` (one height per point), so they agree row for row.
-
-Every per-point panel quadrature here (refined rows, kernel mass, the
-angular integrals) lays out the breakpoints of all its points in one array
-call, builds their rules in one ``composite_rules`` call and evaluates the
-integrand once over them.
+As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows whose
+height the radial mesh cannot resolve sum geometrically refined panels
+around the diagonal (width t at s = r, growing by 8; below r/2 merged with a
+ladder resolving the mesh's decades) per window of 4 nodes into moments of
+y^0..y^3, contracted with the window's cubic basis: a plain matrix.  One row
+rule, ``_kernel_matrix``, builds the stack, the polar rows and ``extend_at``
+in blocks of N rows, each row on its own, so they agree row for row, bitwise.
+Every per-point panel quadrature here lays out the breakpoints of all its
+points in one array call, builds their rules in one ``composite_rules`` call
+and evaluates the integrand once over them.
 """
 
 from __future__ import annotations
@@ -163,43 +161,30 @@ def qt_ring(n: int, r, s, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _lagrange_stencils(grid: RadialGrid, query: np.ndarray):
-    """Local 4-point cubic Lagrange stencils in the grid's parameter coordinate.
-
-    Returns (columns, weights), both shaped (len(query), 4); stencils clamp at
-    the mesh ends, so slightly-outside queries extrapolate politely.  The
-    denominators prod_{b!=a}(x_a - x_b) belong to the mesh's N-3 windows and
-    are computed once per window.  The differences, their product and the
-    weights are then built one stencil column at a time, on arrays of one
-    value per query.  A query that hits a node exactly gets the unit row.
-    """
-    xn = grid.parameter(grid.nodes)
-    xq = grid.parameter(query)
-    start = np.clip(np.searchsorted(xn, xq) - 2, 0, grid.size - 4)
-    four = np.arange(4)
-    windows = np.lib.stride_tricks.sliding_window_view(xn, 4)   # (N-3, 4)
-    pair = windows[:, :, None] - windows[:, None, :]
-    pair[:, four, four] = 1.0
-    denom = np.prod(pair, axis=2).T                 # (4, N-3)
-    diff = [xq - xn[start + a] for a in four]
-    full = diff[0] * diff[1] * diff[2] * diff[3]
-    weights = np.empty((xq.size, 4))
-    for a, d in enumerate(diff):
-        weights[:, a] = full / (np.where(d == 0.0, 1.0, d) * denom[a][start])
-    for a, d in enumerate(diff):
-        weights[d == 0.0] = four == a
-    return start[:, None] + four, weights
+def _window_cubics(grid: RadialGrid):
+    """(centre, inv_h, basis): the cubic Lagrange basis of each window j of
+    4 mesh nodes, j..j+3; node j+a weighs sum_m basis[j, a, m] y^m at
+    y = (x - centre[j]) * inv_h[j], x the parameter coordinate."""
+    x = np.lib.stride_tricks.sliding_window_view(grid.parameter(grid.nodes), 4)
+    centre, inv_h = 0.5 * (x[:, 1] + x[:, 2]), 1.0 / (x[:, 2] - x[:, 1])
+    y = (x - centre[:, None]) * inv_h[:, None]
+    basis = np.empty(y.shape + (4,))
+    for a in range(4):
+        p, q, u = np.delete(y, a, axis=1).T
+        basis[:, a] = np.transpose([-p * q * u, p * q + p * u + q * u,
+                                    -(p + q + u), np.ones_like(p)]) \
+            / ((y[:, a] - p) * (y[:, a] - q) * (y[:, a] - u))[:, None]
+    return centre, inv_h, basis
 
 
-def _diagonal_rules(r_out, t, in_grid: RadialGrid):
+def _diagonal_rules(r_out, t, r_max: float, ladder: np.ndarray):
     """Rules resolving the kernel diagonal at each (r_out, t) and the data.
 
     Breakpoints: the peak at s = r (width t, growing by 8) and, below r/2
-    only, a ladder for the mesh's decades (scale/64, growing by 4).
+    only, the mesh's ``ladder`` of decades (scale/64, growing by 4).
     """
-    peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, in_grid.r_max,
+    peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, r_max,
                         _DIAGONAL_GROW)
-    ladder = peak_breaks(0.0, in_grid.scale / 64.0, 0.0, in_grid.r_max, GROW)
     # from r/2 up the peak's own panels cover every decade: ladder points
     # there become zeros, zero-width panels that composite_rules skips
     ladder = np.where(ladder < 0.5 * r_out[:, None], ladder, 0.0)
@@ -211,30 +196,43 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
                    t) -> np.ndarray:
     """Matrix taking in-grid samples to kernel integrals at out_nodes.
 
-    ``kernel(r, s, t)`` is a ring kernel (of P_t or Q_t), broadcasting.
-    ``t`` is one height per output node, or one height for all of them.
-    The kernel is evaluated on the plain grid rule only for the rows the
-    mesh resolves.  The other rows are diagonal-refined panels composed with
-    the cubic stencils, summed into the row by one ``np.bincount`` over flat
-    (row, column) indices, in quadrature-node order.
+    ``kernel(r, s, t)`` is a ring kernel (of P_t or Q_t), broadcasting; ``t``
+    is one height per output node, or one for all.  Rows go in blocks of N
+    (the in-grid's size), each on its own.  Rows the mesh resolves are the
+    plain grid rule; the others sum refined terms times y^m per (row, window)
+    in node order (``np.bincount``) and contract them with ``_window_cubics``.
     """
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
-    refine = t < PEAK_FACTOR * in_grid.local_spacing(out_nodes)
-    plain, flagged = np.nonzero(~refine)[0], np.nonzero(refine)[0]
-    M = np.empty((out_nodes.size, in_grid.size))
-    M[plain] = (kernel(out_nodes[plain, None], in_grid.nodes[None, :],
-                       t[plain, None]) * in_grid.weights[None, :])
-    if flagged.size == 0:
-        return M
-    r, t = out_nodes[flagged], t[flagged]
-    s, w, offsets = _diagonal_rules(r, t, in_grid)
-    rows = np.repeat(np.arange(flagged.size), np.diff(offsets))
-    coeff = w * kernel(r[rows], s, t[rows]) * s ** (in_grid.d - 1)
-    cols, lw = _lagrange_stencils(in_grid, s)
-    at = (rows * in_grid.size)[:, None] + cols
-    sums = np.bincount(at.ravel(), (coeff[:, None] * lw).ravel(),
-                       minlength=flagged.size * in_grid.size)
-    M[flagged] = sums.reshape(flagged.size, in_grid.size)
+    n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
+    centre, inv_h, basis = _window_cubics(in_grid)
+    ladder = peak_breaks(0.0, in_grid.scale / 64.0, 0.0, in_grid.r_max, GROW)
+    M = np.empty((out_nodes.size, n_in))
+    for lo in range(0, out_nodes.size, n_in):
+        r, tb, block = (x[lo:lo + n_in] for x in (out_nodes, t, M))
+        refine = tb < PEAK_FACTOR * in_grid.local_spacing(r)
+        block[~refine] = (kernel(r[~refine, None], in_grid.nodes[None, :],
+                                 tb[~refine, None]) * in_grid.weights[None, :])
+        if not refine.any():
+            continue
+        r, tb = r[refine], tb[refine]
+        s, w, offsets = _diagonal_rules(r, tb, in_grid.r_max, ladder)
+        rows = np.repeat(np.arange(r.size), np.diff(offsets))
+        term = w * kernel(r[rows], s, tb[rows]) * s ** (in_grid.d - 1)
+        xq = in_grid.parameter(s)
+        start = np.clip(np.searchsorted(xn, xq) - 2, 0, n_in - 4)
+        y, at = (xq - centre[start]) * inv_h[start], rows * (n_in - 3) + start
+        moments = []
+        for _ in range(4):
+            moments.append(np.bincount(at, term, minlength=r.size * (n_in - 3))
+                           .reshape(r.size, n_in - 3))
+            term = term * y
+        refined = np.zeros((r.size, n_in))
+        for a in range(4):
+            part = moments[0] * basis[:, a, 0]
+            for m in range(1, 4):
+                part += moments[m] * basis[:, a, m]
+            refined[:, a:a + n_in - 3] += part
+        block[refine] = refined
     return M
 
 
@@ -306,12 +304,12 @@ def _mesh_key(grid: RadialGrid) -> tuple:
 
 
 def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:
-    # one height per call: all heights at once would hold N_t N^2
-    # temporaries; each is written into the one preallocated stack
-    stack = np.empty((heights.size, grid.size, grid.size))
-    for k, t in enumerate(heights.nodes):
-        stack[k] = _kernel_matrix(partial(ring_kernel, n), grid.nodes, grid, t)
-    return stack
+    # one height per block of the row rule, so its temporaries stay those
+    # of one height; the rows are written into the one (N_t N, N) matrix
+    rows = _kernel_matrix(partial(ring_kernel, n),
+                          np.tile(grid.nodes, heights.size), grid,
+                          np.repeat(heights.nodes, grid.size))
+    return rows.reshape(heights.size, grid.size, grid.size)
 
 
 def get_operator(n: int, boundary: RadialGrid,
@@ -340,11 +338,10 @@ def get_operator(n: int, boundary: RadialGrid,
         _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
         CACHE_COUNTS["evictions"] += 1
     r, t, weights = polar_halfspace_rule(n)
-    # polar rows one ray per call, as _matrix_stack goes one height per call
-    rows = [_kernel_matrix(partial(ring_kernel, n), r_ray, radial, t_ray)
-            for r_ray, t_ray in zip(r, t)]
+    polar = _kernel_matrix(partial(ring_kernel, n), r.ravel(), radial,
+                           t.ravel())
     op = PoissonOperator(n, halfspace, _matrix_stack(n, radial, heights),
-                         np.concatenate(rows), weights.ravel())
+                         polar, weights.ravel())
     CACHE_COUNTS["builds"] += 1
     _OPERATOR_CACHE[key] = op
     return op

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from halfext import extension
 from halfext.errors import DivergenceError, DomainError
 from halfext.extension import (PEAK_FACTOR, _diagonal_rules, _kernel_matrix,
-                               _lagrange_stencils, commutator_gap,
+                               _window_cubics, commutator_gap,
                                dual_extend, extend_at, extension_norm,
                                get_operator, kernel_mass, poisson_extend,
                                qt_ring, ring_kernel, slab_mass)
@@ -410,6 +410,10 @@ def _reference_stencils(grid, query):
     return cols, weights
 
 
+def _ladder(grid):
+    return peak_breaks(0.0, grid.scale / 64.0, 0.0, grid.r_max, GROW)
+
+
 def _reference_row_rule(kernel, out_nodes, in_grid, t):
     # the row rule as first written: the full plain matrix, flagged rows
     # zeroed, refined terms scattered in with np.add.at
@@ -417,7 +421,8 @@ def _reference_row_rule(kernel, out_nodes, in_grid, t):
     M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t[:, None])
     M = M * in_grid.weights[None, :]
     flagged = np.nonzero(t < PEAK_FACTOR * in_grid.local_spacing(out_nodes))[0]
-    s, w, offsets = _diagonal_rules(out_nodes[flagged], t[flagged], in_grid)
+    s, w, offsets = _diagonal_rules(out_nodes[flagged], t[flagged],
+                                    in_grid.r_max, _ladder(in_grid))
     rows = np.repeat(flagged, np.diff(offsets))
     coeff = w * kernel(out_nodes[rows], s, t[rows]) * s ** (in_grid.d - 1)
     cols, lw = _reference_stencils(in_grid, s)
@@ -516,7 +521,7 @@ def test_diagonal_rules_ladder_only_below_half_r(monkeypatch, mapping, scale):
     monkeypatch.setattr(extension, "composite_rules", spy)
     r = np.concatenate([np.geomspace(1e-4, g.r_max, 40), g.nodes[::7]])
     t = np.geomspace(1e-6, 1e-2, r.size)
-    _diagonal_rules(r, t, g)
+    _diagonal_rules(r, t, g.r_max, _ladder(g))
     ladder = g.scale / 64.0 * GROW ** np.arange(60)
     ladder = ladder[ladder < g.r_max]
     (rows,) = seen
@@ -533,8 +538,9 @@ def test_diagonal_rules_ladder_only_below_half_r(monkeypatch, mapping, scale):
                                         (5, 24, ring_kernel),
                                         (3, 48, qt_ring)])
 def test_kernel_matrix_matches_reference_row_rule(n, N, ring):
-    # bitwise: the plain rule on unflagged rows only and one bincount over
-    # the refined terms sum the same terms in the same order
+    # the refined rows sum through per-window moments, the reference scatters
+    # per-node stencil weights: the same terms in another order, so equal to
+    # rounding (1.6e-15 of a row's absolute sum measured)
     g = build_radial_grid(n - 1, N)
     out = np.concatenate([g.nodes[::3], [0.5 * g.nodes[0], 1.1 * g.r_max]])
     t = np.geomspace(1e-4, 20.0, out.size)[::-1]
@@ -542,35 +548,76 @@ def test_kernel_matrix_matches_reference_row_rule(n, N, ring):
     assert refine.any() and not refine.all()
     kernel = partial(ring, n)
     got = _kernel_matrix(kernel, out, g, t)
-    assert got.tobytes() == _reference_row_rule(kernel, out, g, t).tobytes()
+    want = _reference_row_rule(kernel, out, g, t)
+    scale = np.sum(np.abs(want), axis=1, keepdims=True)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+def _cubic_weights(grid, query):
+    # (start, weights): the window each query falls in, as the row rule
+    # picks it, and its 4 Lagrange weights from the window's monomial basis
+    centre, inv_h, basis = _window_cubics(grid)
+    xq = grid.parameter(query)
+    start = np.clip(np.searchsorted(grid.parameter(grid.nodes), xq) - 2, 0,
+                    grid.size - 4)
+    y = (xq - centre[start]) * inv_h[start]
+    powers = y[:, None] ** np.arange(4)
+    return start, np.einsum("qam,qm->qa", basis[start], powers)
 
 
 @pytest.mark.parametrize("mapping, scale", [("tan", 1.0), ("tan", 3.0)])
-def test_lagrange_stencils_reproduce_cubics(mapping, scale):
+def test_window_cubics_reproduce_cubics(mapping, scale):
     g = build_radial_grid(2, 40, mapping, scale)
     xn = g.parameter(g.nodes)
+    centre, inv_h, basis = _window_cubics(g)
+    assert centre.shape == inv_h.shape == (g.size - 3,)
+    assert basis.shape == (g.size - 3, 4, 4)
 
     def cubic(x):
         return 1.0 - 2.0 * x + 0.7 * x ** 2 - 0.3 * x ** 3
 
     between = 0.5 * (g.nodes[:-1] + g.nodes[1:])
-    # clamped stencils extrapolate up to one end spacing beyond the mesh
+    # clamped windows extrapolate up to one end spacing beyond the mesh
     last = g.r_max - g.nodes[-2]
     outside = np.array([0.0, 0.4 * g.nodes[0], g.r_max + 0.5 * last,
                         g.r_max + last])
     query = np.concatenate([between, outside])
-    cols, weights = _lagrange_stencils(g, query)
-    assert cols.shape == weights.shape == (query.size, 4)
-    assert cols.min() == 0 and cols.max() == g.size - 1
+    start, weights = _cubic_weights(g, query)
+    assert start.min() == 0 and start.max() == g.size - 4
+    cols = start[:, None] + np.arange(4)
     want = cubic(g.parameter(query))
     assert np.max(np.abs((weights * cubic(xn[cols])).sum(axis=1) - want)) \
         <= 1e-12 * np.max(np.abs(want))
-    assert _lagrange_stencils(g, query)[1].tobytes() \
-        == _reference_stencils(g, query)[1].tobytes()
+    # the per-node stencils of the reference row rule, to rounding
+    ref_cols, ref_weights = _reference_stencils(g, query)
+    assert np.array_equal(cols, ref_cols)
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-13
     # a query exactly at a node takes that node's sample: a unit row
-    cols, weights = _lagrange_stencils(g, g.nodes)
-    assert np.all(np.sort(weights, axis=1) == [0.0, 0.0, 0.0, 1.0])
-    assert np.array_equal(cols[weights == 1.0], np.arange(g.size))
+    start, weights = _cubic_weights(g, g.nodes)
+    unit = np.arange(g.size)[:, None] == start[:, None] + np.arange(4)
+    assert np.all(unit.sum(axis=1) == 1)
+    assert np.max(np.abs(weights - unit)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_matrix_rows_do_not_depend_on_their_block(n):
+    # the stack and the polar rows are built in blocks of N rows; a row
+    # built alone is the same row, bit for bit
+    g = build_radial_grid(n - 1, 96)
+    hs = default_halfspace_grid(g)
+    op = get_operator(n, g, hs)
+    kernel = partial(ring_kernel, n)
+    rows = np.random.default_rng(28).choice(op.matrices.shape[0] * g.size,
+                                            500, replace=False)
+    for k, i in zip(*np.divmod(rows, g.size)):
+        alone = _kernel_matrix(kernel, g.nodes[i:i + 1], g,
+                               hs.heights.nodes[k])
+        assert alone.tobytes() == op.matrices[k, i].tobytes()
+    r, t, _ = polar_halfspace_rule(n)
+    r, t = r.ravel(), t.ravel()
+    for j in range(0, r.size, 7):
+        alone = _kernel_matrix(kernel, r[j:j + 1], g, t[j:j + 1])
+        assert alone.tobytes() == op.polar_rows[j].tobytes()
 
 
 def test_slab_mass_identity(boundary3):
