@@ -5,8 +5,8 @@ rearrangement monotonicity, and conformal-inversion symmetry classification.
 """
 
 from .errors import DivergenceError, DomainError, HalfextError, SolverDivergence
-from .kernel import (kernel_constant, poisson_kernel, pt_lp_norm, pt_profile,
-                     sphere_area, unit_ball_volume)
+from .kernel import (kernel_constant, pt_lp_norm, pt_profile, sphere_area,
+                     unit_ball_volume)
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     RadialGrid, build_radial_grid, default_halfspace_grid,
                     dilate_boundary, distribution, distribution_mass,
@@ -14,7 +14,7 @@ from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     weak_lp_norm)
 from .extension import (commutator_gap, dual_extend, extend_at, kernel_mass,
                         poisson_extend, ring_kernel, slab_mass)
-from .moebius import ball_map, boundary_inversion, halfspace_inversion
+from .moebius import boundary_inversion, halfspace_inversion
 from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
                         rayleigh_quotient, sharp_constant, singular_constant)
 from .rearrange import (planar_convolution, radial_to_polar, riesz_gain,

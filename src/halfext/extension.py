@@ -210,8 +210,9 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
     for lo in range(0, out_nodes.size, n_in):
         r, tb, block = (x[lo:lo + n_in] for x in (out_nodes, t, M))
         refine = tb < PEAK_FACTOR * in_grid.local_spacing(r)
-        block[~refine] = (kernel(r[~refine, None], in_grid.nodes[None, :],
-                                 tb[~refine, None]) * in_grid.weights[None, :])
+        if not refine.all():
+            block[~refine] = kernel(r[~refine, None], in_grid.nodes[None, :],
+                                    tb[~refine, None]) * in_grid.weights
         if not refine.any():
             continue
         r, tb = r[refine], tb[refine]

@@ -1,4 +1,4 @@
-"""Poisson kernel of the upper half-space and its closed-form norm identities.
+"""Poisson kernel of the upper half-space and the L^p norms of its profile.
 
 The half-space R^n_+ = {x = (x', x_n) : x_n > 0} has boundary R^{n-1}.  Its
 Poisson kernel is
@@ -14,7 +14,8 @@ its sup is attained at rho = 0, and its L^p norm obeys the exact power law
 
 The constant c(n, p) is never hard-coded: finite-p norms are computed by
 radial quadrature under the substitution rho = t*tan(theta), which maps the
-half-line exactly onto a finite interval.
+half-line exactly onto a finite interval.  The CLI's verify-kernel checks
+that quadrature against the closed form of c(n, p), a Beta function.
 """
 
 from __future__ import annotations
@@ -62,25 +63,6 @@ def pt_profile(n: int, t: float, rho):
         raise DomainError("radius rho must be >= 0")
     out = kernel_constant(n) * t / (rho * rho + t * t) ** (0.5 * n)
     return float(out) if out.ndim == 0 else out
-
-
-def poisson_kernel(n: int, x, xi) -> float:
-    """P(x, xi) for x = (x', x_n) in the open half-space, xi on the boundary.
-
-    ``x`` is a length-n vector with x[-1] > 0; ``xi`` has length n-1.
-    """
-    _check_dim(n)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.shape != (n,):
-        raise DomainError(f"x must be a length-{n} vector")
-    if xi.shape != (n - 1,):
-        raise DomainError(f"xi must be a length-{n - 1} vector")
-    xn = x[-1]
-    if xn <= 0.0:
-        raise DomainError(f"x_n must be positive, got {xn}")
-    rho = float(np.linalg.norm(x[:-1] - xi))
-    return float(pt_profile(n, xn, rho))
 
 
 def pt_lp_norm(n: int, p: float, t: float) -> float:

@@ -217,7 +217,7 @@ def test_criterion_08_rearrangement_suite():
 def test_criterion_09_conformal_invariance(boundary3, halfspace3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    finv = boundary_inversion(f, -1.0)
+    finv = boundary_inversion(f)
     bdry_err = abs(lp_norm_boundary(finv, 4.0) - lp_norm_boundary(f, 4.0))
     breaks = []
     for p_off in (3.6, 4.4):

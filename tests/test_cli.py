@@ -28,16 +28,25 @@ def load_summary(outdir):
 
 
 def test_verify_kernel(tmp_path):
-    out = tmp_path / "vk"
-    assert run_cli(["run", "verify-kernel", "--n", "3",
-                    "--out", str(out)]) == 0
-    summary = load_summary(out)
-    assert summary["pass"] is True
-    names = {c["name"]: c for c in summary["checks"]}
-    row = names["pt_l1_norm[t=1.0]"]
-    assert abs(row["value"] - 1.0) <= 1e-8 and row["pass"]
-    assert summary["config"]["n"] == 3
-    assert "timestamp" in summary["meta"]
+    # |P_t|_p by the library's quadrature against the Beta closed form, in
+    # and away from the default dimension
+    want = [f"pt_lp_norm[p={p},t={t}]" for p in ("1", "1.5", "2", "3")
+            for t in ("0.25", "1", "4")]
+    for n in (2, 3, 4, 5):
+        out = tmp_path / f"vk{n}"
+        assert run_cli(["run", "verify-kernel", "--n", str(n),
+                        "--out", str(out)]) == 0
+        summary = load_summary(out)
+        assert summary["pass"] is True
+        rows = summary["checks"]
+        assert [row["name"] for row in rows] == want
+        for row in rows:
+            assert abs(row["value"] - row["target"]) <= 1e-8 * row["target"]
+        # p = 1: the closed form is the unit mass
+        assert rows[want.index("pt_lp_norm[p=1,t=1]")]["target"] == \
+            pytest.approx(1.0, rel=1e-14)
+        assert summary["config"]["n"] == n
+        assert "timestamp" in summary["meta"]
 
 
 @pytest.mark.parametrize("name", [

@@ -6,45 +6,21 @@ from halfext.extension import poisson_extend
 from halfext.grids import (RadialFn, build_radial_grid,
                            default_halfspace_grid, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
-from halfext.moebius import ball_map, boundary_inversion, halfspace_inversion
-
-
-def test_ball_map_center():
-    # x = e_n/2 maps to the ball center
-    out = ball_map(np.array([0.0, 0.0, 0.5]))
-    assert np.allclose(out, 0.0, atol=1e-15)
-
-
-def test_ball_map_boundary_limit():
-    for xn in (1e-2, 1e-4, 1e-6):
-        out = ball_map(np.array([0.0, 0.0, xn]))
-        assert abs(np.linalg.norm(out) - 1.0) < 10 * xn
-
-
-def test_ball_map_inside(rng):
-    pts = np.column_stack([rng.normal(size=(1000, 2)) * 3,
-                           np.abs(rng.normal(size=1000)) * 3 + 1e-6])
-    mapped = ball_map(pts)
-    assert np.all(np.linalg.norm(mapped, axis=1) < 1.0)
-
-
-def test_ball_map_rejects_lower_halfspace():
-    with pytest.raises(DomainError):
-        ball_map(np.array([0.0, 0.0, -0.1]))
+from halfext.moebius import boundary_inversion, halfspace_inversion
 
 
 def test_inversion_pure_power(boundary3):
     # n=3: f(s) = 1/s has s^(2-n) f(1/s) identically one (pure-power algebra)
     f = RadialFn(boundary3, 1.0 / boundary3.nodes, value_at_zero=0.0,
                  tail_exponent=1.0)
-    out = boundary_inversion(f, -1.0)
+    out = boundary_inversion(f)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
 
 def test_inversion_self_dual_extremal(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -0.5,
                       tail_exponent=1.0, nonnegative=True)
-    out = boundary_inversion(f, -1.0)
+    out = boundary_inversion(f)
     assert np.max(np.abs(out.values - f.values)) < 1e-12
 
 
@@ -53,7 +29,7 @@ def test_inversion_preserves_critical_norm(boundary3, rng):
         b, e = rng.uniform(0.5, 2.0), rng.uniform(0.8, 1.5)
         f = sample_radial(boundary3, lambda r: (b + r ** 2) ** -e,
                           tail_exponent=2 * e, nonnegative=True)
-        out = boundary_inversion(f, -1.0)
+        out = boundary_inversion(f)
         assert lp_norm_boundary(out, 4.0) == pytest.approx(
             lp_norm_boundary(f, 4.0), rel=1e-9)
 
@@ -61,7 +37,7 @@ def test_inversion_preserves_critical_norm(boundary3, rng):
 def test_inversion_breaks_noncritical_norm(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    out = boundary_inversion(f, -1.0)
+    out = boundary_inversion(f)
     for p in (3.6, 4.4):
         ratio = lp_norm_boundary(out, p) / lp_norm_boundary(f, p)
         assert abs(ratio - 1.0) > 0.01
@@ -70,7 +46,7 @@ def test_inversion_breaks_noncritical_norm(boundary3):
 def test_inversion_involution(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
-    back = boundary_inversion(boundary_inversion(f, -1.0), -1.0)
+    back = boundary_inversion(boundary_inversion(f))
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
@@ -81,17 +57,7 @@ def test_inversion_rejects_mesh_not_closed_under_reciprocal():
     f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
     with pytest.raises(DomainError, match="closed under"):
-        boundary_inversion(f, -1.0)
-
-
-def test_shifted_inversion_polar(boundary3):
-    f = sample_radial(boundary3, lambda r: (0.5 * r ** 2 + 0.5) ** -0.5,
-                      tail_exponent=1.0, nonnegative=True)
-    v = boundary_inversion(f, -1.0, shift=1.0)
-    # closed form: v(x) = (|x - e_1/2|^2 + 1/4)^(-1/2)
-    x, y = v.grid.points()
-    want = ((x - 0.5) ** 2 + y ** 2 + 0.25) ** -0.5
-    assert np.max(np.abs(v.values - want) / want) < 1e-6
+        boundary_inversion(f)
 
 
 def test_halfspace_inversion_dual_closed_form(boundary3, halfspace3):

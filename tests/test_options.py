@@ -6,8 +6,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfext"
-CEILING = 29
-LINE_CEILING = 1921     # non-blank, non-comment lines of src/halfext/*.py
+CEILING = 28
+LINE_CEILING = 1849     # non-blank, non-comment lines of src/halfext/*.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -6,9 +6,11 @@ import pytest
 from halfext.errors import DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                extremal_profile, sharp_constant)
-from halfext.grids import (build_radial_grid, default_halfspace_grid,
-                           dilate_boundary, sample_radial)
+from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
+                           default_halfspace_grid, dilate_boundary,
+                           sample_radial)
 from halfext.moebius import boundary_inversion
+from halfext.rearrange import radial_to_polar
 from halfext.solver import (IterationTrace, SolverConfig,
                             ascent_estimate_constant, concentration_radius,
                             el_fixed_point, initial_profiles,
@@ -170,7 +172,7 @@ def test_solution_tail_is_fitted_not_inherited(boundary3, halfspace3):
         sol.values[-1] * 2.0 ** -sol.fitted_tail(), rel=1e-12)
     # the gauge fixes lambda = 1, where the Kelvin inversion maps the
     # conformal extremal to itself: its value at 0 is the solution's
-    inv = boundary_inversion(sol, -1.0)
+    inv = boundary_inversion(sol)
     assert inv.value_at_zero == pytest.approx(sol.value_at_zero, rel=1e-2)
 
 
@@ -308,23 +310,25 @@ def test_trace_csv(tmp_path):
     assert len(lines) == 3
 
 
+def _shifted_bubble(grid):
+    # closed form of a bubble inverted about a shifted point: radial about
+    # the centre e_1/2
+    x, y = grid.points()
+    return ((x - 0.5) ** 2 + y ** 2 + 0.25) ** -0.5
+
+
 def test_radial_about_point_shifted_center(boundary3):
-    alpha = -1.0
-    u = sample_radial(boundary3, lambda r: (0.5 * r ** 2 + 0.5) ** (alpha / 2),
-                      nonnegative=True)
-    v = boundary_inversion(u, alpha, shift=1.0)
-    center = radial_about_point(v, 1e-3)
+    pg = PolarGrid(boundary3, 64)
+    center = radial_about_point(PolarFn(pg, _shifted_bubble(pg)), 1e-3)
     assert center is not None
     assert center[0] == pytest.approx(0.5, abs=1e-4)
     assert center[1] == 0.0
 
 
 def test_radial_about_point_origin(boundary3):
-    # shift-free inversion of the self-dual extremal stays radial about 0
+    # the inversion of the self-dual extremal stays radial about 0
     f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
-    finv = boundary_inversion(f, -1.0)
-    from halfext.rearrange import radial_to_polar
-    from halfext.grids import PolarGrid
+    finv = boundary_inversion(f)
     v = radial_to_polar(finv, PolarGrid(boundary3, 64))
     center = radial_about_point(v, 1e-3)
     assert center is not None
@@ -332,25 +336,11 @@ def test_radial_about_point_origin(boundary3):
 
 
 def test_radial_about_point_rejects_perturbed(boundary3):
-    alpha = -1.0
-    u = sample_radial(
-        boundary3,
-        lambda r: (1 + r ** 2) ** (alpha / 2)
-        * (1 + 0.1 * r / (1 + r)), nonnegative=True)
-    v = boundary_inversion(u, alpha, shift=1.0)
+    # a factor radial about the origin breaks the symmetry about e_1/2
+    pg = PolarGrid(boundary3, 64)
+    rho = boundary3.nodes[:, None]
+    v = PolarFn(pg, _shifted_bubble(pg) * (1 + 0.1 * rho / (1 + rho)))
     assert radial_about_point(v, 1e-3) is None
-
-
-def test_converged_solution_inversion_symmetry(boundary3, halfspace3):
-    # the inverted-and-translated converged solution is radial about a point
-    init = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
-                         nonnegative=True)
-    cfg = SolverConfig(max_iters=300, tol_residual=1e-4)
-    sol, trace = el_fixed_point(3, 4.0, init, cfg, halfspace3)
-    assert trace.converged
-    v = boundary_inversion(sol, -1.0, shift=1.0)
-    center = radial_about_point(v, 1e-3)
-    assert center is not None
 
 
 def test_trace_bitwise_determinism(boundary3, halfspace3):
