@@ -10,8 +10,7 @@ from .kernel import (kernel_constant, pt_lp_norm, pt_profile, sphere_area,
 from .grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid, RadialFn,
                     RadialGrid, build_radial_grid, default_halfspace_grid,
                     dilate_boundary, distribution, distribution_mass,
-                    lp_norm_boundary, lp_norm_halfspace, sample_radial,
-                    weak_lp_norm)
+                    lp_norm_boundary, lp_norm_halfspace, sample_radial)
 from .extension import (commutator_gap, dual_extend, extend_at, kernel_mass,
                         poisson_extend, ring_kernel, slab_mass)
 from .moebius import boundary_inversion, halfspace_inversion

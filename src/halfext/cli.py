@@ -42,12 +42,13 @@ from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
 from .extremals import ExtremalSpec, extremal_profile, sharp_constant
 from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
-                    default_halfspace_grid, distribution, distribution_mass,
+                    default_halfspace_grid, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
-                    weak_lp_norm, write_csv)
+                    write_csv)
 from .kernel import kernel_constant, pt_lp_norm, sphere_area
 from .moebius import boundary_inversion, halfspace_inversion
-from .rearrange import radial_to_polar, riesz_gain, symmetric_rearrangement
+from .quadrature import panel_rule
+from .rearrange import riesz_gain, symmetric_rearrangement
 from .solver import (SolverConfig, ascent_estimate_constant, el_fixed_point,
                      match_extremal_family, start_profile)
 
@@ -129,6 +130,10 @@ def _closed_form_family(n: int, p: float):
                  if abs(ExtremalSpec(n, kind).critical_p - p) < 1e-12), None)
 
 
+# relative gate of a computed sharp constant against its closed form
+CLOSED_FORM_RTOL = 1e-5
+
+
 # ----------------------------------------------------------------- experiments
 
 def _pt_lp_closed_form(n: int, p: float, t: float) -> float:
@@ -193,20 +198,34 @@ def run_verify_identities(cfg: ExperimentConfig, checks: Checks, outdir: str):
     checks.add("duality_pairing", lhs, rhs, 1e-6 * abs(rhs))
 
 
+def _dual_superlevel_closed_form(n: int, levels) -> np.ndarray:
+    """|{Pf > s}| for f = (1+r^2)^(-n/2), Pf = (1+t)/|x+e_n|^n: the volume
+    (|S^(n-2)|/(n-1)) int_0^T (((1+t)/s)^(2/n) - (1+t)^2)^((n-1)/2) dt,
+    T = s^(-1/(n-1)) - 1, on 64 Gauss-Legendre nodes in v, t = T(1 - v^2)."""
+    s = np.asarray(levels, float)[:, None]
+    T = s ** (-1.0 / (n - 1)) - 1.0
+    v, w = panel_rule(0.0, 1.0, 64)
+    tau = 1.0 + T * (1.0 - v * v)
+    r2 = np.maximum((tau / s) ** (2.0 / n) - tau * tau, 0.0)
+    integral = T[:, 0] * (r2 ** (0.5 * (n - 1)) @ (2.0 * w * v))
+    return sphere_area(n - 1) / (n - 1) * integral
+
+
 def run_weak_type_sweep(cfg: ExperimentConfig, checks: Checks, outdir: str):
     n = cfg.n
     g, hs = _meshes(cfg)
-    f = sample_radial(g, lambda r: (1 + r ** 2) ** (-0.5 * (n + 1)),
-                      tail_exponent=float(n + 1), nonnegative=True)
-    f = f.scaled(1.0 / lp_norm_boundary(f, 1.0))
-    u = poisson_extend(f, hs)
-    exponent = n / (n - 1)
-    levels = np.geomspace(1e-4, float(np.max(u.values)) * 0.8, 25)
-    masses = distribution_mass(u, levels)
-    ok_mono = bool(np.all(np.diff(masses) <= 1e-12))
-    checks.add("mass_monotone_in_level", 0.0 if ok_mono else 1.0, 0.0, 0.5)
-    wn = weak_lp_norm(u, exponent)
-    checks.bound("weak_norm_finite", wn, 50.0)
+    f = sample_radial(g, lambda r: (1 + r ** 2) ** (-0.5 * n),
+                      tail_exponent=float(n), nonnegative=True)
+    levels = np.geomspace(1e-2, 0.5, 25)
+    masses = distribution_mass(poisson_extend(f, hs), levels)
+    exact = _dual_superlevel_closed_form(n, levels)
+    checks.add("superlevel_mass_vs_closed_form",
+               float(np.max(np.abs(masses / exact - 1.0))), 0.0, 5e-2)
+    # the weak L^(n/(n-1)) norm, sup over the levels of s |{Pf > s}|^(1/q)
+    q = n / (n - 1)
+    wn = float(np.max(levels * masses ** (1 / q)))
+    closed = float(np.max(levels * exact ** (1 / q)))
+    checks.add("weak_norm_vs_closed_form", wn, closed, 2e-2 * closed)
     write_csv(os.path.join(outdir, "trace.csv"), ["level", "mass"], levels,
               masses)
     return {"weak_norm_value": wn}
@@ -220,7 +239,8 @@ def run_estimate_constant(cfg: ExperimentConfig, checks: Checks, outdir: str):
     family = _closed_form_family(n, p)
     if family is not None:
         closed = sharp_constant(n, family)
-        checks.add("c_estimate_vs_closed_form", est, closed, 0.005 * closed)
+        checks.add("c_estimate_vs_closed_form", est, closed,
+                   CLOSED_FORM_RTOL * closed)
         summary_extra["closed_form"] = closed
         summary_extra["rel_err"] = abs(est - closed) / closed
     else:
@@ -242,7 +262,6 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
     trace.to_csv(os.path.join(outdir, "trace.csv"))
     sol.to_csv(os.path.join(outdir, "profile.csv"))
     checks.bound("converged", 0.0 if trace.converged else 1.0, 0.5)
-    checks.bound("final_residual", trace.residuals[-1], cfg.tol_residual)
     # resolution indicator: the solution's |Pf|_q, product mesh over the
     # polar rule that the Rayleigh quotients read
     q = n * p / (n - 1)
@@ -261,6 +280,9 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         # fitted amplitude is the lambda-free constant of the solved family
         _, family_c, err = fits[family]
         checks.bound("family_match_error", err, 1e-3)
+        closed = sharp_constant(n, family)
+        checks.add("rayleigh_vs_closed_form", trace.rayleighs[-1], closed,
+                   CLOSED_FORM_RTOL * closed)
         extra.update({"family": family, "family_constant": family_c,
                       "family_match_error": err})
     return extra
@@ -270,22 +292,21 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
     g = build_radial_grid(2, max(cfg.grid_n // 2, 48))
     pg = PolarGrid(g, 48)
     x, y = pg.points()
+    # a translate rearranges to the centred bump, and its gain is exactly 0;
+    # the cells resolve an off-centre bump to 2-3 digits, a gain to ~1e-3
+    gain_tol = 2e-3
+    bump = PolarFn(pg, np.exp(-3.0 * ((x - 0.5) ** 2 + y ** 2)))
+    near = (g.nodes >= 0.05) & (g.nodes <= 1.5)
+    miss = symmetric_rearrangement(bump).values - np.exp(-3.0 * g.nodes ** 2)
+    checks.add("translate_rearrangement", float(np.max(np.abs(miss[near]))),
+               0.0, 3e-2)
+    checks.add("translate_gain", riesz_gain(bump, 0.8, 4.0), 0.0, gain_tol)
     two_bump = (np.exp(-((x - 1.2) ** 2 + y ** 2) * 3.0)
                 + 0.8 * np.exp(-((x + 1.5) ** 2 + (y - 0.4) ** 2) * 5.0))
     f = PolarFn(pg, two_bump)
-    star = symmetric_rearrangement(f)
-    star.to_csv(os.path.join(outdir, "profile.csv"))
-    cells = pg.cell_measures()
-    v, mu = distribution(f.values, cells)
-    shells = np.diff(mu, prepend=0.0)
-    for p in (1.0, 2.0, 4.0):
-        orig = float(np.sum(cells * f.values ** p))
-        star_mass = float(np.dot(shells, v ** p))
-        checks.add(f"lp_preserved[p={p}]", star_mass, orig, 1e-8 * orig)
+    symmetric_rearrangement(f).to_csv(os.path.join(outdir, "profile.csv"))
     gain = riesz_gain(f, 0.8, 4.0)
-    checks.bound("two_bump_gain_positive", gain, 1e-6, upper=False)
-    radial = radial_to_polar(star, pg)
-    checks.add("radial_gain_zero", riesz_gain(radial, 0.8, 4.0), 0.0, 1e-12)
+    checks.bound("two_bump_gain_positive", gain, gain_tol, upper=False)
     return {"two_bump_gain": gain}
 
 
@@ -324,24 +345,23 @@ def run_classify_radial(cfg: ExperimentConfig, checks: Checks, outdir: str):
 def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,
                              outdir: str):
     g, hs = _meshes(cfg)
-    p_crit = 4.0
     f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
     finv = boundary_inversion(f)
-    checks.add("boundary_norm_preserved",
-               lp_norm_boundary(finv, p_crit), lp_norm_boundary(f, p_crit),
-               1e-6)
-    for p_off in (0.9 * p_crit, 1.1 * p_crit):
-        ratio = lp_norm_boundary(finv, p_off) / lp_norm_boundary(f, p_off)
-        checks.bound(f"noncritical_broken[p={p_off:g}]", abs(ratio - 1.0),
-                     0.01, upper=False)
-    finv2 = boundary_inversion(finv)
-    checks.add("involution", float(np.max(np.abs(finv2.values - f.values))),
-               0.0, 1e-9)
+    # |f|_p^p = pi/(p-1) and, for f~ = r/(1+r^2), pi B(p/2+1, p/2-1): equal
+    # only at the critical p = 4, +9.0% apart at p = 3.6, -6.4% at p = 4.4
+    for p in (3.6, 4.0, 4.4):
+        closed = (math.pi / (p - 1)) ** (1 / p)
+        checks.add(f"norm[p={p:g}]", lp_norm_boundary(f, p), closed,
+                   1e-6 * closed)
+        closed = (math.pi * math.exp(betaln(p / 2 + 1, p / 2 - 1))) ** (1 / p)
+        checks.add(f"inverted_norm[p={p:g}]", lp_norm_boundary(finv, p),
+                   closed, 1e-6 * closed)
     # f is not self-inverse, so K(Pf) and Pf are different arrays
     checks.add("halfspace_norm_preserved",
                lp_norm_halfspace(halfspace_inversion(f, hs), 6.0),
                lp_norm_halfspace(poisson_extend(f, hs), 6.0), 1e-6)
+
 
 RUNNERS = {
     "verify-kernel": run_verify_kernel,

@@ -485,15 +485,3 @@ def distribution_mass(u, levels):
     mass = np.concatenate(([0.0], mu))[k]
     return float(mass) if levels.ndim == 0 else mass
 
-
-def weak_lp_norm(u: AxisymFn, p: float) -> float:
-    """Weak-L^p quasi-norm sup_t t*|{|u| > t}|^(1/p), over sampled levels.
-
-    The supremum is evaluated at the sampled values (left limits, so a level
-    contributes the measure of {|u| >= level}, its ties' last running total);
-    this under-estimates the continuum supremum by at most one grid cell.
-    """
-    if p <= 0.0:
-        raise DomainError(f"p must be positive, got {p}")
-    v, mu = distribution(np.abs(u.values), u.grid.cell_measures())
-    return float(np.max(v * mu ** (1.0 / p)))

@@ -6,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from halfext.cli import ExperimentConfig, _build_parser, main
+from halfext.cli import (ExperimentConfig, _build_parser,
+                         _dual_superlevel_closed_form, main)
 from halfext.grids import build_radial_grid, default_halfspace_grid
 
 
@@ -49,14 +50,57 @@ def test_verify_kernel(tmp_path):
         assert "timestamp" in summary["meta"]
 
 
-@pytest.mark.parametrize("name", [
-    "verify-identities", "estimate-constant", "rearrange-demo",
-    "conformal-invariance"])
+DEFAULT_ROWS = {
+    "verify-identities": [
+        "conformal_extension_identity", "dual_extension_identity",
+        *(f"slab_mass[{profile},a={a}]" for profile in ("cauchy", "gauss",
+                                                        "bump")
+          for a in ("0.3", "0.7", "2.0")),
+        "duality_pairing"],
+    "weak-type-sweep": ["superlevel_mass_vs_closed_form",
+                        "weak_norm_vs_closed_form"],
+    "estimate-constant": ["c_estimate_vs_closed_form"],
+    "solve-el": ["converged", "family_match_error", "rayleigh_vs_closed_form"],
+    "rearrange-demo": ["translate_rearrangement", "translate_gain",
+                       "two_bump_gain_positive"],
+    "conformal-invariance": [
+        *(f"{side}[p={p}]" for p in ("3.6", "4", "4.4")
+          for side in ("norm", "inverted_norm")),
+        "halfspace_norm_preserved"],
+}
+
+
+@pytest.mark.parametrize("name", DEFAULT_ROWS)
 def test_default_experiment_passes(tmp_path, name):
-    # default flags, as scripts/run_all_experiments.py runs them
+    # default flags, as scripts/run_all_experiments.py runs them (p = 4, the
+    # conformal exponent): every row with a numeric target is an oracle, met
+    # within its tolerance
     out = tmp_path / name
     assert run_cli(["run", name, "--out", str(out)]) == 0
-    assert load_summary(out)["pass"] is True
+    summary = load_summary(out)
+    assert summary["pass"] is True
+    assert [row["name"] for row in summary["checks"]] == DEFAULT_ROWS[name]
+    for row in summary["checks"]:
+        if not isinstance(row["target"], str):
+            assert abs(row["value"] - row["target"]) <= row["tol"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dual_superlevel_closed_form_against_mpmath(n):
+    # the measure of {(1+t)/|x+e_n|^n > s} by mpmath's quadrature in 30
+    # digits, with the disc radius clamped at 0 past its root
+    mp = pytest.importorskip("mpmath")
+    levels = [1e-2, 0.1, 0.5, 0.9]
+    got = _dual_superlevel_closed_form(n, levels)
+    with mp.workdps(30):
+        area = 2 * mp.pi ** (mp.mpf(n - 1) / 2) / mp.gamma(mp.mpf(n - 1) / 2)
+        for s, value in zip(map(mp.mpf, levels), got):
+            T = s ** (-mp.mpf(1) / (n - 1)) - 1
+            integral = mp.quad(lambda t: max(
+                ((1 + t) / s) ** (mp.mpf(2) / n) - (1 + t) ** 2, 0)
+                ** (mp.mpf(n - 1) / 2), [0, T])
+            assert value == pytest.approx(float(area * integral / (n - 1)),
+                                          rel=1e-10)
 
 
 def test_unknown_experiment_usage_error(capsys):

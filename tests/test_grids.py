@@ -10,7 +10,7 @@ from halfext.grids import (AxisymFn, HalfspaceGrid, PolarGrid, RadialFn,
                            build_radial_grid, dilate_boundary, distribution,
                            distribution_mass, lp_norm_boundary,
                            lp_norm_halfspace, pchip, polar_halfspace_rule,
-                           sample_radial, weak_lp_norm)
+                           sample_radial)
 from halfext.kernel import sphere_area
 
 
@@ -175,33 +175,6 @@ def test_lp_norm_halfspace_divergence():
         lp_norm_halfspace(u, 2.0)
 
 
-def test_weak_lp_norm_basics(halfspace3):
-    zero = AxisymFn(halfspace3, np.zeros((halfspace3.radial.size,
-                                          halfspace3.heights.size)))
-    assert weak_lp_norm(zero, 1.5) == 0.0
-    R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
-                       indexing="ij")
-    from halfext.kernel import kernel_constant
-    u = AxisymFn(halfspace3, kernel_constant(3) * T / (R ** 2 + T ** 2) ** 1.5)
-    w = weak_lp_norm(u, 1.5)
-    assert 0.0 < w < 10.0
-    # exact positive homogeneity
-    u2 = AxisymFn(halfspace3, 2.0 * u.values)
-    assert weak_lp_norm(u2, 1.5) == pytest.approx(2.0 * w, rel=1e-15)
-
-
-def test_weak_lp_norm_two_resolutions():
-    vals = []
-    for N_r, N_t in ((96, 64), (192, 128)):
-        hs = HalfspaceGrid(build_radial_grid(2, N_r),
-                           build_radial_grid(1, N_t))
-        R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
-        from halfext.kernel import kernel_constant
-        u = AxisymFn(hs, kernel_constant(3) * T / (R ** 2 + T ** 2) ** 1.5)
-        vals.append(weak_lp_norm(u, 1.5))
-    assert vals[0] == pytest.approx(vals[1], rel=2e-2)
-
-
 def test_distribution_mass(halfspace3):
     shape = (halfspace3.radial.size, halfspace3.heights.size)
     zero = AxisymFn(halfspace3, np.zeros(shape))
@@ -279,20 +252,6 @@ def test_distribution_mass_matches_masked_sums(seed):
         want = float(np.sum(cells[u.values > level]))
         assert mass == pytest.approx(want, rel=1e-13, abs=0.0)
         assert distribution_mass(u, float(level)) == mass
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), p=st.sampled_from([0.5, 1.5, 3.0]))
-def test_weak_lp_norm_matches_level_scan(seed, p):
-    rng = np.random.default_rng(seed)
-    hs = small_halfspace()
-    u = AxisymFn(hs, tied_samples(rng, (16, 16)))
-    cells = hs.cell_measures()
-    absu = np.abs(u.values)
-    # sup over the sampled levels s of s |{|u| >= s}|^(1/p)
-    want = max(s * float(np.sum(cells[absu >= s])) ** (1.0 / p)
-               for s in np.unique(absu))
-    assert weak_lp_norm(u, p) == pytest.approx(want, rel=1e-13)
 
 
 def test_layer_cake_consistency(halfspace3):

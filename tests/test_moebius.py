@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 from halfext.errors import DomainError
 from halfext.extension import poisson_extend
@@ -38,9 +41,13 @@ def test_inversion_breaks_noncritical_norm(boundary3):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
     out = boundary_inversion(f)
-    for p in (3.6, 4.4):
+    # |f~|_p^p / |f|_p^p = B(p/2+1, p/2-1) / (1/(p-1)) for f~ = r/(1+r^2),
+    # which is 1 only at the critical p = 4
+    for p, moved in ((3.6, 0.0903), (4.4, -0.0643)):
         ratio = lp_norm_boundary(out, p) / lp_norm_boundary(f, p)
-        assert abs(ratio - 1.0) > 0.01
+        closed = ((p - 1) * math.exp(betaln(p / 2 + 1, p / 2 - 1))) ** (1 / p)
+        assert ratio == pytest.approx(closed, rel=1e-6)
+        assert ratio - 1.0 == pytest.approx(moved, abs=5e-5)
 
 
 def test_inversion_involution(boundary3):
