@@ -40,7 +40,8 @@ from . import __version__, extension
 from .errors import HalfextError, SolverDivergence
 from .extension import (dual_extend, extend_at, extension_norm,
                         poisson_extend, slab_mass)
-from .extremals import ExtremalSpec, extremal_profile, sharp_constant
+from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
+                        sharp_constant)
 from .grids import (AxisymFn, PolarFn, PolarGrid, build_radial_grid,
                     default_halfspace_grid, distribution_mass,
                     lp_norm_boundary, lp_norm_halfspace, sample_radial,
@@ -132,6 +133,12 @@ def _closed_form_family(n: int, p: float):
 
 # relative gate of a computed sharp constant against its closed form
 CLOSED_FORM_RTOL = 1e-5
+
+# the lambda-free amplitude of the n=3 bubbles that solve the unit-coefficient
+# EL system: conformal a^2 = 3/J, J = int_0^inf (4t+3)/((t+1)^3 (2t+1)^3) dt
+# = 1/2; dual T(Pf) = (1/2) int_0^inf P_s f ds, so a^(1/3) = a/2
+FAMILY_CONSTANT_N3 = {"conformal": math.sqrt(6.0),
+                      "dual": 2.0 * math.sqrt(2.0)}
 
 
 # ----------------------------------------------------------------- experiments
@@ -277,9 +284,16 @@ def run_solve_el(cfg: ExperimentConfig, checks: Checks, outdir: str):
         extra.update({f"lambda_{kind}": lam, f"misfit_{kind}": err})
     if family is not None:
         # the solution is calibrated to the unit-coefficient system, so the
-        # fitted amplitude is the lambda-free constant of the solved family
+        # fitted amplitude is the lambda-free constant of the solved family;
+        # a converged solve misses the family by up to 13.9 tol_residual and
+        # the constant by up to 4.0 (n=3 dual, N=160), so both gate at 20
         _, family_c, err = fits[family]
-        checks.bound("family_match_error", err, 1e-3)
+        gate = 20.0 * cfg.tol_residual
+        checks.bound("family_match_error", err, gate)
+        if n == 3:
+            closed = FAMILY_CONSTANT_N3[family]
+            checks.add("family_constant_vs_closed_form", family_c, closed,
+                       gate * closed)
         closed = sharp_constant(n, family)
         checks.add("rayleigh_vs_closed_form", trace.rayleighs[-1], closed,
                    CLOSED_FORM_RTOL * closed)
@@ -311,35 +325,25 @@ def run_rearrange_demo(cfg: ExperimentConfig, checks: Checks, outdir: str):
 
 
 def run_classify_radial(cfg: ExperimentConfig, checks: Checks, outdir: str):
-    # the family fit must recover seeded bubbles of both families and reject
-    # the other family's members and perturbed bubbles
-    g = build_radial_grid(2, cfg.grid_n)
+    # a seeded bubble, calibrated on the EL system f^(p-1) = T((Pf)^(q-1)),
+    # solves it at its family's exponent with the closed-form amplitude, and
+    # misses it by a margin at an off-critical p where every integral
+    # converges (the conformal bubble is not in L^(4/3), so not at the dual p)
+    g, hs = _meshes(cfg)
     rng = np.random.default_rng(cfg.seed)
-    member = np.zeros(3)        # worst |lam/lam0 - 1|, |amp/amp0 - 1|, misfit
-    cross, perturbed = [], []
-    for kind, other in (("conformal", "dual"), ("dual", "conformal")):
-        e = ExtremalSpec(3, kind).exponent
-        for _ in range(2):
-            spec = ExtremalSpec(3, kind, rng.uniform(0.3, 3.0),
-                                rng.uniform(0.5, 2.0))
-            f = extremal_profile(spec, g)
-            lam, amp, err = match_extremal_family(f, 3, kind, 10.0)
-            member = np.maximum(member, [abs(lam / spec.lam - 1.0),
-                                         abs(amp / spec.amplitude - 1.0), err])
-            cross.append(match_extremal_family(f, 3, other, 10.0)[2])
-            eps = rng.uniform(0.02, 0.1)
-            bumpy = sample_radial(
-                g, lambda r: (1 + r ** 2 + eps * np.sin(r)) ** -e,
-                nonnegative=True)
-            perturbed.append(match_extremal_family(bumpy, 3, kind, 10.0)[2])
-    for name, value in zip(("member_lambda_error", "member_amplitude_error",
-                            "member_misfit"), member):
-        checks.bound(name, float(value), 1e-10)
-    # 10x solve-el's 1e-3 membership gate; the gap between the families
-    # shrinks with the window's last node on coarse meshes (0.05 at
-    # --grid-n 17)
-    checks.bound("cross_family_misfit", min(cross), 1e-2, upper=False)
-    checks.bound("perturbed_misfit", min(perturbed), 1e-3, upper=False)
+    for kind, tol, off_p in (("conformal", 1e-5, 3.0), ("dual", 1e-3, 2.0)):
+        spec = ExtremalSpec(3, kind, rng.uniform(0.3, 3.0),
+                            rng.uniform(0.5, 2.0))
+        f = extremal_profile(spec, g)
+        p = spec.critical_p
+        a, residual = calibrate(3, p, *el_sides(f, p, hs))
+        closed = FAMILY_CONSTANT_N3[kind]
+        checks.add(f"amplitude_vs_closed_form[{kind}]", a * spec.amplitude,
+                   closed, tol * closed)
+        checks.add(f"el_residual[{kind}]", residual, 0.0, tol)
+        checks.bound(f"el_residual[{kind},p={off_p:g}]",
+                     calibrate(3, off_p, *el_sides(f, off_p, hs))[1], 1e-2,
+                     upper=False)
 
 
 def run_conformal_invariance(cfg: ExperimentConfig, checks: Checks,

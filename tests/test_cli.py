@@ -60,9 +60,14 @@ DEFAULT_ROWS = {
     "weak-type-sweep": ["superlevel_mass_vs_closed_form",
                         "weak_norm_vs_closed_form"],
     "estimate-constant": ["c_estimate_vs_closed_form"],
-    "solve-el": ["converged", "family_match_error", "rayleigh_vs_closed_form"],
+    "solve-el": ["converged", "family_match_error",
+                 "family_constant_vs_closed_form", "rayleigh_vs_closed_form"],
     "rearrange-demo": ["translate_rearrangement", "translate_gain",
                        "two_bump_gain_positive"],
+    "classify-radial": [
+        row for kind, p in (("conformal", "3"), ("dual", "2"))
+        for row in (f"amplitude_vs_closed_form[{kind}]",
+                    f"el_residual[{kind}]", f"el_residual[{kind},p={p}]")],
     "conformal-invariance": [
         *(f"{side}[p={p}]" for p in ("3.6", "4", "4.4")
           for side in ("norm", "inverted_norm")),
@@ -309,6 +314,22 @@ def test_solve_el_dual_exponent_converges(tmp_path):
     assert results["family_match_error"] <= 1e-3
 
 
+@pytest.mark.parametrize("init", ["gaussian", "bump"])
+def test_solve_el_gates_follow_tol_residual(tmp_path, init):
+    # a looser solve converges and fits its family to a few tol_residual
+    # (misfit 1.5e-3 and 1.8e-3 here), so its gates are 20 tol_residual
+    out = tmp_path / "dual"
+    assert run_cli(["run", "solve-el", "--p", "1.3333333333333333",
+                    "--tol-residual", "2e-4", "--init", init,
+                    "--out", str(out)]) == 0
+    rows = {row["name"]: row for row in load_summary(out)["checks"]}
+    assert rows["family_match_error"]["target"] == "<= 0.004"
+    assert rows["family_match_error"]["value"] > 1e-3
+    amplitude = rows["family_constant_vs_closed_form"]
+    assert amplitude["target"] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
+    assert amplitude["tol"] == pytest.approx(4e-3 * amplitude["target"])
+
+
 @pytest.mark.parametrize("p", ["3.0", "4.0", "1.3333333333333333"])
 def test_solve_el_classifies_its_solution(tmp_path, p):
     # the solutions are bubbles only at the closed-form exponents: at p = 4
@@ -359,7 +380,6 @@ def test_shipped_fixtures_consistent():
     # the repo's derived-constants file agrees with the closed forms where
     # they exist and with the independent amplitude oracles
     import math
-    from scipy.integrate import quad as _quad
     from halfext.extremals import sharp_constant
     try:
         c4 = read_fixture("c[n=3,p=4]")
@@ -370,9 +390,7 @@ def test_shipped_fixtures_consistent():
     assert cd == pytest.approx(sharp_constant(3, "dual"), rel=1e-6)
     c2 = read_fixture("c[n=3,p=2]")
     assert c2 is not None and 0.0 < c2 < sharp_constant(3, "conformal")
-    J = _quad(lambda t: (4 * t + 3) / ((t + 1) ** 3 * (2 * t + 1) ** 3),
-              0, np.inf)[0]
     assert read_fixture("el_family_constant[conformal,n=3]") == \
-        pytest.approx(math.sqrt(3.0 / J), rel=1e-3)
+        pytest.approx(math.sqrt(6.0), rel=1e-3)
     assert read_fixture("el_family_constant[dual,n=3]") == \
         pytest.approx(2.0 * math.sqrt(2.0), rel=1e-3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from halfext.cli import FAMILY_CONSTANT_N3
 from halfext.errors import DomainError
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                extremal_profile, power_profile,
@@ -92,18 +93,21 @@ def test_rayleigh_dilation_invariance(conformal3, halfspace3):
         assert got == pytest.approx(base, abs=1e-6)
 
 
-def analytic_conformal_amplitude():
-    # Fourier-side reduction of the unit-coefficient system at xi = 0:
-    # the calibrated amplitude satisfies a^2 = 3 / J with
-    # J = int_0^inf (4t+3) / ((t+1)^3 (2t+1)^3) dt
+def test_conformal_amplitude_integral():
+    # Fourier-side reduction of the unit-coefficient system at xi = 0: the
+    # calibrated conformal amplitude satisfies a^2 = 3 / J with
+    # J = int_0^inf (4t+3) / ((t+1)^3 (2t+1)^3) dt = 1/2, so a = sqrt(6),
+    # the value the CLI's rows check against
     J = quad(lambda t: (4 * t + 3) / ((t + 1) ** 3 * (2 * t + 1) ** 3),
-             0, np.inf)[0]
-    return math.sqrt(3.0 / J)
+             0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+    assert J == pytest.approx(0.5, rel=1e-12)
+    assert FAMILY_CONSTANT_N3["conformal"] == pytest.approx(
+        math.sqrt(3.0 / J), rel=1e-12)
 
 
 def test_normalize_el_conformal(conformal3, halfspace3):
     a = calibrate(3, 4.0, *el_sides(conformal3, 4.0, halfspace3))[0]
-    assert a == pytest.approx(analytic_conformal_amplitude(), rel=1e-6)
+    assert a == pytest.approx(math.sqrt(6.0), rel=1e-6)
     # calibrated member solves the unit-coefficient system
     again, residual = calibrate(
         3, 4.0, *el_sides(conformal3.scaled(a), 4.0, halfspace3))

@@ -129,9 +129,10 @@ def test_match_extremal_family_rejects_unknown_kind(boundary3):
 @pytest.mark.parametrize("kind, other", [("conformal", "dual"),
                                          ("dual", "conformal")])
 def test_match_extremal_family_rejects_nonmembers(boundary3, kind, other):
-    # at the corners of classify-radial's draws (lam = 3, eps = 0.02), where
-    # the misfits are smallest, the other family's member and a perturbed
-    # bubble still miss by more than solve-el's 1e-3 membership gate
+    # at lam = 3 and eps = 0.02, where the misfits are smallest for lam in
+    # [0.3, 3] and eps in [0.02, 0.1], the other family's member and a
+    # perturbed bubble still miss by more than solve-el's default 1e-3
+    # membership gate
     f = extremal_profile(ExtremalSpec(3, kind, lam=3.0), boundary3)
     assert match_extremal_family(f, 3, other, 10.0)[2] >= 0.1
     e = ExtremalSpec(3, kind).exponent
