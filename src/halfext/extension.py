@@ -181,7 +181,7 @@ def _diagonal_rules(r_out, t, r_max: float, ladder: np.ndarray):
     """Rules resolving the kernel diagonal at each (r_out, t) and the data.
 
     Breakpoints: the peak at s = r (width t, growing by 8) and, below r/2
-    only, the mesh's ``ladder`` of decades (scale/64, growing by 4).
+    only, the mesh's ``ladder`` of decades (1/64, growing by 4).
     """
     peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, r_max,
                         _DIAGONAL_GROW)
@@ -205,7 +205,7 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
     n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
     centre, inv_h, basis = _window_cubics(in_grid)
-    ladder = peak_breaks(0.0, in_grid.scale / 64.0, 0.0, in_grid.r_max, GROW)
+    ladder = peak_breaks(0.0, 1.0 / 64.0, 0.0, in_grid.r_max, GROW)
     M = np.empty((out_nodes.size, n_in))
     for lo in range(0, out_nodes.size, n_in):
         r, tb, block = (x[lo:lo + n_in] for x in (out_nodes, t, M))
@@ -301,7 +301,7 @@ def operator_nbytes(halfspace: HalfspaceGrid) -> int:
 
 def _mesh_key(grid: RadialGrid) -> tuple:
     """Everything the operator build reads from a mesh, compared by value."""
-    return (grid.d, grid.scale, grid.nodes.tobytes(), grid.weights.tobytes())
+    return (grid.d, grid.nodes.tobytes(), grid.weights.tobytes())
 
 
 def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:

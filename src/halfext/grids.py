@@ -5,9 +5,9 @@ weights that already include the surface Jacobian r^(d-1), so that
 
     integral_0^inf g(r) r^(d-1) dr  ~=  sum_i weights_i * g(r_i).
 
-The nodes are Gauss nodes in theta mapped by r = scale*tan(theta): power-law
-tails become smooth on the mapped interval, and the scale-1 node set, the
-mesh every experiment builds, is exactly closed under r -> 1/r.
+The nodes are Gauss nodes in theta mapped by r = tan(theta): power-law tails
+become smooth, the nodes are closed under the Kelvin map r -> 1/r, and the
+rule is Gauss-Legendre in the stereographic polar angle 2*theta too.
 
 Boundary functions of |xi| live in RadialFn, axisymmetric half-space
 functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, and non-radial
@@ -40,7 +40,6 @@ class RadialGrid:
     d: int
     nodes: np.ndarray
     weights: np.ndarray          # include the r^(d-1) Jacobian
-    scale: float = 1.0
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -68,32 +67,30 @@ class RadialGrid:
         return sphere_area(self.d)
 
     def parameter(self, r):
-        """Monotone parameter coordinate used for interpolation stencils."""
-        return np.arctan(np.asarray(r, dtype=float) / self.scale)
+        """The mesh angle arctan(r), the coordinate of interpolation stencils."""
+        return np.arctan(np.asarray(r, dtype=float))
 
     def local_spacing(self, r):
         """Approximate node spacing of the mesh near radius r."""
-        x = np.asarray(r, dtype=float) / self.scale
-        return self.scale * ((np.pi / 2.0) / self.size) * (1.0 + x ** 2)
+        x = np.asarray(r, dtype=float)
+        return ((np.pi / 2.0) / self.size) * (1.0 + x ** 2)
 
 
 def build_radial_grid(d: int, N: int, mapping: str = "tan",
                       scale: float = 1.0) -> RadialGrid:
     """Gauss-Legendre mesh for radial integrals on R^d.
 
-    r = scale*tan(theta), theta in (0, pi/2); ``tan`` is the only mapping.
-    The weights include the r^(d-1) surface Jacobian.
+    r = tan(theta), theta in (0, pi/2), weights with the r^(d-1) Jacobian;
+    ``mapping`` and ``scale`` accept only ``"tan"`` and 1.0.
     """
-    if d < 1 or int(d) != d:
-        raise DomainError(f"dimension d must be a positive integer, got {d}")
-    if N < 16:
-        raise DomainError(f"need at least 16 nodes, got N={N}")
-    if scale <= 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    if int(d) != d:
+        raise DomainError(f"dimension d must be an integer, got {d}")
     if mapping != "tan":
         raise DomainError(f"unknown mapping {mapping!r}")
-    nodes, dr = half_line_rule(0.0, scale, N)
-    return RadialGrid(d, nodes, dr * nodes ** (d - 1), scale)
+    if scale != 1.0:
+        raise DomainError(f"the tan rule has scale 1.0, got {scale!r}")
+    nodes, dr = half_line_rule(0.0, 1.0, N)
+    return RadialGrid(d, nodes, dr * nodes ** (d - 1))
 
 
 def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
@@ -289,7 +286,7 @@ def polar_halfspace_rule(n: int):
     """(r, t, weights) of a rule for axisymmetric integrals over R^n_+.
 
     One row per ray phi in (0, pi/2) (Gauss-Legendre), one column per rho on
-    the scale-1 tan map: r = rho cos(phi), t = rho sin(phi), weights
+    the tan map: r = rho cos(phi), t = rho sin(phi), weights
     w_rho w_phi rho r^(n-2) |S^(n-2)|.
     """
     rho, w_rho = half_line_rule(0.0, 1.0, POLAR_RHO)

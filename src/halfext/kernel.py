@@ -12,10 +12,11 @@ extension.qt_ring.  P_t has unit mass on R^{n-1} for every t,
 its sup is attained at rho = 0, and its L^p norm obeys the exact power law
 |P_t|_p = c(n, p) * t^{-(n-1)(p-1)/p} on (n-1)/n < p <= inf.
 
-The constant c(n, p) is never hard-coded: finite-p norms are computed by
-radial quadrature under the substitution rho = t*tan(theta), which maps the
-half-line exactly onto a finite interval.  The CLI's verify-kernel checks
-that quadrature against the closed form of c(n, p), a Beta function.
+The constant c(n, p) is never hard-coded: finite-p norms are computed in
+theta, rho = t*tan(theta), where the integrand cos^(n(p-1)) sin^(n-2) is not
+smooth at pi/2 unless n(p-1) is an integer, so the Gauss panels shrink
+geometrically towards pi/2.  The CLI's verify-kernel checks that quadrature
+against the closed form of c(n, p), a Beta function.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError
-from .quadrature import half_line_rule
+from .quadrature import GROW, composite_rules, peak_breaks
 
 
 def unit_ball_volume(n: int) -> float:
@@ -68,9 +69,9 @@ def pt_profile(n: int, t: float, rho):
 def pt_lp_norm(n: int, p: float, t: float) -> float:
     """L^p(R^{n-1}) norm of P_t.
 
-    Finite p: radial quadrature under rho = t*tan(theta) (128-point
-    Gauss-Legendre on the mapped interval).  p = inf: the closed-form peak
-    value 2/(n omega_n t^{n-1}).  Diverges for p <= (n-1)/n.
+    Finite p: 12 Gauss panels of 16 nodes in theta, rho = t*tan(theta), from
+    width 1e-6 at pi/2 growing by GROW.  p = inf: the closed-form peak value
+    2/(n omega_n t^{n-1}).  Diverges for p <= (n-1)/n.
     """
     _check_dim(n)
     if t <= 0.0:
@@ -80,7 +81,8 @@ def pt_lp_norm(n: int, p: float, t: float) -> float:
             f"|P_t|_p diverges for p <= (n-1)/n = {(n - 1) / n:.6g}, got p={p}")
     if math.isinf(p):
         return kernel_constant(n) / t ** (n - 1)
-    d = n - 1
-    rho, jac = half_line_rule(0.0, t, 128)
-    integrand = pt_profile(n, t, rho) ** p * rho ** (d - 1)
-    return float((sphere_area(d) * np.dot(jac, integrand)) ** (1.0 / p))
+    theta, w, _ = composite_rules(
+        [peak_breaks(0.5 * np.pi, 1e-6, 0.0, 0.5 * np.pi, GROW)], 16)
+    rho, jac = t * np.tan(theta), t / np.cos(theta) ** 2
+    integrand = pt_profile(n, t, rho) ** p * rho ** (n - 2) * jac
+    return float((sphere_area(n - 1) * np.dot(w, integrand)) ** (1.0 / p))

@@ -9,8 +9,8 @@ half-space analogue u~(x) = |x|^(2-n) u(x/|x|^2) preserves
 L^(2n/(n-2))(R^n_+).
 
 Inversions work on the data's own mesh.  Inversions of radial data stay
-radial and are exact by node reflection: the scale-1 tan mesh is closed
-under r -> 1/r (tan and cot swap), and other meshes are rejected.
+radial and are exact by node reflection: the tan mesh is closed under
+r -> 1/r (tan and cot swap), and meshes that are not are rejected.
 
 The half-space Kelvin transform of Pf is harmonic with boundary values
 |xi|^(2-n) f(xi/|xi|^2): it is P of the boundary inversion, so it too is

@@ -11,7 +11,7 @@ from halfext.grids import build_radial_grid, default_halfspace_grid  # noqa: E40
 
 @pytest.fixture(scope="session")
 def boundary3():
-    """Shared n=3 boundary mesh (scale-1 tan, reciprocal-closed nodes)."""
+    """Shared n=3 boundary mesh (tan rule, reciprocal-closed nodes)."""
     return build_radial_grid(2, 160, "tan", 1.0)
 
 

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from halfext.cli import (ExperimentConfig, _build_parser,
+from halfext.cli import (CLOSED_FORM_RTOL, ExperimentConfig, _build_parser,
                          _dual_superlevel_closed_form, main)
 from halfext.grids import build_radial_grid, default_halfspace_grid
 
@@ -31,7 +31,8 @@ def load_summary(outdir):
 def test_verify_kernel(tmp_path):
     # |P_t|_p by the library's quadrature against the Beta closed form, in
     # and away from the default dimension
-    want = [f"pt_lp_norm[p={p},t={t}]" for p in ("1", "1.5", "2", "3")
+    want = [f"pt_lp_norm[p={p},t={t}]"
+            for p in ("1", "1.1", "1.25", "1.5", "2", "3")
             for t in ("0.25", "1", "4")]
     for n in (2, 3, 4, 5):
         out = tmp_path / f"vk{n}"
@@ -385,11 +386,14 @@ def test_shipped_fixtures_consistent():
         c4 = read_fixture("c[n=3,p=4]")
     except FileNotFoundError:
         pytest.skip("fixtures not generated")
-    assert c4 == pytest.approx(sharp_constant(3, "conformal"), rel=5e-3)
+    c_conf, c_dual = sharp_constant(3, "conformal"), sharp_constant(3, "dual")
+    assert c4 == pytest.approx(c_conf, rel=CLOSED_FORM_RTOL)
     cd = read_fixture("c[n=3,p=1.333333333]")
-    assert cd == pytest.approx(sharp_constant(3, "dual"), rel=1e-6)
+    assert cd == pytest.approx(c_dual, rel=1e-6)
+    # Riesz-Thorin: log c is convex in 1/p and c = 1 at p = inf, so 1/p = 1/2
+    # bounds c2 by the chords from 1/p = 0 through 1/4 and from 1/4 to 3/4
     c2 = read_fixture("c[n=3,p=2]")
-    assert c2 is not None and 0.0 < c2 < sharp_constant(3, "conformal")
+    assert c2 is not None and c_conf ** 2 <= c2 <= math.sqrt(c_conf * c_dual)
     assert read_fixture("el_family_constant[conformal,n=3]") == \
         pytest.approx(math.sqrt(6.0), rel=1e-3)
     assert read_fixture("el_family_constant[dual,n=3]") == \

@@ -42,10 +42,14 @@ def test_grid_validation():
 
 
 def test_radial_grid_rejects_unknown_mapping():
-    # tan is the one node mapping; the argument stays for callers that name it
+    # the unit tan rule is the one mesh; both arguments stay for callers
+    # that name them
     for mapping in ("linear", "exp"):
         with pytest.raises(DomainError, match="unknown mapping"):
             build_radial_grid(2, 24, mapping)
+    for scale in (0.5, 2.0, -1.0, 0.0):
+        with pytest.raises(DomainError, match="scale 1.0"):
+            build_radial_grid(2, 24, "tan", scale)
     assert build_radial_grid(2, 24, "tan", 1.0).size == 24
 
 

@@ -6,7 +6,7 @@ from scipy.special import betaln
 
 from halfext.errors import DomainError
 from halfext.extension import poisson_extend
-from halfext.grids import (RadialFn, build_radial_grid,
+from halfext.grids import (RadialFn, RadialGrid, build_radial_grid,
                            default_halfspace_grid, lp_norm_boundary,
                            lp_norm_halfspace, sample_radial)
 from halfext.moebius import boundary_inversion, halfspace_inversion
@@ -59,8 +59,9 @@ def test_inversion_involution(boundary3):
 
 def test_inversion_rejects_mesh_not_closed_under_reciprocal():
     # node reflection is exact only where the nodes are closed under
-    # r -> 1/r; the scale-1.7 tan mesh is not
-    g = build_radial_grid(2, 128, "tan", 1.7)
+    # r -> 1/r; the tan mesh dilated by 1.7 is not
+    g = build_radial_grid(2, 128)
+    g = RadialGrid(2, 1.7 * g.nodes, 1.7 ** 2 * g.weights)
     f = sample_radial(g, lambda r: (1 + r ** 2) ** -1.0,
                       tail_exponent=2.0, nonnegative=True)
     with pytest.raises(DomainError, match="closed under"):

@@ -6,8 +6,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfext"
-CEILING = 28
-LINE_CEILING = 1846     # non-blank, non-comment lines of src/halfext/*.py
+CEILING = 27
+LINE_CEILING = 1845     # non-blank, non-comment lines of src/halfext/*.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -217,40 +217,6 @@ def test_unconverged_reports(boundary3, halfspace3):
     assert residual == pytest.approx(trace.residuals[-1], rel=1e-12)
 
 
-def test_scaling_covariance_of_iteration_map(boundary3, halfspace3):
-    # the unnormalized update of a dilated input equals the dilated update.
-    # scale-lambda tan meshes carry exactly the dilated nodes, so the dilated
-    # input is sampled with no interpolation at all and the comparison is
-    # quadrature-exact
-    from halfext.extension import dual_extend, poisson_extend
-    from halfext.grids import (AxisymFn, HalfspaceGrid, RadialFn,
-                               build_radial_grid)
-    p, q = 4.0, 6.0
-    lam = 2.0
-    f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
-    g2 = build_radial_grid(2, boundary3.size, "tan", lam)
-    hs2 = HalfspaceGrid(g2, build_radial_grid(1, halfspace3.heights.size,
-                                              "tan", lam))
-    assert np.allclose(g2.nodes, lam * boundary3.nodes, rtol=1e-14)
-
-    def update(fn, hs):
-        u = poisson_extend(fn, hs)
-        rhs = dual_extend(
-            AxisymFn(hs, np.maximum(u.values, 0.0) ** (q - 1.0)))
-        return rhs.values ** (1.0 / (p - 1.0))
-
-    d = boundary3.d
-    f_dil = RadialFn(g2, lam ** (-d / p) * f.values,
-                     value_at_zero=lam ** (-d / p) * f.value_at_zero,
-                     tail_exponent=f.tail_exponent, nonnegative=True)
-    lhs = update(f_dil, hs2)                         # at nodes lam * r_j
-    base = update(f, halfspace3)
-    rhs = lam ** (-d / p) * base                     # (M f)^{lam,0}(lam r_j)
-    core = boundary3.nodes <= 50.0
-    rel = np.abs(lhs - rhs) / np.abs(rhs)
-    assert np.max(rel[core]) < 1e-8
-
-
 def test_determinism(halfspace3):
     cfg = SolverConfig(max_iters=25, tol_residual=1e-9)
     runs = []
