@@ -20,6 +20,6 @@ from .rearrange import (planar_convolution, radial_to_polar, riesz_gain,
                         symmetric_rearrangement)
 from .solver import (IterationTrace, SolverConfig, ascent_estimate_constant,
                      el_fixed_point, match_extremal_family,
-                     normalize_mass_half, radial_about_point)
+                     normalize_mass_half)
 
 __version__ = "0.1.0"

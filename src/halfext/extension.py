@@ -30,9 +30,12 @@ Pfaff transformation (DLMF 15.6.1, 15.8.1) turns it into
         / ( ((r-s)^2+t^2) * ((r+s)^2+t^2)^h ),
 
 which at n = 3 is the E(m) form and at n = 4 the rational one.  Here
-c - a - b = 1, so 2F1 stays finite as m -> 1 (s -> r, t -> 0).  The angular
-integral on Gauss-Legendre panels (``method="gl"``, refined toward
-theta = 0, where the integrand peaks as t -> 0) is kept as the oracle.
+c - a - b = 1, so 2F1 stays finite as m -> 1 (s -> r, t -> 0).  Both are
+summed on numpy alone from w = 1 - m, which does not cancel as m -> 1: E by
+Cephes' minimax pair, 2F1 by its Gauss or log series after the quadratic
+transformation DLMF 15.8.13 (``_ring_log``).  The angular integral on
+Gauss-Legendre panels (``method="gl"``, refined toward theta = 0, where the
+integrand peaks as t -> 0) is kept as the oracle.
 
 As t -> 0 the kernel concentrates in an O(t) spike at s = r.  Rows whose
 height the radial mesh cannot resolve sum geometrically refined panels
@@ -50,10 +53,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import beta, digamma, ellipe, hyp2f1
 
 from .errors import DivergenceError, DomainError
 from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
@@ -71,30 +73,115 @@ _RING_ORDER = 24
 _RING_BLOCK = 512      # entries per angular batch: bounds the nodes held
 
 
+# E(m) = P(x) - x log(x) Q(x), x = 1 - m: the minimax pair of Cephes'
+# ellpe.c, listed from the highest degree as there
+_ELLIPE_P = (
+    1.535525773010133e-4, 2.5088849216360204e-3, 8.687868165658896e-3,
+    1.0735094905607619e-2, 7.773954925167871e-3, 7.583952894135147e-3,
+    1.1568843681057412e-2, 2.1831799601555724e-2, 5.680519456178606e-2,
+    4.4314718056099084e-1, 1.0)[::-1]
+_ELLIPE_Q = tuple(-c for c in (
+    3.2795489857648585e-5, 1.0096279267935672e-3, 6.506094899769275e-3,
+    1.6886216399331133e-2, 2.6176974245449364e-2, 3.348339048882249e-2,
+    4.271809265189315e-2, 5.85936634471101e-2, 9.374999971976443e-2,
+    2.499999999998883e-1))[::-1]
+_CHUNK = 1 << 14       # entries per Horner pass: its temporaries stay in cache
+# Gauss series are summed on [0, 0.6], the ring kernel's log series on [0, 0.4]
+_GAUSS_MAX = 0.6
+
+
+def _horner(c, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[...] = c[-1]
+    for ck in c[-2::-1]:
+        out *= x
+        out += ck
+    return out
+
+
+def _log_poly(x, p, q) -> np.ndarray:
+    # p(x) + x log(x) q(x) for coefficients p, q from degree 0 up, in chunks
+    # of _CHUNK entries; an empty q drops the log part.  x log x -> 0 at
+    # x = 0; the clamp changes no x above 1e-300
+    x = np.asarray(x, dtype=float)
+    flat, out = x.ravel(), np.empty(x.size)
+    for lo in range(0, x.size, _CHUNK):
+        xc, oc = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        _horner(p, xc, oc)
+        if q:
+            xlogx = np.log(np.maximum(xc, 1e-300)) * xc
+            oc += _horner(q, xc, np.empty_like(xc)) * xlogx
+    return out.reshape(x.shape)
+
+
+@lru_cache
+def _series(z: float, first: float, a, b, c, d) -> tuple:
+    # t_0 = first, t_{k+1} = t_k (a+k)(b+k) / ((c+k)(d+k)), up to the first
+    # t_k z^k below 1e-17 |t_0| with a ratio times z below 3/4: the power
+    # series to roundoff on [0, z]
+    t, r = [first], math.inf
+    while abs(r) * z >= 0.75 or abs(t[-1] / first) * z ** (len(t) - 1) > 1e-17:
+        k = len(t) - 1
+        r = (a + k) * (b + k) / ((c + k) * (d + k))
+        t.append(t[-1] * r)
+    return tuple(t)
+
+
+def hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
+    """2F1(a, b; c; z) on 0 <= z <= 0.6: its Gauss series, to roundoff."""
+    return _log_poly(z, _series(_GAUSS_MAX, 1.0, a, b, c, 1.0), ())
+
+
+@lru_cache
+def _ring_log(h: float) -> tuple:
+    # B(h, h) 2F1(h-1, h; 2h; 1-w) = (1+w)^(1-h) 2^(h-1) B(h, h) F(x), the
+    # quadratic transformation DLMF 15.8.13, with F = 2F1(a, b; a+b+1; x),
+    # x = ((1-w)/(1+w))^2, a = (h-1)/2, b = h/2.  For y = 1 - x = 4w/(1+w)^2
+    # <= 0.4, DLMF 15.8.10 (c - a - b = 1) gives 2^(h-1) B(h, h) F =
+    # (1/h) [1 + a b sum_k e_k y^(k+1) (log y + d_k)] with e_k = (a+1)_k
+    # (b+1)_k / (k! (k+1)!), d_k = psi(a+1+k) + psi(b+1+k) - psi(k+1) -
+    # psi(k+2), and d_0 = 2 (psi(h+1) + gamma) - 2 log 2 - 1 by the
+    # duplication formula.  Its terms grow like k^(h-3/2) y^k; those of the
+    # same series in w grow like k^(2h-2) w^k, and their cancellation costs
+    # 3e-12 at h = 3.5 on w <= 1/2.  Returns (p, q), degree 0 up.
+    a, b = 0.5 * (h - 1.0), 0.5 * h
+    e = np.array(_series(1.0 - _GAUSS_MAX, a * b / h, a + 1, b + 1, 1, 2))
+    # psi(h+1) + gamma, from psi(1) + gamma = 0 or psi(1/2) + gamma = -log 4
+    psi = np.sum(1 / np.arange(h % 1 or 1, h + 0.5)) - math.log(4) * (h % 1 > 0)
+    k = np.arange(e.size)
+    step = 1 / (a + 1 + k) + 1 / (b + 1 + k) - 1 / (k + 1.0) - 1 / (k + 2.0)
+    d = 2.0 * psi - math.log(4.0) - 1.0 + np.cumsum(step) - step
+    return tuple(np.append(1.0 / h, e * d)), tuple(e)
+
+
+def _ring_hyp(h: float, w) -> np.ndarray:
+    # B(h, h) 2F1(h-1, h; 2h; 1-w) on 0 < w <= 1 for h = n/2 - 1, n >= 5:
+    # the Gauss series in x = ((1-w)/(1+w))^2 <= 0.6, the log series below;
+    # w is a numpy array or scalar
+    x = ((1.0 - w) / (1.0 + w)) ** 2
+    far = x <= _GAUSS_MAX
+    out = np.empty_like(w)
+    beta = math.exp(2.0 * math.lgamma(h) - math.lgamma(2.0 * h))
+    out[far] = 2.0 ** (h - 1.0) * beta * hyp2f1(0.5 * h - 0.5, 0.5 * h,
+                                                   h + 0.5, x[far])
+    out[~far] = _log_poly((4.0 * w / (1.0 + w) ** 2)[~far], *_ring_log(h))
+    return out * (1.0 + w) ** (1.0 - h)
+
+
 def _ring_closed(n: int, r, s, t):
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
     amm = (r - s) ** 2 + t * t
     app = (r + s) ** 2 + t * t
     if n == 2:
         return (t / np.pi) * (1.0 / amm + 1.0 / app)
     if n == 3:
-        m = np.minimum(4.0 * r * s / app, 1.0)
-        return (t / np.pi) * 2.0 * ellipe(m) / (amm * np.sqrt(app))
+        ell = _log_poly(amm / app, _ELLIPE_P, _ELLIPE_Q)
+        return (t / np.pi) * 2.0 * ell / (amm * np.sqrt(app))
     if n == 4:
         return 4.0 * t / (np.pi * amm * app)
-    # n >= 5: B(h, h) 2F1(h-1, h; 2h; 1-w) with h = n/2 - 1 and w = 1 - m,
-    # free of cancellation.  hyp2f1 returns its z = 1 limit once w < 1e-13,
-    # so below 1e-11 take the expansion at z = 1 (DLMF 15.8.10, c-a-b = 1),
-    # whose first dropped term is O(w^2 log w)
+    # n >= 5: B(h, h) 2F1(h-1, h; 2h; m) with h = n/2 - 1
     h = 0.5 * n - 1.0
-    w = amm / app
-    d0 = digamma(h) + digamma(h + 1.0) + 2.0 * np.euler_gamma - 1.0
-    bf = np.where(w < 1e-11, 1.0 / h + (h - 1.0) * w * (np.log(w) + d0),
-                  beta(h, h) * hyp2f1(h - 1.0, h, 2.0 * h, 1.0 - w))
     c = kernel_constant(n) * sphere_area(n - 2) * 2.0 ** (n - 3)
-    return c * t * bf / (amm * app ** h)
+    return c * t * _ring_hyp(h, amm / app) / (amm * app ** h)
 
 
 def _angular_integral(n: int, r, s, t, k: int) -> np.ndarray:

@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1
 
 from .errors import DivergenceError, DomainError
-from .extension import dual_extend, extension_norm, poisson_extend
+from .extension import dual_extend, extension_norm, hyp2f1, poisson_extend
 from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
                     lp_norm_boundary)
 from .kernel import unit_ball_volume
@@ -90,7 +89,7 @@ def sharp_constant(n: int, which: str) -> float:
         return float(n ** (-(n - 2) / (2.0 * (n - 1)))
                      * w ** (-(n - 2) / (2.0 * n * (n - 1))))
     if which == "dual":
-        log_ratio = gammaln(n - 1) - gammaln(0.5 * (n - 1))
+        log_ratio = math.lgamma(n - 1) - math.lgamma(0.5 * (n - 1))
         return float(math.exp(log_ratio / (2.0 * (n - 1)))
                      / (math.sqrt(2.0 * (n - 2)) * math.pi ** 0.25))
     raise DomainError(f"unknown case {which!r} (use 'conformal' or 'dual')")

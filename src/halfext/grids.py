@@ -349,7 +349,6 @@ class PolarFn:
 
     grid: PolarGrid
     values: np.ndarray
-    _spline: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -362,28 +361,6 @@ class PolarFn:
     def lp_norm(self, p: float) -> float:
         mass = np.sum(self.grid.cell_measures() * np.abs(self.values) ** p)
         return float(mass ** (1.0 / p))
-
-    def _build_spline(self):
-        # periodic padding in the angle, then a plain bicubic spline
-        from scipy.interpolate import RectBivariateSpline
-        pad = 4
-        phi = self.grid.angles
-        phi_ext = np.concatenate([phi[-pad:] - 2 * np.pi, phi, phi[:pad] + 2 * np.pi])
-        vals = np.concatenate([self.values[:, -pad:], self.values,
-                               self.values[:, :pad]], axis=1)
-        xs = self.grid.radial.parameter(self.grid.radial.nodes)
-        self._spline = RectBivariateSpline(xs, phi_ext, vals, kx=3, ky=3)
-
-    def eval_xy(self, x, y):
-        """Evaluate at Cartesian points (clamped to the radial mesh range)."""
-        if self._spline is None:
-            self._build_spline()
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rho = np.hypot(x, y)
-        phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-        rho = np.clip(rho, self.grid.radial.nodes[0], self.grid.radial.r_max)
-        return self._spline.ev(self.grid.radial.parameter(rho), phi)
 
 
 def lp_norm_boundary(f: RadialFn, p: float) -> float:

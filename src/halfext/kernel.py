@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError
 from .quadrature import GROW, composite_rules, peak_breaks
@@ -34,14 +33,14 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 1:
         raise DomainError(f"unit ball volume needs n >= 1, got n={n}")
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
+    return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
 def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere S^(d-1) in R^d: 2 pi^(d/2)/Gamma(d/2)."""
     if d < 1:
         raise DomainError(f"sphere area needs d >= 1, got d={d}")
-    return 2.0 * math.exp(0.5 * d * math.log(math.pi) - gammaln(0.5 * d))
+    return 2.0 * math.exp(0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
 
 
 def kernel_constant(n: int) -> float:
@@ -69,9 +68,10 @@ def pt_profile(n: int, t: float, rho):
 def pt_lp_norm(n: int, p: float, t: float) -> float:
     """L^p(R^{n-1}) norm of P_t.
 
-    Finite p: 12 Gauss panels of 16 nodes in theta, rho = t*tan(theta), from
-    width 1e-6 at pi/2 growing by GROW.  p = inf: the closed-form peak value
-    2/(n omega_n t^{n-1}).  Diverges for p <= (n-1)/n.
+    Finite p >= 1: 12 Gauss panels of 16 nodes in theta, rho = t*tan(theta),
+    from width 1e-6 at pi/2 growing by GROW; below p = 1 the integrand
+    cos^(n(p-1)) is singular at pi/2 and p raises DomainError.  p = inf: the
+    closed-form peak value 2/(n omega_n t^{n-1}).  Diverges for p <= (n-1)/n.
     """
     _check_dim(n)
     if t <= 0.0:
@@ -79,6 +79,8 @@ def pt_lp_norm(n: int, p: float, t: float) -> float:
     if p <= (n - 1) / n:
         raise DivergenceError(
             f"|P_t|_p diverges for p <= (n-1)/n = {(n - 1) / n:.6g}, got p={p}")
+    if p < 1.0:
+        raise DomainError(f"|P_t|_p is computed for p >= 1, got p={p}")
     if math.isinf(p):
         return kernel_constant(n) / t ** (n - 1)
     theta, w, _ = composite_rules(

@@ -15,8 +15,7 @@ divergence is detected and reported with the trace.
 
 The module also hosts the symmetry classification: the one family fit,
 which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
-either closed-form family, and a scan for the center that makes a planar
-field radial.
+either closed-form family.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 from .extension import poisson_extend  # noqa: F401
 from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
                         rayleigh_quotient)
-from .grids import (HalfspaceGrid, PolarFn, RadialFn, RadialGrid,
-                    dilate_boundary, lp_norm_boundary, write_csv)
+from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
+                    lp_norm_boundary, write_csv)
 from .quadrature import panel_rule
 
 
@@ -269,43 +268,3 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
                                -3.0, 3.0, 1e-12))
     amp, err = best_amp(lam)
     return lam, amp, err
-
-
-def radial_about_point(v: PolarFn, tol: float):
-    """Center a*e_1 minimizing the angular variation of v, or None.
-
-    The center search scans 81 points of the symmetry axis, -2 <= a <= 2 (a
-    planar reflection argument pins the second coordinate to zero).  Returns
-    the center as a length-2 array when the minimized relative angular
-    deviation is <= tol.
-    """
-    radial = v.grid.radial
-    ring_mean = np.mean(np.abs(v.values), axis=1)
-    vmax = float(np.max(ring_mean))
-    good = ring_mean >= 1e-5 * vmax
-    r_lo = max(float(radial.nodes[good][0]) * 4.0, 1e-3)
-    r_hi = float(radial.nodes[good][-1])
-    # probe circles about any center |a| <= 2 stay inside the mesh
-    r_hi = min(r_hi / 2.0, r_hi - 4.0)
-    if r_hi <= r_lo:
-        raise DomainError("polar mesh too small for a center scan")
-    probes = np.geomspace(r_lo, r_hi, 12)
-    phis = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-
-    def deviation(a: float) -> float:
-        total = 0.0
-        for rho in probes:
-            w = v.eval_xy(a + rho * np.cos(phis), rho * np.sin(phis))
-            mean = float(np.mean(np.abs(w)))
-            if mean <= 0.0:
-                continue
-            total = max(total, float(np.std(w)) / mean)
-        return total
-
-    grid_a = np.linspace(-2.0, 2.0, 81)
-    devs = [deviation(a) for a in grid_a]
-    i = int(np.argmin(devs))
-    lo = grid_a[max(i - 1, 0)]
-    hi = grid_a[min(i + 1, grid_a.size - 1)]
-    a = _golden_min(deviation, lo, hi, 1e-10)
-    return np.array([a, 0.0]) if deviation(a) <= tol else None

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 
 from halfext import extension
 from halfext.errors import DivergenceError, DomainError
-from halfext.extension import (PEAK_FACTOR, _diagonal_rules, _kernel_matrix,
-                               _window_cubics, commutator_gap,
+from halfext.extension import (_ELLIPE_P, _ELLIPE_Q, PEAK_FACTOR,
+                               _diagonal_rules, _kernel_matrix, _log_poly,
+                               _ring_hyp, _window_cubics, commutator_gap,
                                dual_extend, extend_at, extension_norm,
                                get_operator, kernel_mass, poisson_extend,
                                qt_ring, ring_kernel, slab_mass)
@@ -48,8 +49,7 @@ def test_ring_kernel_at_zero_radius():
 def _ring_triples():
     # r = 0, r << s, r = s exactly, and s -> r as t -> 0, where
     # m = 4rs/((r+s)^2+t^2) -> 1: the last four fixed triples put 1 - m at
-    # 2.5e-11, 2.5e-11, 2.8e-12 and 1.6e-14, on both sides of the
-    # hypergeometric branch's switch at 1e-11
+    # 2.5e-11, 2.5e-11, 2.8e-12 and 1.6e-14, deep in the log series' range
     fixed = [(0.0, 1.3, 0.4), (1e-4, 3.0, 0.2), (0.8, 0.8, 0.05),
              (1.0, 1.0, 1e-5), (1.0, 1.0 + 1e-7, 1e-5),
              (3.0, 3.0 * (1.0 + 1e-9), 1e-5), (40.0, 40.0, 1e-5)]
@@ -60,7 +60,7 @@ def _ring_triples():
     return fixed + list(zip(r, s, t))
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
 def test_ring_kernel_closed_matches_mpmath(n):
     # the closed form against the defining angular integral in 30 digits,
     # with breakpoints at the peak width sqrt(((r-s)^2+t^2)/(r s)) and its
@@ -81,6 +81,44 @@ def test_ring_kernel_closed_matches_mpmath(n):
                          * mp.mpf(sphere_area(n - 2)) * t_
                          * mp.quad(integrand, breaks))
         assert abs(ring_kernel(n, r, s, t) / want - 1.0) <= 1e-13, (r, s, t)
+
+
+def test_ellipe_series_matches_mpmath():
+    # E(m) from x = 1 - m, against mpmath in enough digits to resolve
+    # m = 1 - x, to 2 ulp: m = 0 (x = 1), m = 1 (x = 0, with no warning for
+    # 0 log 0), x down to 1e-300, and uniform m
+    mp = pytest.importorskip("mpmath")
+    x = np.concatenate([[1.0, 0.0, 0.5], 10.0 ** -np.arange(1.0, 301.0, 13.0),
+                        np.random.default_rng(3).uniform(0.0, 1.0, 40)])
+    with np.errstate(all="raise"):
+        got = _log_poly(x, _ELLIPE_P, _ELLIPE_Q)
+    with mp.workdps(330):
+        want = np.array([float(mp.ellipe(1 - mp.mpf(v))) for v in x])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), x[
+        np.abs(got - want) > 2 * np.spacing(want)]
+    assert got[1] == 1.0
+
+
+@pytest.mark.parametrize("h", [1.5, 2.0, 2.5, 3.0, 3.5])
+def test_ring_hyp_matches_mpmath(h):
+    # B(h, h) 2F1(h-1, h; 2h; 1-w) on (0, 1] to 1e-14: w down to 1e-300,
+    # both sides of the series switch at ((1-w)/(1+w))^2 = 0.6, and w = 1.
+    # Below w = 1e-25 the reference is the expansion at z = 1 (c-a-b = 1),
+    # 1/h + (h-1) w (log w + psi(h) + psi(h+1) + 2 gamma - 1), whose first
+    # dropped term is O(w^2 log w)
+    mp = pytest.importorskip("mpmath")
+    switch = (1 - math.sqrt(0.6)) / (1 + math.sqrt(0.6))
+    w = np.concatenate([10.0 ** -np.arange(0.0, 301.0, 20.0),
+                        np.linspace(0.01, 1.0, 34),
+                        [switch, np.nextafter(switch, 0.0), 1e-11]])
+    got = _ring_hyp(h, w)
+    with mp.workdps(40):
+        d0 = mp.digamma(h) + mp.digamma(h + 1) + 2 * mp.euler - 1
+        want = [1 / mp.mpf(h) + (h - 1) * v * (mp.log(v) + d0) if v < 1e-25
+                else mp.beta(h, h) * mp.hyp2f1(h - 1, h, 2 * h, 1 - mp.mpf(v))
+                for v in map(mp.mpf, w)]
+    err = [float(abs(g / v - 1)) for g, v in zip(got, want)]
+    assert max(err) <= 1e-14, w[int(np.argmax(err))]
 
 
 def test_ring_kernel_adaptive_quadrature_oracle():

@@ -208,6 +208,23 @@ def test_power_profile_matches_poisson_integral(beta):
                 extension(theta), rel=1e-11)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_power_profile_matches_mpmath(n):
+    # 2F1(beta, n-2-beta; (n-1)/2; (1 - sin theta)/2), normalised at theta
+    # = 0, by mpmath's own hypergeometric function, for beta across
+    # (0, n - 1), where the second parameter changes sign at beta = n - 2
+    mp = pytest.importorskip("mpmath")
+    theta = np.linspace(0.0, 0.5 * np.pi, 9)
+    for beta in (0.3, 0.5 * (n - 1), n - 1.7, n - 1.2):
+        a, b, c = beta, n - 2 - beta, 0.5 * (n - 1)
+        with mp.workdps(30):
+            want = [mp.hyp2f1(a, b, c, (1 - mp.sin(x)) / 2)
+                    / mp.hyp2f1(a, b, c, 0.5) for x in theta]
+        got = power_profile(n, beta, theta)
+        assert np.allclose(got, np.array(want, dtype=float), rtol=1e-14,
+                           atol=0.0), (n, beta)
+
+
 def test_singular_constant_rejects_bad_p():
     with pytest.raises(DomainError):
         singular_constant(3, 1.0)

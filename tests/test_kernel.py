@@ -103,6 +103,14 @@ def test_pt_lp_divergence():
         pt_lp_norm(3, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("n, p", [(2, 0.6), (3, 0.7), (5, 0.85)])
+def test_pt_lp_norm_rejects_p_below_one(n, p):
+    # (n-1)/n < p < 1: |P_t|_p is finite, but the theta-integrand
+    # cos^(n(p-1)) is singular at pi/2, and the panels stop at width 1e-6
+    with pytest.raises(DomainError):
+        pt_lp_norm(n, p, 1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(0.05, 20.0), rho=st.floats(0.0, 50.0),
        n=st.integers(2, 6))

@@ -86,11 +86,6 @@ def test_no_unused_imports():
     assert not unused, "imported names never referenced:\n" + "\n".join(unused)
 
 
-# exports without a caller in the library, scripts or benchmark, each with
-# the reason it stays
-EXPORTS_WITHOUT_CALLER = {"radial_about_point": "ROADMAP item 7"}
-
-
 def test_exports_have_callers():
     # every name halfext exports is referenced outside the tests
     init = SRC / "__init__.py"
@@ -104,19 +99,27 @@ def test_exports_have_callers():
                   for path in paths
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, (ast.Name, ast.Attribute))}
-    unused = sorted(exported - referenced - set(EXPORTS_WITHOUT_CALLER))
+    unused = sorted(exported - referenced)
     assert not unused, ("exported but called only by the tests; delete them "
                         "or name a planned caller:\n" + "\n".join(unused))
 
 
 def test_import_loads_no_heavy_scipy():
-    # the library needs numpy and scipy.special only; these four subpackages
-    # add tens of MB and a third of a second to every process that imports it
-    heavy = ("scipy.optimize", "scipy.interpolate", "scipy.linalg",
-             "scipy.sparse")
-    code = ("import sys; import halfext, halfext.cli; "
-            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    # the library runs on numpy alone: importing it and its CLI loads no
+    # scipy module, and no module of src/halfext imports scipy, even lazily
+    code = ("import sys; import halfext, halfext.cli; print(' '.join("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [f"{path.name}:{node.lineno}" for a in node.names
+                             if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "scipy":
+                imported.append(f"{path.name}:{node.lineno}")
+    assert imported == []

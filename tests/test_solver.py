@@ -6,16 +6,13 @@ import pytest
 from halfext.errors import DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                extremal_profile, sharp_constant)
-from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
-                           default_halfspace_grid, dilate_boundary,
-                           sample_radial)
+from halfext.grids import (build_radial_grid, default_halfspace_grid,
+                           dilate_boundary, sample_radial)
 from halfext.moebius import boundary_inversion
-from halfext.rearrange import radial_to_polar
 from halfext.solver import (IterationTrace, SolverConfig,
                             ascent_estimate_constant, concentration_radius,
                             el_fixed_point, initial_profiles,
-                            match_extremal_family, normalize_mass_half,
-                            radial_about_point)
+                            match_extremal_family, normalize_mass_half)
 
 
 @pytest.mark.parametrize("max_iters, tol", [(1, 0.0), (1, math.nan),
@@ -275,39 +272,6 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,residual,rayleigh,lambda"
     assert len(lines) == 3
-
-
-def _shifted_bubble(grid):
-    # closed form of a bubble inverted about a shifted point: radial about
-    # the centre e_1/2
-    x, y = grid.points()
-    return ((x - 0.5) ** 2 + y ** 2 + 0.25) ** -0.5
-
-
-def test_radial_about_point_shifted_center(boundary3):
-    pg = PolarGrid(boundary3, 64)
-    center = radial_about_point(PolarFn(pg, _shifted_bubble(pg)), 1e-3)
-    assert center is not None
-    assert center[0] == pytest.approx(0.5, abs=1e-4)
-    assert center[1] == 0.0
-
-
-def test_radial_about_point_origin(boundary3):
-    # the inversion of the self-dual extremal stays radial about 0
-    f = extremal_profile(ExtremalSpec(3, "conformal"), boundary3)
-    finv = boundary_inversion(f)
-    v = radial_to_polar(finv, PolarGrid(boundary3, 64))
-    center = radial_about_point(v, 1e-3)
-    assert center is not None
-    assert abs(center[0]) < 1e-6
-
-
-def test_radial_about_point_rejects_perturbed(boundary3):
-    # a factor radial about the origin breaks the symmetry about e_1/2
-    pg = PolarGrid(boundary3, 64)
-    rho = boundary3.nodes[:, None]
-    v = PolarFn(pg, _shifted_bubble(pg) * (1 + 0.1 * rho / (1 + rho)))
-    assert radial_about_point(v, 1e-3) is None
 
 
 def test_trace_bitwise_determinism(boundary3, halfspace3):
