@@ -43,10 +43,11 @@ around the diagonal (width t at s = r, growing by 8; below r/2 merged with a
 ladder resolving the mesh's decades) per window of 4 nodes into moments of
 y^0..y^3, contracted with the window's cubic basis: a plain matrix.  One row
 rule, ``_kernel_matrix``, builds the stack, the polar rows and ``extend_at``
-in blocks of N rows, each row on its own, so they agree row for row, bitwise.
-Every per-point panel quadrature here lays out the breakpoints of all its
-points in one array call, builds their rules in one ``composite_rules`` call
-and evaluates the integrand once over them.
+in blocks of about ``quadrature._BLOCK`` kernel entries, each row on its own,
+so they agree row for row, bitwise.  Every per-point panel quadrature here
+lays out the breakpoints of a block of points in one array call, then builds
+their rules and evaluates the integrand in runs of at most ``_BLOCK`` nodes,
+so its temporaries stay a few MB at any mesh size.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from .errors import DivergenceError, DomainError
 from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
                     RadialGrid, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
-from .quadrature import (GROW, composite_rules, half_line_rule, panel_rule,
-                         peak_breaks)
+from .quadrature import (GROW, blocks, composite_rules, half_line_rule,
+                         panel_rule, peak_breaks)
 
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
@@ -85,7 +86,6 @@ _ELLIPE_Q = tuple(-c for c in (
     1.6886216399331133e-2, 2.6176974245449364e-2, 3.348339048882249e-2,
     4.271809265189315e-2, 5.85936634471101e-2, 9.374999971976443e-2,
     2.499999999998883e-1))[::-1]
-_CHUNK = 1 << 14       # entries per Horner pass: its temporaries stay in cache
 # Gauss series are summed on [0, 0.6], the ring kernel's log series on [0, 0.4]
 _GAUSS_MAX = 0.6
 
@@ -99,18 +99,19 @@ def _horner(c, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _log_poly(x, p, q) -> np.ndarray:
-    # p(x) + x log(x) q(x) for coefficients p, q from degree 0 up, in chunks
-    # of _CHUNK entries; an empty q drops the log part.  x log x -> 0 at
-    # x = 0; the clamp changes no x above 1e-300
+    # p(x) + x log(x) q(x) for coefficients p, q from degree 0 up, over the
+    # whole array (callers pass one block) with two temporaries of its size;
+    # an empty q drops the log part.  x log x -> 0 at x = 0; the clamp
+    # changes no x above 1e-300
     x = np.asarray(x, dtype=float)
-    flat, out = x.ravel(), np.empty(x.size)
-    for lo in range(0, x.size, _CHUNK):
-        xc, oc = flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
-        _horner(p, xc, oc)
-        if q:
-            xlogx = np.log(np.maximum(xc, 1e-300)) * xc
-            oc += _horner(q, xc, np.empty_like(xc)) * xlogx
-    return out.reshape(x.shape)
+    out = _horner(p, x, np.empty(x.shape))
+    if q:
+        xlogx = np.maximum(x, 1e-300, out=np.empty(x.shape))
+        np.log(xlogx, out=xlogx)
+        xlogx *= x
+        xlogx *= _horner(q, x, np.empty(x.shape))
+        out += xlogx
+    return out
 
 
 @lru_cache
@@ -175,7 +176,9 @@ def _ring_closed(n: int, r, s, t):
         return (t / np.pi) * (1.0 / amm + 1.0 / app)
     if n == 3:
         ell = _log_poly(amm / app, _ELLIPE_P, _ELLIPE_Q)
-        return (t / np.pi) * 2.0 * ell / (amm * np.sqrt(app))
+        ell *= (t / np.pi) * 2.0
+        ell /= amm * np.sqrt(app)
+        return ell
     if n == 4:
         return 4.0 * t / (np.pi * amm * app)
     # n >= 5: B(h, h) 2F1(h-1, h; 2h; m) with h = n/2 - 1
@@ -264,19 +267,17 @@ def _window_cubics(grid: RadialGrid):
     return centre, inv_h, basis
 
 
-def _diagonal_rules(r_out, t, r_max: float, ladder: np.ndarray):
-    """Rules resolving the kernel diagonal at each (r_out, t) and the data.
-
-    Breakpoints: the peak at s = r (width t, growing by 8) and, below r/2
-    only, the mesh's ``ladder`` of decades (1/64, growing by 4).
+def _diagonal_breaks(r_out, t, r_max: float, ladder: np.ndarray):
+    """Breakpoints resolving the kernel diagonal at each (r_out, t) and the
+    data, one row per point: the peak at s = r (width t, growing by 8) and,
+    below r/2 only, the mesh's ``ladder`` of decades (1/64, growing by 4).
     """
     peaks = peak_breaks(r_out, np.maximum(t, 1e-9), 0.0, r_max,
                         _DIAGONAL_GROW)
     # from r/2 up the peak's own panels cover every decade: ladder points
     # there become zeros, zero-width panels that composite_rules skips
     ladder = np.where(ladder < 0.5 * r_out[:, None], ladder, 0.0)
-    return composite_rules(np.sort(np.hstack([peaks, ladder]), axis=1),
-                           _PANEL_ORDER)
+    return np.sort(np.hstack([peaks, ladder]), axis=1)
 
 
 def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
@@ -284,18 +285,21 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
     """Matrix taking in-grid samples to kernel integrals at out_nodes.
 
     ``kernel(r, s, t)`` is a ring kernel (of P_t or Q_t), broadcasting; ``t``
-    is one height per output node, or one for all.  Rows go in blocks of N
-    (the in-grid's size), each on its own.  Rows the mesh resolves are the
-    plain grid rule; the others sum refined terms times y^m per (row, window)
-    in node order (``np.bincount``) and contract them with ``_window_cubics``.
+    is one height per output node, or one for all.  Rows the mesh resolves
+    are the plain grid rule; the others sum refined terms times y^m per
+    (row, window) in node order (``np.bincount``) and contract them with
+    ``_window_cubics``.  Rows go in blocks of about ``quadrature._BLOCK``
+    kernel entries, and a block's refined rows in chunks of at most that many
+    quadrature nodes; each row is built on its own, so its bits do not depend
+    on the block or chunk it falls in.
     """
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
     n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
     centre, inv_h, basis = _window_cubics(in_grid)
     ladder = peak_breaks(0.0, 1.0 / 64.0, 0.0, in_grid.r_max, GROW)
     M = np.empty((out_nodes.size, n_in))
-    for lo in range(0, out_nodes.size, n_in):
-        r, tb, block = (x[lo:lo + n_in] for x in (out_nodes, t, M))
+    for lo, hi in blocks(np.full(out_nodes.size, n_in)):
+        r, tb, block = out_nodes[lo:hi], t[lo:hi], M[lo:hi]
         refine = tb < PEAK_FACTOR * in_grid.local_spacing(r)
         if not refine.all():
             block[~refine] = kernel(r[~refine, None], in_grid.nodes[None, :],
@@ -303,23 +307,32 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
         if not refine.any():
             continue
         r, tb = r[refine], tb[refine]
-        s, w, offsets = _diagonal_rules(r, tb, in_grid.r_max, ladder)
-        rows = np.repeat(np.arange(r.size), np.diff(offsets))
-        term = w * kernel(r[rows], s, tb[rows]) * s ** (in_grid.d - 1)
-        xq = in_grid.parameter(s)
-        start = np.clip(np.searchsorted(xn, xq) - 2, 0, n_in - 4)
-        y, at = (xq - centre[start]) * inv_h[start], rows * (n_in - 3) + start
-        moments = []
-        for _ in range(4):
-            moments.append(np.bincount(at, term, minlength=r.size * (n_in - 3))
-                           .reshape(r.size, n_in - 3))
-            term = term * y
+        breaks = _diagonal_breaks(r, tb, in_grid.r_max, ladder)
         refined = np.zeros((r.size, n_in))
-        for a in range(4):
-            part = moments[0] * basis[:, a, 0]
-            for m in range(1, 4):
-                part += moments[m] * basis[:, a, m]
-            refined[:, a:a + n_in - 3] += part
+        # each row's nodes: _PANEL_ORDER per panel of nonzero width
+        nodes = _PANEL_ORDER * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
+        for a, b in blocks(nodes):
+            s, w, offsets = composite_rules(breaks[a:b], _PANEL_ORDER)
+            rows = np.repeat(np.arange(b - a), np.diff(offsets))
+            # each node's window, and a new list of moments, before the kernel
+            # call: the last chunk's arrays go before the call makes its own
+            y = in_grid.parameter(s)
+            start = np.clip(np.searchsorted(xn, y) - 2, 0, n_in - 4)
+            y -= centre[start]
+            y *= inv_h[start]
+            moments = []
+            term = w * kernel(r[a:b][rows], s, tb[a:b][rows])
+            term *= s ** (in_grid.d - 1)
+            rows = rows * (n_in - 3) + start      # each node's (row, window)
+            for _ in range(4):
+                moments.append(np.bincount(rows, term, (b - a) * (n_in - 3))
+                               .reshape(b - a, n_in - 3))
+                term *= y
+            for c in range(4):
+                part = moments[0] * basis[:, c, 0]
+                for m in range(1, 4):
+                    part += moments[m] * basis[:, c, m]
+                refined[a:b, c:c + n_in - 3] += part
         block[refine] = refined
     return M
 
@@ -332,7 +345,9 @@ class PoissonOperator:
     that read the C-contiguous stack in place: it holds 20 MB at N=160,
     N_t=96, so neither direction may copy or transpose it; ``extension_norm``
     reads the 1.3 MB of polar rows.  Built once per n and mesh content by
-    ``get_operator``, whose cache holds operators up to a byte budget.
+    ``get_operator``, whose cache holds operators up to a byte budget; the
+    row rule builds both in blocks, so a build holds about 4 MB of
+    temporaries beside them (n=3, N=160).
     """
 
     n: int
@@ -392,8 +407,7 @@ def _mesh_key(grid: RadialGrid) -> tuple:
 
 
 def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:
-    # one height per block of the row rule, so its temporaries stay those
-    # of one height; the rows are written into the one (N_t N, N) matrix
+    # the rows of every height, written into the one (N_t N, N) matrix
     rows = _kernel_matrix(partial(ring_kernel, n),
                           np.tile(grid.nodes, heights.size), grid,
                           np.repeat(heights.nodes, grid.size))
@@ -498,19 +512,25 @@ def kernel_mass(n: int, s, t: float) -> np.ndarray:
     """Quadrature of K(., s, t) r^(n-2) dr over (0, inf), one per entry of s
     (an array); exactly 1 in theory.
 
-    Panels refined around the peak r = s cover [0, hi]; a tan-mapped tail
-    of scale max(s, t, 1) covers [hi, inf).
+    Panels refined around the peak r = s cover [0, top]; a tan-mapped tail
+    of scale max(s, t, 1) covers [top, inf).  The entries go in blocks of at
+    most ``quadrature._BLOCK`` nodes, each entry on its own.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    hi = np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0)
-    r, w, offsets = composite_rules(
-        peak_breaks(s, max(t, 1e-6), 0.0, hi, GROW), 24)
-    s_rep = np.repeat(s, np.diff(offsets))
-    contrib = w * ring_kernel(n, r, s_rep, t) * r ** (n - 2)
-    r, w = half_line_rule(hi[:, None], np.maximum(s, max(t, 1.0))[:, None],
-                          48)
-    tail = w * ring_kernel(n, r, s[:, None], t) * r ** (n - 2)
-    return np.add.reduceat(contrib, offsets[:-1]) + tail.sum(axis=1)
+    top = np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0)
+    breaks = peak_breaks(s, max(t, 1e-6), 0.0, top, GROW)
+    out = np.empty(s.size)
+    # the nodes of one entry of s: its nonempty panels' and the tail's
+    for lo, hi in blocks(24 * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
+                         + 48):
+        r, w, offsets = composite_rules(breaks[lo:hi], 24)
+        s_rep = np.repeat(s[lo:hi], np.diff(offsets))
+        contrib = w * ring_kernel(n, r, s_rep, t) * r ** (n - 2)
+        r, w = half_line_rule(top[lo:hi, None],
+                              np.maximum(s[lo:hi], max(t, 1.0))[:, None], 48)
+        tail = w * ring_kernel(n, r, s[lo:hi, None], t) * r ** (n - 2)
+        out[lo:hi] = np.add.reduceat(contrib, offsets[:-1]) + tail.sum(axis=1)
+    return out
 
 
 def slab_mass(profiles, a: float) -> np.ndarray:

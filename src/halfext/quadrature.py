@@ -10,7 +10,8 @@ converges spectrally.
 The composite "peak" rule resolves Lorentzian-type features of prescribed
 width (the Poisson kernel develops an O(1/t) spike on the diagonal as the
 height t -> 0); panels grow geometrically away from the feature.  The
-breakpoint builder takes arrays: one call lays out the panels of every point.
+breakpoint builder takes arrays: one call lays out the panels of every point,
+and ``blocks`` splits those points into runs of boundedly many nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,22 @@ import numpy as np
 # geometric factor between neighbouring panels of the refined breakpoints
 # (the operator's diagonal panels use their own, extension._DIAGONAL_GROW)
 GROW = 4.0
+# entries (kernel values, quadrature nodes) of one batched evaluation: the
+# batched quadratures walk their items in blocks of about this many, so each
+# temporary is at most 256 KiB whatever the mesh; half as many made n=3
+# builds at N >= 160 10-17% slower (twice the numpy calls, each of fixed cost)
+_BLOCK = 1 << 15
+
+
+def blocks(sizes) -> list:
+    """(lo, hi) ranges of consecutive items of ``sizes`` entries each: every
+    range holds at most ``_BLOCK`` entries, or one item that alone is more."""
+    ends, lo, spans = np.cumsum(sizes), 0, []
+    while lo < ends.size:
+        hi = np.searchsorted(ends, ends[lo] - sizes[lo] + _BLOCK, "right")
+        spans.append((lo, max(int(hi), lo + 1)))
+        lo = spans[-1][1]
+    return spans
 
 
 @lru_cache(maxsize=128)

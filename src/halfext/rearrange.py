@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .grids import PolarFn, PolarGrid, RadialFn, distribution
 from .kernel import pt_profile, unit_ball_volume
+from .quadrature import blocks
 
 
 def symmetric_rearrangement(f: PolarFn) -> RadialFn:
@@ -57,20 +58,25 @@ def planar_convolution(f: PolarFn, t: float) -> PolarFn:
     at angle index j are those at angle index 0 with the sources rotated by
     j cells.  Only the angle-0 block ``block[i, k, l] = P_t(|x(i,0) - x(k,l)|)``
     is evaluated (N_r^2 m entries, distances from the Cartesian points), and
-    one GEMM applies it to the m cyclic shifts of the weighted source:
-    ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.
+    a GEMM applies it to the m cyclic shifts of the weighted source:
+    ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.  The
+    block is built a few target radii i at a time, at most
+    ``quadrature._BLOCK`` entries, with one GEMM each.
     """
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
     x, y = f.grid.points()
     n_r, m = x.shape
     src = f.values * f.grid.cell_measures()
-    dx = x[:, 0, None, None] - x[None]
-    dy = y[:, 0, None, None] - y[None]
-    block = pt_profile(3, t, np.sqrt(dx * dx + dy * dy))
     shift = np.arange(m)
-    shifts = src[:, (shift[:, None] + shift[None, :]) % m]   # [k, d, j]
-    out = block.reshape(n_r, n_r * m) @ shifts.reshape(n_r * m, m)
+    # shifts[(k, d), j] = src[k, (j + d) mod m]
+    shifts = src[:, (shift[:, None] + shift[None, :]) % m].reshape(n_r * m, m)
+    out = np.empty((n_r, m))
+    for lo, hi in blocks(np.full(n_r, n_r * m)):
+        dx = x[lo:hi, 0, None, None] - x
+        dy = y[lo:hi, 0, None, None] - y
+        block = pt_profile(3, t, np.sqrt(dx * dx + dy * dy))
+        out[lo:hi] = block.reshape(hi - lo, n_r * m) @ shifts
     return PolarFn(f.grid, out)
 
 

@@ -7,12 +7,13 @@ from scipy.integrate import quad
 
 from halfext import extension
 from halfext.errors import DivergenceError, DomainError
-from halfext.extension import (_ELLIPE_P, _ELLIPE_Q, PEAK_FACTOR,
-                               _diagonal_rules, _kernel_matrix, _log_poly,
-                               _ring_hyp, _window_cubics, commutator_gap,
-                               dual_extend, extend_at, extension_norm,
-                               get_operator, kernel_mass, poisson_extend,
-                               qt_ring, ring_kernel, slab_mass)
+from halfext.extension import (_ELLIPE_P, _ELLIPE_Q, _PANEL_ORDER,
+                               PEAK_FACTOR, _diagonal_breaks, _kernel_matrix,
+                               _log_poly, _ring_hyp, _window_cubics,
+                               commutator_gap, dual_extend, extend_at,
+                               extension_norm, get_operator, kernel_mass,
+                               poisson_extend, qt_ring, ring_kernel,
+                               slab_mass)
 from halfext.extremals import (ExtremalSpec, extremal_profile,
                                rayleigh_quotient, sharp_constant)
 from halfext.grids import (AxisymFn, HalfspaceGrid, RadialFn,
@@ -455,8 +456,9 @@ def _reference_row_rule(kernel, out_nodes, in_grid, t):
     M = kernel(out_nodes[:, None], in_grid.nodes[None, :], t[:, None])
     M = M * in_grid.weights[None, :]
     flagged = np.nonzero(t < PEAK_FACTOR * in_grid.local_spacing(out_nodes))[0]
-    s, w, offsets = _diagonal_rules(out_nodes[flagged], t[flagged],
-                                    in_grid.r_max, _ladder(in_grid))
+    s, w, offsets = composite_rules(
+        _diagonal_breaks(out_nodes[flagged], t[flagged], in_grid.r_max,
+                         _ladder(in_grid)), _PANEL_ORDER)
     rows = np.repeat(flagged, np.diff(offsets))
     coeff = w * kernel(out_nodes[rows], s, t[rows]) * s ** (in_grid.d - 1)
     cols, lw = _reference_stencils(in_grid, s)
@@ -541,24 +543,16 @@ def test_cache_budget_holds_el_solve_pair():
 
 
 @pytest.mark.parametrize("mapping, scale", [("tan", 1.0)])
-def test_diagonal_rules_ladder_only_below_half_r(monkeypatch, mapping, scale):
+def test_diagonal_rules_ladder_only_below_half_r(mapping, scale):
     # the refined rows' breakpoints: the mesh ladder GROW^k / 64 is
     # kept below r/2 only; from r/2 up every breakpoint is the diagonal
     # peak's, whose panels grow by 8 from width t
     g = build_radial_grid(2, 64, mapping, scale)
-    seen = []
-
-    def spy(breaks, order):
-        seen.append(np.array(breaks))
-        return composite_rules(breaks, order)
-
-    monkeypatch.setattr(extension, "composite_rules", spy)
     r = np.concatenate([np.geomspace(1e-4, g.r_max, 40), g.nodes[::7]])
     t = np.geomspace(1e-6, 1e-2, r.size)
-    _diagonal_rules(r, t, g.r_max, _ladder(g))
+    rows = _diagonal_breaks(r, t, g.r_max, _ladder(g))
     ladder = GROW ** np.arange(60) / 64.0
     ladder = ladder[ladder < g.r_max]
-    (rows,) = seen
     assert rows.shape[0] == r.size
     for row, x, h in zip(rows, r, t):
         assert not np.any(np.isin(row[row >= 0.5 * x], ladder))
@@ -635,7 +629,7 @@ def test_window_cubics_reproduce_cubics(mapping, scale):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_matrix_rows_do_not_depend_on_their_block(n):
-    # the stack and the polar rows are built in blocks of N rows; a row
+    # the stack and the polar rows are built in blocks of rows; a row
     # built alone is the same row, bit for bit
     g = build_radial_grid(n - 1, 96)
     hs = default_halfspace_grid(g)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from halfext.quadrature import (GROW, composite_rule, composite_rules,
-                                peak_breaks)
+from halfext import quadrature
+from halfext.quadrature import (GROW, blocks, composite_rule,
+                                composite_rules, peak_breaks)
 
 
 def breakpoint_lists(rng):
@@ -97,3 +98,12 @@ def test_peak_breaks_rejects_nonpositive_width():
         peak_breaks(1.0, 0.0, 0.0, 2.0, GROW)
     with pytest.raises(ValueError):
         peak_breaks(np.ones(3), np.array([0.1, -0.1, 0.1]), 0.0, 5.0, 8.0)
+
+
+def test_blocks_hold_at_most_a_block(monkeypatch):
+    # consecutive ranges, each within the block, or one item over it alone
+    monkeypatch.setattr(quadrature, "_BLOCK", 10)
+    assert blocks([]) == []
+    assert blocks([3, 3, 3, 3]) == [(0, 3), (3, 4)]
+    assert blocks(np.array([4, 12, 5, 5, 1])) == [(0, 1), (1, 2), (2, 4),
+                                                  (4, 5)]
