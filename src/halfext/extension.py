@@ -43,11 +43,11 @@ around the diagonal (width t at s = r, growing by 8; below r/2 merged with a
 ladder resolving the mesh's decades) per window of 4 nodes into moments of
 y^0..y^3, contracted with the window's cubic basis: a plain matrix.  One row
 rule, ``_kernel_matrix``, builds the stack, the polar rows and ``extend_at``
-in blocks of about ``quadrature._BLOCK`` kernel entries, each row on its own,
-so they agree row for row, bitwise.  Every per-point panel quadrature here
-lays out the breakpoints of a block of points in one array call, then builds
-their rules and evaluates the integrand in runs of at most ``_BLOCK`` nodes,
-so its temporaries stay a few MB at any mesh size.
+in blocks of at most N rows and about ``quadrature._BLOCK`` kernel entries,
+each row on its own, so they agree row for row, bitwise.  Every per-point
+panel quadrature here lays out the breakpoints of a block of points in one
+array call, then builds their rules and evaluates the integrand in runs of
+at most ``_BLOCK`` nodes (or one point's, if more).
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ _GAUSS_MAX = 0.6
 
 def _horner(c, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[...] = c[-1]
-    for ck in c[-2::-1]:
+    # one side of _ring_hyp's split is often empty: skip its numpy calls
+    for ck in c[-2::-1] if x.size else ():
         out *= x
         out += ck
     return out
@@ -288,18 +289,20 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
     is one height per output node, or one for all.  Rows the mesh resolves
     are the plain grid rule; the others sum refined terms times y^m per
     (row, window) in node order (``np.bincount``) and contract them with
-    ``_window_cubics``.  Rows go in blocks of about ``quadrature._BLOCK``
-    kernel entries, and a block's refined rows in chunks of at most that many
-    quadrature nodes; each row is built on its own, so its bits do not depend
-    on the block or chunk it falls in.
+    ``_window_cubics``.  Rows go in blocks of at most N (a stack height) and
+    ``quadrature._BLOCK`` kernel entries, refined rows in chunks of at most
+    ``_BLOCK`` nodes, each row on its own: its bits do not depend on either.
     """
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
     n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
     centre, inv_h, basis = _window_cubics(in_grid)
     ladder = peak_breaks(0.0, 1.0 / 64.0, 0.0, in_grid.r_max, GROW)
     M = np.empty((out_nodes.size, n_in))
-    for lo, hi in blocks(np.full(out_nodes.size, n_in)):
-        r, tb, block = out_nodes[lo:hi], t[lo:hi], M[lo:hi]
+    # rows per block: at most one height of the stack, whose ring-kernel
+    # call per height bench/test_bench.py counts, and at most _BLOCK entries
+    step = blocks(np.full(n_in, n_in))[0][1]
+    for lo in range(0, out_nodes.size, step):
+        r, tb, block = (x[lo:lo + step] for x in (out_nodes, t, M))
         refine = tb < PEAK_FACTOR * in_grid.local_spacing(r)
         if not refine.all():
             block[~refine] = kernel(r[~refine, None], in_grid.nodes[None, :],

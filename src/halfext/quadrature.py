@@ -24,9 +24,10 @@ import numpy as np
 # (the operator's diagonal panels use their own, extension._DIAGONAL_GROW)
 GROW = 4.0
 # entries (kernel values, quadrature nodes) of one batched evaluation: the
-# batched quadratures walk their items in blocks of about this many, so each
-# temporary is at most 256 KiB whatever the mesh; half as many made n=3
-# builds at N >= 160 10-17% slower (twice the numpy calls, each of fixed cost)
+# batched quadratures walk their items in blocks of at most this many (256
+# KiB per float temporary), or one item alone if it is larger; half as many
+# made n=3 builds at N >= 160 10-17% slower (twice the numpy calls, each of
+# fixed cost)
 _BLOCK = 1 << 15
 
 

@@ -58,25 +58,24 @@ def planar_convolution(f: PolarFn, t: float) -> PolarFn:
     at angle index j are those at angle index 0 with the sources rotated by
     j cells.  Only the angle-0 block ``block[i, k, l] = P_t(|x(i,0) - x(k,l)|)``
     is evaluated (N_r^2 m entries, distances from the Cartesian points), and
-    a GEMM applies it to the m cyclic shifts of the weighted source:
-    ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.  The
-    block is built a few target radii i at a time, at most
-    ``quadrature._BLOCK`` entries, with one GEMM each.
+    one GEMM applies it to the m cyclic shifts of the weighted source:
+    ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.  It is
+    filled ``quadrature._BLOCK`` entries at a time, the same bits in any.
     """
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
     x, y = f.grid.points()
     n_r, m = x.shape
     src = f.values * f.grid.cell_measures()
-    shift = np.arange(m)
-    # shifts[(k, d), j] = src[k, (j + d) mod m]
-    shifts = src[:, (shift[:, None] + shift[None, :]) % m].reshape(n_r * m, m)
-    out = np.empty((n_r, m))
+    block = np.empty((n_r, n_r * m))
     for lo, hi in blocks(np.full(n_r, n_r * m)):
         dx = x[lo:hi, 0, None, None] - x
         dy = y[lo:hi, 0, None, None] - y
-        block = pt_profile(3, t, np.sqrt(dx * dx + dy * dy))
-        out[lo:hi] = block.reshape(hi - lo, n_r * m) @ shifts
+        block[lo:hi].flat = pt_profile(3, t, np.sqrt(dx * dx + dy * dy))
+    shift = np.arange(m)
+    # [k, d, j], C-ordered so that the GEMM reads it without a copy
+    shifts = np.take(src, (shift[:, None] + shift[None, :]) % m, axis=1)
+    out = block @ shifts.reshape(n_r * m, m)
     return PolarFn(f.grid, out)
 
 
