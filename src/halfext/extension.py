@@ -42,12 +42,12 @@ height the radial mesh cannot resolve sum geometrically refined panels
 around the diagonal (width t at s = r, growing by 8; below r/2 merged with a
 ladder resolving the mesh's decades) per window of 4 nodes into moments of
 y^0..y^3, contracted with the window's cubic basis: a plain matrix.  One row
-rule, ``_kernel_matrix``, builds the stack, the polar rows and ``extend_at``
-in blocks of at most N rows and about ``quadrature._BLOCK`` kernel entries,
-each row on its own, so they agree row for row, bitwise.  Every per-point
-panel quadrature here lays out the breakpoints of a block of points in one
-array call, then builds their rules and evaluates the integrand in runs of
-at most ``_BLOCK`` nodes (or one point's, if more).
+rule, ``_kernel_matrix``, builds the stack, the polar rows and ``extend_at``,
+each row on its own, so they agree row for row, bitwise.  The per-point panel
+quadratures here (refined rows, kernel masses) lay out the breakpoints of a
+few hundred points in one array call, then build their rules and evaluate
+the integrand in runs of at most ``quadrature._BLOCK`` nodes across heights
+(``quadrature.rule_runs``), or one point's, if more.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
                     RadialGrid, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
 from .quadrature import (GROW, blocks, composite_rules, half_line_rule,
-                         panel_rule, peak_breaks)
+                         panel_rule, peak_breaks, rule_runs)
 
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
@@ -281,6 +281,42 @@ def _diagonal_breaks(r_out, t, r_max: float, ladder: np.ndarray):
     return np.sort(np.hstack([peaks, ladder]), axis=1)
 
 
+def _refined_rows(kernel, out_nodes, t, refine, in_grid: RadialGrid, M):
+    """Write the rows ``refine`` (indices) of M by the refined rule of
+    ``_kernel_matrix``, in runs of at most ``quadrature._BLOCK`` nodes."""
+    n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
+    centre, inv_h, basis = _window_cubics(in_grid)
+    ladder = peak_breaks(0.0, 1.0 / 64.0, 0.0, in_grid.r_max, GROW)
+    runs = rule_runs(
+        lambda i: _diagonal_breaks(out_nodes[i], t[i], in_grid.r_max, ladder),
+        refine, _PANEL_ORDER, 0)
+    for rows, breaks in runs:
+        r, tr = out_nodes[rows], t[rows]
+        s, w, offsets = composite_rules(breaks, _PANEL_ORDER)
+        row = np.repeat(np.arange(rows.size), np.diff(offsets))
+        # each node's window, and a new list of moments, before the kernel
+        # call: the last run's arrays go before the call makes its own
+        y = in_grid.parameter(s)
+        start = np.clip(np.searchsorted(xn, y) - 2, 0, n_in - 4)
+        y -= centre[start]
+        y *= inv_h[start]
+        moments = []
+        term = w * kernel(r[row], s, tr[row])
+        term *= s ** (in_grid.d - 1)
+        row = row * (n_in - 3) + start        # each node's (row, window)
+        for _ in range(4):
+            moments.append(np.bincount(row, term, rows.size * (n_in - 3))
+                           .reshape(rows.size, n_in - 3))
+            term *= y
+        refined = np.zeros((rows.size, n_in))
+        for c in range(4):
+            part = moments[0] * basis[:, c, 0]
+            for m in range(1, 4):
+                part += moments[m] * basis[:, c, m]
+            refined[:, c:c + n_in - 3] += part
+        M[rows] = refined
+
+
 def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
                    t) -> np.ndarray:
     """Matrix taking in-grid samples to kernel integrals at out_nodes.
@@ -289,54 +325,26 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
     is one height per output node, or one for all.  Rows the mesh resolves
     are the plain grid rule; the others sum refined terms times y^m per
     (row, window) in node order (``np.bincount``) and contract them with
-    ``_window_cubics``.  Rows go in blocks of at most N (a stack height) and
-    ``quadrature._BLOCK`` kernel entries, refined rows in chunks of at most
-    ``_BLOCK`` nodes, each row on its own: its bits do not depend on either.
+    ``_window_cubics`` (``_refined_rows``).  Plain rows go in blocks of at
+    most N (a stack height) and ``quadrature._BLOCK`` kernel entries;
+    refined rows in runs of at most ``_BLOCK`` nodes across heights, each
+    row on its own: its bits depend on neither.
     """
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
-    n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
-    centre, inv_h, basis = _window_cubics(in_grid)
-    ladder = peak_breaks(0.0, 1.0 / 64.0, 0.0, in_grid.r_max, GROW)
-    M = np.empty((out_nodes.size, n_in))
-    # rows per block: at most one height of the stack, whose ring-kernel
+    M = np.empty((out_nodes.size, in_grid.size))
+    refine = t < PEAK_FACTOR * in_grid.local_spacing(out_nodes)
+    # refined rows first, in a call of their own: their runs' temporaries
+    # are freed before the plain rows make the rest of a stack resident
+    # (the stack's 2 MB huge pages; a build's peak RSS)
+    _refined_rows(kernel, out_nodes, t, np.flatnonzero(refine), in_grid, M)
+    # plain rows per block: at most one height of the stack, whose ring-kernel
     # call per height bench/test_bench.py counts, and at most _BLOCK entries
-    step = blocks(np.full(n_in, n_in))[0][1]
+    step = blocks(np.full(in_grid.size, in_grid.size))[0][1]
     for lo in range(0, out_nodes.size, step):
-        r, tb, block = (x[lo:lo + step] for x in (out_nodes, t, M))
-        refine = tb < PEAK_FACTOR * in_grid.local_spacing(r)
-        if not refine.all():
-            block[~refine] = kernel(r[~refine, None], in_grid.nodes[None, :],
-                                    tb[~refine, None]) * in_grid.weights
-        if not refine.any():
-            continue
-        r, tb = r[refine], tb[refine]
-        breaks = _diagonal_breaks(r, tb, in_grid.r_max, ladder)
-        refined = np.zeros((r.size, n_in))
-        # each row's nodes: _PANEL_ORDER per panel of nonzero width
-        nodes = _PANEL_ORDER * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
-        for a, b in blocks(nodes):
-            s, w, offsets = composite_rules(breaks[a:b], _PANEL_ORDER)
-            rows = np.repeat(np.arange(b - a), np.diff(offsets))
-            # each node's window, and a new list of moments, before the kernel
-            # call: the last chunk's arrays go before the call makes its own
-            y = in_grid.parameter(s)
-            start = np.clip(np.searchsorted(xn, y) - 2, 0, n_in - 4)
-            y -= centre[start]
-            y *= inv_h[start]
-            moments = []
-            term = w * kernel(r[a:b][rows], s, tb[a:b][rows])
-            term *= s ** (in_grid.d - 1)
-            rows = rows * (n_in - 3) + start      # each node's (row, window)
-            for _ in range(4):
-                moments.append(np.bincount(rows, term, (b - a) * (n_in - 3))
-                               .reshape(b - a, n_in - 3))
-                term *= y
-            for c in range(4):
-                part = moments[0] * basis[:, c, 0]
-                for m in range(1, 4):
-                    part += moments[m] * basis[:, c, m]
-                refined[a:b, c:c + n_in - 3] += part
-        block[refine] = refined
+        plain = lo + np.flatnonzero(~refine[lo:lo + step])
+        if plain.size:
+            M[plain] = kernel(out_nodes[plain, None], in_grid.nodes[None, :],
+                              t[plain, None]) * in_grid.weights
     return M
 
 
@@ -349,7 +357,7 @@ class PoissonOperator:
     N_t=96, so neither direction may copy or transpose it; ``extension_norm``
     reads the 1.3 MB of polar rows.  Built once per n and mesh content by
     ``get_operator``, whose cache holds operators up to a byte budget; the
-    row rule builds both in blocks, so a build holds about 4 MB of
+    row rule builds both in blocks, so a build holds about 4.6 MB of
     temporaries beside them (n=3, N=160).
     """
 
@@ -511,29 +519,33 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
     return (rows @ f.values).reshape(r.shape)
 
 
-def kernel_mass(n: int, s, t: float) -> np.ndarray:
+def kernel_mass(n: int, s, t) -> np.ndarray:
     """Quadrature of K(., s, t) r^(n-2) dr over (0, inf), one per entry of s
-    (an array); exactly 1 in theory.
+    and t, which broadcast (s at least 1-D); exactly 1 in theory.
 
     Panels refined around the peak r = s cover [0, top]; a tan-mapped tail
-    of scale max(s, t, 1) covers [top, inf).  The entries go in blocks of at
-    most ``quadrature._BLOCK`` nodes, each entry on its own.
+    of scale max(s, t, 1) covers [top, inf).  The entries go in runs of at
+    most ``quadrature._BLOCK`` nodes (``quadrature.rule_runs``) across all
+    of them, each entry on its own.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    s, t = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
+                               np.asarray(t, dtype=float))
+    shape, s, t = s.shape, s.ravel(), t.ravel()
     top = np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0)
-    breaks = peak_breaks(s, max(t, 1e-6), 0.0, top, GROW)
+    width, scale = np.maximum(t, 1e-6), np.maximum(s, np.maximum(t, 1.0))
     out = np.empty(s.size)
-    # the nodes of one entry of s: its nonempty panels' and the tail's
-    for lo, hi in blocks(24 * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
-                         + 48):
-        r, w, offsets = composite_rules(breaks[lo:hi], 24)
-        s_rep = np.repeat(s[lo:hi], np.diff(offsets))
-        contrib = w * ring_kernel(n, r, s_rep, t) * r ** (n - 2)
-        r, w = half_line_rule(top[lo:hi, None],
-                              np.maximum(s[lo:hi], max(t, 1.0))[:, None], 48)
-        tail = w * ring_kernel(n, r, s[lo:hi, None], t) * r ** (n - 2)
-        out[lo:hi] = np.add.reduceat(contrib, offsets[:-1]) + tail.sum(axis=1)
-    return out
+    # the nodes of an entry: 24 per nonempty panel and 48 of the tail
+    runs = rule_runs(lambda e: peak_breaks(s[e], width[e], 0.0, top[e], GROW),
+                     np.arange(s.size), 24, 48)
+    for e, breaks in runs:
+        r, w, offsets = composite_rules(breaks, 24)
+        rep = np.diff(offsets)
+        contrib = w * ring_kernel(n, r, np.repeat(s[e], rep),
+                                  np.repeat(t[e], rep)) * r ** (n - 2)
+        r, w = half_line_rule(top[e, None], scale[e, None], 48)
+        tail = w * ring_kernel(n, r, s[e, None], t[e, None]) * r ** (n - 2)
+        out[e] = np.add.reduceat(contrib, offsets[:-1]) + tail.sum(axis=1)
+    return out.reshape(shape)
 
 
 def slab_mass(profiles, a: float) -> np.ndarray:
@@ -545,8 +557,9 @@ def slab_mass(profiles, a: float) -> np.ndarray:
     meant to check), then 24-point Gauss quadrature in the height.  The slab
     integral is linear in f and its kernel masses depend only on the mesh and
     a, so the per-node weights ``sphere * weights * sum_t wt * masses_t`` are
-    built once and each profile costs one dot product.  For f >= 0 with unit
-    mass the result equals a.
+    built once, from one ``kernel_mass`` call over every (t, s) pair summed
+    over t in node order, and each profile costs one dot product.  For
+    f >= 0 with unit mass the result equals a.
     """
     if a <= 0.0:
         raise DomainError(f"slab height must be positive, got {a}")
@@ -561,8 +574,9 @@ def slab_mass(profiles, a: float) -> np.ndarray:
         _check_integrable(f)
     n = grid.d + 1
     t_nodes, t_weights = panel_rule(0.0, a, 24)
-    masses = sum(wt * kernel_mass(n, grid.nodes, float(t))
-                 for t, wt in zip(t_nodes, t_weights))
+    # one pass over the slab's (t, s) pairs, summed over t in node order
+    masses = sum(wt * m for wt, m in
+                 zip(t_weights, kernel_mass(n, grid.nodes, t_nodes[:, None])))
     weights = grid.sphere * grid.weights * masses
     return np.array([f.values for f in profiles]) @ weights
 

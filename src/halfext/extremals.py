@@ -113,9 +113,13 @@ def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
     n = hs_grid.n
     q = n * p / (n - 1)
     u = poisson_extend(f, hs_grid)
-    power = AxisymFn(hs_grid, np.maximum(u.values, 0.0) ** (q - 1.0))
-    rhs = dual_extend(power).values
-    lhs = f.values ** (p - 1.0)
+    # an overflowing power is a divergent iterate, not a domain error: its
+    # non-finite values go to the check below in place of the dual
+    with np.errstate(over="ignore"):
+        power = np.maximum(u.values, 0.0) ** (q - 1.0)
+        lhs = f.values ** (p - 1.0)
+    rhs = (dual_extend(AxisymFn(hs_grid, power)).values
+           if np.all(np.isfinite(power)) else power)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise DivergenceError("Euler-Lagrange sides are not finite")
     return lhs, rhs

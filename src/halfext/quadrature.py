@@ -42,6 +42,28 @@ def blocks(sizes) -> list:
     return spans
 
 
+def rule_runs(layout, items, order: int, extra: int):
+    """``items`` with their rows of breakpoints, ``layout(items)``, in runs
+    as ``blocks`` splits the whole sequence, an item taking ``order`` nodes
+    per panel of nonzero width plus ``extra``.  Each row is laid out once,
+    for ``_BLOCK // 64`` items at a time (rows of at most 64 breakpoints
+    hold about a block), and padded to its run's width by its last one."""
+    step, start, breaks = _BLOCK // 64, 0, np.empty((0, 1))
+    for lo in range(0, items.size, step):
+        more = layout(items[lo:lo + step])
+        width = max(breaks.shape[1], more.shape[1])
+        breaks = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1])),
+                                   mode="edge") for b in (breaks, more)])
+        spans = blocks(order * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
+                       + extra)
+        for a, b in spans[:-1]:
+            yield items[start + a:start + b], breaks[a:b]
+        # the last run may take items of the next layout
+        start, breaks = start + spans[-1][0], breaks[spans[-1][0]:]
+    if breaks.size:
+        yield items[start:], breaks
+
+
 @lru_cache(maxsize=128)
 def gauss_legendre(order: int):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""

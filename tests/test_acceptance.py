@@ -1,4 +1,6 @@
 """Acceptance suite: one test per exit criterion, at the stated tolerances.
+Criterion 10, the family fit, is tests/test_solver.py's
+``test_match_extremal_family_recovers_member`` and ``_rejects_nonmembers``.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Criteria with runtime bounds measure their own wall time.
@@ -231,32 +233,6 @@ def test_criterion_09_conformal_invariance(boundary3, halfspace3):
     report(9, "conformal invariance", ok,
            f"critical errs {bdry_err:.1e}/{hs_err:.1e}, "
            f"noncritical breaks {breaks[0]:.3f}/{breaks[1]:.3f}")
-
-
-def test_criterion_10_classifiers(boundary3):
-    # one family fit: seeded bubbles of both families are recovered, the
-    # other family's fit rejects them, and perturbed bubbles are rejected
-    rng = np.random.default_rng(10)
-    member, cross, perturbed = [], [], []
-    for kind, other in (("conformal", "dual"), ("dual", "conformal")):
-        e = ExtremalSpec(3, kind).exponent
-        for _ in range(5):
-            spec = ExtremalSpec(3, kind, rng.uniform(0.3, 3.0),
-                                rng.uniform(0.5, 2.0))
-            f = extremal_profile(spec, boundary3)
-            lam, amp, err = match_extremal_family(f, 3, kind, 10.0)
-            member += [abs(lam / spec.lam - 1.0),
-                       abs(amp / spec.amplitude - 1.0), err]
-            cross.append(match_extremal_family(f, 3, other, 10.0)[2])
-            eps = rng.uniform(0.02, 0.1)
-            u = sample_radial(
-                boundary3, lambda r: (1 + r ** 2 + eps * np.sin(r)) ** -e,
-                nonnegative=True)
-            perturbed.append(match_extremal_family(u, 3, kind, 10.0)[2])
-    ok = max(member) <= 1e-10 and min(cross) >= 0.1 and min(perturbed) >= 1e-3
-    report(10, "symmetry classifiers", ok,
-           f"members recovered to {max(member):.1e}, cross-family misfit "
-           f">= {min(cross):.2f}, perturbed misfit >= {min(perturbed):.1e}")
 
 
 def test_criterion_11_property_coverage(boundary3):

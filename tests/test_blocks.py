@@ -1,7 +1,8 @@
 """The block size of the batched quadratures: every row of the row rule,
 every kernel mass and the planar convolution are the same bits at any block
 size, and a build, a convolution or a slab mass holds only a few MB of
-temporaries beyond what it returns."""
+temporaries beyond what it returns.  Refined rows and kernel masses fill
+their blocks across heights, so a cold build makes few ring-kernel calls."""
 
 import tracemalloc
 
@@ -39,11 +40,11 @@ def _results(n, N):
             "kernel_mass": kernel_mass(n, g.nodes, 1e-3)}
 
 
-@pytest.mark.parametrize("n, N", [(3, 64), (5, 24)])
+@pytest.mark.parametrize("n, N", [(3, 64), (4, 96), (5, 24)])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, n, N):
     # README: a row is the same bits whatever block it is built in; at an
-    # eighth of the block size the plain rows, the refined chunks and the
-    # kernel-mass nodes all split anew
+    # eighth of the block size the plain rows, the refined runs across
+    # heights and the kernel-mass nodes all split anew
     monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
     default = _results(n, N)
     monkeypatch.setattr(quadrature, "_BLOCK", quadrature._BLOCK // 8)
@@ -51,6 +52,44 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, n, N):
     assert small.keys() == default.keys()
     for name, value in default.items():
         assert small[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("block", [quadrature._BLOCK, quadrature._BLOCK // 8])
+def test_kernel_mass_broadcasts_over_heights(monkeypatch, block):
+    # one pass over (t, s) pairs, with runs across heights, is the per-t
+    # loop byte for byte; slab_mass sums its rows in node order
+    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    s = build_radial_grid(2, 96).nodes
+    t = np.array([1e-4, 3e-3, 0.05, 0.7, 2.0, 40.0])
+    together = kernel_mass(3, s, t[:, None])
+    assert together.shape == (t.size, s.size)
+    for k in range(t.size):
+        assert together[k].tobytes() == kernel_mass(3, s, t[k]).tobytes()
+    assert kernel_mass(4, 0.5, t).tobytes() == np.array(
+        [kernel_mass(4, 0.5, x)[0] for x in t]).tobytes()
+
+
+def _ring_kernel_calls(monkeypatch, n, N):
+    """(ring-kernel calls of one cold build, heights of its stack)."""
+    g = build_radial_grid(n - 1, N)
+    hs = default_halfspace_grid(g)
+    calls, ring_kernel = [], extension.ring_kernel
+    monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
+    monkeypatch.setattr(extension, "ring_kernel",
+                        lambda *a: calls.append(1) or ring_kernel(*a))
+    get_operator(n, g, hs)
+    monkeypatch.setattr(extension, "ring_kernel", ring_kernel)
+    return len(calls), hs.heights.size
+
+
+def test_cold_builds_fill_their_blocks(monkeypatch):
+    # refined rows go in runs of _BLOCK nodes across heights: 261 calls at
+    # n=3 N=224 (394 with runs inside one height).  Plain rows keep one
+    # call per height, which the benchmark's own tests count at N=16
+    calls, _ = _ring_kernel_calls(monkeypatch, 3, 224)
+    assert calls <= 264
+    calls, heights = _ring_kernel_calls(monkeypatch, 3, 16)
+    assert calls >= heights
 
 
 def test_convolution_does_not_depend_on_the_block_size(monkeypatch):
@@ -74,10 +113,11 @@ def _transient_mb(call) -> float:
 
 
 def test_batched_quadratures_bound_their_temporaries(monkeypatch):
-    # measured 4.0 MB (n=3 N=160 build), 4.3 MB (rearrange-demo's
+    # measured 4.6 MB (n=3 N=160 build), 4.3 MB (rearrange-demo's
     # convolution: its 2.3 MB kernel, 1.4 MB of shifted data and one block)
-    # and 2.3 MB (verify-identities' slab masses, at a = 0.3); the bounds
-    # add about 1 MB.  Without the blocks these take 6.3, 11.8 and 3.5 MB
+    # and 2.9 MB (verify-identities' slab masses in one pass over (t, s));
+    # without the blocks these take 6.3, 11.8 and 3.5 MB, and laying out
+    # every slab pair's breakpoints at once 3.5 MB
     monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
     g = build_radial_grid(2, 160)
     hs = default_halfspace_grid(g)

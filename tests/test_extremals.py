@@ -1,16 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from halfext.cli import FAMILY_CONSTANT_N3
-from halfext.errors import DomainError
+from halfext.errors import DivergenceError, DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                extremal_profile, power_profile,
                                rayleigh_quotient, sharp_constant,
                                singular_constant)
-from halfext.grids import dilate_boundary, sample_radial
+from halfext.grids import (build_radial_grid, default_halfspace_grid,
+                           dilate_boundary, sample_radial)
 from halfext.kernel import unit_ball_volume
 
 
@@ -150,6 +152,26 @@ def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
     assert calibrated["conformal"][1] <= 1e-3
     for name in ("dual", "gauss", "bump"):
         assert calibrated[name][1] > 1e-3
+
+
+def test_el_sides_overflow_is_divergence(monkeypatch):
+    # (Pf)^(q-1) overflows: a divergent iterate, raised before the power is
+    # wrapped, with no overflow warning; el_fixed_point records its row
+    from halfext import solver
+    g = build_radial_grid(2, 64)
+    hs = default_halfspace_grid(g)
+    f = sample_radial(g, lambda r: 1e70 * (1 + r ** 2) ** -0.5,
+                      tail_exponent=1.0, nonnegative=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="not finite"):
+            el_sides(f, 4.0, hs)
+    monkeypatch.setattr(solver, "normalize_mass_half", lambda f, p: (1.0, f))
+    with pytest.raises(SolverDivergence) as err:
+        solver.el_fixed_point(3, 4.0, f, solver.SolverConfig(5, 1e-6), hs)
+    assert err.value.trace.message.startswith("divergent iterate")
+    assert len(err.value.trace) == 1
+    assert math.isnan(err.value.trace.residuals[0])
 
 
 def test_singular_constant_consistency():

@@ -3,7 +3,7 @@ import pytest
 
 from halfext import quadrature
 from halfext.quadrature import (GROW, blocks, composite_rule,
-                                composite_rules, peak_breaks)
+                                composite_rules, peak_breaks, rule_runs)
 
 
 def breakpoint_lists(rng):
@@ -107,3 +107,31 @@ def test_blocks_hold_at_most_a_block(monkeypatch):
     assert blocks([3, 3, 3, 3]) == [(0, 3), (3, 4)]
     assert blocks(np.array([4, 12, 5, 5, 1])) == [(0, 1), (1, 2), (2, 4),
                                                   (4, 5)]
+
+
+def test_rule_runs_split_the_whole_stream(monkeypatch):
+    # items laid out 4 at a time, with rows of different widths, come back
+    # as blocks splits the whole sequence, each row's rule unchanged by its
+    # padding
+    monkeypatch.setattr(quadrature, "_BLOCK", 256)
+    peaks = np.linspace(0.5, 3.0, 13)
+    widths = np.repeat([1e-3, 0.3, 0.05], [4, 4, 5])
+    layouts = []
+
+    def layout(items):
+        layouts.append(items)
+        return peak_breaks(peaks[items], widths[items], 0.0, 4.0, GROW)
+    runs = list(rule_runs(layout, np.arange(13), 4, 2))
+    assert [list(items) for items in layouts] == [[0, 1, 2, 3], [4, 5, 6, 7],
+                                                  [8, 9, 10, 11], [12]]
+    alone = [peak_breaks(p, w, 0.0, 4.0, GROW)[None]
+             for p, w in zip(peaks, widths)]
+    sizes = [4 * np.count_nonzero(np.diff(b)) + 2 for b in alone]
+    assert [(items[0], items[-1] + 1) for items, _ in runs] == blocks(sizes)
+    assert any(len({alone[k].shape[1] for k in items}) > 1
+               for items, _ in runs)
+    for items, breaks in runs:
+        for k, row in zip(items, breaks):
+            got = composite_rules(row[None], 4)[0]
+            assert got.tobytes() == composite_rules(alone[k], 4)[0].tobytes()
+    assert list(rule_runs(layout, np.arange(0), 4, 2)) == []
