@@ -43,11 +43,10 @@ around the diagonal (width t at s = r, growing by 8; below r/2 merged with a
 ladder resolving the mesh's decades) per window of 4 nodes into moments of
 y^0..y^3, contracted with the window's cubic basis: a plain matrix.  One row
 rule, ``_kernel_matrix``, builds the stack, the polar rows and ``extend_at``,
-each row on its own, so they agree row for row, bitwise.  The per-point panel
-quadratures here (refined rows, kernel masses) lay out the breakpoints of a
-few hundred points in one array call, then build their rules and evaluate
-the integrand in runs of at most ``quadrature._BLOCK`` nodes across heights
-(``quadrature.rule_runs``), or one point's, if more.
+each row on its own, so they agree row for row, bitwise.  Every per-point
+panel quadrature here (refined rows, kernel masses, the gl angular integral)
+builds its rules and evaluates its integrand in the runs of at most
+``quadrature._BLOCK`` nodes that ``quadrature.rule_runs`` walks.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from .errors import DivergenceError, DomainError
 from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
                     RadialGrid, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
-from .quadrature import (GROW, blocks, composite_rules, half_line_rule,
-                         panel_rule, peak_breaks, rule_runs)
+from .quadrature import (GROW, blocks, half_line_rule, panel_rule,
+                         peak_breaks, rule_runs)
 
 # rows with height below PEAK_FACTOR * (local mesh spacing) get refined panels
 PEAK_FACTOR = 6.0
@@ -71,7 +70,6 @@ _PANEL_ORDER = 16
 # growth of the refined rows' panels away from the diagonal s = r
 _DIAGONAL_GROW = 8.0
 _RING_ORDER = 24
-_RING_BLOCK = 512      # entries per angular batch: bounds the nodes held
 
 
 # E(m) = P(x) - x log(x) Q(x), x = 1 - m: the minimax pair of Cephes'
@@ -200,22 +198,21 @@ def _angular_integral(n: int, r, s, t, k: int) -> np.ndarray:
     """
     r, s, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(s, float),
                                   np.asarray(t, float))
-    shape = r.shape
-    rr, ss, tt = r.ravel(), s.ravel(), t.ravel()
+    shape, rr, ss, tt = r.shape, r.ravel(), s.ravel(), t.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = np.sqrt(((rr - ss) ** 2 + tt * tt) / (rr * ss))
+    width = np.where((rr * ss > 0.0) & (width < np.pi / 2.0), width, np.pi)
     out = np.empty(rr.size)
-    for lo in range(0, rr.size, _RING_BLOCK):
-        r, s, t = (x[lo:lo + _RING_BLOCK] for x in (rr, ss, tt))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            width = np.sqrt(((r - s) ** 2 + t * t) / (r * s))
-        width = np.where((r * s > 0.0) & (width < np.pi / 2.0), width, np.pi)
-        th, w, offsets = composite_rules(
-            peak_breaks(0.0, width, 0.0, np.pi, GROW), _RING_ORDER)
-        e = np.repeat(np.arange(r.size), np.diff(offsets))
-        z2 = ((r - s) ** 2)[e] + (4.0 * r * s)[e] * np.sin(0.5 * th) ** 2
-        vals = w * z2 ** (0.5 * k) * (z2 + (t * t)[e]) ** (-0.5 * n)
+    runs = rule_runs(lambda e: peak_breaks(0.0, width[e], 0.0, np.pi, GROW),
+                     np.arange(rr.size), _RING_ORDER, 0)
+    for e, th, w, offsets in runs:
+        r, s, t = rr[e], ss[e], tt[e]
+        i = np.repeat(np.arange(e.size), np.diff(offsets))
+        z2 = ((r - s) ** 2)[i] + (4.0 * r * s)[i] * np.sin(0.5 * th) ** 2
+        vals = w * z2 ** (0.5 * k) * (z2 + (t * t)[i]) ** (-0.5 * n)
         if n != 3:
             vals *= np.sin(th) ** (n - 3)
-        out[lo:lo + r.size] = np.add.reduceat(vals, offsets[:-1])
+        out[e] = np.add.reduceat(vals, offsets[:-1])
     return out.reshape(shape)
 
 
@@ -290,9 +287,8 @@ def _refined_rows(kernel, out_nodes, t, refine, in_grid: RadialGrid, M):
     runs = rule_runs(
         lambda i: _diagonal_breaks(out_nodes[i], t[i], in_grid.r_max, ladder),
         refine, _PANEL_ORDER, 0)
-    for rows, breaks in runs:
+    for rows, s, w, offsets in runs:
         r, tr = out_nodes[rows], t[rows]
-        s, w, offsets = composite_rules(breaks, _PANEL_ORDER)
         row = np.repeat(np.arange(rows.size), np.diff(offsets))
         # each node's window, and a new list of moments, before the kernel
         # call: the last run's arrays go before the call makes its own
@@ -537,8 +533,7 @@ def kernel_mass(n: int, s, t) -> np.ndarray:
     # the nodes of an entry: 24 per nonempty panel and 48 of the tail
     runs = rule_runs(lambda e: peak_breaks(s[e], width[e], 0.0, top[e], GROW),
                      np.arange(s.size), 24, 48)
-    for e, breaks in runs:
-        r, w, offsets = composite_rules(breaks, 24)
+    for e, r, w, offsets in runs:
         rep = np.diff(offsets)
         contrib = w * ring_kernel(n, r, np.repeat(s[e], rep),
                                   np.repeat(t[e], rep)) * r ** (n - 2)

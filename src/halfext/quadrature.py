@@ -10,8 +10,9 @@ converges spectrally.
 The composite "peak" rule resolves Lorentzian-type features of prescribed
 width (the Poisson kernel develops an O(1/t) spike on the diagonal as the
 height t -> 0); panels grow geometrically away from the feature.  The
-breakpoint builder takes arrays: one call lays out the panels of every point,
-and ``blocks`` splits those points into runs of boundedly many nodes.
+breakpoint builder takes arrays: one call lays out the panels of many
+points, and ``rule_runs`` builds their rules in runs of at most ``_BLOCK``
+nodes (or one point's, if more), as ``blocks`` splits the whole sequence.
 """
 
 from __future__ import annotations
@@ -43,25 +44,24 @@ def blocks(sizes) -> list:
 
 
 def rule_runs(layout, items, order: int, extra: int):
-    """``items`` with their rows of breakpoints, ``layout(items)``, in runs
-    as ``blocks`` splits the whole sequence, an item taking ``order`` nodes
-    per panel of nonzero width plus ``extra``.  Each row is laid out once,
-    for ``_BLOCK // 64`` items at a time (rows of at most 64 breakpoints
-    hold about a block), and padded to its run's width by its last one."""
-    step, start, breaks = _BLOCK // 64, 0, np.empty((0, 1))
-    for lo in range(0, items.size, step):
-        more = layout(items[lo:lo + step])
-        width = max(breaks.shape[1], more.shape[1])
-        breaks = np.vstack([np.pad(b, ((0, 0), (0, width - b.shape[1])),
-                                   mode="edge") for b in (breaks, more)])
+    """Per run of ``items``, as ``blocks`` splits the whole sequence: its
+    items and ``composite_rules`` of their breakpoint rows, ``layout(items)``,
+    an item taking ``order`` nodes per nonzero panel plus ``extra``.  Rows
+    are laid out ``_BLOCK // 64`` items at a time (rows of at most 64
+    breakpoints hold about a block); a layout's last run is held back and
+    laid out again with the next items, which changes no rule: a row's
+    nonzero panels do not depend on the rows beside it."""
+    step, start = _BLOCK // 64, 0
+    for stop in range(step, items.size + step, step):
+        chunk = items[start:stop]
+        breaks = layout(chunk)
         spans = blocks(order * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
                        + extra)
-        for a, b in spans[:-1]:
-            yield items[start + a:start + b], breaks[a:b]
-        # the last run may take items of the next layout
-        start, breaks = start + spans[-1][0], breaks[spans[-1][0]:]
-    if breaks.size:
-        yield items[start:], breaks
+        if stop < items.size:
+            # the last run may take items of the next layout
+            spans, start = spans[:-1], start + spans[-1][0]
+        for a, b in spans:
+            yield (chunk[a:b], *composite_rules(breaks[a:b], order))
 
 
 @lru_cache(maxsize=128)

@@ -1,8 +1,9 @@
 """The block size of the batched quadratures: every row of the row rule,
-every kernel mass and the planar convolution are the same bits at any block
-size, and a build, a convolution or a slab mass holds only a few MB of
-temporaries beyond what it returns.  Refined rows and kernel masses fill
-their blocks across heights, so a cold build makes few ring-kernel calls."""
+every kernel mass, the gl angular integral and the planar convolution are
+the same bits at any block size, and a build, a convolution, a slab mass or
+a gl ring kernel holds only a few MB of temporaries beyond what it returns.
+Refined rows and kernel masses fill their blocks across heights, so a cold
+build makes few ring-kernel calls."""
 
 import tracemalloc
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from halfext import extension, quadrature
-from halfext.extension import extend_at, get_operator, kernel_mass, slab_mass
+from halfext.extension import (extend_at, get_operator, kernel_mass,
+                               qt_ring, ring_kernel, slab_mass)
 from halfext.grids import (PolarFn, PolarGrid, build_radial_grid,
                            default_halfspace_grid, sample_radial)
 from halfext.rearrange import planar_convolution
@@ -24,6 +26,16 @@ def _rearrange_demo_data():
                    + 0.8 * np.exp(-((x + 1.5) ** 2 + (y - 0.4) ** 2) * 5.0))
 
 
+def _triples(size, seed):
+    # (r, s, t) from the boundary out to the spike: t from 1e-5 to 10, s
+    # within a relative 1e-6 to 1 of r
+    rng = np.random.default_rng(seed)
+    r, t = rng.uniform(0.0, 5.0, size), 10.0 ** rng.uniform(-5.0, 1.0, size)
+    s = r * (1.0 + rng.choice([-1.0, 1.0], size)
+             * 10.0 ** rng.uniform(-6.0, 0.0, size))
+    return r, s, t
+
+
 def _results(n, N):
     # every batched quadrature of extension.py on one mesh, the operator
     # built anew
@@ -35,16 +47,19 @@ def _results(n, N):
                       nonnegative=True)
     rng = np.random.default_rng(37)
     r, t = rng.uniform(0.0, 5.0, 600), 10.0 ** rng.uniform(-4.0, 0.5, 600)
+    triple = _triples(600, 43)
     return {"stack": op.matrices, "polar_rows": op.polar_rows,
             "extend_at": extend_at(f, r, t),
-            "kernel_mass": kernel_mass(n, g.nodes, 1e-3)}
+            "kernel_mass": kernel_mass(n, g.nodes, 1e-3),
+            "ring_gl": ring_kernel(n, *triple, method="gl"),
+            "qt_ring": qt_ring(n, *triple)}
 
 
 @pytest.mark.parametrize("n, N", [(3, 64), (4, 96), (5, 24)])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, n, N):
     # README: a row is the same bits whatever block it is built in; at an
     # eighth of the block size the plain rows, the refined runs across
-    # heights and the kernel-mass nodes all split anew
+    # heights, the kernel-mass nodes and the angular nodes all split anew
     monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
     default = _results(n, N)
     monkeypatch.setattr(quadrature, "_BLOCK", quadrature._BLOCK // 8)
@@ -117,7 +132,8 @@ def test_batched_quadratures_bound_their_temporaries(monkeypatch):
     # convolution: its 2.3 MB kernel, 1.4 MB of shifted data and one block)
     # and 2.9 MB (verify-identities' slab masses in one pass over (t, s));
     # without the blocks these take 6.3, 11.8 and 3.5 MB, and laying out
-    # every slab pair's breakpoints at once 3.5 MB
+    # every slab pair's breakpoints at once 3.5 MB.  The gl ring kernel
+    # holds 3.0 MB on 20 000 triples, 4.6 MB in blocks of 512 entries
     monkeypatch.setattr(extension, "_OPERATOR_CACHE", {})
     g = build_radial_grid(2, 160)
     hs = default_halfspace_grid(g)
@@ -134,3 +150,5 @@ def test_batched_quadratures_bound_their_temporaries(monkeypatch):
                np.inf))]
     assert max(_transient_mb(lambda: slab_mass(fs, a))
                for a in (0.3, 0.7, 2.0)) <= 3.2
+    triple = _triples(20000, 41)
+    assert _transient_mb(lambda: ring_kernel(3, *triple, method="gl")) <= 3.5

@@ -111,27 +111,32 @@ def test_blocks_hold_at_most_a_block(monkeypatch):
 
 def test_rule_runs_split_the_whole_stream(monkeypatch):
     # items laid out 4 at a time, with rows of different widths, come back
-    # as blocks splits the whole sequence, each row's rule unchanged by its
-    # padding
+    # as blocks splits the whole sequence, each item's rule its own bits,
+    # also for items held back and laid out again beside other rows
     monkeypatch.setattr(quadrature, "_BLOCK", 256)
     peaks = np.linspace(0.5, 3.0, 13)
     widths = np.repeat([1e-3, 0.3, 0.05], [4, 4, 5])
-    layouts = []
+    widths_of = {}
 
     def layout(items):
-        layouts.append(items)
-        return peak_breaks(peaks[items], widths[items], 0.0, 4.0, GROW)
+        breaks = peak_breaks(peaks[items], widths[items], 0.0, 4.0, GROW)
+        for k in items:
+            widths_of.setdefault(k, set()).add(breaks.shape[1])
+        return breaks
     runs = list(rule_runs(layout, np.arange(13), 4, 2))
-    assert [list(items) for items in layouts] == [[0, 1, 2, 3], [4, 5, 6, 7],
-                                                  [8, 9, 10, 11], [12]]
     alone = [peak_breaks(p, w, 0.0, 4.0, GROW)[None]
              for p, w in zip(peaks, widths)]
     sizes = [4 * np.count_nonzero(np.diff(b)) + 2 for b in alone]
-    assert [(items[0], items[-1] + 1) for items, _ in runs] == blocks(sizes)
-    assert any(len({alone[k].shape[1] for k in items}) > 1
-               for items, _ in runs)
-    for items, breaks in runs:
-        for k, row in zip(items, breaks):
-            got = composite_rules(row[None], 4)[0]
-            assert got.tobytes() == composite_rules(alone[k], 4)[0].tobytes()
+    assert [(items[0], items[-1] + 1) for items, *_ in runs] == blocks(sizes)
+    assert np.concatenate([items for items, *_ in runs]).tolist() == list(
+        range(13))
+    assert sorted(widths_of) == list(range(13))
+    assert any(len(w) > 1 for w in widths_of.values())
+    for items, nodes, weights, offsets in runs:
+        assert offsets[0] == 0 and offsets[-1] == nodes.size == weights.size
+        for j, k in enumerate(items):
+            own = composite_rules(alone[k], 4)
+            rule = slice(offsets[j], offsets[j + 1])
+            assert nodes[rule].tobytes() == own[0].tobytes()
+            assert weights[rule].tobytes() == own[1].tobytes()
     assert list(rule_runs(layout, np.arange(0), 4, 2)) == []
