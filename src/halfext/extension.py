@@ -521,8 +521,8 @@ def kernel_mass(n: int, s, t) -> np.ndarray:
 
     Panels refined around the peak r = s cover [0, top]; a tan-mapped tail
     of scale max(s, t, 1) covers [top, inf).  The entries go in runs of at
-    most ``quadrature._BLOCK`` nodes (``quadrature.rule_runs``) across all
-    of them, each entry on its own.
+    most ``quadrature._BLOCK`` nodes (``quadrature.rule_runs``), each entry
+    on its own.
     """
     s, t = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
                                np.asarray(t, dtype=float))

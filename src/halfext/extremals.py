@@ -105,7 +105,8 @@ def rayleigh_quotient(f: RadialFn, n: int, p: float,
 
 
 def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
-    """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1))), n = hs_grid.n."""
+    """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1))), n = hs_grid.n;
+    DivergenceError if a side is not finite or the dual side is negative."""
     if np.any(f.values < 0.0):
         raise DomainError("the Euler-Lagrange system is stated for f >= 0")
     if not np.any(f.values > 0.0):
@@ -122,6 +123,10 @@ def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
            if np.all(np.isfinite(power)) else power)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise DivergenceError("Euler-Lagrange sides are not finite")
+    # the row rule's cubic windows can take positive data below zero
+    if np.any(rhs < 0.0):
+        raise DivergenceError(f"dual side is negative: min {rhs.min():.3e}, "
+                              f"max {rhs.max():.3e}")
     return lhs, rhs
 
 

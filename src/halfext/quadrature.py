@@ -12,7 +12,7 @@ width (the Poisson kernel develops an O(1/t) spike on the diagonal as the
 height t -> 0); panels grow geometrically away from the feature.  The
 breakpoint builder takes arrays: one call lays out the panels of many
 points, and ``rule_runs`` builds their rules in runs of at most ``_BLOCK``
-nodes (or one point's, if more), as ``blocks`` splits the whole sequence.
+nodes (or one point's, if more), as ``blocks`` splits each layout.
 """
 
 from __future__ import annotations
@@ -44,23 +44,17 @@ def blocks(sizes) -> list:
 
 
 def rule_runs(layout, items, order: int, extra: int):
-    """Per run of ``items``, as ``blocks`` splits the whole sequence: its
-    items and ``composite_rules`` of their breakpoint rows, ``layout(items)``,
-    an item taking ``order`` nodes per nonzero panel plus ``extra``.  Rows
-    are laid out ``_BLOCK // 64`` items at a time (rows of at most 64
-    breakpoints hold about a block); a layout's last run is held back and
-    laid out again with the next items, which changes no rule: a row's
-    nonzero panels do not depend on the rows beside it."""
-    step, start = _BLOCK // 64, 0
-    for stop in range(step, items.size + step, step):
-        chunk = items[start:stop]
+    """Per run of ``items``: its items and ``composite_rules`` of their
+    breakpoint rows, ``layout(items)``, an item taking ``order`` nodes per
+    nonzero panel plus ``extra``.  Items are laid out ``_BLOCK // 64`` at a
+    time (rows of at most 64 breakpoints hold about a block), each once,
+    and each layout's runs are its ``blocks``."""
+    step = _BLOCK // 64
+    for start in range(0, items.size, step):
+        chunk = items[start:start + step]
         breaks = layout(chunk)
-        spans = blocks(order * np.count_nonzero(np.diff(breaks) > 0.0, axis=1)
-                       + extra)
-        if stop < items.size:
-            # the last run may take items of the next layout
-            spans, start = spans[:-1], start + spans[-1][0]
-        for a, b in spans:
+        for a, b in blocks(order * np.count_nonzero(np.diff(breaks) > 0.0,
+                                                    axis=1) + extra):
             yield (chunk[a:b], *composite_rules(breaks[a:b], order))
 
 

@@ -21,7 +21,7 @@ either closed-form family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,12 @@ class SolverConfig:
             raise DomainError("max_iters and tol_residual must be positive")
 
 
-@dataclass
 class IterationTrace:
-    residuals: list = field(default_factory=list)
-    rayleighs: list = field(default_factory=list)
-    lambdas: list = field(default_factory=list)
-    converged: bool = False
-    message: str = ""
+    """Residual, Rayleigh quotient and gauge factor per EL iteration."""
+
+    def __init__(self):
+        self.residuals, self.rayleighs, self.lambdas = [], [], []
+        self.converged, self.message = False, ""
 
     def append(self, residual: float, rayleigh: float, lam: float) -> None:
         self.residuals.append(residual)
@@ -162,7 +161,7 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
         if len(trace) == cfg.max_iters:
             trace.message = f"no convergence in {cfg.max_iters} iterations"
             break
-        update = np.maximum(rhs, 0.0) ** (1.0 / (p - 1.0))
+        update = rhs ** (1.0 / (p - 1.0))
         # no declared tail: the start's (a Gaussian's is inf) is not the
         # iterate's, so the tail fit decides
         f = RadialFn(f.grid, update, nonnegative=True)

@@ -11,8 +11,9 @@ from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                extremal_profile, power_profile,
                                rayleigh_quotient, sharp_constant,
                                singular_constant)
-from halfext.grids import (build_radial_grid, default_halfspace_grid,
-                           dilate_boundary, sample_radial)
+from halfext.grids import (RadialFn, build_radial_grid,
+                           default_halfspace_grid, dilate_boundary,
+                           sample_radial)
 from halfext.kernel import unit_ball_volume
 
 
@@ -170,6 +171,26 @@ def test_el_sides_overflow_is_divergence(monkeypatch):
     with pytest.raises(SolverDivergence) as err:
         solver.el_fixed_point(3, 4.0, f, solver.SolverConfig(5, 1e-6), hs)
     assert err.value.trace.message.startswith("divergent iterate")
+    assert len(err.value.trace) == 1
+    assert math.isnan(err.value.trace.residuals[0])
+
+
+def test_el_sides_negative_dual_is_divergence(monkeypatch):
+    # the cubic windows give T of positive data a negative entry here
+    # (about -4.8e3 at r = 1.1e-3 against a maximum of 2.3e5): a divergent
+    # iterate with its min and max, not a dual clipped at 0
+    from halfext import solver
+    g = build_radial_grid(3, 160)
+    hs = default_halfspace_grid(g)
+    f = RadialFn(g, g.nodes ** -0.9 * (1 + g.nodes ** 2) ** -4.0,
+                 tail_exponent=8.9, nonnegative=True)
+    with pytest.raises(DivergenceError, match=r"negative: min -4\.8\d+e\+03, "
+                       r"max 2\.3\d+e\+05"):
+        el_sides(f, 3.0, hs)
+    monkeypatch.setattr(solver, "normalize_mass_half", lambda f, p: (1.0, f))
+    with pytest.raises(SolverDivergence) as err:
+        solver.el_fixed_point(4, 3.0, f, solver.SolverConfig(5, 1e-6), hs)
+    assert "dual side is negative" in err.value.trace.message
     assert len(err.value.trace) == 1
     assert math.isnan(err.value.trace.residuals[0])
 

@@ -109,33 +109,37 @@ def test_blocks_hold_at_most_a_block(monkeypatch):
                                                   (4, 5)]
 
 
-def test_rule_runs_split_the_whole_stream(monkeypatch):
-    # items laid out 4 at a time, with rows of different widths, come back
-    # as blocks splits the whole sequence, each item's rule its own bits,
-    # also for items held back and laid out again beside other rows
+def test_rule_runs_lay_out_each_item_once(monkeypatch):
+    # items are laid out _BLOCK // 64 = 4 at a time, each once and in order;
+    # the runs are blocks of each layout, and each item's rule is its own
+    # bits, whatever rows of other widths share its layout
     monkeypatch.setattr(quadrature, "_BLOCK", 256)
     peaks = np.linspace(0.5, 3.0, 13)
-    widths = np.repeat([1e-3, 0.3, 0.05], [4, 4, 5])
-    widths_of = {}
+    widths = np.where(np.arange(13) % 3 == 2, 0.3, 1e-5)
+    layouts, row_widths = [], {}
 
     def layout(items):
         breaks = peak_breaks(peaks[items], widths[items], 0.0, 4.0, GROW)
+        layouts.append((items.tolist(), breaks))
         for k in items:
-            widths_of.setdefault(k, set()).add(breaks.shape[1])
+            row_widths.setdefault(k, []).append(breaks.shape[1])
         return breaks
     runs = list(rule_runs(layout, np.arange(13), 4, 2))
-    alone = [peak_breaks(p, w, 0.0, 4.0, GROW)[None]
-             for p, w in zip(peaks, widths)]
-    sizes = [4 * np.count_nonzero(np.diff(b)) + 2 for b in alone]
-    assert [(items[0], items[-1] + 1) for items, *_ in runs] == blocks(sizes)
+    assert [items for items, _ in layouts] == [
+        [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12]]
+    assert all(len(w) == 1 for w in row_widths.values())
+    spans = [(items[0] + a, items[0] + b) for items, breaks in layouts
+             for a, b in blocks(4 * np.count_nonzero(np.diff(breaks), axis=1)
+                                + 2)]
+    assert [(items[0], items[-1] + 1) for items, *_ in runs] == spans
+    assert len(spans) > len(layouts)
     assert np.concatenate([items for items, *_ in runs]).tolist() == list(
         range(13))
-    assert sorted(widths_of) == list(range(13))
-    assert any(len(w) > 1 for w in widths_of.values())
     for items, nodes, weights, offsets in runs:
         assert offsets[0] == 0 and offsets[-1] == nodes.size == weights.size
         for j, k in enumerate(items):
-            own = composite_rules(alone[k], 4)
+            own = composite_rules(
+                peak_breaks(peaks[k], widths[k], 0.0, 4.0, GROW)[None], 4)
             rule = slice(offsets[j], offsets[j + 1])
             assert nodes[rule].tobytes() == own[0].tobytes()
             assert weights[rule].tobytes() == own[1].tobytes()
