@@ -357,7 +357,6 @@ class PoissonOperator:
     temporaries beside them (n=3, N=160).
     """
 
-    n: int
     halfspace: HalfspaceGrid
     matrices: np.ndarray          # (N_t, N, N), C-contiguous
     polar_rows: np.ndarray        # (POLAR_PHI * POLAR_RHO, N), ray by ray
@@ -449,7 +448,7 @@ def get_operator(n: int, boundary: RadialGrid,
     r, t, weights = polar_halfspace_rule(n)
     polar = _kernel_matrix(partial(ring_kernel, n), r.ravel(), radial,
                            t.ravel())
-    op = PoissonOperator(n, halfspace, _matrix_stack(n, radial, heights),
+    op = PoissonOperator(halfspace, _matrix_stack(n, radial, heights),
                          polar, weights.ravel())
     CACHE_COUNTS["builds"] += 1
     _OPERATOR_CACHE[key] = op

@@ -104,30 +104,40 @@ def rayleigh_quotient(f: RadialFn, n: int, p: float,
     return extension_norm(f, n * p / (n - 1), hs_grid) / lp_norm_boundary(f, p)
 
 
+# entries below this fraction of their side's maximum carry no mass: the
+# calibration's mass mask and the one sign rule of both Euler-Lagrange sides
+MASS_FLOOR = 1e-6
+
+
+# the row rule's cubic windows can take positive data below zero: an entry
+# below -MASS_FLOOR times its side's maximum is a divergent iterate, raised
+# with the side's name, min and max; one between that bound and 0 is
+# quadrature noise and reads as 0.  One pass when no entry is negative.
+def _nonnegative(side: np.ndarray, name: str) -> np.ndarray:
+    low = side.min()
+    if low < 0.0 and low < -MASS_FLOOR * side.max():
+        raise DivergenceError(f"{name} is negative: min {low:.3e}, "
+                              f"max {side.max():.3e}")
+    return side if low >= 0.0 else np.maximum(side, 0.0)
+
+
 def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
     """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1))), n = hs_grid.n;
-    DivergenceError if a side is not finite or the dual side is negative."""
+    Pf and T pass ``_nonnegative``; a non-finite power is DivergenceError."""
     if np.any(f.values < 0.0):
         raise DomainError("the Euler-Lagrange system is stated for f >= 0")
     if not np.any(f.values > 0.0):
         raise DomainError("f must not be identically zero")
-    n = hs_grid.n
-    q = n * p / (n - 1)
-    u = poisson_extend(f, hs_grid)
-    # an overflowing power is a divergent iterate, not a domain error: its
-    # non-finite values go to the check below in place of the dual
+    q = hs_grid.n * p / (hs_grid.n - 1)
+    u = _nonnegative(poisson_extend(f, hs_grid).values, "Pf")
+    # an overflowing power is a divergent iterate, not a domain error
     with np.errstate(over="ignore"):
-        power = np.maximum(u.values, 0.0) ** (q - 1.0)
+        power = u ** (q - 1.0)
         lhs = f.values ** (p - 1.0)
-    rhs = (dual_extend(AxisymFn(hs_grid, power)).values
-           if np.all(np.isfinite(power)) else power)
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(power))):
         raise DivergenceError("Euler-Lagrange sides are not finite")
-    # the row rule's cubic windows can take positive data below zero
-    if np.any(rhs < 0.0):
-        raise DivergenceError(f"dual side is negative: min {rhs.min():.3e}, "
-                              f"max {rhs.max():.3e}")
-    return lhs, rhs
+    rhs = dual_extend(AxisymFn(hs_grid, power)).values
+    return lhs, _nonnegative(rhs, "dual side")
 
 
 def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
@@ -139,7 +149,7 @@ def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
     measured, keeping the far mesh (where quadrature is weakest but both
     sides are negligible) from biasing the amplitude.
     """
-    mask = (lhs >= 1e-6 * np.max(lhs)) & (rhs > 0.0)
+    mask = (lhs >= MASS_FLOOR * np.max(lhs)) & (rhs > 0.0)
     if not np.any(mask):
         raise DomainError("nonpositive Euler-Lagrange ratio; cannot calibrate")
     logs = np.log(rhs[mask] / lhs[mask])

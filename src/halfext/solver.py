@@ -80,8 +80,8 @@ def concentration_radius(f: RadialFn, p: float) -> float:
     The mass profile is accumulated from per-cell Gauss panels of the sample
     interpolant, all cells in one evaluation, making partial masses
     consistent with the total used here.  R is then found to 1e-12 by
-    safeguarded Newton steps inside the one cell where the cumulative mass
-    crosses the target.
+    safeguarded Newton steps in the cell where the mass crosses the target,
+    the first cell [0, r_1] too.
     """
     grid = f.grid
     edges = np.concatenate(([0.0], grid.nodes))
@@ -93,8 +93,6 @@ def concentration_radius(f: RadialFn, p: float) -> float:
     target = 0.5 * total
     # cum[i] < target <= cum[i + 1]: the crossing cell is [edges[i], edges[i+1]]
     i = int(np.searchsorted(cum, target)) - 1
-    if i == 0:
-        return float(grid.nodes[0] * (target / cum[1]) ** (1.0 / grid.d))
     # Newton on the mass derivative |f(R)|^p R^(d-1); a step that leaves
     # the bracket [a, b] of the root bisects it instead
     a, b = edges[i], edges[i + 1]

@@ -195,6 +195,19 @@ def test_el_sides_negative_dual_is_divergence(monkeypatch):
     assert math.isnan(err.value.trace.residuals[0])
 
 
+def test_el_sides_negative_pf_is_divergence():
+    # the cubic windows take this positive f below zero in Pf itself (about
+    # -8.4e3 at r = 1.1e-3, t = 2.4e-4, against a maximum of 2.2e5): Pf goes
+    # through the dual side's sign rule and is not clipped at 0
+    g = build_radial_grid(3, 160)
+    hs = default_halfspace_grid(g)
+    f = RadialFn(g, g.nodes ** -1.5 * (1 + g.nodes ** 2) ** -4.0,
+                 tail_exponent=9.5, nonnegative=True)
+    with pytest.raises(DivergenceError, match=r"^Pf is negative: "
+                       r"min -8\.448e\+03, max 2\.205e\+05$"):
+        el_sides(f, 1.5, hs)
+
+
 def test_singular_constant_consistency():
     # the matching radius drops out exactly, not just to quadrature error
     for n, p in ((3, 2.0), (3, 1.5), (4, 2.0)):

@@ -9,10 +9,11 @@ from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
 from halfext.grids import (build_radial_grid, default_halfspace_grid,
                            dilate_boundary, sample_radial)
 from halfext.moebius import boundary_inversion
-from halfext.solver import (IterationTrace, SolverConfig,
+from halfext.solver import (IterationTrace, SolverConfig, _cell_masses,
                             ascent_estimate_constant, concentration_radius,
                             el_fixed_point, initial_profiles,
-                            match_extremal_family, normalize_mass_half)
+                            match_extremal_family, normalize_mass_half,
+                            start_profile)
 
 
 @pytest.mark.parametrize("max_iters, tol", [(1, 0.0), (1, math.nan),
@@ -60,6 +61,21 @@ def test_concentration_radius_of_gaussian(n, p):
     assert concentration_radius(f, p) == pytest.approx(want, rel=5e-7)
 
 
+@pytest.mark.parametrize("width", [5e-5, 2e-5])
+def test_concentration_radius_in_first_cell(boundary3, width):
+    # half the L^2 mass lies inside the first cell [0, r_1]: R still hits
+    # the target by the gauge's own cell masses, as in every other cell
+    f = sample_radial(boundary3,
+                      lambda r: np.exp(-(np.asarray(r) / width) ** 2),
+                      tail_exponent=math.inf, nonnegative=True)
+    edges = np.concatenate(([0.0], boundary3.nodes))
+    target = 0.5 * _cell_masses(f, 2.0, edges[:-1], edges[1:]).sum()
+    R = concentration_radius(f, 2.0)
+    assert 0.0 < R < boundary3.nodes[0]
+    assert float(_cell_masses(f, 2.0, 0.0, R)) == pytest.approx(target,
+                                                                rel=1e-12)
+
+
 def test_mass_half_rejects_zero(boundary3):
     from halfext.grids import RadialFn
     zero = RadialFn(boundary3, np.zeros(boundary3.size), value_at_zero=0.0)
@@ -78,6 +94,18 @@ def test_fixed_point_from_extremal(boundary3, halfspace3):
     fn = fn.scaled(calibrate(3, 4.0, *el_sides(fn, 4.0, halfspace3))[0])
     assert np.max(np.abs(sol.values - fn.values)
                   / np.maximum(fn.values, 1e-12)) < 1e-6
+
+
+def test_fixed_point_through_far_field_noise():
+    # at n=7, N=96, p=2 some iterates' dual sides hold negative entries of
+    # quadrature noise in the far field (min/max down to -1.6e-17); they
+    # read as 0, and the solve converges as solve-el's does from its start
+    g = build_radial_grid(6, 96)
+    hs = default_halfspace_grid(g)
+    init = start_profile(g, "gaussian", 1.0, 1.0)
+    sol, trace = el_fixed_point(7, 2.0, init, SolverConfig(300, 5e-5), hs)
+    assert trace.converged and len(trace) == 34
+    assert np.all(sol.values > 0.0)
 
 
 def _assert_rayleighs_nondecreasing(trace):
