@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
-                    RadialGrid, polar_halfspace_rule)
+                    RadialGrid, mesh_n, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
 from .quadrature import (GROW, blocks, half_line_rule, panel_rule,
                          peak_breaks, rule_runs)
@@ -395,16 +395,16 @@ _CACHE_BYTES = 64 * 2 ** 20    # budget of stacks and polar rows held
 CACHE_COUNTS = {"builds": 0, "hits": 0, "evictions": 0}
 
 
-def cache_held_bytes() -> int:
-    """Bytes of the stacks and polar rows the operator cache holds."""
-    return sum(op.matrices.nbytes + op.polar_rows.nbytes
-               for op in _OPERATOR_CACHE.values())
-
-
 def operator_nbytes(halfspace: HalfspaceGrid) -> int:
     """Bytes of the stack and polar rows an operator on this mesh holds."""
     n_r, n_t = halfspace.radial.size, halfspace.heights.size
     return 8 * n_r * (n_t * n_r + POLAR_RHO * POLAR_PHI)
+
+
+def cache_held_bytes() -> int:
+    """Bytes the operator cache holds, ``operator_nbytes`` of each mesh."""
+    return sum(operator_nbytes(op.halfspace)
+               for op in _OPERATOR_CACHE.values())
 
 
 def _mesh_key(grid: RadialGrid) -> tuple:
@@ -429,8 +429,7 @@ def get_operator(n: int, boundary: RadialGrid,
     operator; the cache keeps the most recently used operators that fit in
     ``_CACHE_BYTES``, and always the newest, even one over it alone.
     """
-    if boundary.d != n - 1 or halfspace.n != n:
-        raise DomainError("grid dimensions are inconsistent with n")
+    mesh_n(n, halfspace.radial)
     radial, heights = halfspace.radial, halfspace.heights
     key = (n, _mesh_key(radial), _mesh_key(heights))
     if _mesh_key(boundary) != key[1]:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .extension import dual_extend, extension_norm, hyp2f1, poisson_extend
 from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
-                    lp_norm_boundary)
+                    lp_norm_boundary, mesh_n)
 from .kernel import unit_ball_volume
 from .quadrature import gauss_legendre
 
@@ -72,8 +72,7 @@ class ExtremalSpec:
 
 def extremal_profile(spec: ExtremalSpec, grid: RadialGrid) -> RadialFn:
     """Radial samples of the extremal centered at the origin."""
-    if grid.d != spec.n - 1:
-        raise DomainError("grid dimension does not match the family")
+    mesh_n(spec.n, grid)
     e = spec.exponent
     return RadialFn(grid, spec.profile(grid.nodes),
                     value_at_zero=spec.amplitude * spec.lam ** -e,
@@ -97,8 +96,9 @@ def sharp_constant(n: int, which: str) -> float:
 
 def rayleigh_quotient(f: RadialFn, n: int, p: float,
                       hs_grid: HalfspaceGrid) -> float:
-    """|Pf|_{L^{np/(n-1)}(R^n_+)} / |f|_{L^p(R^{n-1})}, with |Pf| on the
-    polar half-space rule (``extension_norm``)."""
+    """|Pf|_{L^{np/(n-1)}(R^n_+)} / |f|_{L^p(R^{n-1})}, n = hs_grid.n, with
+    |Pf| on the polar half-space rule (``extension_norm``)."""
+    n = mesh_n(n, hs_grid.radial)
     if not np.any(f.values != 0.0):
         raise DomainError("Rayleigh quotient of the zero function")
     return extension_norm(f, n * p / (n - 1), hs_grid) / lp_norm_boundary(f, p)

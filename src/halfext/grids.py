@@ -10,10 +10,11 @@ become smooth, the nodes are closed under the Kelvin map r -> 1/r, and the
 rule is Gauss-Legendre in the stereographic polar angle 2*theta too.
 
 Boundary functions of |xi| live in RadialFn, axisymmetric half-space
-functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, and non-radial
-planar functions in PolarFn on a radius x angle mesh.  L^p norms carry
-divergence guards driven by the declared tail exponent of the data and by an
-empirical log-log fit over the last eighth of the mesh.
+functions u(|x'|, x_n) in AxisymFn on a product HalfspaceGrid, non-radial
+planar ones in PolarFn on a radius x angle mesh; each takes samples under one
+contract (``_samples``): finite floats of exactly its mesh's shape, else
+DomainError.  L^p norms carry divergence guards from the declared tail
+exponent of the data and a log-log fit over the last eighth of the mesh.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ class RadialGrid:
         return ((np.pi / 2.0) / self.size) * (1.0 + x ** 2)
 
 
+def mesh_n(n: int, grid: RadialGrid) -> int:
+    """grid.d + 1, the n a boundary mesh fixes; any other ``n`` DomainError."""
+    if n != grid.d + 1:
+        raise DomainError(f"n={n} disagrees with the mesh's n={grid.d + 1}")
+    return grid.d + 1
+
+
 def build_radial_grid(d: int, N: int, mapping: str = "tan",
                       scale: float = 1.0) -> RadialGrid:
     """Gauss-Legendre mesh for radial integrals on R^d.
@@ -91,6 +99,14 @@ def build_radial_grid(d: int, N: int, mapping: str = "tan",
         raise DomainError(f"the tan rule has scale 1.0, got {scale!r}")
     nodes, dr = half_line_rule(0.0, 1.0, N)
     return RadialGrid(d, nodes, dr * nodes ** (d - 1))
+
+
+def _samples(values, shape: tuple) -> np.ndarray:
+    """Float samples of the mesh's shape, every one finite, else DomainError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape or not np.all(np.isfinite(values)):
+        raise DomainError(f"samples must be a finite array of shape {shape}")
+    return values
 
 
 def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
@@ -161,11 +177,7 @@ class RadialFn:
     _fitted: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.nodes.shape:
-            raise DomainError("values must match the grid nodes")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("values must be finite")
+        self.values = _samples(self.values, self.grid.nodes.shape)
         if self.nonnegative and np.any(self.values < 0.0):
             raise DomainError("function flagged nonnegative has negative samples")
         if math.isnan(self.value_at_zero):
@@ -304,12 +316,8 @@ class AxisymFn:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        want = (self.grid.radial.size, self.grid.heights.size)
-        if self.values.shape != want:
-            raise DomainError(f"values must have shape {want}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("values must be finite")
+        self.values = _samples(self.values, (self.grid.radial.size,
+                                             self.grid.heights.size))
 
 
 @dataclass(eq=False)
@@ -351,12 +359,8 @@ class PolarFn:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        want = (self.grid.radial.size, self.grid.n_angles)
-        if self.values.shape != want:
-            raise DomainError(f"values must have shape {want}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("values must be finite")
+        self.values = _samples(self.values, (self.grid.radial.size,
+                                             self.grid.n_angles))
 
     def lp_norm(self, p: float) -> float:
         mass = np.sum(self.grid.cell_measures() * np.abs(self.values) ** p)

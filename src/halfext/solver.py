@@ -32,7 +32,7 @@ from .extension import poisson_extend  # noqa: F401
 from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
                         rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
-                    lp_norm_boundary, write_csv)
+                    lp_norm_boundary, mesh_n, write_csv)
 from .quadrature import panel_rule
 
 
@@ -131,10 +131,9 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     quotients read the polar half-space rule.  Raises SolverDivergence
     (trace attached) when the residual grows tenfold over 50 iterations or
     an iterate diverges; a divergent iterate gets its own trace row, NaN
-    for what it could not compute.
+    for what it could not compute.  n = hs_grid.n (checked first).
     """
-    if np.any(init.values < 0.0) or not np.any(init.values > 0.0):
-        raise DomainError("initial guess must be nonnegative and nonzero")
+    n = mesh_n(n, hs_grid.radial)
     trace = IterationTrace()
     lam, f = normalize_mass_half(init, p)
     while True:
@@ -240,13 +239,14 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     Returns (lam, amplitude, sup relative error over nodes with r <= window).
     The window ends at the mesh's last node in it, so the error moves with
     the mesh: r <= 10 ends at r = 5.8, 8.1 and 9.5 for N = 17, 48 and 160.
-    The shapes are ``ExtremalSpec.profile``; an unknown ``kind`` raises
-    DomainError.  lam is searched in [e^-3, e^3] only (the mass-half gauge
-    puts members near lam = 1).  A lam on the bracket's edge makes the
-    error an upper bound on the family's misfit: an exact dual member with
-    lam = 25 comes back as lam = e^3 with error 0.051, and the conformal
-    fit of the n = 3 EL solutions at p = 4/3 and 1.6 lands on lam = e^-3.
+    The shapes are ``ExtremalSpec.profile`` at n = f.grid.d + 1; another n
+    or an unknown ``kind`` is DomainError.  lam is searched in [e^-3, e^3]
+    only (the mass-half gauge puts members near lam = 1); a lam on its edge
+    makes the error an upper bound on the family's misfit: an exact dual
+    member with lam = 25 comes back as lam = e^3 with error 0.051, and the
+    conformal fit of the n = 3 EL solutions at p = 4/3 and 1.6 lands on e^-3.
     """
+    n = mesh_n(n, f.grid)
     sel = f.grid.nodes <= r_window
     r = f.grid.nodes[sel]
     y = f.values[sel]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfext.errors import DivergenceError, DomainError
-from halfext.grids import (AxisymFn, HalfspaceGrid, PolarGrid, RadialFn,
-                           build_radial_grid, dilate_boundary, distribution,
-                           distribution_mass, lp_norm_boundary,
+from halfext.grids import (AxisymFn, HalfspaceGrid, PolarFn, PolarGrid,
+                           RadialFn, build_radial_grid, dilate_boundary,
+                           distribution, distribution_mass, lp_norm_boundary,
                            lp_norm_halfspace, pchip, polar_halfspace_rule,
                            sample_radial)
 from halfext.kernel import sphere_area
@@ -342,6 +343,29 @@ def test_radial_fn_validation(boundary3):
         RadialFn(boundary3, np.full(boundary3.size, np.nan))
     with pytest.raises(DomainError):
         RadialFn(boundary3, -np.ones(boundary3.size), nonnegative=True)
+
+
+@pytest.mark.parametrize("kind", ["RadialFn", "AxisymFn", "PolarFn"])
+def test_sample_contract(kind):
+    # the three sample types take their samples under one contract: a float
+    # array of exactly the mesh's shape, every entry finite; a wrong shape
+    # and a NaN raise with the one message
+    g = build_radial_grid(2, 16)
+    make, shape = {
+        "RadialFn": (lambda v: RadialFn(g, v), (16,)),
+        "AxisymFn": (lambda v: AxisymFn(HalfspaceGrid(
+            g, build_radial_grid(1, 24)), v), (16, 24)),
+        "PolarFn": (lambda v: PolarFn(PolarGrid(g, 8), v), (16, 8)),
+    }[kind]
+    good = make(np.ones(shape, dtype=int).tolist())
+    assert good.values.dtype == float and good.values.shape == shape
+    nan = np.ones(shape)
+    nan.flat[5] = np.nan
+    message = re.escape(f"samples must be a finite array of shape {shape}")
+    for values in (np.ones(shape)[:-1], np.ones((*shape, 1)), nan,
+                   np.full(shape, np.inf)):
+        with pytest.raises(DomainError, match=message):
+            make(values)
 
 
 def test_csv_roundtrip(tmp_path, boundary3):

@@ -5,9 +5,11 @@ import pytest
 
 from halfext.errors import DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
-                               extremal_profile, sharp_constant)
-from halfext.grids import (build_radial_grid, default_halfspace_grid,
-                           dilate_boundary, sample_radial)
+                               extremal_profile, rayleigh_quotient,
+                               sharp_constant)
+from halfext.grids import (RadialFn, build_radial_grid,
+                           default_halfspace_grid, dilate_boundary,
+                           sample_radial)
 from halfext.moebius import boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig, _cell_masses,
                             ascent_estimate_constant, concentration_radius,
@@ -77,10 +79,39 @@ def test_concentration_radius_in_first_cell(boundary3, width):
 
 
 def test_mass_half_rejects_zero(boundary3):
-    from halfext.grids import RadialFn
     zero = RadialFn(boundary3, np.zeros(boundary3.size), value_at_zero=0.0)
     with pytest.raises(DomainError):
         normalize_mass_half(zero, 4.0)
+
+
+def test_n_must_match_the_mesh():
+    # the mesh fixes n, so an n passed beside it that disagrees raises,
+    # naming both; unchecked, n=4 on this n=3 mesh read the conformal
+    # extremal's quotient as 0.72166 (0.67434 at n=3), solved to a
+    # "converged" residual 9.7e-7 with that quotient, and fitted the
+    # extremal's own family with misfit 0.306 (6e-14)
+    g = build_radial_grid(2, 64)
+    hs = default_halfspace_grid(g)
+    f = extremal_profile(ExtremalSpec(3, "conformal"), g)
+    assert rayleigh_quotient(f, 3, 4.0, hs) == pytest.approx(0.67434, abs=1e-5)
+    assert match_extremal_family(f, 3, "conformal", 10.0)[2] < 1e-12
+    cfg = SolverConfig(max_iters=5, tol_residual=1e-6)
+    for call in (lambda: rayleigh_quotient(f, 4, 4.0, hs),
+                 lambda: el_fixed_point(4, 4.0, f, cfg, hs),
+                 lambda: match_extremal_family(f, 4, "conformal", 10.0)):
+        with pytest.raises(DomainError, match="n=4 disagrees with the "
+                                              "mesh's n=3"):
+            call()
+
+
+def test_fixed_point_rejects_zero_and_negative_starts(boundary3, halfspace3):
+    # no start check of its own: the gauge rejects a zero start and
+    # el_sides a negative gauged one
+    cfg = SolverConfig(max_iters=5, tol_residual=1e-6)
+    for values in (np.zeros(boundary3.size), -np.exp(-boundary3.nodes ** 2)):
+        with pytest.raises(DomainError):
+            el_fixed_point(3, 4.0, RadialFn(boundary3, values), cfg,
+                           halfspace3)
 
 
 def test_fixed_point_from_extremal(boundary3, halfspace3):
