@@ -19,7 +19,8 @@ pass, 1 numerical failure, 2 usage error.
 Invalid values are usage errors, and so is any n but 3 for the experiments
 scripted on R^3_+ (verify-identities, rearrange-demo, classify-radial,
 conformal-invariance), and a --grid-n below CONFORMAL_GRID_FLOOR (54) for
-conformal-invariance, whose mesh misses its 1e-6 gate there.
+conformal-invariance, or below WEAK_N2_GRID_FLOOR (257) for weak-type-sweep
+at n=2, whose meshes miss their gates there.
 The derived-constants fixture is written by scripts/reproduce_constants.py
 from the summaries of its runs, not by the CLI.
 """
@@ -57,6 +58,10 @@ from .solver import (SolverConfig, ascent_estimate_constant, el_fixed_point,
 # absolute 1e-6 gate on |K(Pf)|_6 = |Pf|_6: the gap falls monotonically in N,
 # -1.05e-6 at 53, -9.6e-7 at 54 (and inverted_norm[p=3.6] fails up to 44)
 CONFORMAL_GRID_FLOOR = 54
+# the coarsest --grid-n from which weak-type-sweep at n=2 passes on every mesh
+# up to 400; its superlevel mass error is not monotone in N (0.060 at 160,
+# 0.042 at 208, 0.052 at 256 against the 5e-2 gate, at most 0.046 from 257)
+WEAK_N2_GRID_FLOOR = 257
 
 
 @dataclass
@@ -84,6 +89,12 @@ class ExperimentConfig:
             raise HalfextError(f"conformal-invariance needs --grid-n >= "
                                f"{CONFORMAL_GRID_FLOOR}: a coarser mesh misses "
                                "|K(Pf)|_6 = |Pf|_6 by more than 1e-6")
+        if self.experiment == "weak-type-sweep" and self.n == 2 and \
+                self.grid_n < WEAK_N2_GRID_FLOOR:
+            raise HalfextError(f"weak-type-sweep at n=2 needs --grid-n >= "
+                               f"{WEAK_N2_GRID_FLOOR}: coarser meshes miss "
+                               "the 5% gate on Pf's superlevel masses (0.052 "
+                               "at 256)")
         if not (1.0 < self.p < np.inf):
             raise HalfextError(f"p must lie in (1, inf), got {self.p}")
         if self.trials < 1:

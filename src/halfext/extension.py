@@ -349,12 +349,12 @@ class PoissonOperator:
     """Discretized extension/dual pair: one square stack, read both ways.
 
     ``extend`` (M[k] @ f) and ``dual`` (M[k] @ u[:, k]) are BLAS products
-    that read the C-contiguous stack in place: it holds 20 MB at N=160,
-    N_t=96, so neither direction may copy or transpose it; ``extension_norm``
-    reads the 1.3 MB of polar rows.  Built once per n and mesh content by
-    ``get_operator``, whose cache holds operators up to a byte budget; the
-    row rule builds both in blocks, so a build holds about 4.6 MB of
-    temporaries beside them (n=3, N=160).
+    that read the C-contiguous stack in place, once for a whole batch of
+    columns: it holds 20 MB at N=160, N_t=96, so neither direction may copy
+    or transpose it; ``extension_norm`` reads the 1.3 MB of polar rows.
+    Built once per n and mesh content by ``get_operator``, whose cache holds
+    operators up to a byte budget; the row rule builds both in blocks, so a
+    build holds about 4.6 MB of temporaries beside them (n=3, N=160).
     """
 
     halfspace: HalfspaceGrid
@@ -368,25 +368,22 @@ class PoissonOperator:
         return self.matrices
 
     def extend(self, f_values: np.ndarray) -> np.ndarray:
-        """(Pf)(r_j, t_k) for boundary samples f, shape (N, N_t).
-
-        One GEMV: the stack seen as an (N_t N, N) matrix (a view, as the
-        stack is C-contiguous) times f; the result is returned as the
-        transposed view of its (N_t, N) reshape.
-        """
-        n_t, n_out, n_in = self.matrices.shape
-        flat = self.matrices.reshape(n_t * n_out, n_in)
-        return (flat @ f_values).reshape(n_t, n_out).T
+        """(Pf)(r_j, t_k) for boundary samples f, shape (N, N_t), or
+        (N, N_t, B) for a batch f of shape (N, B): one matmul reads each M[k]
+        in place once for all columns (``flat @ f`` on the (N_t N, N) view
+        would make BLAS pack the whole stack for a batch)."""
+        return np.swapaxes(np.matmul(self.matrices, f_values), 0, 1)
 
     def dual(self, u_values: np.ndarray) -> np.ndarray:
-        """(Tu)(s_i) = sum_k wt_k (M[k] @ u[:, k]) for samples u(r_j, t_k).
-
-        One batched matmul over the heights, each M[k] read in place against
-        its weighted column of u, then a sum over k.
-        """
+        """(Tu)(s_i) = sum_k wt_k (M[k] @ u[:, k]) for samples u(r_j, t_k),
+        shape (N, N_t), or (N, B) for a batch u of shape (N, N_t, B): one
+        matmul reads each M[k] in place once for all columns, then a sum
+        over k."""
         wt = self.halfspace.heights.weights
-        v = (u_values * wt).T[:, :, None]             # (N_t, N, 1)
-        return np.matmul(self.matrices, v).sum(axis=0)[:, 0]
+        u = u_values.reshape(u_values.shape[:2] + (-1,))    # (N, N_t, B)
+        v = np.swapaxes(u * wt[:, None], 0, 1)              # (N_t, N, B)
+        return np.matmul(self.matrices, v).sum(axis=0).reshape(
+            u_values.shape[:1] + u_values.shape[2:])
 
 
 _OPERATOR_CACHE: dict = {}     # least recently used first
@@ -454,7 +451,8 @@ def get_operator(n: int, boundary: RadialGrid,
     return op
 
 
-def _check_integrable(f: RadialFn) -> None:
+def check_integrable(f: RadialFn) -> None:
+    """DivergenceError unless the kernel integrates f's tail r^-beta."""
     beta = f.tail()
     if not math.isnan(beta) and beta <= 0.0:
         raise DivergenceError(
@@ -464,7 +462,7 @@ def _check_integrable(f: RadialFn) -> None:
 
 def poisson_extend(f: RadialFn, grid: HalfspaceGrid) -> AxisymFn:
     """Harmonic extension of radial boundary data onto a half-space mesh."""
-    _check_integrable(f)
+    check_integrable(f)
     op = get_operator(grid.n, f.grid, grid)
     return AxisymFn(grid, op.extend(f.values))
 
@@ -503,7 +501,7 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
     Each point is one row of the operator's row rule at its own height, so
     at the nodes of a half-space mesh this equals ``poisson_extend``.
     """
-    _check_integrable(f)
+    check_integrable(f)
     r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
                                np.atleast_1d(np.asarray(t, dtype=float)))
     if np.any(t <= 0.0):
@@ -564,7 +562,7 @@ def slab_mass(profiles, a: float) -> np.ndarray:
             raise DomainError("slab mass profiles must share one mesh")
         if np.any(f.values < 0.0):
             raise DomainError("slab mass is defined for nonnegative data")
-        _check_integrable(f)
+        check_integrable(f)
     n = grid.d + 1
     t_nodes, t_weights = panel_rule(0.0, a, 24)
     # one pass over the slab's (t, s) pairs, summed over t in node order

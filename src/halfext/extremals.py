@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .extension import dual_extend, extension_norm, hyp2f1, poisson_extend
-from .grids import (AxisymFn, HalfspaceGrid, RadialFn, RadialGrid,
-                    lp_norm_boundary, mesh_n)
+from .extension import (check_integrable, extension_norm, get_operator,
+                        hyp2f1)
+from .grids import (HalfspaceGrid, RadialFn, RadialGrid, lp_norm_boundary,
+                    mesh_n)
 from .kernel import unit_ball_volume
 from .quadrature import gauss_legendre
 
@@ -121,23 +122,53 @@ def _nonnegative(side: np.ndarray, name: str) -> np.ndarray:
     return side if low >= 0.0 else np.maximum(side, 0.0)
 
 
+def el_sides_batch(fs, p: float, hs_grid: HalfspaceGrid) -> list:
+    """Both Euler-Lagrange sides, (f^(p-1), T((Pf)^(q-1))), of each iterate
+    of ``fs`` on the radial mesh of hs_grid, n = hs_grid.n; P and T read the
+    stack once each for the whole batch.  Per iterate: its sides, or the
+    DivergenceError it raised (a tail P cannot integrate, Pf or T failing
+    ``_nonnegative``, a non-finite power), which leaves the others as they
+    are.  A negative or zero iterate is DomainError for the call."""
+    n = hs_grid.n
+    q = n * p / (n - 1)
+    for f in fs:
+        if np.any(f.values < 0.0) or not np.any(f.values > 0.0):
+            raise DomainError("the Euler-Lagrange system is stated for "
+                              "f >= 0, not identically zero")
+        # one operator: every iterate's mesh is hs_grid's (else DomainError)
+        op = get_operator(n, f.grid, hs_grid)
+    pf = op.extend(np.stack([f.values for f in fs], axis=-1))
+    out, powers = [], np.zeros(pf.shape)    # a failed iterate's column is 0
+    for j, f in enumerate(fs):
+        try:
+            check_integrable(f)
+            u = _nonnegative(pf[..., j], "Pf")
+            # an overflowing power is a divergent iterate, not a domain error
+            with np.errstate(over="ignore"):
+                power = u ** (q - 1.0)
+                lhs = f.values ** (p - 1.0)
+            if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(power))):
+                raise DivergenceError("Euler-Lagrange sides are not finite")
+            powers[..., j] = power
+            out.append(lhs)
+        except DivergenceError as exc:
+            out.append(exc)
+    rhs = op.dual(powers)
+    for j, lhs in enumerate(out):
+        try:
+            if not isinstance(lhs, DivergenceError):
+                out[j] = lhs, _nonnegative(rhs[:, j], "dual side")
+        except DivergenceError as exc:
+            out[j] = exc
+    return out
+
+
 def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
-    """Both Euler-Lagrange sides: (f^(p-1), T((Pf)^(q-1))), n = hs_grid.n;
-    Pf and T pass ``_nonnegative``; a non-finite power is DivergenceError."""
-    if np.any(f.values < 0.0):
-        raise DomainError("the Euler-Lagrange system is stated for f >= 0")
-    if not np.any(f.values > 0.0):
-        raise DomainError("f must not be identically zero")
-    q = hs_grid.n * p / (hs_grid.n - 1)
-    u = _nonnegative(poisson_extend(f, hs_grid).values, "Pf")
-    # an overflowing power is a divergent iterate, not a domain error
-    with np.errstate(over="ignore"):
-        power = u ** (q - 1.0)
-        lhs = f.values ** (p - 1.0)
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(power))):
-        raise DivergenceError("Euler-Lagrange sides are not finite")
-    rhs = dual_extend(AxisymFn(hs_grid, power)).values
-    return lhs, _nonnegative(rhs, "dual side")
+    """``el_sides_batch`` of f alone, its DivergenceError raised."""
+    sides, = el_sides_batch([f], p, hs_grid)
+    if isinstance(sides, DivergenceError):
+        raise sides
+    return sides
 
 
 def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SolverDivergence
-# kept importable as halfext.solver.poisson_extend; the loop reaches it
-# through the Euler-Lagrange helpers of extremals
+# kept importable as halfext.solver.poisson_extend, a name bench/ reads; the
+# loop reads the stack through extremals.el_sides_batch
 from .extension import poisson_extend  # noqa: F401
-from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
-                        rayleigh_quotient)
+from .extremals import (ExtremalSpec, calibrate, el_sides_batch,
+                        extremal_profile, rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
                     lp_norm_boundary, mesh_n, write_csv)
 from .quadrature import panel_rule
@@ -67,11 +67,15 @@ class IterationTrace:
                   self.lambdas)
 
 
+def _mass_density(f: RadialFn, p: float, r) -> np.ndarray:
+    """|f|^p r^(d-1) at the radii r, one interpolant evaluation."""
+    return np.abs(f.eval(r)) ** p * r ** (f.grid.d - 1)
+
+
 def _cell_masses(f: RadialFn, p: float, a, b) -> np.ndarray:
     """8-point Gauss integrals of |f|^p r^(d-1) over [a, b], one per pair."""
     xs, ws = panel_rule(np.asarray(a)[..., None], np.asarray(b)[..., None], 8)
-    vals = np.abs(f.eval(xs)) ** p * xs ** (f.grid.d - 1)
-    return (ws * vals).sum(axis=-1)
+    return (ws * _mass_density(f, p, xs)).sum(axis=-1)
 
 
 def concentration_radius(f: RadialFn, p: float) -> float:
@@ -81,7 +85,8 @@ def concentration_radius(f: RadialFn, p: float) -> float:
     interpolant, all cells in one evaluation, making partial masses
     consistent with the total used here.  R is then found to 1e-12 by
     safeguarded Newton steps in the cell where the mass crosses the target,
-    the first cell [0, r_1] too.
+    the first cell [0, r_1] too; each step evaluates the interpolant once,
+    at the panel's Gauss points and R together.
     """
     grid = f.grid
     edges = np.concatenate(([0.0], grid.nodes))
@@ -98,10 +103,12 @@ def concentration_radius(f: RadialFn, p: float) -> float:
     a, b = edges[i], edges[i + 1]
     R, step = 0.5 * (a + b), math.inf
     while abs(step) > 1e-12 * (1.0 + R):
-        excess = cum[i] + float(_cell_masses(f, p, edges[i], R)) - target
+        xs, ws = panel_rule(edges[i], R, 8)
+        density = _mass_density(f, p, np.append(xs, R))
+        excess = cum[i] + float((ws * density[:-1]).sum()) - target
         a, b = (a, R) if excess > 0.0 else (R, b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = R - excess / (abs(f.eval(R)) ** p * R ** (grid.d - 1))
+            newton = R - excess / density[-1]
         step = (newton if a <= newton <= b else 0.5 * (a + b)) - R
         R += step
     return float(R)
@@ -121,6 +128,55 @@ def normalize_mass_half(f: RadialFn, p: float):
     return lam, dilate_boundary(fn, lam, p)
 
 
+def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
+               hs_grid: HalfspaceGrid) -> list:
+    """``el_fixed_point`` from each start of ``inits``, in lockstep: one
+    ``el_sides_batch`` call per round for every live start, which leaves
+    when it converges, diverges or reaches max_iters.  Returns per start
+    (solution, trace) or the SolverDivergence it ends with."""
+    out = [None] * len(inits)
+    # start i's trace and its last gauge factor and iterate, while it runs
+    live = {i: (IterationTrace(), *normalize_mass_half(init, p))
+            for i, init in enumerate(inits)}
+    while live:
+        batch = el_sides_batch([f for _, _, f in live.values()], p, hs_grid)
+        for i, sides in zip(list(live), batch):
+            trace, lam, f = live.pop(i)
+            residual = rayleigh = math.nan
+            try:
+                if isinstance(sides, DivergenceError):
+                    raise sides
+                lhs, rhs = sides
+                a, residual = calibrate(n, p, lhs, rhs)
+                rayleigh = rayleigh_quotient(f, n, p, hs_grid)
+            except DivergenceError as exc:
+                # the failed iterate's row, NaN where it stopped short
+                trace.append(residual, rayleigh, lam)
+                trace.message = f"divergent iterate: {exc}"
+                out[i] = SolverDivergence(trace.message, trace)
+                out[i].__cause__ = exc
+                continue
+            trace.append(residual, rayleigh, lam)
+            if residual <= cfg.tol_residual:
+                trace.converged = True
+                trace.message = f"residual {residual:.3e} <= tol"
+            elif len(trace) >= 50 and residual > 10.0 * trace.residuals[-50]:
+                trace.message = "residual grew 10x over 50 iterations"
+                out[i] = SolverDivergence(trace.message, trace)
+                continue
+            elif len(trace) == cfg.max_iters:
+                trace.message = f"no convergence in {cfg.max_iters} iterations"
+            else:
+                # no declared tail: the start's (a Gaussian's is inf) is not
+                # the iterate's, so the tail fit decides
+                f = RadialFn(f.grid, rhs ** (1.0 / (p - 1.0)),
+                             nonnegative=True)
+                live[i] = (trace, *normalize_mass_half(f, p))
+                continue
+            out[i] = f.scaled(a), trace
+    return out
+
+
 def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
                    hs_grid: HalfspaceGrid):
     """Euler-Lagrange solve by the power method for the p -> q norm of P.
@@ -134,36 +190,10 @@ def el_fixed_point(n: int, p: float, init: RadialFn, cfg: SolverConfig,
     for what it could not compute.  n = hs_grid.n (checked first).
     """
     n = mesh_n(n, hs_grid.radial)
-    trace = IterationTrace()
-    lam, f = normalize_mass_half(init, p)
-    while True:
-        residual = rayleigh = math.nan
-        try:
-            lhs, rhs = el_sides(f, p, hs_grid)
-            a, residual = calibrate(n, p, lhs, rhs)
-            rayleigh = rayleigh_quotient(f, n, p, hs_grid)
-        except DivergenceError as exc:
-            # the failed iterate's row, NaN where it stopped short
-            trace.append(residual, rayleigh, lam)
-            trace.message = f"divergent iterate: {exc}"
-            raise SolverDivergence(trace.message, trace) from exc
-        trace.append(residual, rayleigh, lam)
-        if residual <= cfg.tol_residual:
-            trace.converged = True
-            trace.message = f"residual {residual:.3e} <= tol"
-            break
-        if len(trace) >= 50 and residual > 10.0 * trace.residuals[-50]:
-            trace.message = "residual grew 10x over 50 iterations"
-            raise SolverDivergence(trace.message, trace)
-        if len(trace) == cfg.max_iters:
-            trace.message = f"no convergence in {cfg.max_iters} iterations"
-            break
-        update = rhs ** (1.0 / (p - 1.0))
-        # no declared tail: the start's (a Gaussian's is inf) is not the
-        # iterate's, so the tail fit decides
-        f = RadialFn(f.grid, update, nonnegative=True)
-        lam, f = normalize_mass_half(f, p)
-    return f.scaled(a), trace
+    result, = _el_solves(n, p, [init], cfg, hs_grid)
+    if isinstance(result, SolverDivergence):
+        raise result
+    return result
 
 
 def start_profile(grid: RadialGrid, kind: str, amp: float,
@@ -199,18 +229,17 @@ def ascent_estimate_constant(p: float, trials: int, seed: int,
                              hs_grid: HalfspaceGrid) -> float:
     """Lower-bound estimate of the sharp constant on R^n_+, n = hs_grid.n:
     max Rayleigh quotient along fixed-point trajectories from random starts
-    drawn with ``seed``.  Raises SolverDivergence, with the last trial's
-    trace, when no trial records a finite quotient."""
+    drawn with ``seed``, all solved together by ``_el_solves``.  Raises
+    SolverDivergence, with the last trial's trace, when no trial records a
+    finite quotient."""
     if trials < 1:
         raise DomainError("need at least one trial")
     rng = np.random.default_rng(seed)
+    inits = [initial_profiles(hs_grid.radial, rng) for _ in range(trials)]
     best = -math.inf
-    for _ in range(trials):
-        init = initial_profiles(hs_grid.radial, rng)
-        try:
-            _, trace = el_fixed_point(hs_grid.n, p, init, cfg, hs_grid)
-        except SolverDivergence as exc:
-            trace = exc.trace
+    for result in _el_solves(hs_grid.n, p, inits, cfg, hs_grid):
+        trace = result.trace if isinstance(result, SolverDivergence) \
+            else result[1]
         best = max([best, *filter(math.isfinite, trace.rayleighs)])
     if not math.isfinite(best):
         raise SolverDivergence(f"all {trials} trials diverged", trace)

@@ -259,7 +259,7 @@ def test_contractions_match_per_height_loop(n, boundary):
            else build_radial_grid(n - 1, 160, "tan", 1.0))
     op = get_operator(n, bnd, hs)
     assert op is get_operator(n, radial, hs)
-    # a C-contiguous stack: the reshape in extend is a view, not a copy
+    # a C-contiguous stack, which both matmuls read in place
     assert op.matrices.flags.c_contiguous
     assert op.dual_matrices is op.matrices
     rng = np.random.default_rng(n)
@@ -272,6 +272,29 @@ def test_contractions_match_per_height_loop(n, boundary):
     assert got_ext.shape == ext.shape and got_dual.shape == dual.shape
     assert np.max(np.abs(got_ext - ext)) <= 1e-13 * np.max(np.abs(ext))
     assert np.max(np.abs(got_dual - dual)) <= 1e-13 * np.max(np.abs(dual))
+
+
+def test_contractions_take_a_batch_axis(boundary3, halfspace3):
+    # one f is the GEMV over the (N_t N, N) view of the stack, bitwise; a
+    # batch of one is the single call, bitwise; a batch of four (one GEMM
+    # per height, each M[k] read once) matches per-column calls to 1e-15
+    op = get_operator(3, boundary3, halfspace3)
+    n_t, n, _ = op.matrices.shape
+    rng = np.random.default_rng(11)
+    F = rng.uniform(0.5, 1.5, (n, 4))
+    U = rng.uniform(0.5, 1.5, (n, n_t, 4))
+    flat = (op.matrices.reshape(n_t * n, n) @ F[:, 0]).reshape(n_t, n).T
+    assert np.array_equal(op.extend(F[:, 0]), flat)
+    assert np.array_equal(op.extend(F[:, :1])[..., 0], op.extend(F[:, 0]))
+    assert np.array_equal(op.dual(U[..., :1])[:, 0], op.dual(U[..., 0]))
+    ext, dual = op.extend(F), op.dual(U)
+    assert ext.shape == (n, n_t, 4) and dual.shape == (n, 4)
+    for j in range(4):
+        one_ext, one_dual = op.extend(F[:, j]), op.dual(U[..., j])
+        assert np.max(np.abs(ext[..., j] - one_ext)) \
+            <= 1e-15 * np.max(np.abs(one_ext))
+        assert np.max(np.abs(dual[:, j] - one_dual)) \
+            <= 1e-15 * np.max(np.abs(one_dual))
 
 
 def test_operator_cache_keyed_by_mesh_content():

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from halfext.cli import FAMILY_CONSTANT_N3
 from halfext.errors import DivergenceError, DomainError, SolverDivergence
 from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
-                               extremal_profile, power_profile,
+                               el_sides_batch, extremal_profile, power_profile,
                                rayleigh_quotient, sharp_constant,
                                singular_constant)
 from halfext.grids import (RadialFn, build_radial_grid,
@@ -206,6 +206,25 @@ def test_el_sides_negative_pf_is_divergence():
     with pytest.raises(DivergenceError, match=r"^Pf is negative: "
                        r"min -8\.448e\+03, max 2\.205e\+05$"):
         el_sides(f, 1.5, hs)
+
+
+def test_el_sides_batch_isolates_a_divergent_iterate():
+    # an iterate whose Pf goes negative (the f of the test above) fails
+    # alone: the others' sides are their single calls', lhs bitwise and the
+    # batched dual to 1e-15
+    g = build_radial_grid(3, 160)
+    hs = default_halfspace_grid(g)
+    bad = RadialFn(g, g.nodes ** -1.5 * (1 + g.nodes ** 2) ** -4.0,
+                   tail_exponent=9.5, nonnegative=True)
+    good = [extremal_profile(ExtremalSpec(4, kind, 1.2), g)
+            for kind in ("conformal", "dual")]
+    batch = el_sides_batch([good[0], bad, good[1]], 1.5, hs)
+    assert isinstance(batch[1], DivergenceError)
+    assert str(batch[1]).startswith("Pf is negative")
+    for f, (lhs, rhs) in zip(good, batch[::2]):
+        one_lhs, one_rhs = el_sides(f, 1.5, hs)
+        assert np.array_equal(lhs, one_lhs)
+        assert np.max(np.abs(rhs - one_rhs)) <= 1e-15 * np.max(one_rhs)
 
 
 def test_singular_constant_consistency():

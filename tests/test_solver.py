@@ -12,10 +12,10 @@ from halfext.grids import (RadialFn, build_radial_grid,
                            sample_radial)
 from halfext.moebius import boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig, _cell_masses,
-                            ascent_estimate_constant, concentration_radius,
-                            el_fixed_point, initial_profiles,
-                            match_extremal_family, normalize_mass_half,
-                            start_profile)
+                            _el_solves, ascent_estimate_constant,
+                            concentration_radius, el_fixed_point,
+                            initial_profiles, match_extremal_family,
+                            normalize_mass_half, start_profile)
 
 
 @pytest.mark.parametrize("max_iters, tol", [(1, 0.0), (1, math.nan),
@@ -310,6 +310,59 @@ def test_ascent_all_trials_diverged():
     assert len(trace) >= 1 and not trace.converged
     assert trace.message.startswith("divergent iterate")
     assert not any(map(math.isfinite, trace.rayleighs))
+
+
+def _solo(p, init, cfg, hs):
+    try:
+        return el_fixed_point(hs.n, p, init, cfg, hs)[1]
+    except SolverDivergence as exc:
+        return exc.trace
+
+
+def _trace_of(result):
+    return result.trace if isinstance(result, SolverDivergence) else result[1]
+
+
+@pytest.mark.parametrize("p", [4.0, 4 / 3])
+def test_ascent_is_max_over_solo_runs(halfspace3, p):
+    # the lockstep ascent against independent el_fixed_point runs from the
+    # same starts: the same iteration count per trial, Rayleigh rows and
+    # the estimate to 1e-14 (a batched GEMM sums in another order than a
+    # GEMV); at p = 4/3 the dual-family starts converge at once
+    cfg = SolverConfig(max_iters=300, tol_residual=5e-5)
+    rng = np.random.default_rng(7)
+    inits = [initial_profiles(halfspace3.radial, rng) for _ in range(4)]
+    solo = [_solo(p, init, cfg, halfspace3) for init in inits]
+    lockstep = [_trace_of(r) for r in _el_solves(3, p, inits, cfg, halfspace3)]
+    for one, many in zip(solo, lockstep):
+        assert len(many) == len(one) and many.converged == one.converged
+        np.testing.assert_allclose(many.rayleighs, one.rayleighs, rtol=1e-14)
+    best = max(max(t.rayleighs) for t in solo)
+    assert ascent_estimate_constant(p, 4, 7, cfg, halfspace3) == \
+        pytest.approx(best, rel=1e-14)
+
+
+def test_lockstep_divergent_start_leaves_the_others(boundary3, halfspace3):
+    # a start with a declared tail r^-0.65 diverges at its first iterate
+    # (q*beta = 3.9 < n + 1 in the polar rule) beside two that converge;
+    # theirs are the solo runs' traces: converged in as many iterations,
+    # Rayleigh quotients and gauge factors to 1e-14, residuals (differences
+    # of the two sides) to 1e-9
+    cfg = SolverConfig(max_iters=300, tol_residual=5e-5)
+    slow = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -0.325,
+                         tail_exponent=0.65, nonnegative=True)
+    inits = [start_profile(boundary3, "gaussian", 1.0, 1.0), slow,
+             start_profile(boundary3, "bump", 1.5, 0.8)]
+    results = _el_solves(3, 4.0, inits, cfg, halfspace3)
+    assert isinstance(results[1], SolverDivergence)
+    assert results[1].trace.message.startswith("divergent iterate: far field")
+    assert len(results[1].trace) == 1
+    for init, (_, many) in zip(inits[::2], results[::2]):
+        one = _solo(4.0, init, cfg, halfspace3)
+        assert many.converged and one.converged and len(many) == len(one)
+        np.testing.assert_allclose(many.rayleighs, one.rayleighs, rtol=1e-14)
+        np.testing.assert_allclose(many.lambdas, one.lambdas, rtol=1e-14)
+        np.testing.assert_allclose(many.residuals, one.residuals, rtol=1e-9)
 
 
 def test_initial_profiles_menu(boundary3):
