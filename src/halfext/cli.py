@@ -18,9 +18,9 @@ pass, 1 numerical failure, 2 usage error.
 
 Invalid values are usage errors, and so is any n but 3 for the experiments
 scripted on R^3_+ (verify-identities, rearrange-demo, classify-radial,
-conformal-invariance), and a --grid-n below CONFORMAL_GRID_FLOOR (54) for
-conformal-invariance, or below WEAK_N2_GRID_FLOOR (257) for weak-type-sweep
-at n=2, whose meshes miss their gates there.
+conformal-invariance), and a --grid-n below an experiment's measured floor,
+where its mesh misses a gate (``cli.*_GRID_FLOOR``): 62 for verify-identities,
+54 for conformal-invariance and 257 for weak-type-sweep at n=2.
 The derived-constants fixture is written by scripts/reproduce_constants.py
 from the summaries of its runs, not by the CLI.
 """
@@ -62,6 +62,10 @@ CONFORMAL_GRID_FLOOR = 54
 # up to 400; its superlevel mass error is not monotone in N (0.060 at 160,
 # 0.042 at 208, 0.052 at 256 against the 5e-2 gate, at most 0.046 from 257)
 WEAK_N2_GRID_FLOOR = 257
+# the coarsest --grid-n from which verify-identities passes on every mesh up
+# to 400 at seeds 0-3; below it duality_pairing misses its relative 1e-6 gate
+# (1.05e-6 at 61, 9.8e-7 at 62)
+IDENTITIES_GRID_FLOOR = 62
 
 
 @dataclass
@@ -84,17 +88,20 @@ class ExperimentConfig:
                 "verify-identities", "rearrange-demo", "classify-radial",
                 "conformal-invariance"):
             raise HalfextError(f"{self.experiment} is scripted for n=3")
-        if self.experiment == "conformal-invariance" and \
-                self.grid_n < CONFORMAL_GRID_FLOOR:
-            raise HalfextError(f"conformal-invariance needs --grid-n >= "
-                               f"{CONFORMAL_GRID_FLOOR}: a coarser mesh misses "
-                               "|K(Pf)|_6 = |Pf|_6 by more than 1e-6")
-        if self.experiment == "weak-type-sweep" and self.n == 2 and \
-                self.grid_n < WEAK_N2_GRID_FLOOR:
-            raise HalfextError(f"weak-type-sweep at n=2 needs --grid-n >= "
-                               f"{WEAK_N2_GRID_FLOOR}: coarser meshes miss "
-                               "the 5% gate on Pf's superlevel masses (0.052 "
-                               "at 256)")
+        # the measured floors, and the gate a coarser mesh misses there
+        floor, gate = {
+            ("conformal-invariance", 3): (
+                CONFORMAL_GRID_FLOOR, "|K(Pf)|_6 = |Pf|_6 by more than 1e-6"),
+            ("verify-identities", 3): (
+                IDENTITIES_GRID_FLOOR, "duality_pairing's relative 1e-6 gate "
+                "(1.05e-6 at 61)"),
+            ("weak-type-sweep", 2): (
+                WEAK_N2_GRID_FLOOR, "the 5% gate on Pf's superlevel masses "
+                "(0.052 at 256)")}.get((self.experiment, self.n), (0, ""))
+        if self.grid_n < floor:
+            raise HalfextError(f"{self.experiment} at n={self.n} needs "
+                               f"--grid-n >= {floor}: a coarser mesh misses "
+                               + gate)
         if not (1.0 < self.p < np.inf):
             raise HalfextError(f"p must lie in (1, inf), got {self.p}")
         if self.trials < 1:
@@ -419,13 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
-                              for f in fields(ExperimentConfig)})
-    cfg.validate()
-    return cfg
-
-
 def run_experiment(cfg: ExperimentConfig) -> int:
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
@@ -468,7 +468,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = ExperimentConfig(**{f.name: getattr(args, f.name)
+                                  for f in fields(ExperimentConfig)})
+        cfg.validate()
     except HalfextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -515,25 +515,25 @@ def kernel_mass(n: int, s, t) -> np.ndarray:
     """Quadrature of K(., s, t) r^(n-2) dr over (0, inf), one per entry of s
     and t, which broadcast (s at least 1-D); exactly 1 in theory.
 
-    Panels refined around the peak r = s cover [0, top]; a tan-mapped tail
-    of scale max(s, t, 1) covers [top, inf).  The entries go in runs of at
-    most ``quadrature._BLOCK`` nodes (``quadrature.rule_runs``), each entry
-    on its own.
+    24-point panels around the peak r = s (width t, growing by the diagonal's
+    ``_DIAGONAL_GROW``) cover [0, top], top = max(2s, 8t, 2), and a 24-point
+    tan-mapped tail scaled to top covers [top, inf).  Entries go in runs of
+    at most ``quadrature._BLOCK`` nodes (``rule_runs``), each on its own.
     """
     s, t = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
                                np.asarray(t, dtype=float))
     shape, s, t = s.shape, s.ravel(), t.ravel()
-    top = np.maximum(np.maximum(8.0 * s, 64.0 * t), 16.0)
-    width, scale = np.maximum(t, 1e-6), np.maximum(s, np.maximum(t, 1.0))
-    out = np.empty(s.size)
-    # the nodes of an entry: 24 per nonempty panel and 48 of the tail
-    runs = rule_runs(lambda e: peak_breaks(s[e], width[e], 0.0, top[e], GROW),
-                     np.arange(s.size), 24, 48)
+    top = np.maximum(np.maximum(2.0 * s, 8.0 * t), 2.0)
+    width, out = np.maximum(t, 1e-6), np.empty(s.size)
+    # the nodes of an entry: 24 per nonempty panel and 24 of the tail
+    runs = rule_runs(lambda e: peak_breaks(s[e], width[e], 0.0, top[e],
+                                           _DIAGONAL_GROW),
+                     np.arange(s.size), 24, 24)
     for e, r, w, offsets in runs:
         rep = np.diff(offsets)
         contrib = w * ring_kernel(n, r, np.repeat(s[e], rep),
                                   np.repeat(t[e], rep)) * r ** (n - 2)
-        r, w = half_line_rule(top[e, None], scale[e, None], 48)
+        r, w = half_line_rule(top[e, None], top[e, None], 24)
         tail = w * ring_kernel(n, r, s[e, None], t[e, None]) * r ** (n - 2)
         out[e] = np.add.reduceat(contrib, offsets[:-1]) + tail.sum(axis=1)
     return out.reshape(shape)
@@ -543,14 +543,14 @@ def slab_mass(profiles, a: float) -> np.ndarray:
     """Integrals of Pf over the slab {0 < x_n < a}, one per profile.
 
     ``profiles`` is a sequence of nonnegative integrable RadialFn on one
-    mesh.  Computed honestly: the spatial integral at each height uses
-    diagonal-refined panels (independently of the Fubini identity it is
-    meant to check), then 24-point Gauss quadrature in the height.  The slab
-    integral is linear in f and its kernel masses depend only on the mesh and
-    a, so the per-node weights ``sphere * weights * sum_t wt * masses_t`` are
-    built once, from one ``kernel_mass`` call over every (t, s) pair summed
-    over t in node order, and each profile costs one dot product.  For
-    f >= 0 with unit mass the result equals a.
+    mesh.  Computed honestly, apart from the Fubini identity it checks: at
+    each of 24 Gauss heights t, ``kernel_mass``'s rule (panels growing by 8
+    from width t at r = s up to max(2s, 8t, 2), then a tail scaled to that
+    top) integrates the kernel.  The slab integral is linear in f and its
+    kernel masses depend only on the mesh and a, so the per-node weights
+    ``sphere * weights * sum_t wt * masses_t`` are built once, from one
+    ``kernel_mass`` call over every (t, s) pair summed over t in node order,
+    and each profile costs one dot product.  For unit mass it reads a.
     """
     if a <= 0.0:
         raise DomainError(f"slab height must be positive, got {a}")

@@ -77,7 +77,7 @@ def test_criterion_03_slab_mass(boundary3):
     worst = 0.0
     for a in (0.3, 0.7, 2.0):
         worst = max(worst, np.max(np.abs(slab_mass(profiles, a) - a * masses)))
-    report(3, "slab-mass identity", worst <= 1e-6, f"max defect {worst:.2e}")
+    report(3, "slab-mass identity", worst <= 1e-13, f"max defect {worst:.2e}")
 
 
 def test_criterion_04_sharp_constant_conformal(boundary3, halfspace3):

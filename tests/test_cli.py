@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from halfext.cli import (CLOSED_FORM_RTOL, CONFORMAL_GRID_FLOOR,
-                         WEAK_N2_GRID_FLOOR, ExperimentConfig, _build_parser,
+                         IDENTITIES_GRID_FLOOR, WEAK_N2_GRID_FLOOR,
+                         ExperimentConfig, _build_parser,
                          _dual_superlevel_closed_form, main)
 from halfext.grids import build_radial_grid, default_halfspace_grid
 
@@ -162,6 +163,23 @@ def test_conformal_invariance_grid_floor(tmp_path, capsys, grid_n, code):
                     "--out", str(out)]) == code
     if code == 2:
         assert "coarser mesh misses" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert load_summary(out)["pass"] is True
+
+
+@pytest.mark.parametrize("grid_n, code", [
+    (48, 2), (IDENTITIES_GRID_FLOOR - 1, 2), (IDENTITIES_GRID_FLOOR, 0)])
+def test_verify_identities_grid_floor(tmp_path, capsys, grid_n, code):
+    # every mesh from 16 to 61 fails (seeds 0-3), the last on the
+    # seed-independent duality_pairing (relative 1.05e-6 at 61 against
+    # 1e-6), and every mesh from 62 to 400 passes: below the floor the run
+    # is a usage error that names the gate, with nothing written
+    out = tmp_path / "vi"
+    assert run_cli(["run", "verify-identities", "--grid-n", str(grid_n),
+                    "--out", str(out)]) == code
+    if code == 2:
+        assert "duality_pairing" in capsys.readouterr().err
         assert not out.exists()
     else:
         assert load_summary(out)["pass"] is True

@@ -331,11 +331,22 @@ def test_dual_monte_carlo_oracle(boundary3, halfspace3, rng):
 def test_kernel_mass_unity():
     for n in (2, 3, 4):
         for s, t in ((1.0, 0.001), (0.2, 2.0), (30.0, 0.05)):
-            assert kernel_mass(n, s, t) == pytest.approx(1.0, abs=2e-8)
+            assert kernel_mass(n, s, t) == pytest.approx(1.0, abs=1e-9)
         # one call for every node of a mesh, as slab_mass makes it
         s = build_radial_grid(n - 1, 160, "tan", 1.0).nodes
         for t in (1e-4, 0.3, 2.0, 50.0):
-            assert np.max(np.abs(kernel_mass(n, s, t) - 1.0)) <= 2e-8
+            assert np.max(np.abs(kernel_mass(n, s, t) - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_mass_sweep(n):
+    # peaks from 1e-4 to 3e4 at heights from 1e-5 to 1e3: at roundoff in
+    # the median; the worst cells have s/t > 6800, a peak far narrower than
+    # its distance from the origin
+    s, t = np.logspace(-4, 4.5, 60), np.logspace(-5, 3, 45)
+    miss = np.abs(kernel_mass(n, s, t[:, None]) - 1.0)
+    assert np.median(miss) <= 1e-15
+    assert np.max(miss) <= 2e-8
 
 
 @pytest.mark.parametrize("n", [3, 4])
