@@ -30,6 +30,14 @@ GROW = 4.0
 # made n=3 builds at N >= 160 10-17% slower (twice the numpy calls, each of
 # fixed cost)
 _BLOCK = 1 << 15
+# run temporaries stay resident: glibc serves an array above its mmap
+# threshold (the largest mapping freed so far, 128 KiB at first) with a
+# mapping of its own, and gives the heap's free top back to the kernel past
+# twice that (mallopt(3)), so each run would fault its pages in anew;
+# freeing one untouched 2 MiB block, once, raises the two thresholds to 2
+# and 4 MiB, and each run reuses the last run's pages.  Other allocators
+# only allocate and free it.
+np.empty(8 * _BLOCK)
 
 
 def blocks(sizes) -> list:
@@ -63,8 +71,7 @@ def gauss_legendre(order: int):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
     if order < 1:
         raise ValueError("Gauss-Legendre order must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_rule(a: float, b: float, order: int):
