@@ -96,11 +96,12 @@ def sharp_constant(n: int, which: str) -> float:
 
 
 def rayleigh_quotient(f: RadialFn, n: int, p: float,
-                      hs_grid: HalfspaceGrid) -> float:
+                      hs_grid: HalfspaceGrid):
     """|Pf|_{L^{np/(n-1)}(R^n_+)} / |f|_{L^p(R^{n-1})}, n = hs_grid.n, with
-    |Pf| on the polar half-space rule (``extension_norm``)."""
+    |Pf| on the polar half-space rule (``extension_norm``); a batch gets one
+    quotient per column and raises for any column."""
     n = mesh_n(n, hs_grid.radial)
-    if not np.any(f.values != 0.0):
+    if not (f.values != 0.0).any(axis=0).all():
         raise DomainError("Rayleigh quotient of the zero function")
     return extension_norm(f, n * p / (n - 1), hs_grid) / lp_norm_boundary(f, p)
 

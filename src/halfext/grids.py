@@ -109,30 +109,40 @@ def _samples(values, shape: tuple) -> np.ndarray:
     return values
 
 
-def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Log-log decay slope over the last eighth of the mesh (at least
-    _TAIL_FIT_MIN_POINTS nodes), strictly positive samples only.
-
-    Returns +inf, a (numerically) compactly supported tail, when fewer than
-    _TAIL_FIT_MIN_POINTS of those samples are positive; else a finite slope.
-    """
+def _fit_tail_exponent(nodes: np.ndarray, values: np.ndarray):
+    """Log-log decay slope of |f| over the last eighth of the mesh (at least
+    _TAIL_FIT_MIN_POINTS nodes): the least-squares line in closed form
+    through the samples with |f| > 1e-300, of either sign, each column of
+    values (N, B) alone.  +inf, a (numerically) compactly supported tail,
+    when fewer than _TAIL_FIT_MIN_POINTS of those samples are nonzero."""
     k = max(_TAIL_FIT_MIN_POINTS, nodes.size // 8)
-    v = np.abs(values[-k:])
-    r = nodes[-k:]
+    x = np.log(nodes[-k:])
+    v = np.ascontiguousarray(np.abs(values[-k:]).T)
     good = v > 1e-300
-    if good.sum() < _TAIL_FIT_MIN_POINTS:
-        return math.inf
-    slope = np.polyfit(np.log(r[good]), np.log(v[good]), 1)[0]
-    return float(-slope)
+    count = good.sum(axis=-1, keepdims=True)
+    y = np.log(np.where(good, v, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = np.where(good, x - (good * x).sum(axis=-1, keepdims=True) / count,
+                      0.0)
+        dy = y - (good * y).sum(axis=-1, keepdims=True) / count
+        slope = (dx * dy).sum(axis=-1) / (dx * dx).sum(axis=-1)
+    beta = np.where(count[..., 0] < _TAIL_FIT_MIN_POINTS, math.inf, -slope)
+    return float(beta) if values.ndim == 1 else beta
 
 
 def pchip(x, y):
     """scipy's PchipInterpolator(x, y, extrapolate=False) on 3 or more nodes:
     Fritsch-Butland harmonic-mean slopes (0 at a sign change or flat secant),
-    shape-kept one-sided end slopes, the same cubics, NaN outside the nodes."""
+    shape-kept one-sided end slopes, the same cubics, NaN outside the nodes.
+
+    y of shape (N, B) holds B functions on the same knots, one per column:
+    the interpolant then takes points of shape (..., B), or (..., 1) for
+    points every column shares, finds their cells with one ``searchsorted``
+    and gives shape (..., B), each column's arithmetic that of y[:, b] alone.
+    """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0) / h
     w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -143,14 +153,19 @@ def pchip(x, y):
     e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     cap = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
     e = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(cap, 3.0 * m0, e))
-    d = np.concatenate(([e[0]], inner, [e[1]]))
+    d = np.concatenate((e[:1], inner, e[1:]))
     t = (d[:-1] + d[1:] - 2.0 * m) / h
     c3, c2 = t / h, (m - d[:-1]) / h - t
+    # (cell, column) pairs index the flattened coefficients
+    cols = y[0].size
+    y, d, c2, c3 = y.ravel(), d.ravel(), c2.ravel(), c3.ravel()
 
     def interp(xp):
         xp = np.asarray(xp, dtype=float)
         i = np.searchsorted(x[1:-1], xp, side="right")
         s = xp - x[i]
+        if cols > 1:
+            i = i * cols + np.arange(cols)
         s2 = s * s
         v = y[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
         return np.where((xp >= x[0]) & (xp <= x[-1]), v, np.nan)
@@ -164,7 +179,9 @@ class RadialFn:
 
     ``tail_exponent`` is the assumed decay power (f ~ C r^-beta), nan when
     undeclared; it is cross-checked against an empirical fit when norms are
-    taken.
+    taken.  A batch (``stack``) holds B >= 2 functions' samples as the
+    columns of ``values`` (N, B), its metadata per column; every method and
+    norm does each column's arithmetic as for that function alone.
     """
 
     grid: RadialGrid
@@ -177,15 +194,31 @@ class RadialFn:
     _fitted: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.values = _samples(self.values, self.grid.nodes.shape)
+        batch = np.shape(self.values)[1:2]
+        self.values = _samples(self.values, self.grid.nodes.shape
+                               + (batch if batch != (1,) else ()))
         if self.nonnegative and np.any(self.values < 0.0):
             raise DomainError("function flagged nonnegative has negative samples")
-        if math.isnan(self.value_at_zero):
+        if np.ndim(self.value_at_zero) == 0 and math.isnan(self.value_at_zero):
             # even extension: quadratic in r^2 through the first two nodes
             r1, r2 = self.grid.nodes[:2]
             f1, f2 = self.values[:2]
-            self.value_at_zero = float((f1 * r2 ** 2 - f2 * r1 ** 2)
-                                       / (r2 ** 2 - r1 ** 2))
+            v0 = (f1 * r2 ** 2 - f2 * r1 ** 2) / (r2 ** 2 - r1 ** 2)
+            self.value_at_zero = v0 if v0.ndim else float(v0)
+
+    def column(self, j: int) -> "RadialFn":
+        """Function j of a batch, with its metadata and fitted tail (a
+        function is its own column 0)."""
+        if self.values.ndim == 1:
+            return self
+
+        def pick(v):
+            return v if np.ndim(v) == 0 else float(v[j])
+        f = RadialFn(self.grid, np.ascontiguousarray(self.values[:, j]),
+                     pick(self.value_at_zero), pick(self.tail_exponent),
+                     self.nonnegative)
+        f._fitted = pick(self.fitted_tail())
+        return f
 
     def fitted_tail(self) -> float:
         if self._fitted is None:
@@ -193,19 +226,34 @@ class RadialFn:
         return self._fitted
 
     def tail(self) -> float:
-        """The declared tail exponent, else the fitted one."""
+        """The declared tail exponent, else the fitted one (per column)."""
         beta = self.tail_exponent
-        return self.fitted_tail() if math.isnan(beta) else beta
+        if np.ndim(beta) == 0:
+            return self.fitted_tail() if math.isnan(beta) else beta
+        undeclared = np.isnan(beta)
+        return np.where(undeclared, self.fitted_tail(), beta) \
+            if undeclared.any() else beta
 
     def _build_interp(self):
-        nodes, vals = self.grid.nodes, self.values
-        if np.all(vals > 0.0) and self.value_at_zero > 0.0:
-            logf = pchip(np.log(nodes), np.log(vals))
-            self._interp = lambda r: np.exp(logf(np.log(r)))
-        else:
+        nodes, vals, v0 = self.grid.nodes, self.values, self.value_at_zero
+        log = (vals > 0.0).all(axis=0) & (np.asarray(v0) > 0.0)
+        mixed, parts = log.any() and not log.all(), []
+        if log.any():
+            logf = pchip(np.log(nodes), np.log(vals[:, log] if mixed else vals))
+            parts.append((log, lambda r: np.exp(logf(np.log(r)))))
+        if not log.all():
+            y, y0 = (vals[:, ~log], v0[~log]) if mixed else (vals, v0)
             lin = pchip(np.concatenate(([0.0], self.grid.parameter(nodes))),
-                        np.concatenate(([self.value_at_zero], vals)))
-            self._interp = lambda r: lin(self.grid.parameter(r))
+                        np.concatenate(([y0], y)))
+            parts.append((~log, lambda r: lin(self.grid.parameter(r))))
+
+        def interp(r):      # r: (..., B), or (..., 1) for every column
+            r = np.broadcast_to(r, r.shape[:-1] + log.shape)
+            out = np.empty(r.shape)
+            for cols, part in parts:
+                out[..., cols] = part(r[..., cols])
+            return out
+        self._interp = parts[0][1] if len(parts) == 1 else interp
 
     def eval(self, r):
         """Evaluate at arbitrary radii.
@@ -214,39 +262,50 @@ class RadialFn:
         too), else of f in the mesh parameter from (0, value_at_zero).  Below
         the first node: even quadratic through (0, value_at_zero) and the
         first nodes.  Beyond the last node: power-law continuation with the
-        declared tail exponent (fitted slope if undeclared).
+        declared tail exponent (fitted slope if undeclared).  A batch
+        evaluates column b at the radii r[b]: r's leading axis has length B,
+        or 1 for radii every column shares, and the result has that axis B
+        long; each column picks its own branch, as it would alone.
         """
         if self._interp is None:
             self._build_interp()
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
         nodes = self.grid.nodes
-        lo = r < nodes[0]
-        hi = r > nodes[-1]
-        mid = ~(lo | hi)
-        out[mid] = self._interp(r[mid])
-        if np.any(lo):
+        vals = self.values.reshape(nodes.size, -1)
+        # the batch axis last, as pchip takes it; a function is a batch of 1
+        rt = r.reshape(len(r), -1).T if self.values.ndim == 2 else r[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._interp(rt)          # NaN off the nodes
+        lo, hi = rt < nodes[0], rt > nodes[-1]
+        if lo.any():
             r1, r2 = nodes[:2]
             f0 = self.value_at_zero
-            f1, f2 = self.values[:2]
+            f1, f2 = vals[:2]
             # quadratic in r^2 through (0, f0), (r1, f1), (r2, f2)
             a = ((f1 - f0) / r1 ** 2 - (f2 - f0) / r2 ** 2) / (r1 ** 2 - r2 ** 2)
             b = (f1 - f0) / r1 ** 2 - a * r1 ** 2
-            out[lo] = f0 + b * r[lo] ** 2 + a * r[lo] ** 4
-        if np.any(hi):
-            beta = self.tail()
-            fN = self.values[-1]
-            if fN == 0.0 or math.isinf(beta):
-                out[hi] = 0.0
-            else:
-                out[hi] = fN * (r[hi] / nodes[-1]) ** (-beta)
-        return float(out[0]) if scalar else out
+            out = np.where(lo, f0 + b * rt ** 2 + a * rt ** 4, out)
+        if hi.any():
+            beta = np.broadcast_to(self.tail(), vals.shape[1:])
+            hi, x = np.broadcast_to(hi, out.shape), np.broadcast_to(rt, out.shape)
+            # column by column: a scalar power, as one function takes it
+            for j in range(beta.size):
+                fN, at = vals[-1, j], hi[..., j]
+                if not at.any():
+                    continue
+                if fN == 0.0 or math.isinf(beta[j]):
+                    out[..., j][at] = 0.0
+                else:
+                    out[..., j][at] = fN * (x[..., j][at] / nodes[-1]) ** -beta[j]
+        if self.values.ndim == 2:
+            return np.ascontiguousarray(out.T).reshape((-1,) + r.shape[1:])
+        return float(out[..., 0]) if r.ndim == 0 else out[..., 0]
 
     def scaled(self, c: float) -> "RadialFn":
+        """c times f; a batch takes one c per column."""
         return RadialFn(self.grid, c * self.values, c * self.value_at_zero,
-                        self.tail_exponent, self.nonnegative and c >= 0.0)
+                        self.tail_exponent,
+                        self.nonnegative and not np.less(c, 0.0).any())
 
     def to_csv(self, path) -> None:
         write_csv(path, ["r", "value"], self.grid.nodes, self.values)
@@ -367,32 +426,46 @@ class PolarFn:
         return float(mass ** (1.0 / p))
 
 
-def lp_norm_boundary(f: RadialFn, p: float) -> float:
+def column_dots(weights: np.ndarray, values: np.ndarray):
+    """weights . values, one BLAS dot per contiguous column of values (N, B):
+    each column summed in one function's order, as a GEMV would not."""
+    if values.ndim == 1:
+        return float(np.dot(weights, values))
+    return np.array([np.dot(weights, v) for v in np.ascontiguousarray(values.T)])
+
+
+def column_powers(x, e: float):
+    """x ** e by the C library's pow, value by value (numpy's vector pow
+    rounds one value in twenty otherwise)."""
+    return x ** e if np.ndim(x) == 0 else np.array([v ** e for v in x.tolist()])
+
+
+def lp_norm_boundary(f: RadialFn, p: float):
     """L^p(R^d) norm of a radial boundary function by grid quadrature.
 
     The tan-mapped Gauss rule integrates the full half-line, so no additive
     tail term is applied; the declared/fitted tail exponents only gate
     divergence: the slower of the two must give p * beta > d.  Requires the
     estimated truncation remainder to stay below 1% of the truncated integral.
+    A batch gets one norm per column; its slowest tail gates it.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     d = f.grid.d
-    beta = min(f.tail(), f.fitted_tail())
+    beta = np.minimum(f.tail(), f.fitted_tail())
     # small slack absorbs fit noise on exactly-critical tails
-    if p * beta <= d + 1e-6:
+    if p * beta.min() <= d + 1e-6:
         raise DivergenceError(
-            f"L^{p} norm divergent: tail exponent {beta:.4g} gives "
-            f"p*beta = {p * beta:.4g} <= d = {d}")
-    total = float(np.dot(f.grid.weights, np.abs(f.values) ** p))
-    if not math.isinf(beta):
-        r_hi = f.grid.r_max
-        tail = abs(f.values[-1]) ** p * r_hi ** d / (p * beta - d)
-        if total > 0.0 and tail > 0.01 * total:
-            raise DomainError(
-                "truncation tail exceeds 1% of the integral; decay too slow "
-                "for this mesh")
-    return float((f.grid.sphere * total) ** (1.0 / p))
+            f"L^{p} norm divergent: tail exponent {beta.min():.4g} gives "
+            f"p*beta = {p * beta.min():.4g} <= d = {d}")
+    total = column_dots(f.grid.weights, np.abs(f.values) ** p)
+    # an infinite beta has no tail: the remainder below reads 0 there
+    tail = np.abs(f.values[-1]) ** p * f.grid.r_max ** d / (p * beta - d)
+    if ((total > 0.0) & (tail > 0.01 * total)).any():
+        raise DomainError(
+            "truncation tail exceeds 1% of the integral; decay too slow "
+            "for this mesh")
+    return column_powers(f.grid.sphere * total, 1.0 / p)
 
 
 def lp_norm_halfspace(u: AxisymFn, p: float) -> float:
@@ -416,14 +489,30 @@ def lp_norm_halfspace(u: AxisymFn, p: float) -> float:
 
 
 def dilate_boundary(f: RadialFn, lam: float, p: float) -> RadialFn:
-    """The L^p-preserving dilation f -> lam^(-d/p) f(./lam) on the same mesh."""
-    if lam <= 0.0:
+    """The L^p-preserving dilation f -> lam^(-d/p) f(./lam) on the same mesh;
+    a batch takes one lam per column, all in one evaluation."""
+    column = np.asarray(lam)[..., None]       # a batch's lam, one per row
+    if (column <= 0.0).any():
         raise DomainError(f"dilation factor must be positive, got {lam}")
-    d = f.grid.d
-    c = lam ** (-d / p)
-    vals = c * f.eval(f.grid.nodes / lam)
-    return RadialFn(f.grid, vals, value_at_zero=c * f.value_at_zero,
+    c = column_powers(lam, -f.grid.d / p)
+    vals = np.asarray(c)[..., None] * f.eval(f.grid.nodes / column)
+    return RadialFn(f.grid, np.ascontiguousarray(vals.T),
+                    value_at_zero=c * f.value_at_zero,
                     tail_exponent=f.tail_exponent, nonnegative=f.nonnegative)
+
+
+def stack(fs) -> RadialFn:
+    """The batch of the RadialFns ``fs`` on one mesh (one function is
+    itself): their samples as columns, their metadata per column."""
+    grid = fs[0].grid
+    if any(f.grid is not grid for f in fs):
+        raise DomainError("a batch's functions must share one mesh")
+    if len(fs) == 1:
+        return fs[0]
+    return RadialFn(grid, np.stack([f.values for f in fs], axis=-1),
+                    np.array([f.value_at_zero for f in fs]),
+                    np.array([f.tail_exponent for f in fs]),
+                    all(f.nonnegative for f in fs))
 
 
 def default_halfspace_grid(boundary: RadialGrid) -> HalfspaceGrid:

@@ -13,6 +13,13 @@ restore compactness.  The solve returns the last iterate it measured times
 its ``calibrate`` amplitude.  No convergence theorem backs the iteration;
 divergence is detected and reported with the trace.
 
+An ascent's live starts are the columns of one batch (``grids.stack``), so
+a round reads the stack once and does the bookkeeping once for them all:
+norms, tail fits, one ``pchip``, the cell masses, the half-mass Newton steps
+(each column frozen at its own stop) and the dilation.  Each column's
+arithmetic is its start's alone, so a batch's gauge is its columns' bit for
+bit; only the GEMMs of the stack and polar rows sum in another order.
+
 The module also hosts the symmetry classification: the one family fit,
 which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
 either closed-form family.
@@ -32,7 +39,7 @@ from .extension import poisson_extend  # noqa: F401
 from .extremals import (ExtremalSpec, calibrate, el_sides_batch,
                         extremal_profile, rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
-                    lp_norm_boundary, mesh_n, write_csv)
+                    lp_norm_boundary, mesh_n, stack, write_csv)
 from .quadrature import panel_rule
 
 
@@ -73,12 +80,19 @@ def _mass_density(f: RadialFn, p: float, r) -> np.ndarray:
 
 
 def _cell_masses(f: RadialFn, p: float, a, b) -> np.ndarray:
-    """8-point Gauss integrals of |f|^p r^(d-1) over [a, b], one per pair."""
+    """8-point Gauss integrals of |f|^p r^(d-1) over [a, b], one per pair
+    (a batch: one row per column)."""
     xs, ws = panel_rule(np.asarray(a)[..., None], np.asarray(b)[..., None], 8)
+    xs = xs[(None,) * (f.values.ndim - 1)]
     return (ws * _mass_density(f, p, xs)).sum(axis=-1)
 
 
-def concentration_radius(f: RadialFn, p: float) -> float:
+# Newton steps allowed per column: bisection alone closes any cell of the tan
+# mesh to the 1e-12 stop in fewer than 45
+_NEWTON_STEPS = 64
+
+
+def concentration_radius(f: RadialFn, p: float):
     """Radius R of the ball B_R holding half the mass of |f|^p.
 
     The mass profile is accumulated from per-cell Gauss panels of the sample
@@ -86,77 +100,120 @@ def concentration_radius(f: RadialFn, p: float) -> float:
     consistent with the total used here.  R is then found to 1e-12 by
     safeguarded Newton steps in the cell where the mass crosses the target,
     the first cell [0, r_1] too; each step evaluates the interpolant once,
-    at the panel's Gauss points and R together.
+    at the panel's Gauss points and R together.  A batch's columns step in
+    lockstep, each frozen at its own stop; one still moving after 64 steps
+    (a NaN density never settles) is DomainError with its bracket and excess.
     """
-    grid = f.grid
-    edges = np.concatenate(([0.0], grid.nodes))
-    cum = np.concatenate(([0.0], np.cumsum(
-        _cell_masses(f, p, edges[:-1], edges[1:]))))
-    total = cum[-1]
-    if total <= 0.0 or not math.isfinite(total):
+    edges = np.concatenate(([0.0], f.grid.nodes))
+    # one row per column, a function being a batch of one
+    masses = np.atleast_2d(_cell_masses(f, p, edges[:-1], edges[1:]))
+    cum = np.concatenate((np.zeros((len(masses), 1)),
+                          np.cumsum(masses, axis=-1)), axis=-1)
+    total = cum[:, -1]
+    if (total <= 0.0).any() or not np.isfinite(total).all():
         raise DomainError("mass profile is degenerate; cannot fix the gauge")
     target = 0.5 * total
-    # cum[i] < target <= cum[i + 1]: the crossing cell is [edges[i], edges[i+1]]
-    i = int(np.searchsorted(cum, target)) - 1
+    # cum[b, i] < target <= cum[b, i + 1]: column b crosses in cell i,
+    # [edges[i], edges[i + 1]]
+    i = np.count_nonzero(cum < target[:, None], axis=-1) - 1
+    below = cum[np.arange(len(i)), i]
     # Newton on the mass derivative |f(R)|^p R^(d-1); a step that leaves
-    # the bracket [a, b] of the root bisects it instead
-    a, b = edges[i], edges[i + 1]
-    R, step = 0.5 * (a + b), math.inf
-    while abs(step) > 1e-12 * (1.0 + R):
-        xs, ws = panel_rule(edges[i], R, 8)
-        density = _mass_density(f, p, np.append(xs, R))
-        excess = cum[i] + float((ws * density[:-1]).sum()) - target
-        a, b = (a, R) if excess > 0.0 else (R, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = R - excess / density[-1]
-        step = (newton if a <= newton <= b else 0.5 * (a + b)) - R
-        R += step
-    return float(R)
+    # the bracket [a, b] of the root bisects it instead, a NaN step stays NaN
+    # (one evaluation a step for all columns; each column's bracket, step
+    # and stop are its own floats, and a stopped column keeps its R)
+    a, b, left = edges[i].tolist(), edges[i + 1].tolist(), edges[i][:, None]
+    R, moving = [0.5 * (lo + hi) for lo, hi in zip(a, b)], [True] * len(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            at = np.array(R)[:, None]
+            xs, ws = panel_rule(left, at, 8)
+            density = _mass_density(f, p, np.concatenate((xs, at), axis=1))
+            excess = below + (ws * density[:, :-1]).sum(axis=-1) - target
+            newton = (at[:, 0] - excess / density[:, -1]).tolist()
+            for j, e in enumerate(excess.tolist()):
+                if moving[j]:
+                    a[j], b[j] = (a[j], R[j]) if e > 0.0 else (R[j], b[j])
+                    step = (0.5 * (a[j] + b[j]) if newton[j] < a[j]
+                            or newton[j] > b[j] else newton[j]) - R[j]
+                    R[j] += step
+                    moving[j] = not abs(step) <= 1e-12 * (1.0 + R[j])
+            if not any(moving):
+                return np.array(R) if f.values.ndim == 2 else R[0]
+    j = moving.index(True)
+    raise DomainError(
+        f"half-mass Newton did not settle in {_NEWTON_STEPS} steps: column "
+        f"{j}, bracket [{edges[i[j]]:.6g}, {edges[i[j] + 1]:.6g}], excess "
+        f"{excess[j]:.3e}")
 
 
 def normalize_mass_half(f: RadialFn, p: float):
     """Dilation factor lambda putting half the L^p mass of f in B_1.
 
     Returns (lambda, dilated function); the input is L^p-normalized first.
+    A batch gets each column's lambda and samples as alone, bit for bit.
     """
     norm = lp_norm_boundary(f, p)
-    if norm <= 0.0:
+    if np.any(norm <= 0.0):
         raise DomainError("cannot normalize the zero function")
     fn = f.scaled(1.0 / norm)
-    R_half = concentration_radius(fn, p)
-    lam = 1.0 / R_half
+    lam = 1.0 / concentration_radius(fn, p)
     return lam, dilate_boundary(fn, lam, p)
+
+
+def _or_divergence(fn, *args):
+    """fn(*args), or the DivergenceError it raises."""
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return exc
 
 
 def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
                hs_grid: HalfspaceGrid) -> list:
-    """``el_fixed_point`` from each start of ``inits``, in lockstep: one
-    ``el_sides_batch`` call per round for every live start, which leaves
-    when it converges, diverges or reaches max_iters.  Returns per start
-    (solution, trace) or the SolverDivergence it ends with."""
+    """``el_fixed_point`` from each start of ``inits``, in lockstep: the live
+    starts are the columns of one batch, with one ``el_sides_batch``,
+    ``rayleigh_quotient`` and ``normalize_mass_half`` a round for them all;
+    a start leaves when it converges, diverges or reaches max_iters.
+    Returns per start (solution, trace) or the SolverDivergence it ends
+    with."""
     out = [None] * len(inits)
-    # start i's trace and its last gauge factor and iterate, while it runs
-    live = {i: (IterationTrace(), *normalize_mass_half(init, p))
-            for i, init in enumerate(inits)}
+    traces = [IterationTrace() for _ in inits]
+    live = list(range(len(inits)))      # the start of each batch column
+    lam, f = normalize_mass_half(stack(inits), p)
     while live:
-        batch = el_sides_batch([f for _, _, f in live.values()], p, hs_grid)
-        for i, sides in zip(list(live), batch):
-            trace, lam, f = live.pop(i)
+        lams = np.broadcast_to(lam, (len(live),))
+        fs = [f.column(j) for j in range(len(live))]
+        batch = el_sides_batch(fs, p, hs_grid)
+        found = [j for j, sides in enumerate(batch)
+                 if not isinstance(sides, DivergenceError)]
+        try:        # the quotients of the columns with sides, together
+            quotients = np.atleast_1d(rayleigh_quotient(
+                f if len(found) == len(fs) else stack([fs[j] for j in found]),
+                n, p, hs_grid)) if found else []
+        except DivergenceError:         # some column's tail: each alone
+            quotients = [_or_divergence(rayleigh_quotient, fs[j], n, p,
+                                        hs_grid) for j in found]
+        quotients = dict(zip(found, quotients))
+        going, powers = [], []
+        for j, (i, sides) in enumerate(zip(live, batch)):
+            trace, lam_j = traces[i], float(lams[j])
             residual = rayleigh = math.nan
             try:
                 if isinstance(sides, DivergenceError):
                     raise sides
                 lhs, rhs = sides
                 a, residual = calibrate(n, p, lhs, rhs)
-                rayleigh = rayleigh_quotient(f, n, p, hs_grid)
+                if isinstance(quotients[j], DivergenceError):
+                    raise quotients[j]
+                rayleigh = float(quotients[j])
             except DivergenceError as exc:
                 # the failed iterate's row, NaN where it stopped short
-                trace.append(residual, rayleigh, lam)
+                trace.append(residual, rayleigh, lam_j)
                 trace.message = f"divergent iterate: {exc}"
                 out[i] = SolverDivergence(trace.message, trace)
                 out[i].__cause__ = exc
                 continue
-            trace.append(residual, rayleigh, lam)
+            trace.append(residual, rayleigh, lam_j)
             if residual <= cfg.tol_residual:
                 trace.converged = True
                 trace.message = f"residual {residual:.3e} <= tol"
@@ -167,13 +224,17 @@ def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
             elif len(trace) == cfg.max_iters:
                 trace.message = f"no convergence in {cfg.max_iters} iterations"
             else:
-                # no declared tail: the start's (a Gaussian's is inf) is not
-                # the iterate's, so the tail fit decides
-                f = RadialFn(f.grid, rhs ** (1.0 / (p - 1.0)),
-                             nonnegative=True)
-                live[i] = (trace, *normalize_mass_half(f, p))
+                going.append(i)
+                powers.append(rhs)
                 continue
-            out[i] = f.scaled(a), trace
+            out[i] = fs[j].scaled(a), trace
+        live = going
+        if live:
+            # no declared tail: the start's (a Gaussian's is inf) is not
+            # the iterate's, so the tail fit decides
+            rhs = powers[0] if len(powers) == 1 else np.stack(powers, axis=-1)
+            lam, f = normalize_mass_half(RadialFn(
+                f.grid, rhs ** (1.0 / (p - 1.0)), nonnegative=True), p)
     return out
 
 

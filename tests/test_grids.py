@@ -108,6 +108,27 @@ def test_fitted_tail_fits_once_per_function(boundary3, monkeypatch):
     assert math.isnan(f.scaled(2.0).fitted_tail()) and len(calls) == 2
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.5, 6.0])
+def test_fitted_tail_is_the_least_squares_line(boundary3, beta):
+    # the closed-form slope is np.polyfit's over the last eighth of the
+    # mesh, on a power tail and on a sign-changing tail alike (|f| is
+    # fitted), and column by column on a batch; fewer than 6 nonzero
+    # samples there are a compact tail
+    from halfext.grids import _fit_tail_exponent
+    r = boundary3.nodes
+    k = boundary3.size // 8
+    f = 3.7 * (1 + r ** 2) ** (-beta / 2) * (1 + 0.3 * np.sin(r))
+    wavy = f * np.where(np.arange(r.size) % 3 == 0, -1.0, 1.0)
+    for values in (f, wavy):
+        want = -np.polyfit(np.log(r[-k:]), np.log(np.abs(values[-k:])), 1)[0]
+        assert _fit_tail_exponent(r, values) == pytest.approx(want, rel=1e-13)
+    short = f.copy()
+    short[-k + 5:] = 0.0
+    assert _fit_tail_exponent(r, short) == math.inf
+    both = _fit_tail_exponent(r, np.stack([f, wavy, short], axis=-1))
+    assert list(both) == [_fit_tail_exponent(r, v) for v in (f, wavy, short)]
+
+
 def test_lp_norm_halfspace_closed_form(halfspace3):
     R, T = np.meshgrid(halfspace3.radial.nodes, halfspace3.heights.nodes,
                        indexing="ij")

@@ -9,7 +9,7 @@ from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                sharp_constant)
 from halfext.grids import (RadialFn, build_radial_grid,
                            default_halfspace_grid, dilate_boundary,
-                           sample_radial)
+                           sample_radial, stack)
 from halfext.moebius import boundary_inversion
 from halfext.solver import (IterationTrace, SolverConfig, _cell_masses,
                             _el_solves, ascent_estimate_constant,
@@ -76,6 +76,100 @@ def test_concentration_radius_in_first_cell(boundary3, width):
     assert 0.0 < R < boundary3.nodes[0]
     assert float(_cell_masses(f, 2.0, 0.0, R)) == pytest.approx(target,
                                                                 rel=1e-12)
+
+
+def _gauge_starts(grid):
+    # a half-mass crossing in [0, r_1], a compact bump, gaussians and dual
+    # profiles of several widths: log- and parameter-pchip columns alike
+    first = sample_radial(grid, lambda r: np.exp(-(np.asarray(r) / 5e-5) ** 2),
+                          tail_exponent=math.inf, nonnegative=True)
+    return [first, start_profile(grid, "bump", 1.5, 0.8),
+            start_profile(grid, "gaussian", 0.7, 1.6),
+            start_profile(grid, "dual", 1.2, 0.4),
+            start_profile(grid, "dual", 0.9, 3.0),
+            sample_radial(grid, lambda r: (1 + np.asarray(r) ** 2) ** -1.5,
+                          nonnegative=True)]
+
+
+def test_mass_half_batch_is_each_column_alone(boundary3, monkeypatch):
+    # every column's lambda, samples and value at 0 are those of its start
+    # gauged alone, bit for bit, though the columns' Newton steps end at
+    # different counts and one crosses half its mass in the first cell
+    from halfext import solver
+    fs = _gauge_starts(boundary3)
+    assert concentration_radius(fs[0], 2.0) < boundary3.nodes[0]
+    calls = []
+    real = solver._mass_density
+
+    def density(f, p, r):
+        calls.append(f.values.ndim)
+        return real(f, p, r)
+    monkeypatch.setattr(solver, "_mass_density", density)
+    for p in (2.0, 4.0):
+        lams, batch = normalize_mass_half(stack(fs), p)
+        steps = []
+        for j, f in enumerate(fs):
+            calls.clear()
+            lam, one = normalize_mass_half(f, p)
+            steps.append(len(calls) - 1)      # the first call: cell masses
+            assert lams[j] == lam
+            assert np.array_equal(batch.values[:, j], one.values)
+            assert batch.value_at_zero[j] == one.value_at_zero
+        assert len(set(steps)) >= 2
+
+
+def test_mass_half_newton_is_bounded(boundary3, monkeypatch):
+    # a column whose density reads NaN never settles: after 64 steps the
+    # gauge raises, naming that column, its bracket and its excess, while
+    # the other column's steps had stopped long before
+    from halfext import solver
+    real = solver._mass_density
+    steps = []
+
+    def density(f, p, r):
+        out = real(f, p, r)
+        if out.ndim == 2:                   # a Newton step's (B, 9) points
+            steps.append(1)
+            out[1] = np.nan
+        return out
+    monkeypatch.setattr(solver, "_mass_density", density)
+    fs = stack(_gauge_starts(boundary3)[2:4])
+    with pytest.raises(DomainError, match=r"did not settle in 64 steps: "
+                       r"column 1, bracket \[.*\], excess nan"):
+        concentration_radius(fs, 4.0)
+    assert len(steps) == 64
+
+
+def test_lockstep_round_reads_once_for_all_starts(halfspace3, monkeypatch):
+    # one pchip build (the gauge's) and one product with the polar rows
+    # (the Rayleigh quotients') per round, however many starts are live:
+    # the starts leave at different rounds
+    from halfext import extremals, grids
+    builds, norms = [], []
+    real_pchip, real_norm = grids.pchip, extremals.extension_norm
+
+    def pchip(x, y):
+        builds.append(y.shape)
+        return real_pchip(x, y)
+
+    def extension_norm(f, q, hs):
+        norms.append(f.values.shape)
+        return real_norm(f, q, hs)
+    monkeypatch.setattr(grids, "pchip", pchip)
+    monkeypatch.setattr(extremals, "extension_norm", extension_norm)
+    g = halfspace3.radial
+    inits = [start_profile(g, "dual", 1.0, 0.5),
+             start_profile(g, "dual", 1.3, 2.0)] + [
+        sample_radial(g, lambda r, k=k: (1 + np.asarray(r) ** 2) ** -k)
+        for k in (1.5, 2.0, 3.0)]
+    cfg = SolverConfig(max_iters=300, tol_residual=5e-5)
+    traces = [_trace_of(r) for r in _el_solves(3, 4 / 3, inits, cfg,
+                                               halfspace3)]
+    rounds = max(map(len, traces))
+    assert len(set(map(len, traces))) >= 2
+    assert len(builds) == len(norms) == rounds
+    live = [sum(len(t) > k for t in traces) for k in range(rounds)]
+    assert [s[-1] if len(s) == 2 else 1 for s in norms] == live
 
 
 def test_mass_half_rejects_zero(boundary3):
