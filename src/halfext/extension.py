@@ -11,7 +11,9 @@ symmetric in (r, s), and the same kernel drives the dual operator
 (Tu)(s) = integral K(s, r, t) u(r, t) r^(n-2) dr dt.  Boundary data lives on
 the half-space mesh's radial factor, so one square stack of per-height
 matrices M[k], cached by mesh content, discretizes both: Pf reads M[k] @ f,
-Tu reads M[k] @ u[:, k].
+Tu reads M[k] @ u[:, k].  It is held as two float32 halves (Dekker's split,
+fl32(M) and the remainder): the Euler-Lagrange loop reads the high half
+alone, pointwise Pf and Tu both, summed in float64 a height at a time.
 
 The angular integral has closed forms in the dimensions used here:
 
@@ -59,8 +61,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .grids import (POLAR_PHI, POLAR_RHO, AxisymFn, HalfspaceGrid, RadialFn,
-                    RadialGrid, column_dots, column_powers, mesh_n,
-                    polar_halfspace_rule)
+                    RadialGrid, mesh_n, polar_halfspace_rule)
 from .kernel import kernel_constant, sphere_area
 from .quadrature import (GROW, blocks, half_line_rule, panel_rule,
                          peak_breaks, rule_runs)
@@ -279,8 +280,8 @@ def _diagonal_breaks(r_out, t, r_max: float, ladder: np.ndarray):
     return np.sort(np.hstack([peaks, ladder]), axis=1)
 
 
-def _refined_rows(kernel, out_nodes, t, refine, in_grid: RadialGrid, M):
-    """Write the rows ``refine`` (indices) of M by the refined rule of
+def _refined_rows(kernel, out_nodes, t, refine, in_grid: RadialGrid, write):
+    """Write the rows ``refine`` (indices) by the refined rule of
     ``_kernel_matrix``, in runs of at most ``quadrature._BLOCK`` nodes."""
     n_in, xn = in_grid.size, in_grid.parameter(in_grid.nodes)
     centre, inv_h, basis = _window_cubics(in_grid)
@@ -311,7 +312,7 @@ def _refined_rows(kernel, out_nodes, t, refine, in_grid: RadialGrid, M):
             for m in range(1, 4):
                 part += moments[m] * basis[:, c, m]
             refined[:, c:c + n_in - 3] += part
-        M[rows] = refined
+        write(rows, refined)
 
 
 def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
@@ -327,39 +328,48 @@ def _kernel_matrix(kernel, out_nodes: np.ndarray, in_grid: RadialGrid,
     refined rows in runs of at most ``_BLOCK`` nodes across heights, each
     row on its own: its bits depend on neither.
     """
+    M = np.empty((np.size(out_nodes), in_grid.size))
+    _write_rows(kernel, out_nodes, in_grid, t, M.__setitem__)
+    return M
+
+
+def _write_rows(kernel, out_nodes, in_grid: RadialGrid, t, write) -> None:
+    # the rows of _kernel_matrix, each block handed to write(rows, block)
     t = np.broadcast_to(np.asarray(t, dtype=float), out_nodes.shape)
-    M = np.empty((out_nodes.size, in_grid.size))
     refine = t < PEAK_FACTOR * in_grid.local_spacing(out_nodes)
     # refined rows first, in a call of their own: their runs' temporaries
     # are freed before the plain rows make the rest of a stack resident
     # (the stack's 2 MB huge pages; a build's peak RSS)
-    _refined_rows(kernel, out_nodes, t, np.flatnonzero(refine), in_grid, M)
+    _refined_rows(kernel, out_nodes, t, np.flatnonzero(refine), in_grid,
+                  write)
     # plain rows per block: at most one height of the stack, whose ring-kernel
     # call per height bench/test_bench.py counts, and at most _BLOCK entries
     step = blocks(np.full(in_grid.size, in_grid.size))[0][1]
     for lo in range(0, out_nodes.size, step):
         plain = lo + np.flatnonzero(~refine[lo:lo + step])
         if plain.size:
-            M[plain] = kernel(out_nodes[plain, None], in_grid.nodes[None, :],
-                              t[plain, None]) * in_grid.weights
-    return M
+            write(plain, kernel(out_nodes[plain, None], in_grid.nodes[None, :],
+                                t[plain, None]) * in_grid.weights)
 
 
 @dataclass(eq=False)
 class PoissonOperator:
-    """Discretized extension/dual pair: one square stack, read both ways.
+    """Discretized extension/dual pair: one square stack M, read both ways.
 
-    ``extend`` (M[k] @ f) and ``dual`` (M[k] @ u[:, k]) are BLAS products
-    that read the C-contiguous stack in place, once for a whole batch of
-    columns: it holds 20 MB at N=160, N_t=96, so neither direction may copy
-    or transpose it; ``extension_norm`` reads the 1.3 MB of polar rows.
-    Built once per n and mesh content by ``get_operator``, whose cache holds
-    operators up to a byte budget; the row rule builds both in blocks, so a
-    build holds about 4.6 MB of temporaries beside them (n=3, N=160).
+    M is held as Dekker's split, ``matrices`` = fl32(M) and ``low`` =
+    fl32(M - matrices), C-contiguous float32: 20 MB at N=160, N_t=96, a
+    float64 stack's bytes.  The loop's ``extend`` and ``dual`` read
+    ``matrices`` alone by float32 BLAS, once for a whole batch;
+    ``poisson_extend`` and ``dual_extend`` read M a float64 ``height`` at a
+    time, ``extension_norm`` the 1.3 MB of float64 polar rows.  Built once
+    per n and mesh content by ``get_operator``, whose cache holds operators
+    up to a byte budget; the row rule writes both halves block by block, so
+    a build holds about 4.6 MB of temporaries beside them (n=3, N=160).
     """
 
     halfspace: HalfspaceGrid
-    matrices: np.ndarray          # (N_t, N, N), C-contiguous
+    matrices: np.ndarray          # (N_t, N, N) float32, C-contiguous: fl32(M)
+    low: np.ndarray               # (N_t, N, N) float32: fl32(M - matrices)
     polar_rows: np.ndarray        # (POLAR_PHI * POLAR_RHO, N), ray by ray
     polar_weights: np.ndarray     # (POLAR_PHI * POLAR_RHO,)
 
@@ -369,22 +379,38 @@ class PoissonOperator:
         return self.matrices
 
     def extend(self, f_values: np.ndarray) -> np.ndarray:
-        """(Pf)(r_j, t_k) for boundary samples f, shape (N, N_t), or
-        (N, N_t, B) for a batch f of shape (N, B): one matmul reads each M[k]
-        in place once for all columns (``flat @ f`` on the (N_t N, N) view
-        would make BLAS pack the whole stack for a batch)."""
-        return np.swapaxes(np.matmul(self.matrices, f_values), 0, 1)
+        """(Pf)(r_j, t_k), shape (N, N_t), or (N, N_t, B) for a batch f
+        (N, B): sgemm on ``matrices`` for all ``_unit_columns(f)`` at once;
+        float64 out, each column a contiguous (N_t, N) block in memory."""
+        f32, scale = _unit_columns(np.reshape(f_values, (len(f_values), -1)))
+        pf = np.multiply(np.matmul(self.matrices, f32).transpose(2, 0, 1),
+                         scale[:, None, None], order="C").transpose(2, 1, 0)
+        return pf.reshape(pf.shape[:2] + np.shape(f_values)[1:])
 
     def dual(self, u_values: np.ndarray) -> np.ndarray:
-        """(Tu)(s_i) = sum_k wt_k (M[k] @ u[:, k]) for samples u(r_j, t_k),
-        shape (N, N_t), or (N, B) for a batch u of shape (N, N_t, B): one
-        matmul reads each M[k] in place once for all columns, then a sum
-        over k."""
-        wt = self.halfspace.heights.weights
-        u = u_values.reshape(u_values.shape[:2] + (-1,))    # (N, N_t, B)
-        v = np.swapaxes(u * wt[:, None], 0, 1)              # (N_t, N, B)
-        return np.matmul(self.matrices, v).sum(axis=0).reshape(
-            u_values.shape[:1] + u_values.shape[2:])
+        """(Tu)(s_i) = sum_k wt_k (M[k] @ u[:, k]), shape (N,), or (N, B)
+        for a batch u (N, N_t, B): one sgemm per height on ``matrices`` for
+        all ``_unit_columns(u)``, then the sum over k in float64."""
+        u = u_values.reshape(u_values.shape[:2] + (-1,))     # (N, N_t, B)
+        v, scale = _unit_columns(np.swapaxes(u, 0, 1))       # (N_t, N, B)
+        products = np.matmul(self.matrices, v).reshape(len(v), -1)
+        Tu = (self.halfspace.heights.weights @ products).reshape(len(u), -1)
+        return (Tu * scale).reshape(u_values.shape[:1] + u_values.shape[2:])
+
+    def height(self, k: int) -> np.ndarray:
+        """M[k] in float64 from both halves, for the pointwise paths."""
+        return self.matrices[k] + self.low[k].astype(float)
+
+
+# (x / s in float32, s), s the largest |entry| of each column of x (..., B),
+# 1 for a zero column: the cast cannot overflow, and a times x casts to the
+# same float32 as x (but where a float64 rounding of x / s crosses a float32
+# tie), so the loop's sides scale with the iterate's amplitude
+def _unit_columns(x: np.ndarray) -> tuple:
+    top = np.abs(x).max(axis=tuple(range(x.ndim - 1)))
+    scale = np.where(top > 0.0, top, 1.0)
+    # in x's memory order: the loop's batch axis is not the innermost
+    return np.divide(x, scale, out=np.empty_like(x, np.float32)), scale
 
 
 _OPERATOR_CACHE: dict = {}     # least recently used first
@@ -410,12 +436,21 @@ def _mesh_key(grid: RadialGrid) -> tuple:
     return (grid.d, grid.nodes.tobytes(), grid.weights.tobytes())
 
 
-def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> np.ndarray:
-    # the rows of every height, written into the one (N_t N, N) matrix
-    rows = _kernel_matrix(partial(ring_kernel, n),
-                          np.tile(grid.nodes, heights.size), grid,
-                          np.repeat(heights.nodes, grid.size))
-    return rows.reshape(heights.size, grid.size, grid.size)
+def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> tuple:
+    # the rows of every height, each block split as the row rule writes it:
+    # the float32 high part and the float32 remainder of the float64 rows
+    shape = (heights.size * grid.size, grid.size)
+    high, low = np.empty(shape, np.float32), np.empty(shape, np.float32)
+
+    def split(rows, block):
+        high[rows] = block
+        block -= high[rows]
+        low[rows] = block
+
+    _write_rows(partial(ring_kernel, n), np.tile(grid.nodes, heights.size),
+                grid, np.repeat(heights.nodes, grid.size), split)
+    shape = (heights.size, grid.size, grid.size)
+    return high.reshape(shape), low.reshape(shape)
 
 
 def get_operator(n: int, boundary: RadialGrid,
@@ -445,7 +480,7 @@ def get_operator(n: int, boundary: RadialGrid,
     r, t, weights = polar_halfspace_rule(n)
     polar = _kernel_matrix(partial(ring_kernel, n), r.ravel(), radial,
                            t.ravel())
-    op = PoissonOperator(halfspace, _matrix_stack(n, radial, heights),
+    op = PoissonOperator(halfspace, *_matrix_stack(n, radial, heights),
                          polar, weights.ravel())
     CACHE_COUNTS["builds"] += 1
     _OPERATOR_CACHE[key] = op
@@ -465,7 +500,8 @@ def poisson_extend(f: RadialFn, grid: HalfspaceGrid) -> AxisymFn:
     """Harmonic extension of radial boundary data onto a half-space mesh."""
     check_integrable(f)
     op = get_operator(grid.n, f.grid, grid)
-    return AxisymFn(grid, op.extend(f.values))
+    return AxisymFn(grid, np.stack([op.height(k) @ f.values for k in
+                                    range(grid.heights.size)], axis=1))
 
 
 def extension_norm(f: RadialFn, q: float, halfspace: HalfspaceGrid):
@@ -483,9 +519,8 @@ def extension_norm(f: RadialFn, q: float, halfspace: HalfspaceGrid):
             f"far field of Pf too slow for the polar rule: q*beta = "
             f"{q * beta:.4g} < n + 1 (L^{q}, |Pf| ~ |x|^-{beta:.4g})")
     op = get_operator(n, f.grid, halfspace)
-    u = op.polar_rows @ f.values
-    return column_powers(column_dots(op.polar_weights, np.abs(u) ** q),
-                         1.0 / q)
+    return (op.polar_weights @ np.abs(op.polar_rows @ f.values) ** q) \
+        ** (1 / q)
 
 
 def dual_extend(u: AxisymFn) -> RadialFn:
@@ -494,9 +529,10 @@ def dual_extend(u: AxisymFn) -> RadialFn:
     The dual reads the same square stack as the extension, so its output
     lives on ``u.grid.radial``, the mesh boundary data is extended from.
     """
-    radial = u.grid.radial
+    radial, wt = u.grid.radial, u.grid.heights.weights
     op = get_operator(u.grid.n, radial, u.grid)
-    return RadialFn(radial, op.dual(u.values))
+    return RadialFn(radial, sum(wt[k] * (op.height(k) @ u.values[:, k])
+                               for k in range(wt.size)))
 
 
 def extend_at(f: RadialFn, r, t) -> np.ndarray:

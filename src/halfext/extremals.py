@@ -111,57 +111,59 @@ def rayleigh_quotient(f: RadialFn, n: int, p: float,
 MASS_FLOOR = 1e-6
 
 
-# the row rule's cubic windows can take positive data below zero: an entry
-# below -MASS_FLOOR times its side's maximum is a divergent iterate, raised
-# with the side's name, min and max; one between that bound and 0 is
-# quadrature noise and reads as 0.  One pass when no entry is negative.
-def _nonnegative(side: np.ndarray, name: str) -> np.ndarray:
-    low = side.min()
-    if low < 0.0 and low < -MASS_FLOOR * side.max():
-        raise DivergenceError(f"{name} is negative: min {low:.3e}, "
-                              f"max {side.max():.3e}")
-    return side if low >= 0.0 else np.maximum(side, 0.0)
+def _column_rule(side: np.ndarray, name: str, out: list) -> None:
+    # per column j of side (..., B), a divergent iterate set in out[j]
+    # (unless it has one) with the side's name, min and max: an entry that
+    # is not finite, or one below -MASS_FLOOR times the column's maximum
+    # (the row rule's cubic windows can take positive data below zero); an
+    # entry between that bound and 0 is quadrature noise and reads as 0
+    if side.min() >= 0.0 and np.isfinite(side.max()):
+        return      # the common case: one pass each over the whole batch
+    axes = tuple(range(side.ndim - 1))
+    low, high = side.min(axis=axes), side.max(axis=axes)
+    for j in np.flatnonzero(~np.isfinite(high) | (low < -MASS_FLOOR * high)):
+        what = "negative" if np.isfinite(high[j]) else "not finite"
+        out[j] = out[j] or DivergenceError(
+            f"{name} is {what}: min {low[j]:.3e}, max {high[j]:.3e}")
+    np.maximum(side, 0.0, out=side)
+
+
+def or_divergence(fn, *args):
+    """fn(*args), or the DivergenceError it raises."""
+    try:
+        return fn(*args)
+    except DivergenceError as exc:
+        return exc
 
 
 def el_sides_batch(fs, p: float, hs_grid: HalfspaceGrid) -> list:
     """Both Euler-Lagrange sides, (f^(p-1), T((Pf)^(q-1))), of each iterate
-    of ``fs`` on the radial mesh of hs_grid, n = hs_grid.n; P and T read the
-    stack once each for the whole batch.  Per iterate: its sides, or the
-    DivergenceError it raised (a tail P cannot integrate, Pf or T failing
-    ``_nonnegative``, a non-finite power), which leaves the others as they
-    are.  A negative or zero iterate is DomainError for the call."""
+    of ``fs`` on the radial mesh of hs_grid, n = hs_grid.n: P and T read the
+    float32 stack once each, every power and check is one pass, for the
+    whole batch.  Per iterate its sides, or its DivergenceError (a tail P
+    cannot integrate, a side failing ``_column_rule``), which leaves the
+    others as they are; a negative or zero iterate is DomainError."""
     n = hs_grid.n
     q = n * p / (n - 1)
-    for f in fs:
-        if np.any(f.values < 0.0) or not np.any(f.values > 0.0):
-            raise DomainError("the Euler-Lagrange system is stated for "
-                              "f >= 0, not identically zero")
-        # one operator: every iterate's mesh is hs_grid's (else DomainError)
-        op = get_operator(n, f.grid, hs_grid)
-    pf = op.extend(np.stack([f.values for f in fs], axis=-1))
-    out, powers = [], np.zeros(pf.shape)    # a failed iterate's column is 0
-    for j, f in enumerate(fs):
-        try:
-            check_integrable(f)
-            u = _nonnegative(pf[..., j], "Pf")
-            # an overflowing power is a divergent iterate, not a domain error
-            with np.errstate(over="ignore"):
-                power = u ** (q - 1.0)
-                lhs = f.values ** (p - 1.0)
-            if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(power))):
-                raise DivergenceError("Euler-Lagrange sides are not finite")
-            powers[..., j] = power
-            out.append(lhs)
-        except DivergenceError as exc:
-            out.append(exc)
-    rhs = op.dual(powers)
-    for j, lhs in enumerate(out):
-        try:
-            if not isinstance(lhs, DivergenceError):
-                out[j] = lhs, _nonnegative(rhs[:, j], "dual side")
-        except DivergenceError as exc:
-            out[j] = exc
-    return out
+    # one operator: every iterate's mesh is hs_grid's (else DomainError)
+    op, = {get_operator(n, f.grid, hs_grid) for f in fs}
+    values = np.stack([f.values for f in fs], axis=-1)      # (N, B)
+    if (values < 0.0).any() or not (values > 0.0).any(axis=0).all():
+        raise DomainError("the Euler-Lagrange system is stated for f >= 0, "
+                          "not identically zero")
+    out = [or_divergence(check_integrable, f) for f in fs]
+    pf = op.extend(values)
+    _column_rule(pf, "Pf", out)
+    # an overflowing power is a divergent iterate, not a domain error
+    with np.errstate(over="ignore"):
+        lhs = values ** (p - 1.0)
+        power = pf ** (q - 1.0)
+    _column_rule(lhs, "f^(p-1)", out)
+    _column_rule(power, "(Pf)^(q-1)", out)
+    power[..., [j for j, exc in enumerate(out) if exc]] = 0.0
+    rhs = op.dual(power)
+    _column_rule(rhs, "dual side", out)
+    return [exc or (lhs[:, j], rhs[:, j]) for j, exc in enumerate(out)]
 
 
 def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):

@@ -286,17 +286,11 @@ class RadialFn:
             b = (f1 - f0) / r1 ** 2 - a * r1 ** 2
             out = np.where(lo, f0 + b * rt ** 2 + a * rt ** 4, out)
         if hi.any():
-            beta = np.broadcast_to(self.tail(), vals.shape[1:])
-            hi, x = np.broadcast_to(hi, out.shape), np.broadcast_to(rt, out.shape)
-            # column by column: a scalar power, as one function takes it
-            for j in range(beta.size):
-                fN, at = vals[-1, j], hi[..., j]
-                if not at.any():
-                    continue
-                if fN == 0.0 or math.isinf(beta[j]):
-                    out[..., j][at] = 0.0
-                else:
-                    out[..., j][at] = fN * (x[..., j][at] / nodes[-1]) ** -beta[j]
+            # x > 1 there, so an infinite beta (or fN = 0) continues with 0
+            hi = np.broadcast_to(hi, out.shape)
+            x, fN, beta = (np.broadcast_to(a, out.shape)[hi] for a in
+                           (rt / nodes[-1], vals[-1], self.tail()))
+            out[hi] = fN * x ** -beta
         if self.values.ndim == 2:
             return np.ascontiguousarray(out.T).reshape((-1,) + r.shape[1:])
         return float(out[..., 0]) if r.ndim == 0 else out[..., 0]
@@ -426,20 +420,6 @@ class PolarFn:
         return float(mass ** (1.0 / p))
 
 
-def column_dots(weights: np.ndarray, values: np.ndarray):
-    """weights . values, one BLAS dot per contiguous column of values (N, B):
-    each column summed in one function's order, as a GEMV would not."""
-    if values.ndim == 1:
-        return float(np.dot(weights, values))
-    return np.array([np.dot(weights, v) for v in np.ascontiguousarray(values.T)])
-
-
-def column_powers(x, e: float):
-    """x ** e by the C library's pow, value by value (numpy's vector pow
-    rounds one value in twenty otherwise)."""
-    return x ** e if np.ndim(x) == 0 else np.array([v ** e for v in x.tolist()])
-
-
 def lp_norm_boundary(f: RadialFn, p: float):
     """L^p(R^d) norm of a radial boundary function by grid quadrature.
 
@@ -458,14 +438,14 @@ def lp_norm_boundary(f: RadialFn, p: float):
         raise DivergenceError(
             f"L^{p} norm divergent: tail exponent {beta.min():.4g} gives "
             f"p*beta = {p * beta.min():.4g} <= d = {d}")
-    total = column_dots(f.grid.weights, np.abs(f.values) ** p)
+    total = f.grid.weights @ np.abs(f.values) ** p
     # an infinite beta has no tail: the remainder below reads 0 there
     tail = np.abs(f.values[-1]) ** p * f.grid.r_max ** d / (p * beta - d)
     if ((total > 0.0) & (tail > 0.01 * total)).any():
         raise DomainError(
             "truncation tail exceeds 1% of the integral; decay too slow "
             "for this mesh")
-    return column_powers(f.grid.sphere * total, 1.0 / p)
+    return (f.grid.sphere * total) ** (1.0 / p)
 
 
 def lp_norm_halfspace(u: AxisymFn, p: float) -> float:
@@ -494,7 +474,7 @@ def dilate_boundary(f: RadialFn, lam: float, p: float) -> RadialFn:
     column = np.asarray(lam)[..., None]       # a batch's lam, one per row
     if (column <= 0.0).any():
         raise DomainError(f"dilation factor must be positive, got {lam}")
-    c = column_powers(lam, -f.grid.d / p)
+    c = lam ** (-f.grid.d / p)
     vals = np.asarray(c)[..., None] * f.eval(f.grid.nodes / column)
     return RadialFn(f.grid, np.ascontiguousarray(vals.T),
                     value_at_zero=c * f.value_at_zero,

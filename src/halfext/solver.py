@@ -16,9 +16,10 @@ divergence is detected and reported with the trace.
 An ascent's live starts are the columns of one batch (``grids.stack``), so
 a round reads the stack once and does the bookkeeping once for them all:
 norms, tail fits, one ``pchip``, the cell masses, the half-mass Newton steps
-(each column frozen at its own stop) and the dilation.  Each column's
-arithmetic is its start's alone, so a batch's gauge is its columns' bit for
-bit; only the GEMMs of the stack and polar rows sum in another order.
+(each column frozen at its own stop) and the dilation.  The batch contract:
+a column takes its solo run's iterations, and its sides, gauge factors,
+residuals and Rayleigh quotients agree with that run's to 1e-7 (the float32
+loop's sgemm sums in another order than a sgemv); runs repeat bit for bit.
 
 The module also hosts the symmetry classification: the one family fit,
 which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
@@ -37,7 +38,7 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 # loop reads the stack through extremals.el_sides_batch
 from .extension import poisson_extend  # noqa: F401
 from .extremals import (ExtremalSpec, calibrate, el_sides_batch,
-                        extremal_profile, rayleigh_quotient)
+                        extremal_profile, or_divergence, rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
                     lp_norm_boundary, mesh_n, stack, write_csv)
 from .quadrature import panel_rule
@@ -150,7 +151,7 @@ def normalize_mass_half(f: RadialFn, p: float):
     """Dilation factor lambda putting half the L^p mass of f in B_1.
 
     Returns (lambda, dilated function); the input is L^p-normalized first.
-    A batch gets each column's lambda and samples as alone, bit for bit.
+    A batch gets each column's lambda and samples as alone, to roundoff.
     """
     norm = lp_norm_boundary(f, p)
     if np.any(norm <= 0.0):
@@ -158,14 +159,6 @@ def normalize_mass_half(f: RadialFn, p: float):
     fn = f.scaled(1.0 / norm)
     lam = 1.0 / concentration_radius(fn, p)
     return lam, dilate_boundary(fn, lam, p)
-
-
-def _or_divergence(fn, *args):
-    """fn(*args), or the DivergenceError it raises."""
-    try:
-        return fn(*args)
-    except DivergenceError as exc:
-        return exc
 
 
 def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
@@ -191,8 +184,8 @@ def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
                 f if len(found) == len(fs) else stack([fs[j] for j in found]),
                 n, p, hs_grid)) if found else []
         except DivergenceError:         # some column's tail: each alone
-            quotients = [_or_divergence(rayleigh_quotient, fs[j], n, p,
-                                        hs_grid) for j in found]
+            quotients = [or_divergence(rayleigh_quotient, fs[j], n, p,
+                                       hs_grid) for j in found]
         quotients = dict(zip(found, quotients))
         going, powers = [], []
         for j, (i, sides) in enumerate(zip(live, batch)):

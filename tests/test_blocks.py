@@ -55,7 +55,7 @@ def _results(n, N):
     rng = np.random.default_rng(37)
     r, t = rng.uniform(0.0, 5.0, 600), 10.0 ** rng.uniform(-4.0, 0.5, 600)
     triple = _triples(600, 43)
-    return {"stack": op.matrices, "polar_rows": op.polar_rows,
+    return {"stack": op.matrices, "low": op.low, "polar_rows": op.polar_rows,
             "extend_at": extend_at(f, r, t),
             "kernel_mass": kernel_mass(n, g.nodes, 1e-3),
             "ring_gl": ring_kernel(n, *triple, method="gl"),
@@ -163,7 +163,7 @@ def test_batched_quadratures_bound_their_temporaries(monkeypatch):
 
 
 # one cold n=3 N=160 stack in a fresh process after ``prelude``: the minor
-# page faults of its get_operator call and the sha256 of its stack
+# page faults of its get_operator call and the sha256 of its stack's halves
 _COLD_BUILD = """
 import hashlib, resource
 import numpy as np
@@ -175,7 +175,8 @@ hs = default_halfspace_grid(g)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 op = get_operator(3, g, hs)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(faults, hashlib.sha256(op.matrices.tobytes()).hexdigest())
+digest = hashlib.sha256(op.matrices.tobytes() + op.low.tobytes())
+print(faults, digest.hexdigest())
 """
 
 

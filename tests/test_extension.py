@@ -247,43 +247,66 @@ def test_operator_rejects_foreign_boundary_mesh():
     assert dual_extend(u).grid is g
 
 
+def _height_loops(stack, f, u, wt):
+    # extend and dual as explicit loops over the heights of a stack
+    return (np.stack([M @ f for M in stack], axis=1),
+            sum(wt[k] * (M @ u[:, k]) for k, M in enumerate(stack)))
+
+
 @pytest.mark.parametrize("boundary", ["same", "equal"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_contractions_match_per_height_loop(n, boundary):
-    # the BLAS contractions against an explicit loop over the heights, on
-    # the one square stack; boundary data on the radial mesh itself or on a
-    # separately built equal mesh reads the same operator
+    # each path against an explicit loop over the heights: the loop's
+    # float32 extend and dual against float32 loops over ``matrices`` (data
+    # cast at unit scale, as ``_unit_columns`` does), to 2e-7 of the largest
+    # entry (4.0e-8 measured for extend, whose sgemm sums in another order
+    # than a sgemv; 2.4e-16 for dual); the pointwise float64 poisson_extend
+    # and dual_extend against float64 loops over matrices + low, to 1e-13
+    # (0 and 4.6e-16 measured).
+    # Boundary data on the radial mesh itself or on a separately built
+    # equal mesh reads the same operator
     radial = build_radial_grid(n - 1, 160, "tan", 1.0)
     hs = default_halfspace_grid(radial)
     bnd = (radial if boundary == "same"
            else build_radial_grid(n - 1, 160, "tan", 1.0))
     op = get_operator(n, bnd, hs)
     assert op is get_operator(n, radial, hs)
-    # a C-contiguous stack, which both matmuls read in place
-    assert op.matrices.flags.c_contiguous
+    # two C-contiguous float32 halves, which the matmuls read in place
+    for half in (op.matrices, op.low):
+        assert half.flags.c_contiguous and half.dtype == np.float32
     assert op.dual_matrices is op.matrices
     rng = np.random.default_rng(n)
     f = rng.uniform(0.5, 1.5, radial.size)
     u = rng.uniform(0.5, 1.5, (radial.size, hs.heights.size))
     wt = hs.heights.weights
-    ext = np.stack([M @ f for M in op.matrices], axis=1)
-    dual = sum(wt[k] * (M @ u[:, k]) for k, M in enumerate(op.matrices))
+    ext, dual = _height_loops(op.matrices, (f / f.max()).astype(np.float32),
+                              (u / u.max()).astype(np.float32), wt)
+    ext, dual = ext * f.max(), dual * u.max()
     got_ext, got_dual = op.extend(f), op.dual(u)
     assert got_ext.shape == ext.shape and got_dual.shape == dual.shape
+    assert np.max(np.abs(got_ext - ext)) <= 2e-7 * np.max(np.abs(ext))
+    assert np.max(np.abs(got_dual - dual)) <= 2e-7 * np.max(np.abs(dual))
+    ext, dual = _height_loops(op.matrices + op.low.astype(float), f, u, wt)
+    got_ext = poisson_extend(RadialFn(bnd, f, tail_exponent=2.0), hs).values
+    got_dual = dual_extend(AxisymFn(hs, u)).values
     assert np.max(np.abs(got_ext - ext)) <= 1e-13 * np.max(np.abs(ext))
     assert np.max(np.abs(got_dual - dual)) <= 1e-13 * np.max(np.abs(dual))
 
 
 def test_contractions_take_a_batch_axis(boundary3, halfspace3):
-    # one f is the GEMV over the (N_t N, N) view of the stack, bitwise; a
-    # batch of one is the single call, bitwise; a batch of four (one GEMM
-    # per height, each M[k] read once) matches per-column calls to 1e-15
+    # one f is the sgemv over the (N_t N, N) view of ``matrices`` at unit
+    # scale, bitwise; a batch of one is the single call, bitwise; a batch of
+    # four (one sgemm per height, each M[k] read once) matches per-column
+    # calls to 5e-7 of the largest entry (2.4e-7 measured: sgemm and sgemv
+    # round float32 sums differently)
     op = get_operator(3, boundary3, halfspace3)
     n_t, n, _ = op.matrices.shape
     rng = np.random.default_rng(11)
     F = rng.uniform(0.5, 1.5, (n, 4))
     U = rng.uniform(0.5, 1.5, (n, n_t, 4))
-    flat = (op.matrices.reshape(n_t * n, n) @ F[:, 0]).reshape(n_t, n).T
+    top = F[:, 0].max()
+    unit = (F[:, 0] / top).astype(np.float32)
+    flat = (op.matrices.reshape(n_t * n, n) @ unit).reshape(n_t, n).T * top
     assert np.array_equal(op.extend(F[:, 0]), flat)
     assert np.array_equal(op.extend(F[:, :1])[..., 0], op.extend(F[:, 0]))
     assert np.array_equal(op.dual(U[..., :1])[:, 0], op.dual(U[..., 0]))
@@ -292,9 +315,26 @@ def test_contractions_take_a_batch_axis(boundary3, halfspace3):
     for j in range(4):
         one_ext, one_dual = op.extend(F[:, j]), op.dual(U[..., j])
         assert np.max(np.abs(ext[..., j] - one_ext)) \
-            <= 1e-15 * np.max(np.abs(one_ext))
+            <= 5e-7 * np.max(np.abs(one_ext))
         assert np.max(np.abs(dual[:, j] - one_dual)) \
-            <= 1e-15 * np.max(np.abs(one_dual))
+            <= 5e-7 * np.max(np.abs(one_dual))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stack_halves_sum_to_the_row_rule(n):
+    # Dekker's split: matrices + low, summed in float64, is the row rule's
+    # float64 stack to 4e-15 of each row's largest entry (2^-48 relative per
+    # entry; 1.8e-15 measured at n=3), and low is 2^-24 of matrices at most
+    g = build_radial_grid(n - 1, 160)
+    hs = default_halfspace_grid(g)
+    op = get_operator(n, g, hs)
+    rows = _kernel_matrix(partial(ring_kernel, n),
+                          np.tile(g.nodes, hs.heights.size), g,
+                          np.repeat(hs.heights.nodes, g.size))
+    got = (op.matrices + op.low.astype(float)).reshape(rows.shape)
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    assert np.max(np.abs(got - rows) / scale) <= 4e-15
+    assert np.all(np.abs(op.low) <= 2.0 ** -24 * np.abs(op.matrices))
 
 
 def test_operator_cache_keyed_by_mesh_content():
@@ -450,7 +490,8 @@ def test_operator_closed_kernel_matches_gl_stack(n):
     # through the same row rule, entry by entry relative to each row's size
     g = build_radial_grid(n - 1, 24)
     hs = default_halfspace_grid(g)
-    got = get_operator(n, g, hs).matrices
+    op = get_operator(n, g, hs)
+    got = op.matrices + op.low.astype(float)
     gl = partial(ring_kernel, n, method="gl")
     want = np.stack([_kernel_matrix(gl, g.nodes, g, t)
                      for t in hs.heights.nodes])
@@ -534,7 +575,8 @@ def test_operator_cache_held_bytes_within_budget(monkeypatch):
         g, hs = _meshes(N)
         op = get_operator(3, g, hs)
         need = extension.operator_nbytes(hs)
-        assert op.matrices.nbytes + op.polar_rows.nbytes == need
+        assert op.matrices.nbytes + op.low.nbytes + op.polar_rows.nbytes \
+            == need
         assert extension.cache_held_bytes() <= max(budget, need)
         assert next(reversed(extension._OPERATOR_CACHE.values())) is op
     # N=16 and N=32 were evicted before they came back, so built again
@@ -664,7 +706,8 @@ def test_window_cubics_reproduce_cubics(mapping, scale):
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_matrix_rows_do_not_depend_on_their_block(n):
     # the stack and the polar rows are built in blocks of rows; a row
-    # built alone is the same row, bit for bit
+    # built alone is the same row, bit for bit: its float32 high part and
+    # remainder are the stack's two halves
     g = build_radial_grid(n - 1, 96)
     hs = default_halfspace_grid(g)
     op = get_operator(n, g, hs)
@@ -674,7 +717,10 @@ def test_kernel_matrix_rows_do_not_depend_on_their_block(n):
     for k, i in zip(*np.divmod(rows, g.size)):
         alone = _kernel_matrix(kernel, g.nodes[i:i + 1], g,
                                hs.heights.nodes[k])
-        assert alone.tobytes() == op.matrices[k, i].tobytes()
+        high = alone.astype(np.float32)
+        assert high.tobytes() == op.matrices[k, i].tobytes()
+        assert (alone - high).astype(np.float32).tobytes() \
+            == op.low[k, i].tobytes()
     r, t, _ = polar_halfspace_rule(n)
     r, t = r.ravel(), t.ravel()
     for j in range(0, r.size, 7):

@@ -211,7 +211,8 @@ def test_el_sides_negative_pf_is_divergence():
 def test_el_sides_batch_isolates_a_divergent_iterate():
     # an iterate whose Pf goes negative (the f of the test above) fails
     # alone: the others' sides are their single calls', lhs bitwise and the
-    # batched dual to 1e-15
+    # batched dual to the batch contract's 1e-7 of its maximum (2.0e-8
+    # measured: the float32 sgemm and sgemv sum in other orders)
     g = build_radial_grid(3, 160)
     hs = default_halfspace_grid(g)
     bad = RadialFn(g, g.nodes ** -1.5 * (1 + g.nodes ** 2) ** -4.0,
@@ -224,7 +225,7 @@ def test_el_sides_batch_isolates_a_divergent_iterate():
     for f, (lhs, rhs) in zip(good, batch[::2]):
         one_lhs, one_rhs = el_sides(f, 1.5, hs)
         assert np.array_equal(lhs, one_lhs)
-        assert np.max(np.abs(rhs - one_rhs)) <= 1e-15 * np.max(one_rhs)
+        assert np.max(np.abs(rhs - one_rhs)) <= 1e-7 * np.max(one_rhs)
 
 
 def test_singular_constant_consistency():

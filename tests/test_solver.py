@@ -93,7 +93,8 @@ def _gauge_starts(grid):
 
 def test_mass_half_batch_is_each_column_alone(boundary3, monkeypatch):
     # every column's lambda, samples and value at 0 are those of its start
-    # gauged alone, bit for bit, though the columns' Newton steps end at
+    # gauged alone, to 1e-14 relative (6.5e-16 measured: a batch's norms are
+    # one GEMV and one vector pow), though the columns' Newton steps end at
     # different counts and one crosses half its mass in the first cell
     from halfext import solver
     fs = _gauge_starts(boundary3)
@@ -112,9 +113,11 @@ def test_mass_half_batch_is_each_column_alone(boundary3, monkeypatch):
             calls.clear()
             lam, one = normalize_mass_half(f, p)
             steps.append(len(calls) - 1)      # the first call: cell masses
-            assert lams[j] == lam
-            assert np.array_equal(batch.values[:, j], one.values)
-            assert batch.value_at_zero[j] == one.value_at_zero
+            assert lams[j] == pytest.approx(lam, rel=1e-14)
+            np.testing.assert_allclose(batch.values[:, j], one.values,
+                                       rtol=0, atol=1e-14 * one.values.max())
+            assert batch.value_at_zero[j] == \
+                pytest.approx(one.value_at_zero, rel=1e-14)
         assert len(set(steps)) >= 2
 
 
@@ -421,8 +424,9 @@ def _trace_of(result):
 def test_ascent_is_max_over_solo_runs(halfspace3, p):
     # the lockstep ascent against independent el_fixed_point runs from the
     # same starts: the same iteration count per trial, Rayleigh rows and
-    # the estimate to 1e-14 (a batched GEMM sums in another order than a
-    # GEMV); at p = 4/3 the dual-family starts converge at once
+    # the estimate to the batch contract's 1e-7 (3.2e-10 measured: the
+    # loop's float32 sgemm sums in another order than a sgemv); at p = 4/3
+    # the dual-family starts converge at once
     cfg = SolverConfig(max_iters=300, tol_residual=5e-5)
     rng = np.random.default_rng(7)
     inits = [initial_profiles(halfspace3.radial, rng) for _ in range(4)]
@@ -430,18 +434,19 @@ def test_ascent_is_max_over_solo_runs(halfspace3, p):
     lockstep = [_trace_of(r) for r in _el_solves(3, p, inits, cfg, halfspace3)]
     for one, many in zip(solo, lockstep):
         assert len(many) == len(one) and many.converged == one.converged
-        np.testing.assert_allclose(many.rayleighs, one.rayleighs, rtol=1e-14)
+        np.testing.assert_allclose(many.rayleighs, one.rayleighs, rtol=1e-7)
     best = max(max(t.rayleighs) for t in solo)
     assert ascent_estimate_constant(p, 4, 7, cfg, halfspace3) == \
-        pytest.approx(best, rel=1e-14)
+        pytest.approx(best, rel=1e-7)
 
 
 def test_lockstep_divergent_start_leaves_the_others(boundary3, halfspace3):
     # a start with a declared tail r^-0.65 diverges at its first iterate
     # (q*beta = 3.9 < n + 1 in the polar rule) beside two that converge;
     # theirs are the solo runs' traces: converged in as many iterations,
-    # Rayleigh quotients and gauge factors to 1e-14, residuals (differences
-    # of the two sides) to 1e-9
+    # Rayleigh quotients and gauge factors to the batch contract's relative
+    # 1e-7, residuals (differences of the two sides over the largest lhs)
+    # to 1e-7 absolute
     cfg = SolverConfig(max_iters=300, tol_residual=5e-5)
     slow = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -0.325,
                          tail_exponent=0.65, nonnegative=True)
@@ -454,9 +459,24 @@ def test_lockstep_divergent_start_leaves_the_others(boundary3, halfspace3):
     for init, (_, many) in zip(inits[::2], results[::2]):
         one = _solo(4.0, init, cfg, halfspace3)
         assert many.converged and one.converged and len(many) == len(one)
-        np.testing.assert_allclose(many.rayleighs, one.rayleighs, rtol=1e-14)
-        np.testing.assert_allclose(many.lambdas, one.lambdas, rtol=1e-14)
-        np.testing.assert_allclose(many.residuals, one.residuals, rtol=1e-9)
+        np.testing.assert_allclose(many.rayleighs, one.rayleighs, rtol=1e-7)
+        np.testing.assert_allclose(many.lambdas, one.lambdas, rtol=1e-7)
+        np.testing.assert_allclose(many.residuals, one.residuals, rtol=0,
+                                   atol=1e-7)
+
+
+@pytest.mark.parametrize("family, floor", [("conformal", 8.0e-8),
+                                            ("dual", 4.2e-5)])
+def test_el_floors_hold_on_the_float32_loop(boundary3, halfspace3, family,
+                                            floor):
+    # from the Gaussian start with tol_residual=1e-13 the n=3 N=160 solve
+    # runs into its residual floor; the loop's float32 stack keeps it within
+    # 10% of the float64 loop's 8.0e-8 and 4.2e-5 (7.6e-8 and 4.2e-5 read)
+    cfg = SolverConfig(max_iters=300, tol_residual=1e-13)
+    init = start_profile(boundary3, "gaussian", 1.0, 1.0)
+    _, trace = el_fixed_point(3, ExtremalSpec(3, family).critical_p, init,
+                              cfg, halfspace3)
+    assert min(trace.residuals) == pytest.approx(floor, rel=0.1)
 
 
 def test_initial_profiles_menu(boundary3):
