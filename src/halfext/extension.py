@@ -399,7 +399,7 @@ class PoissonOperator:
 
     def height(self, k: int) -> np.ndarray:
         """M[k] in float64 from both halves, for the pointwise paths."""
-        return self.matrices[k] + self.low[k].astype(float)
+        return np.add(self.matrices[k], self.low[k], dtype=float)
 
 
 # (x / s in float32, s), s the largest |entry| of each column of x (..., B),
@@ -443,8 +443,8 @@ def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> tuple:
     high, low = np.empty(shape, np.float32), np.empty(shape, np.float32)
 
     def split(rows, block):
-        high[rows] = block
-        block -= high[rows]
+        high[rows] = h = block.astype(np.float32)
+        block -= h
         low[rows] = block
 
     _write_rows(partial(ring_kernel, n), np.tile(grid.nodes, heights.size),

@@ -392,10 +392,13 @@ def test_kernel_mass_sweep(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_operator_rows_integrate_unit_mass(n):
     # P1 = 1: every operator row integrates the unit-mass kernel, through the
-    # plain rows, the refined rows, their stencils and the data ladder
+    # plain rows, the refined rows, their stencils and the data ladder, read
+    # in float64 from both halves of the stack
     g = build_radial_grid(n - 1, 96)
     hs = default_halfspace_grid(g)
-    u = get_operator(n, g, hs).extend(np.ones(g.size))
+    op = get_operator(n, g, hs)
+    u = np.stack([op.height(k) @ np.ones(g.size)
+                  for k in range(hs.heights.size)], axis=1)
     R, T = np.meshgrid(hs.radial.nodes, hs.heights.nodes, indexing="ij")
     err = np.abs(u - 1.0)[(R < 10.0) & (T < 10.0)]
     assert np.max(err) <= 5e-3

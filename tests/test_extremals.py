@@ -167,6 +167,18 @@ def test_el_sides_overflow_is_divergence(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="not finite"):
             el_sides(f, 4.0, hs)
+    # powers past float32's range but finite in float64 solve, each side
+    # homogeneous in the amplitude: the float32 loop casts at unit scale
+    one, big = (sample_radial(g, lambda r: a * (1 + r ** 2) ** -0.5,
+                              tail_exponent=1.0, nonnegative=True)
+                for a in (1.0, 1e30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sides = el_sides_batch([one, big, f], 4.0, hs)
+    for want, got, k in zip(sides[0], sides[1], (3.0, 5.0)):
+        assert np.max(got) > 1e38 ** 2
+        assert np.max(np.abs(got / 1e30 ** k - want)) <= 1e-7 * np.max(want)
+    assert isinstance(sides[2], DivergenceError)
     monkeypatch.setattr(solver, "normalize_mass_half", lambda f, p: (1.0, f))
     with pytest.raises(SolverDivergence) as err:
         solver.el_fixed_point(3, 4.0, f, solver.SolverConfig(5, 1e-6), hs)
