@@ -443,8 +443,8 @@ def _matrix_stack(n: int, grid: RadialGrid, heights: RadialGrid) -> tuple:
     high, low = np.empty(shape, np.float32), np.empty(shape, np.float32)
 
     def split(rows, block):
-        high[rows] = h = block.astype(np.float32)
-        block -= h
+        high[rows] = block
+        block -= high[rows]
         low[rows] = block
 
     _write_rows(partial(ring_kernel, n), np.tile(grid.nodes, heights.size),
