@@ -7,19 +7,21 @@ adjoint pair Hoelder's inequality makes its Rayleigh quotient |Pf|_q / |f|_p
 nondecreasing; here that holds only up to quadrature, since T is the
 kernel-symmetric row rule rather than the transpose of the discrete P, the
 gauge interpolates, and the quotient reads the polar half-space rule.  The
-gauge scales each iterate to unit L^p norm and dilates it so that half of
-its L^p mass sits inside the unit ball, as the existence theory does to
-restore compactness.  The solve returns the last iterate it measured times
+gauge scales each iterate to unit L^p norm and dilates it so that the
+log-mean radius exp<log r> of its L^p mass is 1, placing it on its
+dilation orbit as the existence theory does to restore compactness; for a
+bubble of either family at its critical p that radius is lambda, as the
+half-mass radius is.  The solve returns the last iterate it measured times
 its ``calibrate`` amplitude.  No convergence theorem backs the iteration;
 divergence is detected and reported with the trace.
 
 An ascent's live starts are the columns of one batch (``grids.stack``), so
 a round reads the stack once and does the bookkeeping once for them all:
-norms, tail fits, one ``pchip``, the cell masses, the half-mass Newton steps
-(each column frozen at its own stop) and the dilation.  The batch contract:
-a column takes its solo run's iterations, and its sides, gauge factors,
-residuals and Rayleigh quotients agree with that run's to 1e-7 (the float32
-loop's sgemm sums in another order than a sgemv); runs repeat bit for bit.
+norms, tail fits, the log-mean radii (one weighted sum), one ``pchip`` and
+the dilation.  The batch contract: a column takes its solo run's
+iterations, and its sides, gauge factors, residuals and Rayleigh quotients
+agree with that run's to 1e-7 (the float32 loop's sgemm sums in another
+order than a sgemv); runs repeat bit for bit.
 
 The module also hosts the symmetry classification: the one family fit,
 which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
@@ -41,7 +43,6 @@ from .extremals import (ExtremalSpec, calibrate, el_sides_batch,
                         extremal_profile, or_divergence, rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
                     lp_norm_boundary, mesh_n, stack, write_csv)
-from .quadrature import panel_rule
 
 
 @dataclass(frozen=True)
@@ -75,83 +76,29 @@ class IterationTrace:
                   self.lambdas)
 
 
-def _mass_density(f: RadialFn, p: float, r) -> np.ndarray:
-    """|f|^p r^(d-1) at the radii r, one interpolant evaluation."""
-    return np.abs(f.eval(r)) ** p * r ** (f.grid.d - 1)
-
-
-def _cell_masses(f: RadialFn, p: float, a, b) -> np.ndarray:
-    """8-point Gauss integrals of |f|^p r^(d-1) over [a, b], one per pair
-    (a batch: one row per column)."""
-    xs, ws = panel_rule(np.asarray(a)[..., None], np.asarray(b)[..., None], 8)
-    xs = xs[(None,) * (f.values.ndim - 1)]
-    return (ws * _mass_density(f, p, xs)).sum(axis=-1)
-
-
-# Newton steps allowed per column: bisection alone closes any cell of the tan
-# mesh to the 1e-12 stop in fewer than 45
-_NEWTON_STEPS = 64
-
-
 def concentration_radius(f: RadialFn, p: float):
-    """Radius R of the ball B_R holding half the mass of |f|^p.
+    """Log-mean radius exp<log r> of the L^p mass |f|^p r^(d-1) dr.
 
-    The mass profile is accumulated from per-cell Gauss panels of the sample
-    interpolant, all cells in one evaluation, making partial masses
-    consistent with the total used here.  R is then found to 1e-12 by
-    safeguarded Newton steps in the cell where the mass crosses the target,
-    the first cell [0, r_1] too; each step evaluates the interpolant once,
-    at the panel's Gauss points and R together.  A batch's columns step in
-    lockstep, each frozen at its own stop; one still moving after 64 steps
-    (a NaN density never settles) is DomainError with its bracket and excess.
+    One weighted sum on the mesh's own rule, over the |f|^p of the L^p
+    norm.  R is dilation-equivariant, and it is lambda for either bubble
+    family at its critical p: that mass is invariant under r -> lambda^2/r.
+    The name predates the log-mean gauge and stays for bench/tracing.py.
+    A batch gets one R per column; zero or non-finite mass is DomainError.
     """
-    edges = np.concatenate(([0.0], f.grid.nodes))
-    # one row per column, a function being a batch of one
-    masses = np.atleast_2d(_cell_masses(f, p, edges[:-1], edges[1:]))
-    cum = np.concatenate((np.zeros((len(masses), 1)),
-                          np.cumsum(masses, axis=-1)), axis=-1)
-    total = cum[:, -1]
-    if (total <= 0.0).any() or not np.isfinite(total).all():
+    density = np.abs(f.values) ** p
+    total = f.grid.weights @ density
+    if np.any(total <= 0.0) or not np.all(np.isfinite(total)):
         raise DomainError("mass profile is degenerate; cannot fix the gauge")
-    target = 0.5 * total
-    # cum[b, i] < target <= cum[b, i + 1]: column b crosses in cell i,
-    # [edges[i], edges[i + 1]]
-    i = np.count_nonzero(cum < target[:, None], axis=-1) - 1
-    below = cum[np.arange(len(i)), i]
-    # Newton on the mass derivative |f(R)|^p R^(d-1); a step that leaves
-    # the bracket [a, b] of the root bisects it instead, a NaN step stays NaN
-    # (one evaluation a step for all columns; each column's bracket, step
-    # and stop are its own floats, and a stopped column keeps its R)
-    a, b, left = edges[i].tolist(), edges[i + 1].tolist(), edges[i][:, None]
-    R, moving = [0.5 * (lo + hi) for lo, hi in zip(a, b)], [True] * len(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            at = np.array(R)[:, None]
-            xs, ws = panel_rule(left, at, 8)
-            density = _mass_density(f, p, np.concatenate((xs, at), axis=1))
-            excess = below + (ws * density[:, :-1]).sum(axis=-1) - target
-            newton = (at[:, 0] - excess / density[:, -1]).tolist()
-            for j, e in enumerate(excess.tolist()):
-                if moving[j]:
-                    a[j], b[j] = (a[j], R[j]) if e > 0.0 else (R[j], b[j])
-                    step = (0.5 * (a[j] + b[j]) if newton[j] < a[j]
-                            or newton[j] > b[j] else newton[j]) - R[j]
-                    R[j] += step
-                    moving[j] = not abs(step) <= 1e-12 * (1.0 + R[j])
-            if not any(moving):
-                return np.array(R) if f.values.ndim == 2 else R[0]
-    j = moving.index(True)
-    raise DomainError(
-        f"half-mass Newton did not settle in {_NEWTON_STEPS} steps: column "
-        f"{j}, bracket [{edges[i[j]]:.6g}, {edges[i[j] + 1]:.6g}], excess "
-        f"{excess[j]:.3e}")
+    return np.exp((f.grid.weights * np.log(f.grid.nodes)) @ density / total)
 
 
 def normalize_mass_half(f: RadialFn, p: float):
-    """Dilation factor lambda putting half the L^p mass of f in B_1.
+    """Dilation factor lambda putting the log-mean radius of f's L^p mass
+    (``concentration_radius``) at 1.
 
     Returns (lambda, dilated function); the input is L^p-normalized first.
     A batch gets each column's lambda and samples as alone, to roundoff.
+    The name predates the log-mean gauge and stays for bench/tracing.py.
     """
     norm = lp_norm_boundary(f, p)
     if np.any(norm <= 0.0):
@@ -324,7 +271,7 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     the mesh: r <= 10 ends at r = 5.8, 8.1 and 9.5 for N = 17, 48 and 160.
     The shapes are ``ExtremalSpec.profile`` at n = f.grid.d + 1; another n
     or an unknown ``kind`` is DomainError.  lam is searched in [e^-3, e^3]
-    only (the mass-half gauge puts members near lam = 1); a lam on its edge
+    only (the log-mean gauge puts members near lam = 1); a lam on its edge
     makes the error an upper bound on the family's misfit: an exact dual
     member with lam = 25 comes back as lam = e^3 with error 0.051, and the
     conformal fit of the n = 3 EL solutions at p = 4/3 and 1.6 lands on e^-3.

@@ -250,5 +250,5 @@ def test_criterion_11_property_coverage(boundary3):
     # the family tail is r^-1: the outermost node sits at ~1e-4 of the peak
     ok = gauge <= 1e-6 and decay < 1e-3 and monotone and fam_err <= 1e-3
     report(11, "gauge/regularity coverage", ok,
-           f"mass-half gauge defect {gauge:.1e}, tail/peak {decay:.1e}, "
+           f"log-mean gauge defect {gauge:.1e}, tail/peak {decay:.1e}, "
            f"strictly decreasing {monotone}")

@@ -7,7 +7,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "halfext"
 CEILING = 22
-LINE_CEILING = 2096     # non-blank, non-comment lines of src/halfext/*.py
+LINE_CEILING = 2058     # non-blank, non-comment lines of src/halfext/*.py
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
