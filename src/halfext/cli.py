@@ -107,12 +107,15 @@ class ExperimentConfig:
         if self.trials < 1:
             raise HalfextError("trials must be positive")
         self.solver()       # SolverConfig checks max_iters and tol_residual
-        # start_profile rejects an unknown kind; the start's tail r^-beta
-        # must be in L^p(R^(n-1)), as in lp_norm_boundary
-        start = start_profile(build_radial_grid(self.n - 1, 16), self.init,
-                              1.0, 1.0)
-        if self.p * start.tail_exponent <= self.n - 1 + 1e-6:
-            raise HalfextError(f"--init {self.init} starts outside L^{self.p}")
+        # start_profile rejects an unknown kind; the start must have an L^p
+        # norm on the run's mesh, by the norm the gauge takes of it
+        start = start_profile(build_radial_grid(self.n - 1, self.grid_n),
+                              self.init, 1.0, 1.0)
+        try:
+            lp_norm_boundary(start, self.p)
+        except HalfextError as exc:
+            raise HalfextError(f"--init {self.init} starts outside "
+                               f"L^{self.p}: {exc}") from exc
 
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iters=self.max_iters,

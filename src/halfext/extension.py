@@ -487,18 +487,17 @@ def get_operator(n: int, boundary: RadialGrid,
     return op
 
 
-def check_integrable(f: RadialFn) -> None:
-    """DivergenceError unless the kernel integrates f's tail r^-beta."""
-    beta = f.tail()
-    if not math.isnan(beta) and beta <= 0.0:
+def check_integrable(beta) -> None:
+    """DivergenceError unless the kernel integrates each tail r^-beta."""
+    if np.any(beta <= 0.0):
         raise DivergenceError(
-            f"boundary data with tail exponent {beta:.3g} <= 0 is not "
-            "integrable against the kernel")
+            f"boundary data with tail exponent {np.nanmin(beta):.3g} <= 0 is "
+            "not integrable against the kernel")
 
 
 def poisson_extend(f: RadialFn, grid: HalfspaceGrid) -> AxisymFn:
     """Harmonic extension of radial boundary data onto a half-space mesh."""
-    check_integrable(f)
+    check_integrable(f.tail())
     op = get_operator(grid.n, f.grid, grid)
     return AxisymFn(grid, np.stack([op.height(k) @ f.values for k in
                                     range(grid.heights.size)], axis=1))
@@ -541,7 +540,7 @@ def extend_at(f: RadialFn, r, t) -> np.ndarray:
     Each point is one row of the operator's row rule at its own height, so
     at the nodes of a half-space mesh this equals ``poisson_extend``.
     """
-    check_integrable(f)
+    check_integrable(f.tail())
     r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
                                np.atleast_1d(np.asarray(t, dtype=float)))
     if np.any(t <= 0.0):
@@ -602,7 +601,7 @@ def slab_mass(profiles, a: float) -> np.ndarray:
             raise DomainError("slab mass profiles must share one mesh")
         if np.any(f.values < 0.0):
             raise DomainError("slab mass is defined for nonnegative data")
-        check_integrable(f)
+        check_integrable(f.tail())
     n = grid.d + 1
     t_nodes, t_weights = panel_rule(0.0, a, 24)
     # one pass over the slab's (t, s) pairs, summed over t in node order

@@ -136,63 +136,66 @@ def or_divergence(fn, *args):
         return exc
 
 
-def el_sides_batch(fs, p: float, hs_grid: HalfspaceGrid) -> list:
-    """Both Euler-Lagrange sides, (f^(p-1), T((Pf)^(q-1))), of each iterate
-    of ``fs`` on the radial mesh of hs_grid, n = hs_grid.n: P and T read the
-    float32 stack once each, every power and check is one pass, for the
-    whole batch.  Per iterate its sides, or its DivergenceError (a tail P
-    cannot integrate, a side failing ``_column_rule``), which leaves the
-    others as they are; a negative or zero iterate is DomainError."""
+def el_sides_batch(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
+    """Both Euler-Lagrange sides, f^(p-1) and T((Pf)^(q-1)), of f (one
+    function is a batch of B = 1) on hs_grid's radial mesh, n = hs_grid.n:
+    one read of the float32 stack each way, one pass per power and check.
+    Returns (lhs, rhs, errors): the sides (N, B) and per column None or its
+    DivergenceError (a tail P cannot integrate, a side failing
+    ``_column_rule``), which leaves the other columns as they are; a
+    negative or zero column is DomainError."""
     n = hs_grid.n
     q = n * p / (n - 1)
-    # one operator: every iterate's mesh is hs_grid's (else DomainError)
-    op, = {get_operator(n, f.grid, hs_grid) for f in fs}
-    values = np.stack([f.values for f in fs], axis=-1)      # (N, B)
+    op = get_operator(n, f.grid, hs_grid)
+    values = f.values.reshape(len(f.values), -1)
     if (values < 0.0).any() or not (values > 0.0).any(axis=0).all():
         raise DomainError("the Euler-Lagrange system is stated for f >= 0, "
                           "not identically zero")
-    out = [or_divergence(check_integrable, f) for f in fs]
+    errors = [or_divergence(check_integrable, beta)
+              for beta in np.broadcast_to(f.tail(), values.shape[1:])]
     pf = op.extend(values)
-    _column_rule(pf, "Pf", out)
+    _column_rule(pf, "Pf", errors)
     # an overflowing power is a divergent iterate, not a domain error
     with np.errstate(over="ignore"):
         lhs = values ** (p - 1.0)
         power = pf ** (q - 1.0)
-    _column_rule(lhs, "f^(p-1)", out)
-    _column_rule(power, "(Pf)^(q-1)", out)
-    power[..., [j for j, exc in enumerate(out) if exc]] = 0.0
+    _column_rule(lhs, "f^(p-1)", errors)
+    _column_rule(power, "(Pf)^(q-1)", errors)
+    power[..., [j for j, exc in enumerate(errors) if exc]] = 0.0
     rhs = op.dual(power)
-    _column_rule(rhs, "dual side", out)
-    return [exc or (lhs[:, j], rhs[:, j]) for j, exc in enumerate(out)]
+    _column_rule(rhs, "dual side", errors)
+    return lhs, rhs, errors
 
 
 def el_sides(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
-    """``el_sides_batch`` of f alone, its DivergenceError raised."""
-    sides, = el_sides_batch([f], p, hs_grid)
-    if isinstance(sides, DivergenceError):
-        raise sides
-    return sides
+    """``el_sides_batch`` of one function f, its DivergenceError raised."""
+    lhs, rhs, (exc,) = el_sides_batch(f, p, hs_grid)
+    if exc:
+        raise exc
+    return lhs[:, 0], rhs[:, 0]
 
 
 def calibrate(n: int, p: float, lhs: np.ndarray, rhs: np.ndarray):
-    """Calibration amplitude a and the residual sup|lhs-rhs| / sup lhs of a*f.
+    """Calibration amplitude a and the residual sup|lhs-rhs| / sup lhs of
+    a*f per column of sides (N, B), as floats for sides (N,).
 
     The two sides scale as a^(p-1) and a^(np/(n-1)-1), so a comes from the
-    mean of log(rhs/lhs), weighted by lhs^2 over the region carrying mass:
-    that concentrates the calibration where the normalized defect is
-    measured, keeping the far mesh (where quadrature is weakest but both
-    sides are negligible) from biasing the amplitude.
+    mean of log(rhs/lhs), weighted by lhs^2 over the region carrying mass
+    (DomainError for a column with none): that concentrates the calibration
+    where the normalized defect is measured, keeping the far mesh (where
+    quadrature is weakest but both sides are negligible) from biasing it.
     """
-    mask = (lhs >= MASS_FLOOR * np.max(lhs)) & (rhs > 0.0)
-    if not np.any(mask):
+    mask = (lhs >= MASS_FLOOR * lhs.max(axis=0)) & (rhs > 0.0)
+    if not mask.any(axis=0).all():
         raise DomainError("nonpositive Euler-Lagrange ratio; cannot calibrate")
-    logs = np.log(rhs[mask] / lhs[mask])
-    log_ratio = float(np.average(logs, weights=lhs[mask] ** 2))
+    weights = np.where(mask, lhs, 0.0) ** 2
+    logs = np.log(np.divide(rhs, lhs, out=np.ones_like(lhs), where=mask))
     q = n * p / (n - 1)
-    a = math.exp(log_ratio / (p - q))
+    a = np.exp((weights * logs).sum(axis=0) / weights.sum(axis=0) / (p - q))
     lhs2 = a ** (p - 1.0) * lhs
     rhs2 = a ** (q - 1.0) * rhs
-    return a, float(np.max(np.abs(lhs2 - rhs2)) / np.max(lhs2))
+    residual = np.abs(lhs2 - rhs2).max(axis=0) / lhs2.max(axis=0)
+    return (a, residual) if lhs.ndim > 1 else (float(a), float(residual))
 
 
 def power_profile(n: int, beta: float, theta) -> np.ndarray:

@@ -15,13 +15,13 @@ half-mass radius is.  The solve returns the last iterate it measured times
 its ``calibrate`` amplitude.  No convergence theorem backs the iteration;
 divergence is detected and reported with the trace.
 
-An ascent's live starts are the columns of one batch (``grids.stack``), so
-a round reads the stack once and does the bookkeeping once for them all:
-norms, tail fits, the log-mean radii (one weighted sum), one ``pchip`` and
-the dilation.  The batch contract: a column takes its solo run's
-iterations, and its sides, gauge factors, residuals and Rayleigh quotients
-agree with that run's to 1e-7 (the float32 loop's sgemm sums in another
-order than a sgemv); runs repeat bit for bit.
+An ascent's live starts are the columns of one batch (``grids.stack``), and
+each step of a round is one call on it: the EL sides (one stack read each
+way), the calibration (one masked mean), the quotients, norms, tail fits,
+log-mean radii, one ``pchip`` and the dilation.  The batch contract: a
+column takes its solo run's iterations, and its sides, gauge factors,
+residuals and Rayleigh quotients agree with that run's to 1e-7 (the float32
+loop's sgemm sums in another order than a sgemv); runs repeat bit for bit.
 
 The module also hosts the symmetry classification: the one family fit,
 which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
@@ -40,7 +40,7 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 # loop reads the stack through extremals.el_sides_batch
 from .extension import poisson_extend  # noqa: F401
 from .extremals import (ExtremalSpec, calibrate, el_sides_batch,
-                        extremal_profile, or_divergence, rayleigh_quotient)
+                        extremal_profile, rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
                     lp_norm_boundary, mesh_n, stack, write_csv)
 
@@ -112,69 +112,63 @@ def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
                hs_grid: HalfspaceGrid) -> list:
     """``el_fixed_point`` from each start of ``inits``, in lockstep: the live
     starts are the columns of one batch, with one ``el_sides_batch``,
-    ``rayleigh_quotient`` and ``normalize_mass_half`` a round for them all;
-    a start leaves when it converges, diverges or reaches max_iters.
-    Returns per start (solution, trace) or the SolverDivergence it ends
-    with."""
+    ``calibrate``, ``rayleigh_quotient`` and ``normalize_mass_half`` a round
+    for them all; a start leaves when it converges, diverges or reaches
+    max_iters.  Returns per start (solution, trace) or the SolverDivergence
+    it ends with."""
     out = [None] * len(inits)
     traces = [IterationTrace() for _ in inits]
-    live = list(range(len(inits)))      # the start of each batch column
+    live = np.arange(len(inits))        # the start of each batch column
     lam, f = normalize_mass_half(stack(inits), p)
-    while live:
-        lams = np.broadcast_to(lam, (len(live),))
-        fs = [f.column(j) for j in range(len(live))]
-        batch = el_sides_batch(fs, p, hs_grid)
-        found = [j for j, sides in enumerate(batch)
-                 if not isinstance(sides, DivergenceError)]
-        try:        # the quotients of the columns with sides, together
-            quotients = np.atleast_1d(rayleigh_quotient(
-                f if len(found) == len(fs) else stack([fs[j] for j in found]),
-                n, p, hs_grid)) if found else []
-        except DivergenceError:         # some column's tail: each alone
-            quotients = [or_divergence(rayleigh_quotient, fs[j], n, p,
-                                       hs_grid) for j in found]
-        quotients = dict(zip(found, quotients))
-        going, powers = [], []
-        for j, (i, sides) in enumerate(zip(live, batch)):
-            trace, lam_j = traces[i], float(lams[j])
-            residual = rayleigh = math.nan
-            try:
-                if isinstance(sides, DivergenceError):
-                    raise sides
-                lhs, rhs = sides
-                a, residual = calibrate(n, p, lhs, rhs)
-                if isinstance(quotients[j], DivergenceError):
-                    raise quotients[j]
-                rayleigh = float(quotients[j])
-            except DivergenceError as exc:
-                # the failed iterate's row, NaN where it stopped short
-                trace.append(residual, rayleigh, lam_j)
-                trace.message = f"divergent iterate: {exc}"
+    while live.size:
+        lams = np.broadcast_to(lam, live.shape)
+        lhs, rhs, errors = el_sides_batch(f, p, hs_grid)
+        # per column, NaN where it stopped short
+        a, residual, rayleigh = np.full((3, live.size), math.nan)
+        ok = [j for j, exc in enumerate(errors) if not exc]
+        if ok:
+            a[ok], residual[ok] = calibrate(n, p, lhs[:, ok], rhs[:, ok])
+            batch = f if len(ok) == live.size else \
+                stack([f.column(j) for j in ok])
+            try:        # the quotients of the columns with sides, together
+                rayleigh[ok] = rayleigh_quotient(batch, n, p, hs_grid)
+            except DivergenceError:     # some column's tail: each alone
+                for j in ok:
+                    try:
+                        rayleigh[j] = rayleigh_quotient(f.column(j), n, p,
+                                                        hs_grid)
+                    except DivergenceError as exc:
+                        errors[j] = exc
+        going = []
+        for j, i in enumerate(live):
+            trace, res = traces[i], float(residual[j])
+            trace.append(res, float(rayleigh[j]), float(lams[j]))
+            if errors[j]:
+                trace.message = f"divergent iterate: {errors[j]}"
                 out[i] = SolverDivergence(trace.message, trace)
-                out[i].__cause__ = exc
+                out[i].__cause__ = errors[j]
                 continue
-            trace.append(residual, rayleigh, lam_j)
-            if residual <= cfg.tol_residual:
+            if res <= cfg.tol_residual:
                 trace.converged = True
-                trace.message = f"residual {residual:.3e} <= tol"
-            elif len(trace) >= 50 and residual > 10.0 * trace.residuals[-50]:
+                trace.message = f"residual {res:.3e} <= tol"
+            elif len(trace) >= 50 and res > 10.0 * trace.residuals[-50]:
                 trace.message = "residual grew 10x over 50 iterations"
                 out[i] = SolverDivergence(trace.message, trace)
                 continue
             elif len(trace) == cfg.max_iters:
                 trace.message = f"no convergence in {cfg.max_iters} iterations"
             else:
-                going.append(i)
-                powers.append(rhs)
+                going.append(j)
                 continue
-            out[i] = fs[j].scaled(a), trace
-        live = going
-        if live:
-            # no declared tail: the start's (a Gaussian's is inf) is not
-            # the iterate's, so the tail fit decides
-            rhs = powers[0] if len(powers) == 1 else np.stack(powers, axis=-1)
+            out[i] = f.column(j).scaled(float(a[j])), trace
+        live = live[going]
+        if going:
+            # C order, as the gauge's sums expect (rhs[:, going] is F order);
+            # one column is one function; no declared tail: the start's (a
+            # Gaussian's is inf) is not the iterate's, so the tail fit decides
+            power = rhs.take(going[0] if len(going) == 1 else going, axis=1)
             lam, f = normalize_mass_half(RadialFn(
-                f.grid, rhs ** (1.0 / (p - 1.0)), nonnegative=True), p)
+                f.grid, power ** (1.0 / (p - 1.0)), nonnegative=True), p)
     return out
 
 

@@ -224,10 +224,13 @@ def test_solve_el_extremal_start_needs_closed_forms(tmp_path, capsys):
     ExperimentConfig("solve-el", n=2, p=1.01, init="dual").validate()
 
 
-@pytest.mark.parametrize("n, p", [(3, "1.3333333333333333"), (4, "1.5")])
+@pytest.mark.parametrize("n, p", [(3, "1.3333333333333333"), (4, "1.5"),
+                                  (5, "1.5")])
 def test_solve_el_extremal_start_must_be_in_lp(tmp_path, capsys, n, p):
     # the conformal extremal's tail r^-(n-2) is not in L^p at the dual
-    # exponent for n <= 4: rejected before any work
+    # exponent for n <= 4, and at n = 5, p = 1.5 it leaves more than 1% of
+    # its L^p integral past the default mesh: lp_norm_boundary rejects each
+    # start before any work, where the gauge would have failed on it
     out = tmp_path / "dual"
     assert run_cli(["run", "solve-el", "--n", str(n), "--p", p,
                     "--init", "conformal", "--out", str(out)]) == 2

@@ -13,7 +13,7 @@ from halfext.extremals import (ExtremalSpec, calibrate, el_sides,
                                singular_constant)
 from halfext.grids import (RadialFn, build_radial_grid,
                            default_halfspace_grid, dilate_boundary,
-                           sample_radial)
+                           sample_radial, stack)
 from halfext.kernel import unit_ball_volume
 
 
@@ -140,6 +140,35 @@ def test_el_residual_wrong_amplitude(conformal3, halfspace3):
     assert np.max(np.abs(lhs - rhs)) / np.max(lhs) > 0.1
 
 
+def test_calibrate_batch_is_each_column_alone(boundary3, conformal3, dual3,
+                                              halfspace3):
+    # sides (N, B) give each column's 1-D (a, residual) to roundoff (the
+    # masked mean sums the batch in another order), on columns that do not
+    # solve the system: a solution's residual (2.8e-8 for the conformal
+    # member at p = 4) is itself roundoff, and moves by 2.6e-8 of itself;
+    # these move by at most 8.1e-15 (residual) and 1.8e-15 (a)
+    gauss = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
+                          nonnegative=True)
+    bump = sample_radial(boundary3,
+                         lambda r: np.maximum(1 - (r / 2) ** 2, 0.0) ** 2,
+                         nonnegative=True)
+    for p, other in ((4.0, dual3), (4 / 3, conformal3)):
+        lhs, rhs, errors = el_sides_batch(stack([other, gauss, bump]), p,
+                                          halfspace3)
+        assert errors == [None] * 3
+        a, residual = calibrate(3, p, lhs, rhs)
+        assert a.shape == residual.shape == (3,)
+        for j in range(3):
+            one = calibrate(3, p, lhs[:, j], rhs[:, j])
+            assert all(isinstance(x, float) for x in one)
+            assert abs(a[j] / one[0] - 1.0) <= 1e-14
+            assert abs(residual[j] / one[1] - 1.0) <= 1e-14
+    # one column with no mass fails the whole call
+    rhs[:, 1] = 0.0
+    with pytest.raises(DomainError, match="cannot calibrate"):
+        calibrate(3, 4 / 3, lhs, rhs)
+
+
 def test_el_residual_minimality(boundary3, conformal3, dual3, halfspace3):
     # only the matching family solves its own exponent's system
     gauss = sample_radial(boundary3, lambda r: np.exp(-r ** 2),
@@ -174,11 +203,12 @@ def test_el_sides_overflow_is_divergence(monkeypatch):
                 for a in (1.0, 1e30))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sides = el_sides_batch([one, big, f], 4.0, hs)
-    for want, got, k in zip(sides[0], sides[1], (3.0, 5.0)):
+        lhs, rhs, errors = el_sides_batch(stack([one, big, f]), 4.0, hs)
+    for side, k in ((lhs, 3.0), (rhs, 5.0)):
+        want, got = side[:, 0], side[:, 1]
         assert np.max(got) > 1e38 ** 2
         assert np.max(np.abs(got / 1e30 ** k - want)) <= 1e-7 * np.max(want)
-    assert isinstance(sides[2], DivergenceError)
+    assert isinstance(errors[2], DivergenceError)
     monkeypatch.setattr(solver, "normalize_mass_half", lambda f, p: (1.0, f))
     with pytest.raises(SolverDivergence) as err:
         solver.el_fixed_point(3, 4.0, f, solver.SolverConfig(5, 1e-6), hs)
@@ -221,23 +251,30 @@ def test_el_sides_negative_pf_is_divergence():
 
 
 def test_el_sides_batch_isolates_a_divergent_iterate():
-    # an iterate whose Pf goes negative (the f of the test above) fails
-    # alone: the others' sides are their single calls', lhs bitwise and the
-    # batched dual to the batch contract's 1e-7 of its maximum (2.0e-8
-    # measured: the float32 sgemm and sgemv sum in other orders)
+    # an iterate whose Pf goes negative (the f of the test above) and one
+    # whose declared tail r^0 the kernel cannot integrate (``check_integrable``
+    # on the batch's tails) fail alone: the others' sides are their single
+    # calls', lhs bitwise and the batched dual to the batch contract's 1e-7
+    # of its maximum (2.0e-8 measured: the float32 sgemm and sgemv sum in
+    # other orders)
     g = build_radial_grid(3, 160)
     hs = default_halfspace_grid(g)
     bad = RadialFn(g, g.nodes ** -1.5 * (1 + g.nodes ** 2) ** -4.0,
                    tail_exponent=9.5, nonnegative=True)
     good = [extremal_profile(ExtremalSpec(4, kind, 1.2), g)
             for kind in ("conformal", "dual")]
-    batch = el_sides_batch([good[0], bad, good[1]], 1.5, hs)
-    assert isinstance(batch[1], DivergenceError)
-    assert str(batch[1]).startswith("Pf is negative")
-    for f, (lhs, rhs) in zip(good, batch[::2]):
+    flat = RadialFn(g, good[0].values, tail_exponent=0.0, nonnegative=True)
+    lhs, rhs, errors = el_sides_batch(stack([good[0], bad, flat, good[1]]),
+                                      1.5, hs)
+    assert isinstance(errors[1], DivergenceError)
+    assert str(errors[1]).startswith("Pf is negative")
+    assert isinstance(errors[2], DivergenceError)
+    assert str(errors[2]).startswith("boundary data with tail exponent 0 ")
+    assert errors[0] is errors[3] is None
+    for f, j in zip(good, (0, 3)):
         one_lhs, one_rhs = el_sides(f, 1.5, hs)
-        assert np.array_equal(lhs, one_lhs)
-        assert np.max(np.abs(rhs - one_rhs)) <= 1e-7 * np.max(one_rhs)
+        assert np.array_equal(lhs[:, j], one_lhs)
+        assert np.max(np.abs(rhs[:, j] - one_rhs)) <= 1e-7 * np.max(one_rhs)
 
 
 def test_singular_constant_consistency():
