@@ -16,7 +16,7 @@ from .extension import (commutator_gap, dual_extend, extend_at, kernel_mass,
 from .moebius import boundary_inversion, halfspace_inversion
 from .extremals import (ExtremalSpec, calibrate, el_sides, extremal_profile,
                         rayleigh_quotient, sharp_constant, singular_constant)
-from .rearrange import (planar_convolution, radial_to_polar, riesz_gain,
+from .rearrange import (radial_to_polar, riesz_gain,
                         symmetric_rearrangement)
 from .solver import (IterationTrace, SolverConfig, ascent_estimate_constant,
                      el_fixed_point, match_extremal_family,

@@ -391,8 +391,8 @@ class PoissonOperator:
         """(Tu)(s_i) = sum_k wt_k (M[k] @ u[:, k]), shape (N,), or (N, B)
         for a batch u (N, N_t, B): one sgemm per height on ``matrices`` for
         all ``_unit_columns(u)``, then the sum over k in float64."""
-        u = u_values.reshape(u_values.shape[:2] + (-1,))     # (N, N_t, B)
-        v, scale = _unit_columns(np.swapaxes(u, 0, 1))       # (N_t, N, B)
+        u, scale = _unit_columns(u_values.reshape(u_values.shape[:2] + (-1,)))
+        v = np.swapaxes(u, 0, 1)                            # (N_t, N, B)
         products = np.matmul(self.matrices, v).reshape(len(v), -1)
         Tu = (self.halfspace.heights.weights @ products).reshape(len(u), -1)
         return (Tu * scale).reshape(u_values.shape[:1] + u_values.shape[2:])
@@ -405,12 +405,15 @@ class PoissonOperator:
 # (x / s in float32, s), s the largest |entry| of each column of x (..., B),
 # 1 for a zero column: the cast cannot overflow, and a times x casts to the
 # same float32 as x (but where a float64 rounding of x / s crosses a float32
-# tie), so the loop's sides scale with the iterate's amplitude
+# tie), so the loop's sides scale with the iterate's amplitude; an entry that
+# casts below float32's smallest normal is 0 (sgemm on a subnormal is slow)
 def _unit_columns(x: np.ndarray) -> tuple:
     top = np.abs(x).max(axis=tuple(range(x.ndim - 1)))
     scale = np.where(top > 0.0, top, 1.0)
     # in x's memory order: the loop's batch axis is not the innermost
-    return np.divide(x, scale, out=np.empty_like(x, np.float32)), scale
+    unit = np.divide(x, scale, out=np.empty_like(x, np.float32))
+    unit[np.abs(unit) < np.finfo(np.float32).tiny] = 0.0
+    return unit, scale
 
 
 _OPERATOR_CACHE: dict = {}     # least recently used first

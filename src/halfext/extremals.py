@@ -160,8 +160,11 @@ def el_sides_batch(f: RadialFn, p: float, hs_grid: HalfspaceGrid):
         lhs = values ** (p - 1.0)
         power = pf ** (q - 1.0)
     _column_rule(lhs, "f^(p-1)", errors)
-    _column_rule(power, "(Pf)^(q-1)", errors)
-    power[..., [j for j, exc in enumerate(errors) if exc]] = 0.0
+    if not np.isfinite(power.max()):   # of Pf >= 0: it can only overflow
+        _column_rule(power, "(Pf)^(q-1)", errors)
+    failed = [j for j, exc in enumerate(errors) if exc]
+    if failed:
+        power[..., failed] = 0.0
     rhs = op.dual(power)
     _column_rule(rhs, "dual side", errors)
     return lhs, rhs, errors

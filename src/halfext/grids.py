@@ -296,10 +296,11 @@ class RadialFn:
         return float(out[..., 0]) if r.ndim == 0 else out[..., 0]
 
     def scaled(self, c: float) -> "RadialFn":
-        """c times f; a batch takes one c per column."""
+        """c times f, f's tail fit kept; a batch takes one c per column."""
         return RadialFn(self.grid, c * self.values, c * self.value_at_zero,
                         self.tail_exponent,
-                        self.nonnegative and not np.less(c, 0.0).any())
+                        self.nonnegative and not np.less(c, 0.0).any(),
+                        _fitted=self._fitted)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["r", "value"], self.grid.nodes, self.values)
@@ -469,16 +470,23 @@ def lp_norm_halfspace(u: AxisymFn, p: float) -> float:
 
 
 def dilate_boundary(f: RadialFn, lam: float, p: float) -> RadialFn:
-    """The L^p-preserving dilation f -> lam^(-d/p) f(./lam) on the same mesh;
-    a batch takes one lam per column, all in one evaluation."""
+    """The L^p-preserving dilation f -> lam^(-d/p) f(./lam) on the same mesh,
+    with f's fitted tail; a batch takes one lam per column, all in one
+    evaluation, and a column whose lam is 1 keeps its samples."""
     column = np.asarray(lam)[..., None]       # a batch's lam, one per row
     if (column <= 0.0).any():
         raise DomainError(f"dilation factor must be positive, got {lam}")
+    keep = column == 1.0
+    if keep.all():
+        return f
     c = lam ** (-f.grid.d / p)
     vals = np.asarray(c)[..., None] * f.eval(f.grid.nodes / column)
+    vals = np.where(keep, f.values.T, vals)
+    # a power law keeps its exponent: f's tail fit is the dilation's
     return RadialFn(f.grid, np.ascontiguousarray(vals.T),
                     value_at_zero=c * f.value_at_zero,
-                    tail_exponent=f.tail_exponent, nonnegative=f.nonnegative)
+                    tail_exponent=f.tail_exponent, nonnegative=f.nonnegative,
+                    _fitted=f._fitted)
 
 
 def stack(fs) -> RadialFn:

@@ -62,21 +62,31 @@ def planar_convolution(f: PolarFn, t: float) -> PolarFn:
     ``out[i, j] = sum_{k,d} block[i, k, d] src[k, (j + d) mod m]``.  It is
     filled ``quadrature._BLOCK`` entries at a time, the same bits in any.
     """
+    return _convolve(_kernel_block(f.grid, t), f)
+
+
+def _kernel_block(grid: PolarGrid, t: float) -> np.ndarray:
+    # block[i, k * m + l] = P_t(|x(i,0) - x(k,l)|), (N_r, N_r m)
     if t <= 0.0:
         raise DomainError(f"height t must be positive, got {t}")
-    x, y = f.grid.points()
+    x, y = grid.points()
     n_r, m = x.shape
-    src = f.values * f.grid.cell_measures()
     block = np.empty((n_r, n_r * m))
     for lo, hi in blocks(np.full(n_r, n_r * m)):
         dx = x[lo:hi, 0, None, None] - x
         dy = y[lo:hi, 0, None, None] - y
         block[lo:hi].flat = pt_profile(3, t, np.sqrt(dx * dx + dy * dy))
+    return block
+
+
+def _convolve(block: np.ndarray, f: PolarFn) -> PolarFn:
+    # the GEMM of ``planar_convolution`` with a built block
+    n_r, m = f.values.shape
+    src = f.values * f.grid.cell_measures()
     shift = np.arange(m)
     # [k, d, j], C-ordered so that the GEMM reads it without a copy
     shifts = np.take(src, (shift[:, None] + shift[None, :]) % m, axis=1)
-    out = block @ shifts.reshape(n_r * m, m)
-    return PolarFn(f.grid, out)
+    return PolarFn(f.grid, block @ shifts.reshape(n_r * m, m))
 
 
 def radial_to_polar(f: RadialFn, pg: PolarGrid) -> PolarFn:
@@ -96,6 +106,7 @@ def riesz_gain(f: PolarFn, t: float, q: float) -> float:
     if q < 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
     fstar = radial_to_polar(symmetric_rearrangement(f), f.grid)
-    norm_orig = planar_convolution(f, t).lp_norm(q)
-    norm_star = planar_convolution(fstar, t).lp_norm(q)
+    block = _kernel_block(f.grid, t)        # one block for f and f*
+    norm_orig = _convolve(block, f).lp_norm(q)
+    norm_star = _convolve(block, fstar).lp_norm(q)
     return float(norm_star - norm_orig)

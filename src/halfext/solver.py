@@ -7,21 +7,25 @@ adjoint pair Hoelder's inequality makes its Rayleigh quotient |Pf|_q / |f|_p
 nondecreasing; here that holds only up to quadrature, since T is the
 kernel-symmetric row rule rather than the transpose of the discrete P, the
 gauge interpolates, and the quotient reads the polar half-space rule.  The
-gauge scales each iterate to unit L^p norm and dilates it so that the
-log-mean radius exp<log r> of its L^p mass is 1, placing it on its
-dilation orbit as the existence theory does to restore compactness; for a
-bubble of either family at its critical p that radius is lambda, as the
-half-mass radius is.  The solve returns the last iterate it measured times
-its ``calibrate`` amplitude.  No convergence theorem backs the iteration;
-divergence is detected and reported with the trace.
+gauge scales each iterate to unit L^p norm and measures the factor lambda
+that puts the log-mean radius exp<log r> of its L^p mass at 1, the place
+on the dilation orbit where the existence theory fixes it to restore
+compactness (for a bubble of either family at its critical p that radius
+is lambda).  It dilates the start, and an iterate only while |log lambda|
+>= 1e-3, once its residual is within 4 tol_residual, before its last
+iteration, or where the sign rule zeroed samples; a column converges only
+on a dilated iterate, so the solve returns its last measured iterate,
+placed, times its ``calibrate`` amplitude.  No convergence theorem backs
+the iteration; divergence is detected and reported with the trace.
 
 An ascent's live starts are the columns of one batch (``grids.stack``), and
 each step of a round is one call on it: the EL sides (one stack read each
-way), the calibration (one masked mean), the quotients, norms, tail fits,
-log-mean radii, one ``pchip`` and the dilation.  The batch contract: a
-column takes its solo run's iterations, and its sides, gauge factors,
-residuals and Rayleigh quotients agree with that run's to 1e-7 (the float32
-loop's sgemm sums in another order than a sgemv); runs repeat bit for bit.
+way), the calibration (one masked mean), the quotients, norms, one tail
+fit, log-mean radii and, in a round that dilates, one ``pchip`` and the
+dilation.  The batch contract: a column takes its solo run's iterations,
+and its sides, gauge factors, residuals and Rayleigh quotients agree with
+that run's to 1e-7 (the float32 loop's sgemm sums in another order than a
+sgemv); runs repeat bit for bit.
 
 The module also hosts the symmetry classification: the one family fit,
 which decides whether a radial profile is a bubble A (lam/(lam^2+r^2))^e of
@@ -56,7 +60,8 @@ class SolverConfig:
 
 
 class IterationTrace:
-    """Residual, Rayleigh quotient and gauge factor per EL iteration."""
+    """Residual, Rayleigh quotient and gauge factor per EL iteration; the
+    factor is the lambda measured, whether or not the loop dilated by it."""
 
     def __init__(self):
         self.residuals, self.rayleighs, self.lambdas = [], [], []
@@ -100,26 +105,33 @@ def normalize_mass_half(f: RadialFn, p: float):
     A batch gets each column's lambda and samples as alone, to roundoff.
     The name predates the log-mean gauge and stays for bench/tracing.py.
     """
+    lam, fn = _unit_gauge(f, p)
+    return lam, dilate_boundary(fn, lam, p)
+
+
+def _unit_gauge(f: RadialFn, p: float):
+    # (lambda, f at unit L^p norm), undilated: the gauge factor measured
     norm = lp_norm_boundary(f, p)
     if np.any(norm <= 0.0):
         raise DomainError("cannot normalize the zero function")
     fn = f.scaled(1.0 / norm)
-    lam = 1.0 / concentration_radius(fn, p)
-    return lam, dilate_boundary(fn, lam, p)
+    return 1.0 / concentration_radius(fn, p), fn
 
 
 def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
                hs_grid: HalfspaceGrid) -> list:
     """``el_fixed_point`` from each start of ``inits``, in lockstep: the live
     starts are the columns of one batch, with one ``el_sides_batch``,
-    ``calibrate``, ``rayleigh_quotient`` and ``normalize_mass_half`` a round
-    for them all; a start leaves when it converges, diverges or reaches
+    ``calibrate``, ``rayleigh_quotient`` and gauge a round for them all
+    (``normalize_mass_half`` for the starts); a start leaves when it
+    converges on a dilated iterate, diverges or reaches
     max_iters.  Returns per start (solution, trace) or the SolverDivergence
     it ends with."""
     out = [None] * len(inits)
     traces = [IterationTrace() for _ in inits]
     live = np.arange(len(inits))        # the start of each batch column
     lam, f = normalize_mass_half(stack(inits), p)
+    gauged = np.ones(live.size, bool)   # each column dilated by its lam
     while live.size:
         lams = np.broadcast_to(lam, live.shape)
         lhs, rhs, errors = el_sides_batch(f, p, hs_grid)
@@ -148,7 +160,7 @@ def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
                 out[i] = SolverDivergence(trace.message, trace)
                 out[i].__cause__ = errors[j]
                 continue
-            if res <= cfg.tol_residual:
+            if res <= cfg.tol_residual and gauged[j]:
                 trace.converged = True
                 trace.message = f"residual {res:.3e} <= tol"
             elif len(trace) >= 50 and res > 10.0 * trace.residuals[-50]:
@@ -167,8 +179,16 @@ def _el_solves(n: int, p: float, inits, cfg: SolverConfig,
             # one column is one function; no declared tail: the start's (a
             # Gaussian's is inf) is not the iterate's, so the tail fit decides
             power = rhs.take(going[0] if len(going) == 1 else going, axis=1)
-            lam, f = normalize_mass_half(RadialFn(
+            lam, f = _unit_gauge(RadialFn(
                 f.grid, power ** (1.0 / (p - 1.0)), nonnegative=True), p)
+            # dilate while the column moves, near its exit, and where the
+            # sign rule zeroed samples; elsewhere lam 1 keeps the samples
+            left = cfg.max_iters - np.array([len(traces[i]) for i in live])
+            gauged = ((np.abs(np.log(lam)) >= 1e-3) | (left == 1)
+                      | (residual[going] <= 4.0 * cfg.tol_residual)
+                      | ~(f.values > 0.0).all(axis=0))
+            f = dilate_boundary(f, np.where(gauged, lam, 1.0).reshape(
+                np.shape(lam)), p)
     return out
 
 
@@ -277,9 +297,12 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     if np.any(y <= 0.0):
         raise DomainError("profile must be positive on the fit window")
 
+    e, r2 = ExtremalSpec(n, kind).exponent, r ** 2
+
     def best_amp(lam: float):
-        # minimax amplitude for multiplicative deviation: geometric midrange
-        shape = ExtremalSpec(n, kind, lam).profile(r)
+        # minimax amplitude for multiplicative deviation: geometric midrange;
+        # the shape is ExtremalSpec(n, kind, lam).profile(r), bit for bit
+        shape = (lam / (lam * lam + r2)) ** e
         ratio = y / shape
         amp = math.sqrt(float(np.min(ratio)) * float(np.max(ratio)))
         err = float(np.max(np.abs(ratio / amp - 1.0)))

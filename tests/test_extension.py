@@ -293,6 +293,23 @@ def test_contractions_match_per_height_loop(n, boundary):
     assert np.max(np.abs(got_dual - dual)) <= 1e-13 * np.max(np.abs(dual))
 
 
+def test_unit_columns_flush_float32_subnormals():
+    # an entry that casts below float32's smallest normal (sgemm on a
+    # subnormal runs about 2.6x slower) becomes 0; every other entry keeps
+    # the bytes of its plain cast, and each column its scale
+    tiny = float(np.finfo(np.float32).tiny)
+    x = np.array([[1.0, -3.0], [0.25, 3.0 * tiny], [tiny, -1e-40],
+                  [-0.5 * tiny, 1e-45], [2.0, 0.0]])
+    unit, scale = extension._unit_columns(x)
+    assert list(scale) == [2.0, 3.0] and unit.dtype == np.float32
+    plain = np.divide(x, scale).astype(np.float32)
+    small = np.abs(plain) < tiny
+    # three subnormal casts, one cast that is already 0 and one 0
+    assert small.sum() == 5 and np.count_nonzero(plain[small]) == 3
+    assert np.all(unit[small] == 0.0)
+    assert unit[~small].tobytes() == plain[~small].tobytes()
+
+
 def test_contractions_take_a_batch_axis(boundary3, halfspace3):
     # one f is the sgemv over the (N_t N, N) view of ``matrices`` at unit
     # scale, bitwise; a batch of one is the single call, bitwise; a batch of

@@ -104,8 +104,13 @@ def test_fitted_tail_fits_once_per_function(boundary3, monkeypatch):
     f = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0)
     assert all(math.isnan(f.fitted_tail()) for _ in range(3))
     assert math.isnan(f.tail()) and len(calls) == 1
-    # a new function, even one scaled from f, fits its own samples
-    assert math.isnan(f.scaled(2.0).fitted_tail()) and len(calls) == 2
+    # f scaled or dilated keeps f's fit (a power law keeps its exponent);
+    # a new function fits its own samples
+    assert math.isnan(f.scaled(2.0).fitted_tail()) and len(calls) == 1
+    assert math.isnan(dilate_boundary(f, 2.0, 2.0).fitted_tail())
+    assert len(calls) == 1
+    g = sample_radial(boundary3, lambda r: (1 + r ** 2) ** -1.0)
+    assert math.isnan(g.fitted_tail()) and len(calls) == 2
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.5, 6.0])
