@@ -66,9 +66,13 @@ class ExtremalSpec:
             else 2.0 * (n - 1) / n
 
     def profile(self, rho):
-        e = self.exponent
-        lam = self.lam
-        return self.amplitude * (lam / (lam * lam + np.asarray(rho) ** 2)) ** e
+        return self.amplitude * bubble(np.asarray(rho) ** 2, self.lam,
+                                       self.exponent)
+
+
+def bubble(r2, lam: float, e: float):
+    """(lam / (lam^2 + r^2))^e at squared radii r2: either family's shape."""
+    return (lam / (lam * lam + r2)) ** e
 
 
 def extremal_profile(spec: ExtremalSpec, grid: RadialGrid) -> RadialFn:

@@ -43,7 +43,7 @@ from .errors import DivergenceError, DomainError, SolverDivergence
 # kept importable as halfext.solver.poisson_extend, a name bench/ reads; the
 # loop reads the stack through extremals.el_sides_batch
 from .extension import poisson_extend  # noqa: F401
-from .extremals import (ExtremalSpec, calibrate, el_sides_batch,
+from .extremals import (ExtremalSpec, bubble, calibrate, el_sides_batch,
                         extremal_profile, rayleigh_quotient)
 from .grids import (HalfspaceGrid, RadialFn, RadialGrid, dilate_boundary,
                     lp_norm_boundary, mesh_n, stack, write_csv)
@@ -300,9 +300,8 @@ def match_extremal_family(f: RadialFn, n: int, kind: str,
     e, r2 = ExtremalSpec(n, kind).exponent, r ** 2
 
     def best_amp(lam: float):
-        # minimax amplitude for multiplicative deviation: geometric midrange;
-        # the shape is ExtremalSpec(n, kind, lam).profile(r), bit for bit
-        shape = (lam / (lam * lam + r2)) ** e
+        # minimax amplitude for multiplicative deviation: geometric midrange
+        shape = bubble(r2, lam, e)
         ratio = y / shape
         amp = math.sqrt(float(np.min(ratio)) * float(np.max(ratio)))
         err = float(np.max(np.abs(ratio / amp - 1.0)))

@@ -482,7 +482,9 @@ def test_el_floors_hold_on_the_float32_loop(boundary3, halfspace3, family,
                                             floor):
     # from the Gaussian start with tol_residual=1e-13 the n=3 N=160 solve
     # runs into its residual floor; the loop's float32 stack keeps it within
-    # 10% of the float64 loop's 8.0e-8 and 4.2e-5 (7.6e-8 and 4.2e-5 read)
+    # 10% of the float64 loop's 4.2e-5 (dual), and skipping the dilation of
+    # unmoved iterates lowered the conformal floor to 6.8e-8 (7.8e-8 when
+    # every iterate was dilated)
     cfg = SolverConfig(max_iters=300, tol_residual=1e-13)
     init = start_profile(boundary3, "gaussian", 1.0, 1.0)
     _, trace = el_fixed_point(3, ExtremalSpec(3, family).critical_p, init,
